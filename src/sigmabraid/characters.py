@@ -21,17 +21,35 @@ free and torsion bases implemented here:
 Encircling letters C[i,j] always die in the abelianization, and the full
 twist D maps to n(n-1) times the sigma class.  No floating point is used
 anywhere: coordinates are ints or fractions.Fraction.
+
+Evaluation runs on integers.  Each character carries one
+:class:`LetterTable`, built lazily on first use: its coordinates scaled by
+the lcm L of their denominators, and the exact integer value L*chi(g) of
+every positive letter g met so far.  A letter is validated against the
+group once, when it enters the table.  :func:`evaluate` and :func:`nu`
+sum and minimise these integers and divide by L once at the end, so they
+still return exact Fractions; :func:`letter_values` and the ball sweep
+read the integers directly, since positive scaling keeps every sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .models import ModelId
-from .words import AlphabetError, DomainError, GroupContext, Word, model_sym, validate_symbol
+from .words import (
+    AlphabetError,
+    DomainError,
+    GeneratorSymbol,
+    GroupContext,
+    Word,
+    model_sym,
+    validate_symbol,
+)
 
 GroupLike = Union[GroupContext, ModelId]
 
@@ -131,9 +149,9 @@ def _letter_slots(spec: AbelianizationSpec, kind: str, index: int | None,
         coeff = n * (n - 1)
         return [("free", "s", coeff)] if surf == "D" else [("torsion", "s", coeff)]
     if fam == "B":
-        label = kind if kind == "s" else kind  # s, a, b all collapse strand indices
-        block = "free" if label in spec.free_labels else "torsion"
-        return [(block, label, 1)]
+        # s, a, b all collapse strand indices
+        block = "free" if kind in spec.free_labels else "torsion"
+        return [(block, kind, 1)]
     # pure groups: strand-indexed coordinates
     label = f"{kind}{index}"
     if kind == "A":
@@ -187,6 +205,59 @@ class Character:
     def __neg__(self) -> "Character":
         return self.scale(-1)
 
+    @cached_property
+    def letter_table(self) -> "LetterTable":
+        """The scaled integer letter table; not a field, so it stays out of
+        eq, hash and repr."""
+        return LetterTable(self)
+
+
+class LetterTable:
+    """A character on letters as exact integers.
+
+    ``denominator`` is the lcm L of the coordinate denominators; ``values``
+    maps (kind, indices) of each positive letter met so far to L times the
+    character's value on it.  A letter enters on first lookup, after it
+    has been validated against the character's group; a letter that fails
+    validation raises AlphabetError and never enters.
+    """
+
+    __slots__ = ("spec", "denominator", "values", "_scaled")
+
+    def __init__(self, chi: Character):
+        self.spec = chi.spec
+        self.denominator = math.lcm(*(Fraction(c).denominator for c in chi.coords))
+        self._scaled = {label: int(c * self.denominator)
+                        for label, c in zip(chi.spec.free_labels, chi.coords)}
+        self.values: dict[tuple[str, tuple[int, ...]], int] = {}
+
+    def _enter(self, s: GeneratorSymbol) -> int:
+        group = self.spec.group
+        if isinstance(group, ModelId):
+            if s.indices or s.kind not in group.letter_names:
+                raise AlphabetError(f"{s}: not a letter of {group.value}")
+            n = 0
+        else:
+            validate_symbol(s, group)
+            n = group.n
+        idx = s.indices if s.kind == "A" else (s.indices[0] if s.indices else None)
+        value = sum(coeff * self._scaled[label]
+                    for block, label, coeff in _letter_slots(self.spec, s.kind, idx, n)
+                    if block == "free")
+        self.values[(s.kind, s.indices)] = value
+        return value
+
+    def value(self, s: GeneratorSymbol) -> int:
+        """L times the character on one signed letter."""
+        v = self.values.get((s.kind, s.indices))
+        if v is None:
+            v = self._enter(s)
+        return s.sign * v
+
+    def total(self, w: Word) -> int:
+        """L times the character on a word."""
+        return sum(map(self.value, w.letters))
+
 
 def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Rational]) -> Character:
     """Build a character from a label->value mapping or a full coordinate
@@ -224,34 +295,38 @@ def sphere_character(n: int, values: Mapping[tuple[int, int], Rational]) -> Char
 
 
 def evaluate(chi: Character, w: Word) -> Fraction:
-    """chi applied to the free part of the abelianized word; additive on
+    """chi on a word: the sum of the signed scaled letter values from the
+    character's letter table, divided by its denominator L once.  Equal to
+    chi on the free part of the abelianized word; additive on
     concatenation."""
-    image = abelianize(chi.spec.group, w)
-    return sum((c * e for c, e in zip(chi.coords, image.free)), Fraction(0))
+    table = chi.letter_table
+    return Fraction(table.total(w), table.denominator)
 
 
-def letter_values(chi: Character) -> dict[tuple[str, int], Fraction]:
-    """chi on every signed letter of a model alphabet (ball-search helper)."""
+def letter_values(chi: Character) -> dict[tuple[str, int], int]:
+    """The letter table on every signed letter of a model alphabet
+    (ball-search helper).  Values are L*chi(letter) for the table's
+    denominator L: exact integers with the signs and order of chi."""
     group = chi.spec.group
     if not isinstance(group, ModelId):
         raise DomainError("letter_values is only defined for model characters")
-    out = {}
-    for name in group.letter_names:
-        val = evaluate(chi, Word((model_sym(name),)))
-        out[(name, 1)] = val
-        out[(name, -1)] = -val
-    return out
+    table = chi.letter_table
+    return {(name, sign): table.value(model_sym(name, sign))
+            for name in group.letter_names for sign in (1, -1)}
 
 
 def nu(chi: Character, start: Word, steps: Word) -> Fraction:
-    """Minimum of chi over the path start, start.z1, ..., start.z1...zk."""
-    value = evaluate(chi, start)
-    lowest = value
-    for s in steps:
-        value += evaluate(chi, Word((s,)))
+    """Minimum of chi over the path start, start.z1, ..., start.z1...zk.
+
+    The running value and minimum are scaled integers from the letter
+    table; only the minimum is divided by the denominator L."""
+    table = chi.letter_table
+    value = lowest = table.total(start)
+    for s in steps.letters:
+        value += table.value(s)
         if value < lowest:
             lowest = value
-    return lowest
+    return Fraction(lowest, table.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +435,6 @@ def rational_to_json(v: Fraction | int):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-_num_to_json = rational_to_json
-
-
 def _num_from_json(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
@@ -375,23 +447,31 @@ def character_to_json(chi: Character) -> dict:
     group = chi.spec.group
     if isinstance(group, ModelId):
         return {"model": group.value,
-                "coords": {label: _num_to_json(chi[label]) for label in chi.spec.free_labels}}
+                "coords": {label: rational_to_json(chi[label]) for label in chi.spec.free_labels}}
     out: dict = {"group": group.family, "surface": group.surface, "n": group.n}
     if group.family == "P" and group.surface == "T":
-        out["a"] = [_num_to_json(chi[f"a{i}"]) for i in range(1, group.n + 1)]
-        out["b"] = [_num_to_json(chi[f"b{i}"]) for i in range(1, group.n + 1)]
+        out["a"] = [rational_to_json(chi[f"a{i}"]) for i in range(1, group.n + 1)]
+        out["b"] = [rational_to_json(chi[f"b{i}"]) for i in range(1, group.n + 1)]
     elif group.family == "P" and group.surface == "K":
-        out["b"] = [_num_to_json(chi[f"b{i}"]) for i in range(1, group.n + 1)]
+        out["b"] = [rational_to_json(chi[f"b{i}"]) for i in range(1, group.n + 1)]
     elif group.family == "P" and group.surface == "S2":
-        out["A"] = {label[2:-1].replace(",", ","): _num_to_json(chi[label])
+        out["A"] = {label[2:-1]: rational_to_json(chi[label])
                     for label in chi.spec.free_labels if chi[label] != 0}
     else:
         for label in chi.spec.free_labels:
-            out[label] = _num_to_json(chi[label])
+            out[label] = rational_to_json(chi[label])
     return out
 
 
+def _num_list_from_json(obj: Mapping, key: str) -> list[Fraction]:
+    if key not in obj:
+        raise DomainError(f"character JSON misses the field {key!r}")
+    return [_num_from_json(v) for v in obj[key]]
+
+
 def character_from_json(obj: Mapping) -> Character:
+    if not isinstance(obj, Mapping):
+        raise DomainError(f"character JSON must be an object, got {type(obj).__name__}")
     if "model" in obj:
         model = ModelId(obj["model"])
         coords = {k: _num_from_json(v) for k, v in obj.get("coords", {}).items()}
@@ -403,20 +483,23 @@ def character_from_json(obj: Mapping) -> Character:
         raise DomainError("character JSON needs 'surface' and 'n'")
     ctx = GroupContext(fam, surf, int(n))
     if fam == "P" and surf == "T":
-        a = [_num_from_json(v) for v in obj["a"]]
-        b = [_num_from_json(v) for v in obj["b"]]
+        a = _num_list_from_json(obj, "a")
+        b = _num_list_from_json(obj, "b")
         if len(a) != ctx.n or len(b) != ctx.n:
             raise DomainError(f"need {ctx.n} entries in 'a' and 'b'")
         return character(ctx, list(a) + list(b))
     if fam == "P" and surf == "K":
-        b = [_num_from_json(v) for v in obj["b"]]
+        b = _num_list_from_json(obj, "b")
         if len(b) != ctx.n:
             raise DomainError(f"need {ctx.n} entries in 'b'")
         return character(ctx, b)
     if fam == "P" and surf == "S2":
         values = {}
         for key, v in obj.get("A", {}).items():
-            i, j = (int(t) for t in key.split(","))
+            try:
+                i, j = (int(t) for t in key.split(","))
+            except ValueError:
+                raise DomainError(f"keys of 'A' must read 'i,j', got {key!r}") from None
             values[f"A[{i},{j}]"] = _num_from_json(v)
         return character(ctx, values)
     coords = {label: _num_from_json(obj[label]) for label in abelianization(ctx).free_labels

@@ -115,7 +115,10 @@ def _cmd_enumerate(args, parser) -> dict:
 
 def _cmd_act(args, parser) -> dict:
     group = _group(args, parser)
-    tau = tuple(int(t) for t in args.tau.split())
+    try:
+        tau = tuple(int(t) for t in args.tau.split())
+    except ValueError:
+        parser.error(f"--tau must list integers, got {args.tau!r}")
     chi = character_from_json(_read_json_arg(args.char))
     pt = sigma.act_permutation(group, tau, sphere_point(chi))
     return character_to_json(pt.character())

@@ -60,6 +60,7 @@ from .models import (
     translate,
     words_equal,
 )
+from .presentations import _C
 from .words import (
     DomainError,
     GeneratorSymbol,
@@ -161,14 +162,12 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     lines = []
     endpoints_all = True
     for e in cert.entries:
-        lhs = t_word * e.path_word
-        rhs = Word((e.z,)) * t_word
         if is_model:
-            ok = words_equal(cert.context, lhs, rhs)
+            ok = words_equal(cert.context, t_word * e.path_word, Word((e.z,)) * t_word)
             checked = True
         elif dic is not None:
-            ok = words_equal(dic.model, translate(dic, lhs, "to_model"),
-                             translate(dic, rhs, "to_model"))
+            ok = words_equal(dic.model, translate(dic, t_word * e.path_word, "to_model"),
+                             translate(dic, Word((e.z,)) * t_word, "to_model"))
             checked = True
         else:
             ok, checked = True, False
@@ -311,23 +310,17 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
     low_ok = b_low < 0 and all(-b_low - v > 0 for v in b[1:])
     use_top = top_ok or (not low_ok and b_top > 0)
     entries: list[CertificateEntry] = []
-
-    def C(i, j, sign=1):
-        if i == j:
-            return IDENTITY
-        return Word((sym_C(i, j, sign),))
-
     if use_top:
         t = sym_b(n)
         for i in range(1, n):
-            w = C(i, n) * C(i + 1, n).inverse() * Word((sym_a(i),))
+            w = _C(i, n) * _C(i + 1, n).inverse() * Word((sym_a(i),))
             entries += _pair(sym_a(i), w, "strand conjugation rule P1")
-        w_an = Word((sym_a(n),)) * C(1, n).inverse() if not K \
-            else C(1, n) * Word((sym_a(n, -1),))
+        w_an = Word((sym_a(n),)) * _C(1, n).inverse() if not K \
+            else _C(1, n) * Word((sym_a(n, -1),))
         entries += _pair(sym_a(n), w_an, "strand conjugation rule P1, top row")
         for i in range(1, n):
             w = Word((sym_b(i),)) if not K \
-                else Word((sym_b(i),)) * C(i + 1, n) * C(i, n).inverse()
+                else Word((sym_b(i),)) * _C(i + 1, n) * _C(i, n).inverse()
             entries += _pair(sym_b(i), w, "b-commutation rule")
         entries += _triv(sym_b(n))
         for i in range(1, n):
@@ -336,7 +329,7 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
         for i in range(1, n):
             w = IDENTITY
             for j in range(1, n - i + 1):
-                band = C(n - j, n) * C(n - j + 1, n).inverse()
+                band = _C(n - j, n) * _C(n - j + 1, n).inverse()
                 if K:
                     band = band.inverse()
                 w = w * Word((sym_b(n - j),)) * band * Word((sym_b(n - j, -1),))
@@ -346,14 +339,14 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
         entries += _triv(sym_b(1))
         for j in range(2, n + 1):
             w = Word((sym_b(j),)) if not K \
-                else C(2, j).inverse() * C(1, j) * Word((sym_b(j),))
+                else _C(2, j).inverse() * _C(1, j) * Word((sym_b(j),))
             entries += _pair(sym_b(j), w, "outward conjugation S5")
         for j in range(2, n + 1):
-            w = Word((sym_a(j),)) * C(1, j).inverse() * C(2, j)
+            w = Word((sym_a(j),)) * _C(1, j).inverse() * _C(2, j)
             entries += _pair(sym_a(j), w, "outward conjugation S2")
         w1 = IDENTITY
         for j in range(2, n + 1):
-            band = C(1, j) * C(2, j).inverse() if K else C(1, j).inverse() * C(2, j)
+            band = _C(1, j) * _C(2, j).inverse() if K else _C(1, j).inverse() * _C(2, j)
             w1 = w1 * band
         if K:
             w_a1_inv = w1 * Word((sym_a(1),))
@@ -362,11 +355,11 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
         entries += _pair(sym_a(1, -1), w_a1_inv, "wall-crossing relation, first strand")
         for j in range(2, n + 1):
             if not K:
-                w = Word((sym_b(j, -1),)) * C(2, j).inverse() * C(1, j) * \
-                    Word((sym_b(j),)) * C(2, j)
+                w = Word((sym_b(j, -1),)) * _C(2, j).inverse() * _C(1, j) * \
+                    Word((sym_b(j),)) * _C(2, j)
             else:
-                w = Word((sym_b(j, -1),)) * C(1, j).inverse() * C(2, j) * \
-                    Word((sym_b(j),)) * C(2, j)
+                w = Word((sym_b(j, -1),)) * _C(1, j).inverse() * _C(2, j) * \
+                    Word((sym_b(j),)) * _C(2, j)
             entries += _pair(sym_C(1, j), w, "outward conjugation S4, first strand")
         for j in range(2, n + 1):
             for k in range(j + 1, n + 1):
@@ -432,7 +425,11 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
                  targets: Sequence[Word] = (), budget: int | None = None) -> BallReport:
     """Breadth-first sweep of the radius-r Cayley ball of the model,
     vertices canonicalised by normal form; then a connectivity sweep from
-    the base vertex restricted to chi-nonnegative vertices of the ball."""
+    the base vertex restricted to chi-nonnegative vertices of the ball.
+
+    Vertex values are the character's scaled integer letter values summed
+    along the sweep; scaling by the table's positive denominator keeps
+    every sign test."""
     if radius < 1:
         raise DomainError("radius must be >= 1")
     if chi.spec.group != model:
@@ -454,7 +451,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
 
     ident = identity_state(model)
     dist: dict[tuple, int] = {ident: 0}
-    value: dict[tuple, Fraction] = {ident: Fraction(0)}
+    value: dict[tuple, int] = {ident: 0}
     frontier = deque([ident])
     truncated = False
     d = 0
@@ -505,7 +502,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         state = normalize(model, tw).state
         target_reports.append(TargetReport(
             serialize_word(tw), state in dist,
-            state in dist and value.get(state, Fraction(-1)) >= 0,
+            state in dist and value.get(state, -1) >= 0,
             state in reach))
     return BallReport(model, radius, serialize_word(base_word) or "1",
                       len(dist), len(nonneg), len(reach), truncated,

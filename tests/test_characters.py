@@ -13,6 +13,7 @@ from sigmabraid.characters import (
     character_to_json,
     evaluate,
     klein_character,
+    letter_values,
     model_character,
     nu,
     sphere_character,
@@ -21,8 +22,25 @@ from sigmabraid.characters import (
     strand_pushforward,
     torus_character,
 )
+from sigmabraid.criterion import explore_ball
 from sigmabraid.models import ModelId, dictionary, equation_bank, parse_model_word, random_model_word
-from sigmabraid.words import DomainError, GroupContext, IDENTITY, Word, parse_word, sym_C
+from sigmabraid.words import (
+    AlphabetError,
+    DomainError,
+    GeneratorSymbol,
+    GroupContext,
+    IDENTITY,
+    Word,
+    model_sym,
+    parse_word,
+    reduce,
+    sym_A,
+    sym_a,
+    sym_b,
+    sym_C,
+    sym_s,
+    validate_symbol,
+)
 
 
 def test_abelianize_examples():
@@ -179,3 +197,132 @@ def test_character_validation():
         torus_character(2, [1], [0, 0])
     with pytest.raises(DomainError):
         character_from_json({"group": "P", "surface": "K", "n": 2, "b": [0.5, 1]})
+
+
+# ---------------------------------------------------------------------------
+# The scaled integer letter table against the abelianization definition
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 6, 7)))
+
+
+def _braid_alphabet(ctx):
+    """The positive letters of a braid group context."""
+    n = ctx.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    candidates = ([sym_a(i) for i in range(1, n + 1)] + [sym_b(i) for i in range(1, n + 1)]
+                  + [sym_s(i) for i in range(1, n)] + [GeneratorSymbol("D")]
+                  + [sym_C(i, j) for i, j in pairs] + [sym_A(i, j) for i, j in pairs])
+    out = []
+    for s in candidates:
+        try:
+            validate_symbol(s, ctx)
+        except AlphabetError:
+            continue
+        out.append(s)
+    return out
+
+
+_TABLE_GROUPS = [GroupContext("P", "T", 3), GroupContext("P", "T", 5),
+                 GroupContext("P", "K", 4), GroupContext("P", "S2", 5),
+                 GroupContext("B", "T", 4), GroupContext("B", "K", 3),
+                 GroupContext("B", "D", 4)] + list(ModelId)
+
+
+def _random_word(group, rng, length):
+    if isinstance(group, ModelId):
+        return random_model_word(group, rng, length)
+    alphabet = _braid_alphabet(group)
+    return reduce(rng.choice(alphabet).inverse() if rng.random() < 0.5 else rng.choice(alphabet)
+                  for _ in range(rng.randint(0, length)))
+
+
+def _reference_evaluate(chi, w):
+    image = abelianize(chi.spec.group, w)
+    return sum((c * e for c, e in zip(chi.coords, image.free)), Fraction(0))
+
+
+@pytest.mark.parametrize("group", _TABLE_GROUPS, ids=str)
+def test_table_evaluate_matches_abelianization(group):
+    rng = random.Random(f"evaluate {group}")
+    for _ in range(5):
+        chi = character(group, [_random_fraction(rng)
+                                for _ in range(abelianization(group).free_rank)])
+        for _ in range(20):
+            w = _random_word(group, rng, 12)
+            value = evaluate(chi, w)
+            assert isinstance(value, Fraction)
+            assert value == _reference_evaluate(chi, w)
+
+
+@pytest.mark.parametrize("group", _TABLE_GROUPS, ids=str)
+def test_table_nu_is_the_prefix_minimum(group):
+    rng = random.Random(f"nu {group}")
+    for _ in range(5):
+        chi = character(group, [_random_fraction(rng)
+                                for _ in range(abelianization(group).free_rank)])
+        for _ in range(10):
+            start = _random_word(group, rng, 6)
+            steps = _random_word(group, rng, 12)
+            prefixes = [Word(steps.letters[:k]) for k in range(len(steps) + 1)]
+            expected = min(_reference_evaluate(chi, start) + _reference_evaluate(chi, p)
+                           for p in prefixes)
+            value = nu(chi, start, steps)
+            assert isinstance(value, Fraction) and value == expected
+
+
+def test_table_keeps_validating_after_warmup():
+    ctx = GroupContext("P", "T", 3)
+    chi = torus_character(3, [Fraction(1, 2), 0, 1], [Fraction(-1, 3), 2, 1])
+    assert evaluate(chi, parse_word("a1 b2 b3 C[1,3]", ctx)) == Fraction(7, 2)
+    with pytest.raises(AlphabetError):
+        evaluate(chi, Word((sym_b(5),)))
+    with pytest.raises(AlphabetError):
+        nu(chi, IDENTITY, Word((sym_b(1), sym_b(5))))
+    assert ("b", (5,)) not in chi.letter_table.values
+    with pytest.raises(AlphabetError):
+        evaluate(character(ModelId.G2T, {"x": 1}), Word((model_sym("u"),)))
+
+
+def test_table_stays_out_of_eq_hash_repr():
+    chi = klein_character(2, [Fraction(1, 2), Fraction(-1, 3)])
+    twin = klein_character(2, [Fraction(1, 2), Fraction(-1, 3)])
+    evaluate(chi, Word((sym_b(1),)))
+    assert chi == twin and hash(chi) == hash(twin) and repr(chi) == repr(twin)
+    assert chi.letter_table.denominator == 6 and chi.letter_table.values == {("b", (1,)): 3}
+
+
+def test_letter_values_are_scaled_integers():
+    chi = character(ModelId.G2K, {"y": Fraction(-1, 2), "b": Fraction(2, 3)})
+    values = letter_values(chi)
+    assert values[("y", 1)] == -3 and values[("y", -1)] == 3
+    assert values[("b", 1)] == 4 and values[("x", 1)] == 0
+    for (name, sign), v in values.items():
+        assert Fraction(v, 6) == evaluate(chi, Word((model_sym(name, sign),)))
+
+
+@pytest.mark.parametrize("model, coords, radius", [
+    (ModelId.G2K, {"y": Fraction(-1, 2), "b": Fraction(3, 7)}, 4),
+    (ModelId.G2T, {"x": Fraction(1, 3), "y": Fraction(-2, 5), "a": 1}, 3),
+    (ModelId.G3T, {"x": Fraction(1, 2), "u": Fraction(1, 2), "y": Fraction(-1, 3)}, 2),
+])
+def test_ball_counts_match_integer_rescaling(model, coords, radius):
+    chi = character(model, coords)
+    rescaled = chi.scale(chi.letter_table.denominator)
+    assert all(c.denominator == 1 for c in rescaled.coords)
+    targets = [random_model_word(model, random.Random(k), 4) for k in range(6)]
+    frac = explore_ball(model, chi, radius=radius, targets=targets)
+    whole = explore_ball(model, rescaled, radius=radius, targets=targets)
+    assert frac.to_json() == whole.to_json()
+    assert frac.nonnegative_count < frac.vertex_count
+
+
+def test_character_json_errors_name_the_field():
+    with pytest.raises(DomainError, match="misses the field 'a'"):
+        character_from_json({"surface": "T", "n": 2, "b": [0, 1]})
+    with pytest.raises(DomainError, match="misses the field 'b'"):
+        character_from_json({"surface": "K", "n": 2})
+    with pytest.raises(DomainError, match="must be an object"):
+        character_from_json([1, 2])
+    with pytest.raises(DomainError, match="'1;3'"):
+        character_from_json({"surface": "S2", "n": 4, "A": {"1;3": 1}})

@@ -41,6 +41,21 @@ def test_classify_domain_error_exit_1(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_classify_char_missing_field_names_it(capsys):
+    code, out, err = run(capsys, "classify", "--group", "P", "--surface", "T", "--n", "2",
+                         "--char", '{"surface":"T","n":2,"b":[0,1]}')
+    assert code == 1
+    assert err == "error: character JSON misses the field 'a'\n"
+
+
+def test_act_malformed_tau_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["act", "--group", "P", "--surface", "T", "--n", "2", "--tau", "2 x",
+              "--char", '{"group":"P","surface":"T","n":2,"a":[0,1],"b":[0,1]}'])
+    assert exc.value.code == 2
+    assert "--tau" in capsys.readouterr().err
+
+
 def test_enumerate_counts_and_determinism(capsys):
     first = run(capsys, "enumerate", "--group", "P", "--surface", "T", "--n", "3")
     second = run(capsys, "enumerate", "--group", "P", "--surface", "T", "--n", "3")
