@@ -132,19 +132,57 @@ def _certificate_to_json(cert: PathCertificate) -> dict:
                          "cite": e.cite} for e in cert.entries]}
 
 
-def _certificate_from_json(doc: dict) -> PathCertificate:
-    ctx = doc["context"]
+def _field(obj, key: str, kinds: tuple[type, ...], what: str):
+    """``obj[key]`` of one of the JSON types ``kinds``; a DomainError names
+    the field when ``obj`` is not an object, lacks the key or has the wrong type."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise DomainError(f"{what} misses the field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kinds):
+        raise DomainError(f"{what} field {key!r} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _int_field(obj, key: str, what: str) -> int:
+    """An integer field, given as a JSON number or a decimal string."""
+    value = _field(obj, key, (int, str), what)
+    try:
+        if not isinstance(value, bool):  # JSON true/false would pass as 1/0
+            return int(value)
+    except ValueError:
+        pass
+    raise DomainError(f"{what} field {key!r} must be an integer, got {value!r}")
+
+
+def _certificate_from_json(doc) -> PathCertificate:
+    what = "certificate JSON"
+    ctx = _field(doc, "context", (str, dict), what)
     if isinstance(ctx, str):
+        if ctx not in ModelId.__members__:
+            raise DomainError(f"certificate context {ctx!r} is not a model")
         context = ModelId(ctx)
         parse = lambda text: models.parse_model_word(text, context)
     else:
-        context = GroupContext(ctx["group"], ctx["surface"], int(ctx["n"]))
+        context = GroupContext(_field(ctx, "group", (str,), "certificate context"),
+                               _field(ctx, "surface", (str,), "certificate context"),
+                               _int_field(ctx, "n", "certificate context"))
         parse = lambda text: parse_word(text, context)
-    (t,) = parse(doc["t"])
+
+    def letter(obj, key: str, owner: str):
+        text = _field(obj, key, (str,), owner)
+        letters = parse(text)
+        if len(letters) != 1:
+            raise DomainError(f"{owner} field {key!r} must be one letter, got {text!r}")
+        return letters.letters[0]
+
+    t = letter(doc, "t", what)
     entries = []
-    for e in doc["entries"]:
-        (z,) = parse(e["z"])
-        entries.append(CertificateEntry(z, parse(e["word"]), e.get("cite", "")))
+    for e in _field(doc, "entries", (list,), what):
+        z = letter(e, "z", "certificate entry")
+        path = parse(_field(e, "word", (str,), "certificate entry"))
+        entries.append(CertificateEntry(z, path, e.get("cite", "")))
     return PathCertificate(context, t, tuple(entries))
 
 

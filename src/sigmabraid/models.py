@@ -18,10 +18,19 @@ t z = (t z t^-1) t, using the conjugation action tables below.  Exponents are
 plain Python ints (arbitrary precision).  Two elements are equal iff their
 layered normal forms are componentwise equal; this decides the word problem.
 
+Each engine treats the outermost fiber component (omega, mu or kappa) as
+write-only: a letter right-multiplies it by a word z computed from the inner
+components and the exponents alone.  :func:`normalize` relies on this.  It
+runs the engine on a state whose outer component is empty, reads z off the
+result and pushes z onto one list with free reduction, so a letter costs
+O(|z|) instead of O(length of the outer component so far).  The result equals
+the fold of :func:`step` from :func:`identity_state`; the tests lock that in.
+
 The tables ``_*_INTO`` store the defining actions g^-1 z g.  The inverse
 automorphisms ``_*_OUT`` (g z g^-1) are solved from them by hand and locked
 in by the composition tests: applying one table after the other must fix
-every letter.
+every letter.  At import each table is expanded once into the images of the
+signed letters, so conjugating a fiber word maps it in a single reducing pass.
 
 Free words over a fiber are encoded as tuples of signed small ints
 (letter code k, inverse -k), always freely reduced.
@@ -78,6 +87,9 @@ class TranslationError(DomainError):
 # Signed-int free words
 
 def _fmul(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of the reduced words ``w`` and ``v``."""
+    if not w:
+        return v
     out = list(w)
     for c in v:
         if out and out[-1] == -c:
@@ -85,6 +97,11 @@ def _fmul(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         else:
             out.append(c)
     return tuple(out)
+
+
+def _fmul1(w: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """``_fmul(w, (c,))`` without the list round trip."""
+    return w[:-1] if w and w[-1] == -c else w + (c,)
 
 
 def _finv(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -95,14 +112,30 @@ def _xpow(k: int) -> tuple[int, ...]:
     return (1,) * k if k >= 0 else (-1,) * (-k)
 
 
-def _apply_auto(table: dict[int, tuple[int, ...]], w: tuple[int, ...]) -> tuple[int, ...]:
-    out: tuple[int, ...] = ()
+def _signed_table(table: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """The images of the signed letters under the automorphism sending letter
+    k to ``table[k]``; letters without an entry are fixed and stay absent."""
+    signed = dict(table)
+    signed.update((-k, _finv(img)) for k, img in table.items())
+    return signed
+
+
+def _map_signed(signed: dict[int, tuple[int, ...]], w: Iterable[int]) -> list[int]:
+    """Image of ``w`` under a signed table, freely reduced in one pass."""
+    out: list[int] = []
     for c in w:
-        img = table.get(abs(c))
-        if img is None:
-            img = (abs(c),)
-        out = _fmul(out, img if c > 0 else _finv(img))
+        for d in signed.get(c) or (c,):
+            if out and out[-1] == -d:
+                out.pop()
+            else:
+                out.append(d)
     return out
+
+
+def _apply_auto(table: dict[int, tuple[int, ...]], w: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of ``w`` under the automorphism sending letter k to ``table[k]``
+    (letters without an entry are fixed)."""
+    return tuple(_map_signed(_signed_table(table), w))
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +187,26 @@ _XY = {1: "x", 2: "y"}
 _UVW = {1: "u", 2: "v", 3: "w"}
 
 
-def _conj_fiber(w: tuple[int, ...], conjugator: tuple[int, ...], names: dict[int, str],
-                into: dict, out: dict) -> tuple[int, ...]:
+def _actions(names: dict[int, str], into: dict, out: dict) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Signed table of z -> c z c^-1 for every signed base letter code c."""
+    acts = {}
+    for code, name in names.items():
+        acts[code] = _signed_table(out.get(name, {}))
+        acts[-code] = _signed_table(into.get(name, {}))
+    return acts
+
+
+_G3T_ON_XY = _actions(_XY, _G3T_INTO, _G3T_OUT)
+_G4T_ON_XY = _actions(_XY, _G4T_INTO, _G4T_OUT)
+_G4T_ON_UVW = _actions(_UVW, _G4T_INTO, _G4T_OUT)
+
+
+def _conj_fiber(w: tuple[int, ...], conjugator: tuple[int, ...],
+                acts: dict[int, dict[int, tuple[int, ...]]]) -> tuple[int, ...]:
     """Return c w c^-1 where c is a word over base letters (innermost last)."""
     for code in reversed(conjugator):
-        name = names[abs(code)]
-        table = out.get(name, {}) if code > 0 else into.get(name, {})
-        w = _apply_auto(table, w)
-    return w
+        w = _map_signed(acts[code], w)
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +224,9 @@ _ID4 = ((), (), (), 0, 0)
 def _g2t_mult(state, name: str, sgn: int):
     omega, n, m = state
     if name == "x":
-        return _fmul(omega, (sgn,)), n, m
+        return _fmul1(omega, sgn), n, m
     if name == "y":
-        return _fmul(omega, (2 * sgn,)), n, m
+        return _fmul1(omega, 2 * sgn), n, m
     if name == "a":
         return omega, n + sgn, m
     return omega, n, m + sgn
@@ -194,7 +239,7 @@ def _g2k_mult(state, name: str, sgn: int):
     if name == "b":
         return omega, n, m + sgn
     if name == "x":
-        return _fmul(omega, (1 if (m % 2 == 0) == (sgn > 0) else -1,)), n, m
+        return _fmul1(omega, 1 if (m % 2 == 0) == (sgn > 0) else -1), n, m
     # name == "y"
     if sgn > 0:
         tail = _xpow(2 * n) + (2,) if m % 2 == 0 else _xpow(2 * n + 1) + (2, 1)
@@ -207,7 +252,7 @@ def _g3t_mult(state, name: str, sgn: int):
     mu, omega, n, m = state
     code = _G3T_FIBER.get(name)
     if code is not None:
-        z = _conj_fiber((code * sgn,), omega, _XY, _G3T_INTO, _G3T_OUT)
+        z = _conj_fiber((code * sgn,), omega, _G3T_ON_XY)
         return _fmul(mu, z), omega, n, m
     omega, n, m = _g2t_mult((omega, n, m), name, sgn)
     return mu, omega, n, m
@@ -217,8 +262,8 @@ def _g4t_mult(state, name: str, sgn: int):
     kappa, mu, omega, n, m = state
     code = _G4T_FIBER.get(name)
     if code is not None:
-        z = _conj_fiber((code * sgn,), omega, _XY, _G4T_INTO, _G4T_OUT)
-        z = _conj_fiber(z, mu, _UVW, _G4T_INTO, _G4T_OUT)
+        z = _conj_fiber((code * sgn,), omega, _G4T_ON_XY)
+        z = _conj_fiber(z, mu, _G4T_ON_UVW)
         return _fmul(kappa, z), mu, omega, n, m
     mu, omega, n, m = _g3t_mult((mu, omega, n, m), name, sgn)
     return kappa, mu, omega, n, m
@@ -281,20 +326,24 @@ def _check_letters(model: ModelId, w: Word) -> None:
 
 
 def normalize(model: ModelId, w: Word) -> NormalForm:
-    """Normalise a word over the model alphabet (right-multiplication)."""
+    """Normalise a word over the model alphabet (right-multiplication).
+
+    The outer fiber component is kept out of the engine's state and reduced
+    in place (see the module docstring)."""
     _check_letters(model, w)
     state, mult = _ENGINES[model]
+    outer: list[int] = []
     for s in w:
         state = mult(state, s.kind, s.sign)
-    return NormalForm(model, state)
-
-
-def normalize_state(model: ModelId, state: tuple, w: Word) -> NormalForm:
-    """Extend an existing normal form by a word (used by ball search)."""
-    _, mult = _ENGINES[model]
-    for s in w:
-        state = mult(state, s.kind, s.sign)
-    return NormalForm(model, state)
+        z = state[0]
+        if z:
+            for c in z:
+                if outer and outer[-1] == -c:
+                    outer.pop()
+                else:
+                    outer.append(c)
+            state = ((),) + state[1:]
+    return NormalForm(model, (tuple(outer),) + state[1:])
 
 
 def words_equal(model: ModelId, w1: Word, w2: Word) -> bool:
@@ -403,16 +452,13 @@ def _mw(text: str) -> Word:
 
 
 def _braid_to_model(from_braid: dict[GeneratorSymbol, Word], w: Word) -> Word:
-    out = IDENTITY_WORD
+    letters: list[GeneratorSymbol] = []
     for s in w:
         img = from_braid.get(s.base)
         if img is None:
             raise TranslationError(f"{s}: no dictionary entry")
-        out = out * (img if s.sign == 1 else img.inverse())
-    return out
-
-
-IDENTITY_WORD = Word()
+        letters.extend(img if s.sign == 1 else img.inverse())
+    return reduce(letters)
 
 
 def _derive_c1(model: ModelId, i: int, n: int, surface: str,
@@ -422,17 +468,20 @@ def _derive_c1(model: ModelId, i: int, n: int, surface: str,
     Torus row:  prod_{j>i} C[i,j]^-1 C[i+1,j]  = a_i b_i C[1,i] a_i^-1 b_i^-1
     Klein row:  prod_{j>i} C[i,j]   C[i+1,j]^-1 = b_i C[1,i] a_i^-1 b_i^-1 a_i^-1
     """
-    prod = IDENTITY_WORD
+    sign = -1 if surface == "T" else 1
+    raw: list[GeneratorSymbol] = []
     for j in range(i + 1, n + 1):
-        cij = Word((sym_C(i, j),))
-        ci1j = Word((sym_C(i + 1, j),)) if i + 1 < j else IDENTITY_WORD
-        prod = prod * (cij.inverse() * ci1j if surface == "T" else cij * ci1j.inverse())
-    prod_m = _braid_to_model(from_braid, prod)
+        raw.append(sym_C(i, j, sign))
+        if i + 1 < j:
+            raw.append(sym_C(i + 1, j, -sign))
+    prod_m = _braid_to_model(from_braid, reduce(raw))
     a_i = from_braid[sym_a(i)]
     b_i = from_braid[sym_b(i)]
     if surface == "T":
-        return b_i.inverse() * a_i.inverse() * prod_m * b_i * a_i
-    return b_i.inverse() * prod_m * a_i * b_i * a_i
+        parts = (b_i.inverse(), a_i.inverse(), prod_m, b_i, a_i)
+    else:
+        parts = (b_i.inverse(), prod_m, a_i, b_i, a_i)
+    return reduce(s for part in parts for s in part)
 
 
 def _build_dictionary(model: ModelId) -> IsoDictionary:
@@ -501,13 +550,13 @@ def translate(dic: IsoDictionary, w: Word, direction: str) -> Word:
         return _braid_to_model(dic.from_braid, w)
     if direction != "to_braid":
         raise DomainError(f"direction must be 'to_model' or 'to_braid', got {direction!r}")
-    out = IDENTITY_WORD
+    letters: list[GeneratorSymbol] = []
     for s in w:
         img = dic.to_braid.get(s.kind) if not s.indices else None
         if img is None:
             raise TranslationError(f"{s}: no dictionary entry")
-        out = out * (img if s.sign == 1 else img.inverse())
-    return out
+        letters.extend(img if s.sign == 1 else img.inverse())
+    return reduce(letters)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .words import (
     Word,
     alpha_beta_word,
     aij_word,
+    reduce,
     serialize_word,
     sym_a,
     sym_b,
@@ -101,10 +102,7 @@ def _s(i: int, sign: int = 1) -> Word:
 
 
 def _cat(*ws: Word) -> Word:
-    out = IDENTITY
-    for w in ws:
-        out = out * w
-    return out
+    return reduce(s for w in ws for s in w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +152,10 @@ def _pure_relations(surface: str, n: int) -> list[Relation]:
                             "conjugation rule for linked encircling braids")
     # (5) surface relation, one row per strand
     for i in range(1, n + 1):
-        prod = IDENTITY
+        row: list[Word] = []
         for j in range(i + 1, n + 1):
-            if T:
-                prod = _cat(prod, _C(i, j, -1), _C(i + 1, j))
-            else:
-                prod = _cat(prod, _C(i, j), _C(i + 1, j, -1))
+            row += [_C(i, j, -1), _C(i + 1, j)] if T else [_C(i, j), _C(i + 1, j, -1)]
+        prod = _cat(*row)
         if T:
             rhs = _cat(_a(i), _b(i), _C(1, i), _a(i, -1), _b(i, -1))
         else:

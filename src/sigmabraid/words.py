@@ -165,10 +165,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = IDENTITY
-        for _ in range(k):
-            out = out * self
-        return out
+        return reduce(self.letters * k)
 
     def __str__(self) -> str:
         return serialize_word(self)
@@ -325,11 +322,7 @@ def delta_word(n: int) -> Word:
     A[1,2] (A[1,3] A[2,3]) ... (A[1,n] ... A[n-1,n])."""
     if n < 2:
         raise AlphabetError("the full twist needs n >= 2")
-    out = IDENTITY
-    for k in range(2, n + 1):
-        for i in range(1, k):
-            out = out * aij_word(i, k, n)
-    return out
+    return reduce(s for k in range(2, n + 1) for i in range(1, k) for s in aij_word(i, k, n))
 
 
 def build_aij_delta(kind: str, i: int | None, j: int | None, n: int) -> Word:

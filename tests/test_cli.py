@@ -86,6 +86,46 @@ def test_gen_and_verify_certificate(capsys, tmp_path):
     assert all(m["positive"] for m in report["margins"])
 
 
+
+G2T_CHAR = '{"model":"G2T","coords":{"x":1}}'
+
+
+@pytest.mark.parametrize("cert, message", [
+    ('{"context":"G2T","t":"x"}', "certificate JSON misses the field 'entries'"),
+    ('{"t":"x","entries":[]}', "certificate JSON misses the field 'context'"),
+    ('{"context":"G2T","entries":[]}', "certificate JSON misses the field 't'"),
+    ('{"context":"G2T","t":"x","entries":[{"word":"y"}]}',
+     "certificate entry misses the field 'z'"),
+    ('{"context":"G2T","t":"x","entries":[{"z":"y"}]}',
+     "certificate entry misses the field 'word'"),
+    ('{"context":{"group":"P","n":3},"t":"a1","entries":[]}',
+     "certificate context misses the field 'surface'"),
+])
+def test_verify_cert_missing_field_names_it(capsys, cert, message):
+    code, out, err = run(capsys, "verify-cert", "--cert", cert, "--char", G2T_CHAR)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cert, message", [
+    ('[1]', "certificate JSON must be an object, got list"),
+    ('{"context":"G2T","t":"x","entries":[3]}', "certificate entry must be an object, got int"),
+    ('{"context":"G2T","t":5,"entries":[]}', "certificate JSON field 't' has the wrong type int"),
+    ('{"context":"G2T","t":"x","entries":{}}',
+     "certificate JSON field 'entries' has the wrong type dict"),
+    ('{"context":"G2T","t":"x y","entries":[]}',
+     "certificate JSON field 't' must be one letter, got 'x y'"),
+    ('{"context":"G9T","t":"x","entries":[]}', "certificate context 'G9T' is not a model"),
+    ('{"context":{"group":"P","surface":"T","n":"two"},"t":"a1","entries":[]}',
+     "certificate context field 'n' must be an integer, got 'two'"),
+    ('{"context":{"group":"P","surface":"T","n":true},"t":"a1","entries":[]}',
+     "certificate context field 'n' must be an integer, got True"),
+])
+def test_verify_cert_malformed_certificate(capsys, cert, message):
+    code, out, err = run(capsys, "verify-cert", "--cert", cert, "--char", G2T_CHAR)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
 def test_ball(capsys):
     doc = run_json(capsys, "ball", "--model", "G2K",
                    "--char", '{"model":"G2K","coords":{"y":-1}}',

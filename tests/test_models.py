@@ -8,10 +8,13 @@ from sigmabraid.models import (
     conjugation_tables,
     dictionary,
     dictionary_for,
+    equation_bank,
     fiber_codes,
+    identity_state,
     normalize,
     parse_model_word,
     random_model_word,
+    step,
     translate,
     verify_equation_bank,
     words_equal,
@@ -22,6 +25,36 @@ from sigmabraid.words import AlphabetError, Word, model_sym, reduce, sym_a, sym_
 
 def w(text, model):
     return parse_model_word(text, model)
+
+
+def word_of_length(model, rng, k):
+    """A freely reduced random word of exactly k letters."""
+    out = []
+    while len(out) < k:
+        s = model_sym(rng.choice(model.letter_names), rng.choice((1, -1)))
+        if not (out and out[-1] == s.inverse()):
+            out.append(s)
+    return Word(tuple(out))
+
+
+def naive_reduce(letters):
+    """Free reduction by deleting the leftmost cancelling pair until none is left."""
+    out = list(letters)
+    i = 0
+    while i + 1 < len(out):
+        if out[i] == -out[i + 1]:
+            del out[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(out)
+
+
+def fold_step(model, word):
+    state = identity_state(model)
+    for s in word:
+        state = step(model, state, s.kind, s.sign)
+    return state
 
 
 def test_normalize_examples():
@@ -203,3 +236,82 @@ def test_big_exponents_are_exact():
     nf = normalize(ModelId.G2K, word)
     omega, n, m = nf.state
     assert n == 40 and m == 0 and len(omega) == 81
+
+
+def test_normalize_is_the_fold_of_step():
+    rng = random.Random(29)
+    lengths = {ModelId.G2T: (0, 1, 40, 400), ModelId.G2K: (0, 1, 40, 400),
+               ModelId.G3T: (8, 24, 40), ModelId.G4T: (8, 16, 24)}
+    for model, ks in lengths.items():
+        for k in ks:
+            for _ in range(12):
+                word = word_of_length(model, rng, k)
+                assert normalize(model, word).state == fold_step(model, word)
+    # long fibers: the in-place outer component reaches hundreds of letters
+    peaks = {}
+    for model, k in ((ModelId.G3T, 40), (ModelId.G4T, 24)):
+        for _ in range(12):
+            word = word_of_length(model, rng, k)
+            state = normalize(model, word).state
+            assert state == fold_step(model, word)
+            peaks[model] = max(peaks.get(model, 0), len(state[0]))
+    assert min(peaks.values()) >= 300, peaks
+    # G2K with large |n|: the y rule pushes x^(2n) tails
+    peak = 0
+    for _ in range(12):
+        letters = []
+        for _ in range(8):
+            letters += [model_sym("a", rng.choice((1, -1)))] * rng.randint(20, 80)
+            letters += [model_sym(rng.choice("xyb"), rng.choice((1, -1)))
+                        for _ in range(rng.randint(1, 4))]
+        word = reduce(letters)
+        state = normalize(ModelId.G2K, word).state
+        assert state == fold_step(ModelId.G2K, word)
+        peak = max(peak, len(state[0]))
+    assert peak >= 300
+
+
+def test_apply_auto_is_the_product_of_the_images():
+    rng = random.Random(31)
+    for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
+        into, out = conjugation_tables(model)
+        letters = sorted(fiber_codes(model).values())
+        for table in list(into.values()) + list(out.values()):
+            for k in (0, 1, 50, 500):
+                u = naive_reduce(rng.choice(letters) * rng.choice((1, -1)) for _ in range(k))
+                images = []
+                for c in u:
+                    img = table.get(abs(c), (abs(c),))
+                    images += img if c > 0 else [-d for d in reversed(img)]
+                assert _apply_auto(table, u) == naive_reduce(images)
+
+
+def test_fmul_is_free_reduction():
+    rng = random.Random(37)
+    for _ in range(300):
+        u = naive_reduce(rng.choice((1, 2, 3)) * rng.choice((1, -1))
+                         for _ in range(rng.randint(0, 30)))
+        v = naive_reduce(rng.choice((1, 2, 3)) * rng.choice((1, -1))
+                         for _ in range(rng.randint(0, 30)))
+        assert _fmul(u, v) == naive_reduce(u + v)
+        # full cancellation, from either side
+        assert _fmul(u, _finv(u)) == ()
+        assert _fmul(_finv(u), u) == ()
+        # partial cancellation of a shared suffix
+        assert _fmul(u + v, _finv(v)) == u
+
+
+def test_long_g2k_word_equals_itself_with_a_relator_inserted():
+    rng = random.Random(41)
+    model = ModelId.G2K
+    word = word_of_length(model, rng, 6400)
+    relators = [w(eq["lhs"], model) * w(eq["rhs"], model).inverse()
+                for eq in equation_bank(model)]
+    relators = [r for r in relators if r]
+    assert relators
+    for relator in relators:
+        pos = rng.randint(0, len(word))
+        same = reduce(word.letters[:pos] + relator.letters + word.letters[pos:])
+        assert same != word
+        assert words_equal(model, word, same)
+    assert not words_equal(model, word, word * w("y", model))
