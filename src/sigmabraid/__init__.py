@@ -17,6 +17,7 @@ The package is organised around a small tower:
   application layer;
 - :mod:`sigmabraid.criterion` - path certificates and bounded Cayley-ball
   exploration;
+- :mod:`sigmabraid.checks` - the relation suites, one record per check;
 - :mod:`sigmabraid.cli` - the ``sigmabraid`` command.
 
 All arithmetic is exact (integers and fractions); no floating point

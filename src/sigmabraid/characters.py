@@ -435,6 +435,32 @@ def rational_to_json(v: Fraction | int):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def json_field(obj, key: str | int, kinds: tuple[type, ...], what: str):
+    """``obj[key]`` of one of the JSON types ``kinds``, ``obj`` an object (or an
+    array, for an int ``key``); a DomainError names a missing or mistyped field."""
+    shape = list if isinstance(key, int) else dict
+    if not isinstance(obj, shape):
+        kind = "an array" if shape is list else "an object"
+        raise DomainError(f"{what} must be {kind}, got {type(obj).__name__}")
+    if not (0 <= key < len(obj) if shape is list else key in obj):
+        raise DomainError(f"{what} misses the field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kinds):
+        raise DomainError(f"{what} field {key!r} has the wrong type {type(value).__name__}")
+    return value
+
+
+def json_int_field(obj, key: str | int, what: str) -> int:
+    """An integer field, given as a JSON number or a decimal string."""
+    value = json_field(obj, key, (int, str), what)
+    try:
+        if not isinstance(value, bool):  # JSON true/false would pass as 1/0
+            return int(value)
+    except ValueError:
+        pass
+    raise DomainError(f"{what} field {key!r} must be an integer, got {value!r}")
+
+
 def _num_from_json(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
@@ -463,25 +489,24 @@ def character_to_json(chi: Character) -> dict:
     return out
 
 
+_WHAT = "character JSON"
+
+
 def _num_list_from_json(obj: Mapping, key: str) -> list[Fraction]:
-    if key not in obj:
-        raise DomainError(f"character JSON misses the field {key!r}")
-    return [_num_from_json(v) for v in obj[key]]
+    return [_num_from_json(v) for v in json_field(obj, key, (list,), _WHAT)]
 
 
 def character_from_json(obj: Mapping) -> Character:
     if not isinstance(obj, Mapping):
-        raise DomainError(f"character JSON must be an object, got {type(obj).__name__}")
+        raise DomainError(f"{_WHAT} must be an object, got {type(obj).__name__}")
     if "model" in obj:
         model = ModelId(obj["model"])
-        coords = {k: _num_from_json(v) for k, v in obj.get("coords", {}).items()}
+        coords = json_field(obj, "coords", (dict,), _WHAT) if "coords" in obj else {}
+        coords = {k: _num_from_json(v) for k, v in coords.items()}
         return character(model, coords)
-    fam = obj.get("group", "P")
-    surf = obj.get("surface")
-    n = obj.get("n")
-    if surf is None or n is None:
-        raise DomainError("character JSON needs 'surface' and 'n'")
-    ctx = GroupContext(fam, surf, int(n))
+    fam = json_field(obj, "group", (str,), _WHAT) if "group" in obj else "P"
+    surf = json_field(obj, "surface", (str,), _WHAT)
+    ctx = GroupContext(fam, surf, json_int_field(obj, "n", _WHAT))
     if fam == "P" and surf == "T":
         a = _num_list_from_json(obj, "a")
         b = _num_list_from_json(obj, "b")
@@ -495,7 +520,7 @@ def character_from_json(obj: Mapping) -> Character:
         return character(ctx, b)
     if fam == "P" and surf == "S2":
         values = {}
-        for key, v in obj.get("A", {}).items():
+        for key, v in (json_field(obj, "A", (dict,), _WHAT) if "A" in obj else {}).items():
             try:
                 i, j = (int(t) for t in key.split(","))
             except ValueError:

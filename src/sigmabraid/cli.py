@@ -16,13 +16,16 @@ import json
 import sys
 from fractions import Fraction
 
-from . import characters, criterion, models, presentations, sigma
+from . import characters, criterion, models, sigma
 from .characters import (
     character_from_json,
     character_to_json,
+    json_field,
+    json_int_field,
     rational_to_json,
     sphere_point,
 )
+from .checks import relation_checks
 from .criterion import CertificateCase, CertificateEntry, PathCertificate
 from .models import ModelId
 from .words import DomainError, GroupContext, parse_symbols, parse_word, reduce, serialize_word
@@ -132,46 +135,22 @@ def _certificate_to_json(cert: PathCertificate) -> dict:
                          "cite": e.cite} for e in cert.entries]}
 
 
-def _field(obj, key: str, kinds: tuple[type, ...], what: str):
-    """``obj[key]`` of one of the JSON types ``kinds``; a DomainError names
-    the field when ``obj`` is not an object, lacks the key or has the wrong type."""
-    if not isinstance(obj, dict):
-        raise DomainError(f"{what} must be an object, got {type(obj).__name__}")
-    if key not in obj:
-        raise DomainError(f"{what} misses the field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds):
-        raise DomainError(f"{what} field {key!r} has the wrong type {type(value).__name__}")
-    return value
-
-
-def _int_field(obj, key: str, what: str) -> int:
-    """An integer field, given as a JSON number or a decimal string."""
-    value = _field(obj, key, (int, str), what)
-    try:
-        if not isinstance(value, bool):  # JSON true/false would pass as 1/0
-            return int(value)
-    except ValueError:
-        pass
-    raise DomainError(f"{what} field {key!r} must be an integer, got {value!r}")
-
-
 def _certificate_from_json(doc) -> PathCertificate:
     what = "certificate JSON"
-    ctx = _field(doc, "context", (str, dict), what)
+    ctx = json_field(doc, "context", (str, dict), what)
     if isinstance(ctx, str):
         if ctx not in ModelId.__members__:
             raise DomainError(f"certificate context {ctx!r} is not a model")
         context = ModelId(ctx)
         parse = lambda text: models.parse_model_word(text, context)
     else:
-        context = GroupContext(_field(ctx, "group", (str,), "certificate context"),
-                               _field(ctx, "surface", (str,), "certificate context"),
-                               _int_field(ctx, "n", "certificate context"))
+        context = GroupContext(json_field(ctx, "group", (str,), "certificate context"),
+                               json_field(ctx, "surface", (str,), "certificate context"),
+                               json_int_field(ctx, "n", "certificate context"))
         parse = lambda text: parse_word(text, context)
 
     def letter(obj, key: str, owner: str):
-        text = _field(obj, key, (str,), owner)
+        text = json_field(obj, key, (str,), owner)
         letters = parse(text)
         if len(letters) != 1:
             raise DomainError(f"{owner} field {key!r} must be one letter, got {text!r}")
@@ -179,9 +158,9 @@ def _certificate_from_json(doc) -> PathCertificate:
 
     t = letter(doc, "t", what)
     entries = []
-    for e in _field(doc, "entries", (list,), what):
+    for e in json_field(doc, "entries", (list,), what):
         z = letter(e, "z", "certificate entry")
-        path = parse(_field(e, "word", (str,), "certificate entry"))
+        path = parse(json_field(e, "word", (str,), "certificate entry"))
         entries.append(CertificateEntry(z, path, e.get("cite", "")))
     return PathCertificate(context, t, tuple(entries))
 
@@ -219,6 +198,20 @@ def _cmd_ball(args, parser) -> dict:
     return report.to_json()
 
 
+def _perm_from_json(doc) -> dict:
+    """``--perm``: a JSON array of [[i,j],[i',j']] complement point pairs."""
+    if not isinstance(doc, list):
+        raise DomainError(f"--perm must be an array, got {type(doc).__name__}")
+
+    def point(pair, k: int) -> tuple[int, int]:
+        p = json_field(pair, k, (list,), "--perm pair")
+        if len(p) != 2:
+            raise DomainError(f"--perm point must read [i, j], got {p!r}")
+        return json_int_field(p, 0, "--perm point"), json_int_field(p, 1, "--perm point")
+
+    return {point(pair, 0): point(pair, 1) for pair in doc}
+
+
 def _cmd_r_infinity(args, parser) -> dict:
     if args.n < 2:
         parser.error("--n must be >= 2")
@@ -227,8 +220,7 @@ def _cmd_r_infinity(args, parser) -> dict:
     if args.matrix is not None:
         cert = sigma.r_infinity_certificate(args.n, matrix=_read_json_arg(args.matrix))
     else:
-        pairs = _read_json_arg(args.perm)
-        mapping = {tuple(src): tuple(dst) for src, dst in pairs}
+        mapping = _perm_from_json(_read_json_arg(args.perm))
         cert = sigma.r_infinity_certificate(args.n, point_permutation=mapping)
     return {"n": cert.n, "certified": cert.certified, "index_bound": cert.index_bound,
             "moved_points": [[list(s), list(d)] for s, d in cert.moved_points()]}
@@ -246,57 +238,9 @@ def _cmd_abelianize(args, parser) -> dict:
 
 
 def _cmd_verify_relations(args, parser) -> dict:
-    max_n = args.max_n
-    failures: list[str] = []
-    checks = 0
-    # abelianization net over every shipped table
-    for surface in ("T", "K"):
-        for family in ("P", "B"):
-            for n in range(1, max_n + 1):
-                table = presentations.instantiate_presentation(family, surface, n)
-                for r in table.relations:
-                    checks += 1
-                    img = characters.abelianize(table.group, r.lhs * r.rhs.inverse())
-                    if not img.is_zero():
-                        failures.append(f"abelianization: {table.group} {r.name}")
-        for name in presentations.all_family_names():
-            for n in range(1, max_n + 1):
-                try:
-                    table = presentations.instantiate_family(name, surface, n)
-                except DomainError:
-                    continue
-                for r in table.relations:
-                    checks += 1
-                    img = characters.abelianize(table.group, r.lhs * r.rhs.inverse())
-                    if not img.is_zero():
-                        failures.append(f"abelianization: {name} {table.group} {r.name}")
-    # word-problem oracle over every translatable table
-    oracle_specs = [("T", 2), ("T", 3), ("T", 4), ("K", 2)]
-    for surface, n in oracle_specs:
-        dic = models.dictionary_for(surface, n)
-        tables = [presentations.instantiate_presentation("P", surface, n)]
-        for name in presentations.all_family_names():
-            try:
-                table = presentations.instantiate_family(name, surface, n)
-            except DomainError:
-                continue
-            if table.group.family == "P":
-                tables.append(table)
-        for table in tables:
-            for r in table.relations:
-                checks += 1
-                lhs = models.translate(dic, r.lhs, "to_model")
-                rhs = models.translate(dic, r.rhs, "to_model")
-                if not models.words_equal(dic.model, lhs, rhs):
-                    failures.append(f"oracle: {table.group} {r.name}")
-    # equation banks
-    for model in ModelId:
-        report = models.verify_equation_bank(model, random_words=args.random_words)
-        for check in report.checks:
-            checks += 1
-            if not check.passed:
-                failures.append(f"bank: {model.value} {check.name}")
-    return {"checks": checks, "failures": failures, "healthy": not failures}
+    checks = relation_checks(args.max_n, args.random_words)
+    failures = [str(c) for c in checks if not c.passed]
+    return {"checks": len(checks), "failures": failures, "healthy": not failures}
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,27 @@ The models and their layered normal forms:
 - ``G3T`` = F(u,v,w) |x G2T        elements  mu . (omega a^n b^m)
 - ``G4T`` = F(ub,vb,w2,w3) |x G3T  elements  kappa . (mu omega a^n b^m)
 
+G3T and G4T are levels of the Fadell-Neuwirth tower P_n(M) = F |x P_{n-1}(M),
+each built from the level below by the one rule :func:`_extend`.  Each model
+is one :class:`_Model` record; every per-model fact is read off it.  Only the
+level-2 bases keep hand-written letter rules: on the torus Z^2 acts
+trivially, on the Klein bottle Z |x Z acts in closed form.
+
 Normalisation right-multiplies letter by letter.  A base letter updates the
 tail; a fiber letter z is pushed left through the tail t by rewriting
 t z = (t z t^-1) t, using the conjugation action tables below.  Exponents are
 plain Python ints (arbitrary precision).  Two elements are equal iff their
 layered normal forms are componentwise equal; this decides the word problem.
 
-Each engine treats the outermost fiber component (omega, mu or kappa) as
-write-only: a letter right-multiplies it by a word z computed from the inner
-components and the exponents alone.  :func:`normalize` relies on this.  It
-runs the engine on a state whose outer component is empty, reads z off the
-result and pushes z onto one list with free reduction, so a letter costs
-O(|z|) instead of O(length of the outer component so far).  The result equals
-the fold of :func:`step` from :func:`identity_state`; the tests lock that in.
+Every letter rule treats the outermost fiber component (omega, mu or kappa)
+as write-only: a letter right-multiplies it by a word z computed from the
+inner components and the exponents alone.  The base rules are written so,
+and :func:`_extend` only appends to its new outer component, so this holds by
+construction.  :func:`normalize` relies on it: it runs the rule on a state
+whose outer component is empty, reads z off the result and pushes z onto one
+list with free reduction, so a letter costs O(|z|) instead of O(length of the
+outer component so far).  The result equals the fold of :func:`step` from
+:func:`identity_state`; the tests lock that in.
 
 The tables ``_*_INTO`` store the defining actions g^-1 z g.  The inverse
 automorphisms ``_*_OUT`` (g z g^-1) are solved from them by hand and locked
@@ -42,8 +50,9 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .words import (
     AlphabetError,
@@ -66,17 +75,12 @@ class ModelId(str, Enum):
     G3T = "G3T"
     G4T = "G4T"
 
+    def __str__(self) -> str:
+        return self.value
+
     @property
     def letter_names(self) -> tuple[str, ...]:
-        return _ALPHABETS[self.value]
-
-
-_ALPHABETS = {
-    "G2T": ("x", "y", "a", "b"),
-    "G2K": ("x", "y", "a", "b"),
-    "G3T": ("x", "y", "a", "b", "u", "v", "w"),
-    "G4T": ("x", "y", "a", "b", "u", "v", "w", "ub", "vb", "w2", "w3"),
-}
+        return _MODELS[self].alphabet
 
 
 class TranslationError(DomainError):
@@ -90,6 +94,8 @@ def _fmul(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """The reduced product of the reduced words ``w`` and ``v``."""
     if not w:
         return v
+    if len(v) == 1:
+        return w[:-1] if w[-1] == -v[0] else w + v
     out = list(w)
     for c in v:
         if out and out[-1] == -c:
@@ -181,44 +187,38 @@ _G4T_OUT = {
     "w": {1: (-4, 3, 1, -3, 4), 2: (-4, 3, 2, -3, 4), 3: (-4, 3, 4)},
 }
 
-_G3T_FIBER = {"u": 1, "v": 2, "w": 3}
-_G4T_FIBER = {"ub": 1, "vb": 2, "w2": 3, "w3": 4}
-_XY = {1: "x", 2: "y"}
-_UVW = {1: "u", 2: "v", 3: "w"}
 
-
-def _actions(names: dict[int, str], into: dict, out: dict) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Signed table of z -> c z c^-1 for every signed base letter code c."""
+def _actions(letters: tuple[str, ...], into: dict, out: dict) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Signed table of z -> c z c^-1 for every signed code c of a layer's letters."""
     acts = {}
-    for code, name in names.items():
+    for code, name in enumerate(letters, 1):
         acts[code] = _signed_table(out.get(name, {}))
         acts[-code] = _signed_table(into.get(name, {}))
     return acts
 
 
-_G3T_ON_XY = _actions(_XY, _G3T_INTO, _G3T_OUT)
-_G4T_ON_XY = _actions(_XY, _G4T_INTO, _G4T_OUT)
-_G4T_ON_UVW = _actions(_UVW, _G4T_INTO, _G4T_OUT)
-
-
-def _conj_fiber(w: tuple[int, ...], conjugator: tuple[int, ...],
-                acts: dict[int, dict[int, tuple[int, ...]]]) -> tuple[int, ...]:
-    """Return c w c^-1 where c is a word over base letters (innermost last)."""
-    for code in reversed(conjugator):
-        w = _map_signed(acts[code], w)
-    return tuple(w)
-
-
 # ---------------------------------------------------------------------------
-# Normal-form states and letter multiplication
+# Model records and letter rules
 #
-# G2T / G2K state: (omega, n, m)
-# G3T state:       (mu, omega, n, m)
-# G4T state:       (kappa, mu, omega, n, m)
+# A state lists the fiber components outermost first, then the exponents:
+# G2T / G2K (omega, n, m), G3T (mu, omega, n, m), G4T (kappa, mu, omega, n, m).
 
-_ID2 = ((), 0, 0)
-_ID3 = ((), (), 0, 0)
-_ID4 = ((), (), (), 0, 0)
+@dataclass(frozen=True, slots=True)
+class _Model:
+    """The facts of one model; everything else per model is derived from them."""
+
+    surface: str
+    layers: tuple[tuple[str, ...], ...]  # fiber letter names, outermost layer first
+    alphabet: tuple[str, ...]
+    identity: tuple
+    mult: Callable[[tuple, str, int], tuple]  # right-multiply a state by one letter
+    into: dict  # g^-1 z g and g z g^-1 on the outer fiber, per acting letter g
+    out: dict
+
+    @property
+    def n(self) -> int:
+        """Strands of the pure braid group the model is isomorphic to."""
+        return len(self.layers) + 1
 
 
 def _g2t_mult(state, name: str, sgn: int):
@@ -248,33 +248,46 @@ def _g2k_mult(state, name: str, sgn: int):
     return _fmul(omega, tail), n, m
 
 
-def _g3t_mult(state, name: str, sgn: int):
-    mu, omega, n, m = state
-    code = _G3T_FIBER.get(name)
-    if code is not None:
-        z = _conj_fiber((code * sgn,), omega, _G3T_ON_XY)
-        return _fmul(mu, z), omega, n, m
-    omega, n, m = _g2t_mult((omega, n, m), name, sgn)
-    return mu, omega, n, m
+def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _Model:
+    """The model F(letters) |x base, one level up the Fadell-Neuwirth tower.
+
+    The state gains a new outermost component.  A fiber letter z is pushed
+    left through the base tail t as t z t^-1: conjugated by each lower fiber
+    word, innermost first, through the signed action tables, and then
+    appended to the new outer fiber.  The base exponents a^n b^m are skipped,
+    so ``into`` and ``out`` must not act by a or b (they are central in the
+    torus models).  Any other letter is the base's letter on ``state[1:]``.
+    """
+    codes = {name: k for k, name in enumerate(letters, 1)}
+    # (index in the new state, actions of that layer's letters), innermost first
+    lower = [(i, _actions(base.layers[i - 1], into, out))
+             for i in range(len(base.layers), 0, -1)]
+    inner = base.mult
+
+    def mult(state, name: str, sgn: int):
+        code = codes.get(name)
+        if code is None:
+            return (state[0],) + inner(state[1:], name, sgn)
+        z = (code * sgn,)
+        for i, acts in lower:
+            w = state[i]
+            if w:
+                for c in reversed(w):
+                    z = _map_signed(acts[c], z)
+                z = tuple(z)
+        return (_fmul(state[0], z),) + state[1:]
+
+    return _Model(base.surface, (letters,) + base.layers, base.alphabet + letters,
+                  ((),) + base.identity, mult, into, out)
 
 
-def _g4t_mult(state, name: str, sgn: int):
-    kappa, mu, omega, n, m = state
-    code = _G4T_FIBER.get(name)
-    if code is not None:
-        z = _conj_fiber((code * sgn,), omega, _G4T_ON_XY)
-        z = _conj_fiber(z, mu, _G4T_ON_UVW)
-        return _fmul(kappa, z), mu, omega, n, m
-    mu, omega, n, m = _g3t_mult((mu, omega, n, m), name, sgn)
-    return kappa, mu, omega, n, m
+_G2T = _Model("T", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2t_mult, {}, {})
+_G2K = _Model("K", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2k_mult,
+              _G2K_INTO, _G2K_OUT)
+_G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO, _G3T_OUT)
+_G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO, _G4T_OUT)
 
-
-_ENGINES = {
-    ModelId.G2T: (_ID2, _g2t_mult),
-    ModelId.G2K: (_ID2, _g2k_mult),
-    ModelId.G3T: (_ID3, _g3t_mult),
-    ModelId.G4T: (_ID4, _g4t_mult),
-}
+_MODELS = {ModelId.G2T: _G2T, ModelId.G2K: _G2K, ModelId.G3T: _G3T, ModelId.G4T: _G4T}
 
 
 @dataclass(frozen=True)
@@ -294,24 +307,12 @@ class NormalForm:
         """The central/base exponents (n, m) of a and b."""
         return self.state[-2], self.state[-1]
 
-    def is_identity(self) -> bool:
-        return self.state == _ENGINES[self.model][0]
-
     def as_word(self) -> Word:
         """Spell the normal form kappa mu omega a^n b^m as a Word."""
         spell: list[GeneratorSymbol] = []
-        parts = self.state[:-2]
-        # parts run outermost fiber first; letter name maps per layer depth
-        layer_names: list[dict[int, str]] = []
-        if self.model in (ModelId.G2T, ModelId.G2K):
-            layer_names = [_XY]
-        elif self.model is ModelId.G3T:
-            layer_names = [_UVW, _XY]
-        else:
-            layer_names = [{1: "ub", 2: "vb", 3: "w2", 4: "w3"}, _UVW, _XY]
-        for part, names in zip(parts, layer_names):
+        for part, names in zip(self.state[:-2], _MODELS[self.model].layers):
             for c in part:
-                spell.append(model_sym(names[abs(c)], 1 if c > 0 else -1))
+                spell.append(model_sym(names[abs(c) - 1], 1 if c > 0 else -1))
         n, m = self.state[-2], self.state[-1]
         spell.extend([model_sym("a", 1 if n > 0 else -1)] * abs(n))
         spell.extend([model_sym("b", 1 if m > 0 else -1)] * abs(m))
@@ -328,10 +329,11 @@ def _check_letters(model: ModelId, w: Word) -> None:
 def normalize(model: ModelId, w: Word) -> NormalForm:
     """Normalise a word over the model alphabet (right-multiplication).
 
-    The outer fiber component is kept out of the engine's state and reduced
+    The outer fiber component is kept out of the letter rule's state and reduced
     in place (see the module docstring)."""
     _check_letters(model, w)
-    state, mult = _ENGINES[model]
+    rec = _MODELS[model]
+    state, mult = rec.identity, rec.mult
     outer: list[int] = []
     for s in w:
         state = mult(state, s.kind, s.sign)
@@ -352,12 +354,13 @@ def words_equal(model: ModelId, w1: Word, w2: Word) -> bool:
 
 
 def identity_state(model: ModelId) -> tuple:
-    return _ENGINES[model][0]
+    return _MODELS[model].identity
 
 
 def step(model: ModelId, state: tuple, name: str, sign: int) -> tuple:
     """Right-multiply a normal-form state by one signed letter."""
-    return _ENGINES[model][1](state, name, sign)
+    mult = _MODELS[model].mult  # read as an attribute: a method-style call on a slot is slower
+    return mult(state, name, sign)
 
 
 def parse_model_word(text: str, model: ModelId) -> Word:
@@ -368,22 +371,13 @@ def parse_model_word(text: str, model: ModelId) -> Word:
 
 
 def conjugation_tables(model: ModelId) -> tuple[dict, dict]:
-    """The (g^-1 z g, g z g^-1) letter tables backing a model's engine."""
-    if model is ModelId.G2K:
-        return _G2K_INTO, _G2K_OUT
-    if model is ModelId.G3T:
-        return _G3T_INTO, _G3T_OUT
-    if model is ModelId.G4T:
-        return _G4T_INTO, _G4T_OUT
-    return {}, {}
+    """The (g^-1 z g, g z g^-1) letter tables of a model's outer fiber."""
+    return _MODELS[model].into, _MODELS[model].out
 
 
 def fiber_codes(model: ModelId) -> dict[str, int]:
-    if model is ModelId.G2K or model is ModelId.G2T:
-        return {"x": 1, "y": 2}
-    if model is ModelId.G3T:
-        return dict(_G3T_FIBER)
-    return dict(_G4T_FIBER)
+    """The letter codes of a model's outer fiber."""
+    return {name: k for k, name in enumerate(_MODELS[model].layers[0], 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +415,6 @@ def bruteforce_normalize_g2k(w: Word) -> NormalForm:
 # ---------------------------------------------------------------------------
 # Isomorphism dictionaries
 
-_SURFACE_OF = {ModelId.G2T: "T", ModelId.G2K: "K", ModelId.G3T: "T", ModelId.G4T: "T"}
-_N_OF = {ModelId.G2T: 2, ModelId.G2K: 2, ModelId.G3T: 3, ModelId.G4T: 4}
-
-
 @dataclass(frozen=True)
 class IsoDictionary:
     """Letter dictionaries of one model isomorphism.
@@ -461,8 +451,7 @@ def _braid_to_model(from_braid: dict[GeneratorSymbol, Word], w: Word) -> Word:
     return reduce(letters)
 
 
-def _derive_c1(model: ModelId, i: int, n: int, surface: str,
-               from_braid: dict[GeneratorSymbol, Word]) -> Word:
+def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, Word]) -> Word:
     """Solve the surface relation row i for C[1,i] in model letters.
 
     Torus row:  prod_{j>i} C[i,j]^-1 C[i+1,j]  = a_i b_i C[1,i] a_i^-1 b_i^-1
@@ -484,16 +473,16 @@ def _derive_c1(model: ModelId, i: int, n: int, surface: str,
     return reduce(s for part in parts for s in part)
 
 
-def _build_dictionary(model: ModelId) -> IsoDictionary:
-    n = _N_OF[model]
-    surface = _SURFACE_OF[model]
-    if model in (ModelId.G2T, ModelId.G2K):
+@cache
+def dictionary(model: ModelId) -> IsoDictionary:
+    n, surface = _MODELS[model].n, _MODELS[model].surface
+    if n == 2:
         to_braid = {"x": _mw("a2"), "y": _mw("b2"), "a": _mw("a1 a2"), "b": _mw("b2 b1")}
         from_braid = {
             sym_a(2): _mw("x"), sym_b(2): _mw("y"),
             sym_a(1): _mw("a x^-1"), sym_b(1): _mw("y^-1 b"),
         }
-    elif model is ModelId.G3T:
+    elif n == 3:
         to_braid = {
             "u": _mw("a3"), "v": _mw("b3"), "w": _mw("C[2,3]"),
             "x": _mw("a2 a3"), "y": _mw("b2 b3"),
@@ -520,25 +509,14 @@ def _build_dictionary(model: ModelId) -> IsoDictionary:
             sym_a(1): _mw("a x^-1"), sym_b(1): _mw("b y^-1"),
         }
     for i in range(n, 1, -1):
-        from_braid[sym_C(1, i)] = _derive_c1(model, i, n, surface, from_braid)
+        from_braid[sym_C(1, i)] = _derive_c1(i, n, surface, from_braid)
     return IsoDictionary(model, surface, n, to_braid, from_braid)
-
-
-_DICTIONARIES: dict[ModelId, IsoDictionary] = {}
-
-
-def dictionary(model: ModelId) -> IsoDictionary:
-    dic = _DICTIONARIES.get(model)
-    if dic is None:
-        dic = _build_dictionary(model)
-        _DICTIONARIES[model] = dic
-    return dic
 
 
 def dictionary_for(surface: str, n: int) -> IsoDictionary | None:
     """The dictionary covering P_n(surface), if one of the models does."""
-    for model in ModelId:
-        if _SURFACE_OF[model] == surface and _N_OF[model] == n:
+    for model, rec in _MODELS.items():
+        if rec.surface == surface and rec.n == n:
             return dictionary(model)
     return None
 
@@ -582,19 +560,14 @@ class BankReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _load_bank() -> dict:
+@cache
+def _bank() -> dict:
     with resources.files("sigmabraid.data").joinpath("equations.json").open("r") as fh:
         return json.load(fh)
 
 
-_BANK_CACHE: dict | None = None
-
-
 def equation_bank(model: ModelId) -> list[dict]:
-    global _BANK_CACHE
-    if _BANK_CACHE is None:
-        _BANK_CACHE = _load_bank()
-    return _BANK_CACHE[model.value]["equations"]
+    return _bank()[model.value]["equations"]
 
 
 def random_model_word(model: ModelId, rng: random.Random, max_len: int) -> Word:

@@ -323,27 +323,3 @@ def delta_word(n: int) -> Word:
     if n < 2:
         raise AlphabetError("the full twist needs n >= 2")
     return reduce(s for k in range(2, n + 1) for i in range(1, k) for s in aij_word(i, k, n))
-
-
-def build_aij_delta(kind: str, i: int | None, j: int | None, n: int) -> Word:
-    """Dispatcher for the two Artin-letter spellings above."""
-    if kind == "A":
-        assert i is not None and j is not None
-        return aij_word(i, j, n)
-    if kind == "D":
-        return delta_word(n)
-    raise DomainError(f"kind must be 'A' or 'D', got {kind!r}")
-
-
-def omega_word(n: int) -> Word:
-    """The sphere-coordinate companion of the full twist: the inverse of
-    (A[1,3] A[2,3]) (A[1,4] A[2,4] A[3,4]) ... (A[1,n] ... A[n-1,n]),
-    a word in the A letters (A[1,2] does not occur)."""
-    if n < 3:
-        return IDENTITY
-    inv: list[GeneratorSymbol] = []
-    for k in range(3, n + 1):
-        for i in range(1, k):
-            if {i, k} != {1, 2}:
-                inv.append(sym_A(i, k))
-    return Word(tuple(inv)).inverse()

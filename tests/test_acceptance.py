@@ -10,11 +10,11 @@ import time
 from itertools import permutations
 
 from sigmabraid.characters import (
-    abelianize,
     klein_character,
     sphere_point,
     torus_character,
 )
+from sigmabraid.checks import relation_checks
 from sigmabraid.criterion import (
     CertificateCase,
     case_character,
@@ -22,19 +22,7 @@ from sigmabraid.criterion import (
     generate_lemma_certificates,
     verify_certificate,
 )
-from sigmabraid.models import (
-    ModelId,
-    dictionary_for,
-    parse_model_word,
-    translate,
-    verify_equation_bank,
-    words_equal,
-)
-from sigmabraid.presentations import (
-    all_family_names,
-    instantiate_family,
-    instantiate_presentation,
-)
+from sigmabraid.models import ModelId, parse_model_word, verify_equation_bank
 from sigmabraid.sigma import (
     IN_COMPLEMENT,
     IN_SIGMA1,
@@ -44,7 +32,7 @@ from sigmabraid.sigma import (
     enumerate_complement,
     r_infinity_certificate,
 )
-from sigmabraid.words import DomainError, GroupContext
+from sigmabraid.words import GroupContext
 
 
 class Timer:
@@ -76,13 +64,9 @@ def test_criterion_1_complement_counts():
 def test_criterion_2_presentation_vs_oracle():
     with Timer("2 presentation vs oracle", 30.0):
         total = 0
-        for surface, n in (("T", 2), ("T", 3), ("T", 4), ("K", 2)):
-            dic = dictionary_for(surface, n)
-            table = instantiate_presentation("P", surface, n)
-            for r in table.relations:
-                lhs = translate(dic, r.lhs, "to_model")
-                rhs = translate(dic, r.rhs, "to_model")
-                assert words_equal(dic.model, lhs, rhs), (surface, n, r.name)
+        for check in relation_checks(max_n=1, random_words=0):
+            if check.kind == "oracle":
+                assert check.passed, str(check)
                 total += 1
         assert total >= 8 + 29 + 75 + 8
 
@@ -178,22 +162,8 @@ def test_criterion_7_application_layer():
 def test_criterion_8_abelianization_net():
     with Timer("8 abelianization net", 10.0):
         checked = 0
-        for surface in ("T", "K"):
-            for family in ("P", "B"):
-                for n in range(1, 7):
-                    table = instantiate_presentation(family, surface, n)
-                    for r in table.relations:
-                        image = abelianize(table.group, r.lhs * r.rhs.inverse())
-                        assert image.is_zero(), (family, surface, n, r.name)
-                        checked += 1
-            for name in all_family_names():
-                for n in range(1, 7):
-                    try:
-                        table = instantiate_family(name, surface, n)
-                    except DomainError:
-                        continue
-                    for r in table.relations:
-                        image = abelianize(table.group, r.lhs * r.rhs.inverse())
-                        assert image.is_zero(), (name, surface, n, r.name)
-                        checked += 1
+        for check in relation_checks(max_n=6, random_words=0):
+            if check.kind == "abelianization":
+                assert check.passed, str(check)
+                checked += 1
         assert checked > 2000

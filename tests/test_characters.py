@@ -229,6 +229,11 @@ _TABLE_GROUPS = [GroupContext("P", "T", 3), GroupContext("P", "T", 5),
                  GroupContext("B", "D", 4)] + list(ModelId)
 
 
+def _label(group):
+    """The test id and seed label of a group, fixed so ids and data stay stable."""
+    return f"ModelId.{group.value}" if isinstance(group, ModelId) else str(group)
+
+
 def _random_word(group, rng, length):
     if isinstance(group, ModelId):
         return random_model_word(group, rng, length)
@@ -242,9 +247,9 @@ def _reference_evaluate(chi, w):
     return sum((c * e for c, e in zip(chi.coords, image.free)), Fraction(0))
 
 
-@pytest.mark.parametrize("group", _TABLE_GROUPS, ids=str)
+@pytest.mark.parametrize("group", _TABLE_GROUPS, ids=_label)
 def test_table_evaluate_matches_abelianization(group):
-    rng = random.Random(f"evaluate {group}")
+    rng = random.Random(f"evaluate {_label(group)}")
     for _ in range(5):
         chi = character(group, [_random_fraction(rng)
                                 for _ in range(abelianization(group).free_rank)])
@@ -255,9 +260,9 @@ def test_table_evaluate_matches_abelianization(group):
             assert value == _reference_evaluate(chi, w)
 
 
-@pytest.mark.parametrize("group", _TABLE_GROUPS, ids=str)
+@pytest.mark.parametrize("group", _TABLE_GROUPS, ids=_label)
 def test_table_nu_is_the_prefix_minimum(group):
-    rng = random.Random(f"nu {group}")
+    rng = random.Random(f"nu {_label(group)}")
     for _ in range(5):
         chi = character(group, [_random_fraction(rng)
                                 for _ in range(abelianization(group).free_rank)])

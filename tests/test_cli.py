@@ -84,6 +84,7 @@ def test_gen_and_verify_certificate(capsys, tmp_path):
     assert report["passed"] is True
     assert report["endpoints_checked"] is True
     assert all(m["positive"] for m in report["margins"])
+    assert report["context"] == doc["certificate"]["context"] == "G3T"
 
 
 
@@ -126,6 +127,37 @@ def test_verify_cert_malformed_certificate(capsys, cert, message):
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--group", "P", "--surface", "T", "--n", "2",
+      "--char", '{"surface":"T","n":2,"a":[1,0],"b":5}'],
+     "character JSON field 'b' has the wrong type int"),
+    (["classify", "--group", "P", "--surface", "S2", "--n", "4",
+      "--char", '{"surface":"S2","n":4,"A":[1]}'],
+     "character JSON field 'A' has the wrong type list"),
+    (["classify", "--group", "P", "--surface", "T", "--n", "2",
+      "--char", '{"surface":"T","n":true,"a":[1,0],"b":[0,1]}'],
+     "character JSON field 'n' must be an integer, got True"),
+    (["ball", "--model", "G2T", "--char", '{"model":"G2T","coords":[1]}'],
+     "character JSON field 'coords' has the wrong type list"),
+    (["ball", "--model", "G2T", "--char", '{"model":"G2K","coords":{"y":1}}'],
+     "character lives on G2K, not G2T"),
+    (["r-infinity", "--n", "3", "--perm", "[[1,2]]"],
+     "--perm pair field 0 has the wrong type int"),
+    (["r-infinity", "--n", "3", "--perm", '{"1,2":[1,2]}'],
+     "--perm must be an array, got dict"),
+    (["r-infinity", "--n", "3", "--perm", "[[[1,2]]]"],
+     "--perm pair misses the field 1"),
+    (["r-infinity", "--n", "3", "--perm", "[[[1,2],[1,2,3]]]"],
+     "--perm point must read [i, j], got [1, 2, 3]"),
+    (["r-infinity", "--n", "3", "--perm", '[[[1,2],[1,"x"]]]'],
+     "--perm point field 1 must be an integer, got 'x'"),
+])
+def test_malformed_json_input_names_the_field(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_ball(capsys):
     doc = run_json(capsys, "ball", "--model", "G2K",
                    "--char", '{"model":"G2K","coords":{"y":-1}}',
@@ -142,6 +174,8 @@ def test_r_infinity(capsys):
     assert doc["certified"] is True and doc["index_bound"] == 2
     doc = run_json(capsys, "r-infinity", "--n", "2", "--matrix", "[[-1,0],[0,-1]]")
     assert doc["certified"] is False
+    doc = run_json(capsys, "r-infinity", "--n", "2", "--perm", "[[[1,2],[2,1]],[[2,1],[1,2]]]")
+    assert doc["certified"] is False and doc["moved_points"] == [[[1, 2], [2, 1]], [[2, 1], [1, 2]]]
 
 
 def test_abelianize(capsys):

@@ -19,7 +19,7 @@ from sigmabraid.models import (
     verify_equation_bank,
     words_equal,
 )
-from sigmabraid.models import _apply_auto, _finv, _fmul  # engine internals under test
+from sigmabraid.models import _MODELS, _apply_auto, _finv, _fmul  # internals under test
 from sigmabraid.words import AlphabetError, Word, model_sym, reduce, sym_a, sym_b, sym_C
 
 
@@ -227,6 +227,40 @@ def test_dictionary_for():
     assert dictionary_for("K", 2).model is ModelId.G2K
     assert dictionary_for("T", 5) is None
     assert dictionary_for("K", 3) is None
+    covered = {(surface, n): dictionary_for(surface, n)
+               for surface in ("T", "K", "S2", "RP2", "D") for n in range(1, 9)}
+    covered = {key: dic.model for key, dic in covered.items() if dic is not None}
+    assert covered == {("T", 2): ModelId.G2T, ("T", 3): ModelId.G3T,
+                       ("T", 4): ModelId.G4T, ("K", 2): ModelId.G2K}
+
+
+def test_tower_records():
+    # the alphabet order is part of the interface: explore_ball takes the
+    # first positive letter in this order as its base
+    alphabets = {
+        ModelId.G2T: ("x", "y", "a", "b"),
+        ModelId.G2K: ("x", "y", "a", "b"),
+        ModelId.G3T: ("x", "y", "a", "b", "u", "v", "w"),
+        ModelId.G4T: ("x", "y", "a", "b", "u", "v", "w", "ub", "vb", "w2", "w3"),
+    }
+    layers = {
+        ModelId.G2T: (("x", "y"),),
+        ModelId.G2K: (("x", "y"),),
+        ModelId.G3T: (("u", "v", "w"), ("x", "y")),
+        ModelId.G4T: (("ub", "vb", "w2", "w3"), ("u", "v", "w"), ("x", "y")),
+    }
+    identities = {
+        ModelId.G2T: ((), 0, 0),
+        ModelId.G2K: ((), 0, 0),
+        ModelId.G3T: ((), (), 0, 0),
+        ModelId.G4T: ((), (), (), 0, 0),
+    }
+    for model in ModelId:
+        assert model.letter_names == alphabets[model]
+        assert _MODELS[model].layers == layers[model]
+        assert identity_state(model) == identities[model]
+        assert fiber_codes(model) == {name: k for k, name in enumerate(layers[model][0], 1)}
+        assert str(model) == f"{model}" == model.value
 
 
 def test_big_exponents_are_exact():

@@ -10,10 +10,8 @@ from sigmabraid.words import (
     WordSyntaxError,
     aij_word,
     alpha_beta_word,
-    build_aij_delta,
     delta_word,
     model_sym,
-    omega_word,
     parse_word,
     reduce,
     serialize_word,
@@ -97,8 +95,6 @@ def test_aij_delta_examples():
     assert serialize_word(aij_word(1, 2, 2)) == "s1 s1"
     assert serialize_word(aij_word(1, 3, 3)) == "s2 s1 s1 s2^-1"
     assert serialize_word(delta_word(2)) == "s1 s1"
-    assert build_aij_delta("A", 1, 3, 3) == aij_word(1, 3, 3)
-    assert build_aij_delta("D", None, None, 2) == delta_word(2)
 
 
 def test_aij_abelianizes_to_two_half_twists():
@@ -114,15 +110,6 @@ def test_delta_abelianizes_to_full_degree():
     for n in range(2, 6):
         image = abelianize(GroupContext("B", "D", n), delta_word(n))
         assert image.free == (n * (n - 1),)
-
-
-def test_omega_word():
-    assert omega_word(2) == IDENTITY
-    w = omega_word(3)
-    assert serialize_word(w) == "A[2,3]^-1 A[1,3]^-1"
-    # no A[1,2] letter ever appears
-    for n in range(3, 7):
-        assert all(s.indices != (1, 2) for s in omega_word(n))
 
 
 def test_index_validation():
