@@ -12,6 +12,7 @@ Inline JSON arguments also accept @path to read the value from a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -255,28 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("classify", help="decide membership of a character class")
     _add_group_args(p)
     p.add_argument("--char", help="character JSON (or @file); omit for empty-sphere groups")
-    p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("enumerate", help="enumerate the complement pieces")
     _add_group_args(p)
-    p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("act", help="apply a strand permutation to a sphere point")
     _add_group_args(p)
     p.add_argument("--tau", required=True, help="permutation as images of 1..n, e.g. '2 1 3'")
     p.add_argument("--char", required=True)
-    p.set_defaults(func=_cmd_act)
 
     p = subs.add_parser("verify-cert", help="verify a path certificate against a character")
     p.add_argument("--cert", required=True)
     p.add_argument("--char", required=True)
-    p.set_defaults(func=_cmd_verify_cert)
 
     p = subs.add_parser("gen-cert", help="generate a parametrised path certificate")
     p.add_argument("--case", required=True, choices=[c.value for c in CertificateCase])
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.set_defaults(func=_cmd_gen_cert)
 
     p = subs.add_parser("ball", help="bounded Cayley-ball connectivity sweep")
     p.add_argument("--model", required=True, choices=[m.value for m in ModelId])
@@ -285,31 +281,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="vertex cap (default 10^6 or SIGMA_BRAID_BALL_BUDGET)")
     p.add_argument("--target", action="append", help="word to test; may repeat")
-    p.set_defaults(func=_cmd_ball)
 
     p = subs.add_parser("verify-relations", help="run the relation and equation suites")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--random-words", type=int, default=2000)
-    p.set_defaults(func=_cmd_verify_relations)
 
     p = subs.add_parser("r-infinity", help="twisted-conjugacy certificate for P_n(K)")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--matrix", help="integer matrix JSON acting on the b coordinates")
     p.add_argument("--perm", help="JSON list of [[i,j],[i',j']] complement point pairs")
-    p.set_defaults(func=_cmd_r_infinity)
 
     p = subs.add_parser("abelianize", help="abelianize a word")
     _add_group_args(p)
     p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_abelianize)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`: built on its first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    # looked up per call, not stored in the reused parser, so a wrapper
+    # bound over a handler later (bench/tracing.py) still sees each call
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        doc = args.func(args, parser)
+        doc = handler(args, parser)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -32,7 +32,6 @@ report says so explicitly.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -423,9 +422,15 @@ def _ball_budget(budget: int | None) -> int:
 
 def explore_ball(model: ModelId, chi: Character, radius: int = 6,
                  targets: Sequence[Word] = (), budget: int | None = None) -> BallReport:
-    """Breadth-first sweep of the radius-r Cayley ball of the model,
-    vertices canonicalised by normal form; then a connectivity sweep from
-    the base vertex restricted to chi-nonnegative vertices of the ball.
+    """Bounded sweep of the radius-r Cayley ball of the model, then a
+    search from the base vertex through the chi-nonnegative part of it.
+
+    One breadth-first sweep numbers each vertex (a normal-form state) once,
+    in discovery order, and keeps distances and values in lists indexed by
+    that number.  For each vertex it expands with every signed letter, the
+    sweep keeps the row of neighbour numbers.  The reach search reads those
+    rows and steps only the vertices the sweep did not expand: the
+    radius-r shell, and a vertex the budget cut short.
 
     Vertex values are the character's scaled integer letter values summed
     along the sweep; scaling by the table's positive denominator keeps
@@ -450,60 +455,85 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         raise DomainError("no generator with positive value: unsupported base choice")
 
     ident = identity_state(model)
-    dist: dict[tuple, int] = {ident: 0}
-    value: dict[tuple, int] = {ident: 0}
-    frontier = deque([ident])
+    index: dict[tuple, int] = {ident: 0}
+    states = [ident]
+    dist = [0]
+    value = [0]
+    rows: list[list[int]] = []  # rows[v]: the neighbours of vertex v, in `signed` order
+    row: list[int] = []
+    moves = [(name, sign, values[(name, sign)]) for name, sign in signed]
     truncated = False
-    d = 0
-    while frontier and d < radius:
-        next_frontier: deque = deque()
-        for state in frontier:
-            for name, sign in signed:
-                nxt = step(model, state, name, sign)
-                if nxt not in dist:
-                    if len(dist) >= budget:
-                        truncated = True
-                        next_frontier.clear()
-                        frontier = deque()
-                        break
-                    dist[nxt] = d + 1
-                    value[nxt] = value[state] + values[(name, sign)]
-                    next_frontier.append(nxt)
-            else:
-                continue
-            break
-        frontier = next_frontier
-        d += 1
+    v = 0
+    while v < len(states) and dist[v] < radius:
+        state, d, val = states[v], dist[v] + 1, value[v]
+        row = []
+        for name, sign, dv in moves:
+            nxt = step(model, state, name, sign)
+            w = index.get(nxt)
+            if w is None:
+                w = len(states)
+                if w >= budget:
+                    truncated = True
+                    break
+                index[nxt] = w
+                states.append(nxt)
+                dist.append(d)
+                value.append(val + dv)
+            row.append(w)
+        else:
+            rows.append(row)
+            v += 1
+            continue
+        break
 
-    nonneg = {s for s, v in value.items() if v >= 0}
+    n = len(states)
     if base_letter is None:
-        base_state = ident
         base_word = IDENTITY
+        base: int | None = 0
     else:
         base_word = Word((model_sym(*base_letter),))
-        base_state = step(model, ident, *base_letter)
-    reach: set = set()
-    if base_state in dist and value[base_state] >= 0:
-        reach.add(base_state)
-        bfs = deque([base_state])
-        while bfs:
-            state = bfs.popleft()
-            for name, sign in signed:
-                nxt = step(model, state, name, sign)
-                if nxt in nonneg and nxt in dist and nxt not in reach:
-                    reach.add(nxt)
-                    bfs.append(nxt)
+        k = signed.index(base_letter)
+        known = rows[0] if rows else row  # the identity's row, partial if the budget cut it
+        if k < len(known):
+            base = known[k]
+        elif k == len(known):
+            base = None  # the letter that met the budget leads out of the ball
+        else:
+            base = index.get(step(model, ident, *base_letter))
 
-    unreached = sorted(nonneg - reach, key=lambda s: (dist[s], repr(s)))
-    sample = tuple(serialize_word(NormalForm(model, s).as_word()) or "1"
-                   for s in unreached[:10])
+    # open_[v]: v is nonnegative and not yet reached; id n stands for every
+    # state outside the ball
+    open_ = [val >= 0 for val in value]
+    nonnegative = sum(open_)
+    open_.append(False)
+    reached = 0
+    if base is not None and open_[base]:
+        open_[base] = False
+        reached = 1
+        todo = [base]
+        expanded = len(rows)
+        while todo:
+            v = todo.pop()
+            if v < expanded:
+                nbrs = rows[v]
+            else:
+                state = states[v]
+                nbrs = [index.get(step(model, state, name, sign), n) for name, sign in signed]
+            for w in nbrs:
+                if open_[w]:
+                    open_[w] = False
+                    reached += 1
+                    todo.append(w)
+
+    unreached = sorted((v for v in range(n) if open_[v]),
+                       key=lambda v: (dist[v], repr(states[v])))
+    sample = tuple(serialize_word(NormalForm(model, states[v]).as_word()) or "1"
+                   for v in unreached[:10])
     target_reports = []
     for tw in targets:
-        state = normalize(model, tw).state
+        w = index.get(normalize(model, tw).state)
+        nonneg = w is not None and value[w] >= 0
         target_reports.append(TargetReport(
-            serialize_word(tw), state in dist,
-            state in dist and value.get(state, -1) >= 0,
-            state in reach))
+            serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
     return BallReport(model, radius, serialize_word(base_word) or "1",
-                      len(dist), len(nonneg), len(reach), truncated,
-                      sample, tuple(target_reports))
+                      n, nonnegative, reached, truncated, sample, tuple(target_reports))

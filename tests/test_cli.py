@@ -35,6 +35,55 @@ def test_classify_rejects_n_zero(capsys):
     assert exc.value.code == 2
 
 
+def test_main_reuses_parser_across_calls(capsys, monkeypatch):
+    from sigmabraid import cli
+
+    classify = ["classify", "--group", "P", "--surface", "K", "--n", "2",
+                "--char", '{"group":"P","surface":"K","n":2,"b":[1,-1]}']
+    usage_error = ["classify", "--group", "P", "--surface", "T", "--n", "0"]
+    ball = ["ball", "--model", "G2K", "--char", '{"model":"G2K","coords":{"y":-1}}',
+            "--radius", "3", "--target", "y x y^-1"]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def first_call(argv):
+        cli._parser.cache_clear()
+        return call(argv)
+
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    fresh = {name: first_call(argv) for name, argv in
+             (("classify", classify), ("usage", usage_error), ("ball", ball))}
+    assert fresh["classify"][0] == fresh["ball"][0] == 0
+    assert fresh["usage"][0] == 2 and fresh["usage"][1] == ""
+    cli._parser.cache_clear()
+    builds.clear()
+    runs = [call(classify), call(usage_error), call(ball), call(classify)]
+    assert len(builds) == 1
+    assert runs[0] == runs[3] == fresh["classify"]
+    assert runs[1] == fresh["usage"]
+    assert runs[2] == fresh["ball"]
+
+
+def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
+    from sigmabraid import cli
+
+    argv = ["classify", "--group", "B", "--surface", "S2", "--n", "3"]
+    expected = run(capsys, *argv)
+    seen = []
+    handler = cli._cmd_classify
+    monkeypatch.setattr(cli, "_cmd_classify", lambda *a: seen.append(1) or handler(*a))
+    assert run(capsys, *argv) == expected
+    assert seen == [1]
+
+
 def test_classify_domain_error_exit_1(capsys):
     code, out, err = run(capsys, "classify", "--group", "P", "--surface", "K", "--n", "3",
                          "--char", '{"group":"P","surface":"K","n":2,"b":[1,-1]}')

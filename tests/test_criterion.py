@@ -224,3 +224,179 @@ def test_ball_zero_character_uses_identity_base():
     assert report.base == "1"
     assert report.targets[0].reachable
     assert report.nonnegative_count == report.vertex_count == report.reachable_count
+
+
+# ---------------------------------------------------------------------------
+# The single-sweep ball against the two-pass algorithm it replaced
+
+def _two_pass_ball(model, chi, radius, targets=(), budget=None):
+    """The two-pass ball sweep: a breadth-first sweep over hashed states,
+    then a reach search that steps every reached vertex again.  Returns
+    the report, the vertices the sweep stepped (in order), how many of
+    them it expanded fully, and the reached set."""
+    from collections import deque
+
+    from sigmabraid.characters import letter_values
+    from sigmabraid.criterion import BallReport, TargetReport, _ball_budget
+    from sigmabraid.models import NormalForm, identity_state, normalize, step
+    from sigmabraid.words import IDENTITY, serialize_word
+
+    if radius < 1:
+        raise DomainError("radius must be >= 1")
+    if chi.spec.group != model:
+        raise DomainError(f"character lives on {chi.spec.group}, not {model.value}")
+    budget = _ball_budget(budget)
+    values = letter_values(chi)
+    signed = [(name, sign) for name in model.letter_names for sign in (1, -1)]
+    base_letter = None
+    for sign in (1, -1):
+        for name in model.letter_names:
+            if values[(name, sign)] > 0:
+                base_letter = (name, sign)
+                break
+        if base_letter:
+            break
+    if base_letter is None and any(v != 0 for v in values.values()):
+        raise DomainError("no generator with positive value: unsupported base choice")
+
+    ident = identity_state(model)
+    dist = {ident: 0}
+    value = {ident: 0}
+    swept = []
+    frontier = deque([ident])
+    truncated = False
+    d = 0
+    while frontier and d < radius:
+        next_frontier = deque()
+        for state in frontier:
+            swept.append(state)
+            for name, sign in signed:
+                nxt = step(model, state, name, sign)
+                if nxt not in dist:
+                    if len(dist) >= budget:
+                        truncated = True
+                        next_frontier.clear()
+                        frontier = deque()
+                        break
+                    dist[nxt] = d + 1
+                    value[nxt] = value[state] + values[(name, sign)]
+                    next_frontier.append(nxt)
+            else:
+                continue
+            break
+        frontier = next_frontier
+        d += 1
+    full = len(swept) - truncated
+
+    nonneg = {s for s, v in value.items() if v >= 0}
+    if base_letter is None:
+        base_state, base_word = ident, IDENTITY
+    else:
+        base_word = Word((model_sym(*base_letter),))
+        base_state = step(model, ident, *base_letter)
+    reach = set()
+    if base_state in dist and value[base_state] >= 0:
+        reach.add(base_state)
+        bfs = deque([base_state])
+        while bfs:
+            state = bfs.popleft()
+            for name, sign in signed:
+                nxt = step(model, state, name, sign)
+                if nxt in nonneg and nxt in dist and nxt not in reach:
+                    reach.add(nxt)
+                    bfs.append(nxt)
+
+    unreached = sorted(nonneg - reach, key=lambda s: (dist[s], repr(s)))
+    sample = tuple(serialize_word(NormalForm(model, s).as_word()) or "1"
+                   for s in unreached[:10])
+    reports = []
+    for tw in targets:
+        state = normalize(model, tw).state
+        reports.append(TargetReport(serialize_word(tw), state in dist,
+                                    state in dist and value.get(state, -1) >= 0,
+                                    state in reach))
+    report = BallReport(model, radius, serialize_word(base_word) or "1", len(dist),
+                        len(nonneg), len(reach), truncated, sample, tuple(reports))
+    return report, swept, full, reach
+
+
+_BALL_RADII = {ModelId.G2T: 4, ModelId.G2K: 4, ModelId.G3T: 2, ModelId.G4T: 2}
+
+
+def _random_ball_cases(seed, per_model):
+    """Seeded (model, chi, radius, targets) cases: characters on the free
+    labels with small integer values, and target words up to two letters
+    longer than the radius, so some lie outside the ball."""
+    import random
+
+    from sigmabraid.characters import abelianization
+
+    rng = random.Random(seed)
+    for model in ModelId:
+        labels = abelianization(model).free_labels
+        for _ in range(per_model):
+            coords = {label: rng.randint(-2, 2) for label in labels if rng.random() < 0.5}
+            radius = rng.randint(1, _BALL_RADII[model])
+            targets = []
+            for _ in range(3):
+                letters = [f"{rng.choice(model.letter_names)}{rng.choice(('', '^-1'))}"
+                           for _ in range(rng.randint(0, radius + 2))]
+                targets.append(parse_model_word(" ".join(letters), model))
+            yield model, character(model, coords), radius, targets
+
+
+def _ball_or_error(fn, *args):
+    try:
+        return fn(*args).to_json()
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def test_ball_matches_two_pass_reference():
+    truncated = 0
+    for model, chi, radius, targets in _random_ball_cases(seed=5, per_model=6):
+        whole = _two_pass_ball(model, chi, radius, targets)[0]
+        k = len(model.letter_names)
+        # budgets that cut the sweep inside a vertex, the identity included
+        budgets = {None, 1, 2, 2 * k, 2 * k + 1, max(1, whole.vertex_count // 2),
+                   whole.vertex_count - 1, whole.vertex_count}
+        for budget in sorted(budgets, key=lambda b: -1 if b is None else b):
+            expected = _ball_or_error(lambda *a: _two_pass_ball(*a)[0],
+                                      model, chi, radius, targets, budget)
+            got = _ball_or_error(explore_ball, model, chi, radius, targets, budget)
+            assert got == expected, (model, chi.coords, radius, budget)
+            truncated += isinstance(got, dict) and got["truncated"]
+    assert truncated > 0
+
+
+def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
+    from sigmabraid import criterion
+
+    calls = [0]
+    step = criterion.step
+
+    def counting(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(criterion, "step", counting)
+    # b^-1 is the last signed letter of G2T: with budget 2k the identity's
+    # last step meets the budget, and the base vertex lies outside the ball
+    cases = [*_random_ball_cases(seed=11, per_model=4),
+             (ModelId.G2T, character(ModelId.G2T, {"b": -1}), 2, [])]
+    checked = 0
+    for model, chi, radius, targets in cases:
+        k = len(model.letter_names)
+        for budget in (None, 1, 2 * k, 2 * k + 1, 40):
+            try:
+                _, swept, full, reach = _two_pass_ball(model, chi, radius, budget=budget)
+            except DomainError:
+                continue
+            expanded = set(swept[:full])
+            calls[0] = 0
+            explore_ball(model, chi, radius, budget=budget)
+            # the vertex the budget cut short counts as stepped and, if it is
+            # reached, as unexpanded
+            assert calls[0] <= 2 * k * (len(swept) + len(reach - expanded))
+            checked += 1
+    assert checked > 0
