@@ -32,9 +32,11 @@ report says so explicitly.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -414,10 +416,51 @@ class BallReport:
 
 
 def _ball_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("SIGMA_BRAID_BALL_BUDGET")
-    return int(env) if env else _DEFAULT_BUDGET
+    """The vertex cap: the argument, else ``SIGMA_BRAID_BALL_BUDGET``, else
+    10^6; a cap below 1 or a variable that is not an integer is an error
+    naming where it came from."""
+    source = "budget"
+    if budget is None:
+        source = "SIGMA_BRAID_BALL_BUDGET"
+        text = os.environ.get(source)
+        if not text:
+            return _DEFAULT_BUDGET
+        try:
+            budget = int(text)
+        except ValueError:
+            raise DomainError(f"{source} must be an integer, got {text!r}") from None
+    if budget < 1:
+        raise DomainError(f"{source} must be >= 1, got {budget}")
+    return budget
+
+
+def _shell_edges(rows: list[list[int]], lo: int, n: int) -> tuple[list[int], list[int]]:
+    """The reverse edges into the radius-r shell, the vertices len(rows) .. n - 1.
+
+    Every edge from a shell vertex s to distance r - 1 sits in the row of a
+    vertex u at distance r - 1 (the vertices lo .. len(rows) - 1): u g = s
+    iff s g^-1 = u.  Returns (ends, sources): shell vertex j = s - len(rows)
+    has the sources ``sources[ends[j]:ends[j + 1]]``."""
+    first = len(rows)
+    # count the sources of shell vertex j in ends[j + 2] and sum the counts
+    # up: ends[j + 1] then starts j, and moves to its end as j fills up
+    shift = first - 2
+    ends = [0] * (n - shift)
+    for row in rows[lo:]:
+        for w in row:
+            if w >= first:
+                ends[w - shift] += 1
+    ends = list(accumulate(ends))
+    sources = [0] * ends[-1]
+    shift += 1
+    for u in range(lo, first):
+        for w in rows[u]:
+            if w >= first:
+                j = w - shift
+                at = ends[j]
+                sources[at] = u
+                ends[j] = at + 1
+    return ends, sources
 
 
 def explore_ball(model: ModelId, chi: Character, radius: int = 6,
@@ -429,8 +472,22 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     in discovery order, and keeps distances and values in lists indexed by
     that number.  For each vertex it expands with every signed letter, the
     sweep keeps the row of neighbour numbers.  The reach search reads those
-    rows and steps only the vertices the sweep did not expand: the
-    radius-r shell, and a vertex the budget cut short.
+    rows for the vertices the sweep expanded.
+
+    A vertex of the radius-r shell has no row of its own.  Its neighbours
+    inside the ball lie at distance r - 1 or r.  The graph is undirected
+    (u = s g iff s = u g^-1, and ``signed`` lists each letter next to its
+    inverse), so after a whole sweep every edge to distance r - 1 already
+    sits in a row at distance r - 1: the reach search reads these reverse
+    edges from one flat table built from those rows.  An edge between two
+    shell vertices closes a cycle of 2r + 1 edges, which needs a defining
+    relator of odd length.  So on a bipartite model (``ModelId.bipartite``)
+    the search never steps the shell; on the others it steps a shell vertex
+    only by the letters that have no reverse edge.  When the budget cuts
+    the sweep short, every vertex without a row is stepped by every letter.
+
+    The budget caps the number of vertices; it comes from the argument or
+    else from ``SIGMA_BRAID_BALL_BUDGET`` and must be at least 1.
 
     Vertex values are the character's scaled integer letter values summed
     along the sweep; scaling by the table's positive denominator keeps
@@ -512,10 +569,27 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         reached = 1
         todo = [base]
         expanded = len(rows)
+        reverse = not truncated and expanded < n
+        if reverse:
+            ends, sources = _shell_edges(rows, bisect_left(dist, radius - 1, 0, expanded), n)
+            bipartite = model.bipartite
+            bits = [(1 << k, name, sign) for k, (name, sign) in enumerate(signed)]
         while todo:
             v = todo.pop()
             if v < expanded:
                 nbrs = rows[v]
+            elif reverse:
+                j = v - expanded
+                nbrs = sources[ends[j]:ends[j + 1]]
+                if not bipartite:
+                    # u's row holds v at the index k of one letter g, and
+                    # v g^-1 = u: step v by every letter but these k ^ 1
+                    known = 0
+                    for u in nbrs:
+                        known |= 1 << (rows[u].index(v) ^ 1)
+                    state = states[v]
+                    nbrs += [index.get(step(model, state, name, sign), n)
+                             for bit, name, sign in bits if not known & bit]
             else:
                 state = states[v]
                 nbrs = [index.get(step(model, state, name, sign), n) for name, sign in signed]

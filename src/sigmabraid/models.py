@@ -42,6 +42,17 @@ signed letters, so conjugating a fiber word maps it in a single reducing pass.
 
 Free words over a fiber are encoded as tuples of signed small ints
 (letter code k, inverse -k), always freely reduced.
+
+Each record also carries one fact about its Cayley graph on the signed
+letters: ``bipartite``, true iff every defining relator has even length
+(then sending every letter to 1 in Z/2 is a homomorphism, and no edge joins
+two vertices at the same distance from the identity).  A level-2 base is
+presented by its base relator (length 4: [a,b] on the torus, a b a b^-1 on
+the Klein bottle) and the action relators g^-1 z g img^-1 with
+img = g^-1 z g, of length 3 + |img|; a letter the table leaves fixed gives
+img = z.  :func:`_extend` adds action relators of the same shape, so it sets
+``base.bipartite and every |img| odd``.  G2T and G2K are bipartite; G3T and
+G4T are not, because x^-1 v x = u^-1 v u w^-1 has length 7.
 """
 
 from __future__ import annotations
@@ -81,6 +92,12 @@ class ModelId(str, Enum):
     @property
     def letter_names(self) -> tuple[str, ...]:
         return _MODELS[self].alphabet
+
+    @property
+    def bipartite(self) -> bool:
+        """Every defining relator has even length: no edge of the Cayley
+        graph joins two vertices at the same distance from the identity."""
+        return _MODELS[self].bipartite
 
 
 class TranslationError(DomainError):
@@ -214,11 +231,18 @@ class _Model:
     mult: Callable[[tuple, str, int], tuple]  # right-multiply a state by one letter
     into: dict  # g^-1 z g and g z g^-1 on the outer fiber, per acting letter g
     out: dict
+    bipartite: bool  # every defining relator has even length (module docstring)
 
     @property
     def n(self) -> int:
         """Strands of the pure braid group the model is isomorphic to."""
         return len(self.layers) + 1
+
+
+def _odd_images(into: dict) -> bool:
+    """Every action relator g^-1 z g img^-1 of the tables has even length,
+    that is, every image img = g^-1 z g has odd length."""
+    return all(len(img) % 2 == 1 for table in into.values() for img in table.values())
 
 
 def _g2t_mult(state, name: str, sgn: int):
@@ -278,12 +302,15 @@ def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _M
         return (_fmul(state[0], z),) + state[1:]
 
     return _Model(base.surface, (letters,) + base.layers, base.alphabet + letters,
-                  ((),) + base.identity, mult, into, out)
+                  ((),) + base.identity, mult, into, out,
+                  base.bipartite and _odd_images(into))
 
 
-_G2T = _Model("T", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2t_mult, {}, {})
+# the level-2 base relators have length 4, so the action relators decide parity
+_G2T = _Model("T", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2t_mult, {}, {},
+              _odd_images({}))
 _G2K = _Model("K", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2k_mult,
-              _G2K_INTO, _G2K_OUT)
+              _G2K_INTO, _G2K_OUT, _odd_images(_G2K_INTO))
 _G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO, _G3T_OUT)
 _G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO, _G4T_OUT)
 
@@ -368,16 +395,6 @@ def parse_model_word(text: str, model: ModelId) -> Word:
     w = reduce(symbols)
     _check_letters(model, w)
     return w
-
-
-def conjugation_tables(model: ModelId) -> tuple[dict, dict]:
-    """The (g^-1 z g, g z g^-1) letter tables of a model's outer fiber."""
-    return _MODELS[model].into, _MODELS[model].out
-
-
-def fiber_codes(model: ModelId) -> dict[str, int]:
-    """The letter codes of a model's outer fiber."""
-    return {name: k for k, name in enumerate(_MODELS[model].layers[0], 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,30 @@ def test_ball(capsys):
     assert "disconnection" in doc["note"]
 
 
+_BALL = ("ball", "--model", "G2T", "--char", '{"model":"G2T","coords":{"x":1}}', "--radius", "2")
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_ball_rejects_a_budget_below_one(capsys, budget):
+    code, out, err = run(capsys, *_BALL, "--budget", budget)
+    assert code == 1 and out == ""
+    assert err == f"error: budget must be >= 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("2.5", "must be an integer, got '2.5'"),
+    ("0", "must be >= 1, got 0"),
+])
+def test_ball_budget_variable_errors_name_it(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("SIGMA_BRAID_BALL_BUDGET", value)
+    code, out, err = run(capsys, *_BALL)
+    assert code == 1 and out == ""
+    assert err == f"error: SIGMA_BRAID_BALL_BUDGET {message}\n"
+    # an explicit --budget overrides the variable
+    assert run_json(capsys, *_BALL, "--budget", "5")["vertices"] == 5
+
+
 def test_r_infinity(capsys):
     doc = run_json(capsys, "r-infinity", "--n", "2", "--matrix", "[[1,0],[0,1]]")
     assert doc["certified"] is True and doc["index_bound"] == 2

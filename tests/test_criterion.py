@@ -400,3 +400,103 @@ def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
             assert calls[0] <= 2 * k * (len(swept) + len(reach - expanded))
             checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# Parity and reverse edges: when the reach search steps the radius-r shell
+
+def _ball_distances(model, radius):
+    """The distance of every state of the radius-r ball, by brute force."""
+    from sigmabraid.models import identity_state, step
+
+    ident = identity_state(model)
+    dist = {ident: 0}
+    layer = [ident]
+    for d in range(1, radius + 1):
+        outer = []
+        for state in layer:
+            for name in model.letter_names:
+                for sign in (1, -1):
+                    nxt = step(model, state, name, sign)
+                    if nxt not in dist:
+                        dist[nxt] = d
+                        outer.append(nxt)
+        layer = outer
+    return dist
+
+
+@pytest.mark.parametrize("model, radius", [
+    (ModelId.G2T, 5), (ModelId.G2K, 5), (ModelId.G3T, 3), (ModelId.G4T, 3),
+])
+def test_bipartite_flag_matches_the_ball(model, radius):
+    # a bipartite Cayley graph has no edge between two vertices at the same
+    # distance; the shortest odd relator of G3T and G4T has length 7, so
+    # their first such edges join two vertices at distance 3
+    from sigmabraid.models import step
+
+    dist = _ball_distances(model, radius)
+    same = sum(dist.get(step(model, state, name, sign)) == d
+               for state, d in dist.items() for name in model.letter_names for sign in (1, -1))
+    assert model.bipartite == (same == 0), (model, same)
+
+
+def _recording_step(monkeypatch):
+    """Wrap ``criterion.step``; the returned list collects the arguments
+    (model, state, name, sign) of every call."""
+    from sigmabraid import criterion
+
+    calls = []
+    step = criterion.step
+
+    def recording(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(criterion, "step", recording)
+    return calls
+
+
+def test_ball_never_steps_the_shell_of_a_bipartite_model(monkeypatch):
+    calls = _recording_step(monkeypatch)
+    checked = 0
+    for model, chi, radius, _ in _random_ball_cases(seed=13, per_model=6):
+        if not model.bipartite:
+            continue
+        inner = sum(d < radius for d in _ball_distances(model, radius).values())
+        calls.clear()
+        report = explore_ball(model, chi, radius)
+        assert not report.truncated
+        assert len(calls) == 2 * len(model.letter_names) * inner, (model, chi.coords, radius)
+        checked += 1
+    assert checked == 12
+
+
+def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
+    from collections import Counter
+
+    from sigmabraid.models import step
+
+    calls = _recording_step(monkeypatch)
+    # G3T and G4T at radius 3 have edges inside the shell
+    cases = [*_random_ball_cases(seed=17, per_model=3),
+             (ModelId.G3T, character(ModelId.G3T, {"x": 1, "u": 1, "v": -2}), 3, []),
+             (ModelId.G4T, character(ModelId.G4T, {"vb": 1, "a": -1}), 3, [])]
+    shell_steps = 0
+    for model, chi, radius, _ in cases:
+        dist = _ball_distances(model, radius)
+        report, swept, _, reach = _two_pass_ball(model, chi, radius)
+        letters = [(name, sign) for name in model.letter_names for sign in (1, -1)]
+        # the sweep steps each vertex below distance r by every letter; the
+        # reach search steps a reached shell vertex of a non-bipartite model
+        # by each letter that does not lead back to distance r - 1
+        expected = Counter((model, state, name, sign) for state in swept for name, sign in letters)
+        if not model.bipartite:
+            expected.update((model, state, name, sign)
+                            for state in reach if dist[state] == radius
+                            for name, sign in letters
+                            if dist.get(step(model, state, name, sign)) != radius - 1)
+        calls.clear()
+        assert explore_ball(model, chi, radius).to_json() == report.to_json()
+        assert Counter(calls) == expected, (model, chi.coords, radius)
+        shell_steps += sum(expected.values()) - len(swept) * len(letters)
+    assert shell_steps > 0

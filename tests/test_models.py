@@ -5,11 +5,9 @@ import pytest
 from sigmabraid.models import (
     ModelId,
     bruteforce_normalize_g2k,
-    conjugation_tables,
     dictionary,
     dictionary_for,
     equation_bank,
-    fiber_codes,
     identity_state,
     normalize,
     parse_model_word,
@@ -93,8 +91,9 @@ def test_normal_form_uniqueness_under_splitting():
 
 def test_action_tables_compose_to_identity():
     for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
-        into, out = conjugation_tables(model)
-        letters = sorted(fiber_codes(model).values())
+        rec = _MODELS[model]
+        into, out = rec.into, rec.out
+        letters = list(range(1, len(rec.layers[0]) + 1))
         for name in set(into) | set(out):
             fwd, bwd = into.get(name, {}), out.get(name, {})
             for z in letters:
@@ -105,8 +104,9 @@ def test_action_tables_compose_to_identity():
 def test_action_tables_are_automorphisms():
     rng = random.Random(11)
     for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
-        into, out = conjugation_tables(model)
-        letters = sorted(fiber_codes(model).values())
+        rec = _MODELS[model]
+        into, out = rec.into, rec.out
+        letters = list(range(1, len(rec.layers[0]) + 1))
         for table in list(into.values()) + list(out.values()):
             for _ in range(30):
                 u = tuple(rng.choice(letters) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8)))
@@ -255,11 +255,13 @@ def test_tower_records():
         ModelId.G3T: ((), (), 0, 0),
         ModelId.G4T: ((), (), (), 0, 0),
     }
+    # G3T and G4T have odd relators: x^-1 v x = u^-1 v u w^-1 has length 7
+    bipartite = {ModelId.G2T: True, ModelId.G2K: True, ModelId.G3T: False, ModelId.G4T: False}
     for model in ModelId:
         assert model.letter_names == alphabets[model]
         assert _MODELS[model].layers == layers[model]
+        assert model.bipartite is _MODELS[model].bipartite is bipartite[model]
         assert identity_state(model) == identities[model]
-        assert fiber_codes(model) == {name: k for k, name in enumerate(layers[model][0], 1)}
         assert str(model) == f"{model}" == model.value
 
 
@@ -308,8 +310,9 @@ def test_normalize_is_the_fold_of_step():
 def test_apply_auto_is_the_product_of_the_images():
     rng = random.Random(31)
     for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
-        into, out = conjugation_tables(model)
-        letters = sorted(fiber_codes(model).values())
+        rec = _MODELS[model]
+        into, out = rec.into, rec.out
+        letters = list(range(1, len(rec.layers[0]) + 1))
         for table in list(into.values()) + list(out.values()):
             for k in (0, 1, 50, 500):
                 u = naive_reduce(rng.choice(letters) * rng.choice((1, -1)) for _ in range(k))
