@@ -15,12 +15,20 @@ free and torsion bases implemented here:
   B_n(D)   free s (the disc braid group)
   B_n(S2)  torsion s of order 2(n-1); empty character sphere
   B_n(RP2), P_n(RP2)  torsion only; empty character spheres
-  models   G2T free x,y,a,b; G2K free y,b and torsion x,a (order 2);
-           G3T free x,y,a,b,u,v (w dies); G4T free x,y,a,b,u,v,ub,vb
+  models   read off the model records (see sigmabraid.models): G2T free
+           x,y,a,b; G2K free y,b and torsion x,a (order 2); G3T free
+           x,y,a,b,u,v (w dies); G4T free x,y,a,b,u,v,ub,vb
 
-Encircling letters C[i,j] always die in the abelianization, and the full
-twist D maps to n(n-1) times the sigma class.  No floating point is used
-anywhere: coordinates are ints or fractions.Fraction.
+Each :class:`AbelianizationSpec` owns its coordinate layout: one map from
+label to position, free coordinates first, then torsion.  Everything else
+addresses coordinates by position; labels are only read and written at
+the edges (JSON, the CLI, ``chi["a1"]``).  One rule places a letter: a
+letter of a pure group or a model is its own coordinate, named as it
+prints, or it dies (C[i,j]; w, w2, w3); a full braid group forgets strand
+indices, sends C[i,j] to 2 s and the full twist D to n(n-1) s.  The torus
+and Klein-bottle pure groups lay their coordinates out in strand blocks,
+a1..an then b1..bn; :func:`strand_blocks` slices them.  No floating point
+is used anywhere: coordinates are ints or fractions.Fraction.
 
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
@@ -73,8 +81,18 @@ class AbelianizationSpec:
     def free_rank(self) -> int:
         return len(self.free_labels)
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Label -> position, free coordinates first, then torsion; not a
+        field, so it stays out of eq, hash and repr."""
+        labels = self.free_labels + tuple(label for label, _ in self.torsion)
+        return {label: k for k, label in enumerate(labels)}
+
     def free_index(self, label: str) -> int:
-        return self.free_labels.index(label)
+        k = self.positions.get(label, -1)
+        if 0 <= k < len(self.free_labels):
+            return k
+        raise ValueError(f"{label!r} is not a free coordinate of {self.group}")
 
 
 def _sphere_labels(n: int) -> tuple[str, ...]:
@@ -84,13 +102,9 @@ def _sphere_labels(n: int) -> tuple[str, ...]:
 
 def abelianization(group: GroupLike) -> AbelianizationSpec:
     if isinstance(group, ModelId):
-        if group is ModelId.G2T:
-            return AbelianizationSpec(group, ("x", "y", "a", "b"))
-        if group is ModelId.G2K:
-            return AbelianizationSpec(group, ("y", "b"), (("x", 2), ("a", 2)))
-        if group is ModelId.G3T:
-            return AbelianizationSpec(group, ("x", "y", "a", "b", "u", "v"))
-        return AbelianizationSpec(group, ("x", "y", "a", "b", "u", "v", "ub", "vb"))
+        orders = group.letter_orders  # 0 free, 1 trivial, k torsion of order k
+        return AbelianizationSpec(group, tuple(name for name, k in orders if k == 0),
+                                  tuple((name, k) for name, k in orders if k > 1))
     fam, surf, n = group.family, group.surface, group.n
     if fam == "P":
         if surf == "T":
@@ -128,58 +142,42 @@ class AbelianImage:
         return not any(self.free) and not any(self.torsion)
 
 
-def _letter_slots(spec: AbelianizationSpec, kind: str, index: int | None,
-                  n: int) -> list[tuple[str, str, int]]:
-    """Where one positive letter lands: list of (block, label, coefficient)."""
-    group = spec.group
+def _check_letter(group: GroupLike, s: GeneratorSymbol) -> None:
     if isinstance(group, ModelId):
-        if kind in ("w", "w2", "w3"):
-            return []
-        free = dict.fromkeys(spec.free_labels)
-        if kind in free:
-            return [("free", kind, 1)]
-        return [("torsion", kind, 1)]
-    fam, surf = group.family, group.surface
-    if kind == "C":
-        if fam == "B":
-            # C[i,j] collapses to twice the sigma class
-            return [("torsion", "s", 2)] if surf != "D" else [("free", "s", 2)]
-        return []
-    if kind == "D":
-        coeff = n * (n - 1)
-        return [("free", "s", coeff)] if surf == "D" else [("torsion", "s", coeff)]
-    if fam == "B":
-        # s, a, b all collapse strand indices
-        block = "free" if kind in spec.free_labels else "torsion"
-        return [(block, kind, 1)]
-    # pure groups: strand-indexed coordinates
-    label = f"{kind}{index}"
-    if kind == "A":
-        return [("free", f"A[{index[0]},{index[1]}]", 1)]  # type: ignore[index]
-    block = "free" if label in spec.free_labels else "torsion"
-    return [(block, label, 1)]
+        if s.indices or s.kind not in group.letter_names:
+            raise AlphabetError(f"{s}: not a letter of {group.value}")
+    else:
+        validate_symbol(s, group)
+
+
+def _letter_slots(spec: AbelianizationSpec, s: GeneratorSymbol) -> list[tuple[int, int]]:
+    """Where one letter, read as positive, lands: (position, coefficient)
+    pairs (the module docstring states the rule)."""
+    group = spec.group
+    if isinstance(group, ModelId) or group.family == "P":
+        label, coeff = s.label, 1
+    elif s.kind == "C":
+        label, coeff = "s", 2
+    elif s.kind == "D":
+        label, coeff = "s", group.n * (group.n - 1)
+    else:
+        label, coeff = s.kind, 1
+    k = spec.positions.get(label)
+    return [] if k is None else [(k, coeff)]
 
 
 def abelianize(group: GroupLike, w: Word) -> AbelianImage:
     """Sum signed letter exponents on the abelianization basis; torsion
     coordinates are reduced mod their orders."""
     spec = abelianization(group)
-    n = group.n if isinstance(group, GroupContext) else 0
-    if isinstance(group, GroupContext):
-        for s in w:
-            validate_symbol(s, group)
-    free = [0] * len(spec.free_labels)
-    tor = [0] * len(spec.torsion)
-    tor_index = {label: k for k, (label, _) in enumerate(spec.torsion)}
+    coords = [0] * len(spec.positions)
     for s in w:
-        idx = s.indices if s.kind == "A" else (s.indices[0] if s.indices else None)
-        for block, label, coeff in _letter_slots(spec, s.kind, idx, n):
-            if block == "free":
-                free[spec.free_index(label)] += s.sign * coeff
-            else:
-                tor[tor_index[label]] += s.sign * coeff
-    tor = [t % order for t, (_, order) in zip(tor, spec.torsion)]
-    return AbelianImage(spec, tuple(free), tuple(tor))
+        _check_letter(group, s)
+        for k, coeff in _letter_slots(spec, s):
+            coords[k] += s.sign * coeff
+    r = spec.free_rank
+    return AbelianImage(spec, tuple(coords[:r]),
+                        tuple(t % order for t, (_, order) in zip(coords[r:], spec.torsion)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,8 @@ class LetterTable:
 
     ``denominator`` is the lcm L of the coordinate denominators; ``values``
     maps (kind, indices) of each positive letter met so far to L times the
-    character's value on it.  A letter enters on first lookup, after it
+    character's value on it; ``_scaled`` holds L times each coordinate by
+    position, 0 on torsion.  A letter enters on first lookup, after it
     has been validated against the character's group; a letter that fails
     validation raises AlphabetError and never enters.
     """
@@ -227,23 +226,12 @@ class LetterTable:
     def __init__(self, chi: Character):
         self.spec = chi.spec
         self.denominator = math.lcm(*(Fraction(c).denominator for c in chi.coords))
-        self._scaled = {label: int(c * self.denominator)
-                        for label, c in zip(chi.spec.free_labels, chi.coords)}
+        self._scaled = [int(c * self.denominator) for c in chi.coords] + [0] * len(chi.spec.torsion)
         self.values: dict[tuple[str, tuple[int, ...]], int] = {}
 
     def _enter(self, s: GeneratorSymbol) -> int:
-        group = self.spec.group
-        if isinstance(group, ModelId):
-            if s.indices or s.kind not in group.letter_names:
-                raise AlphabetError(f"{s}: not a letter of {group.value}")
-            n = 0
-        else:
-            validate_symbol(s, group)
-            n = group.n
-        idx = s.indices if s.kind == "A" else (s.indices[0] if s.indices else None)
-        value = sum(coeff * self._scaled[label]
-                    for block, label, coeff in _letter_slots(self.spec, s.kind, idx, n)
-                    if block == "free")
+        _check_letter(self.spec.group, s)
+        value = sum(coeff * self._scaled[k] for k, coeff in _letter_slots(self.spec, s))
         self.values[(s.kind, s.indices)] = value
         return value
 
@@ -332,46 +320,45 @@ def nu(chi: Character, start: Word, steps: Word) -> Fraction:
 # ---------------------------------------------------------------------------
 # Strand insertion / deletion
 
+def strand_blocks(x: "Character | SpherePoint") -> tuple[tuple, tuple]:
+    """The a and b blocks of a P_n(T) or P_n(K) character or point, strand
+    i at index i-1; the a block is empty on the Klein bottle."""
+    group = x.spec.group
+    if not isinstance(group, GroupContext) or (group.family, group.surface) not in (("P", "T"), ("P", "K")):
+        raise DomainError("strand blocks are defined for torus and Klein-bottle pure groups")
+    if group.surface == "K":
+        return (), x.coords
+    return x.coords[:group.n], x.coords[group.n:]
+
+
 def strand_pullback(chi: Character, n_target: int, strands: Iterable[int]) -> Character:
     """Insert zero coordinates so that strand i of the source becomes
     strand strands[i] of the target (composition with strand erasure)."""
+    blocks = strand_blocks(chi)
     group = chi.spec.group
-    if not isinstance(group, GroupContext) or group.surface not in ("T", "K"):
-        raise DomainError("strand maps are defined for torus and Klein-bottle pure groups")
     strands = list(strands)
     k = group.n
     if len(strands) != k or sorted(strands) != strands or strands[0] < 1 or strands[-1] > n_target:
         raise DomainError(f"need {k} increasing target strands within 1..{n_target}")
     target = GroupContext(group.family, group.surface, n_target)
-    new = {}
-    for pos, s in enumerate(strands, start=1):
-        if group.surface == "T":
-            new[f"a{s}"] = chi[f"a{pos}"]
-        new[f"b{s}"] = chi[f"b{pos}"]
-    return character(target, new)
+    source = {s: pos for pos, s in enumerate(strands)}  # target strand -> source index
+    return character(target, [block[source[t]] if t in source else 0
+                              for block in blocks if block for t in range(1, n_target + 1)])
 
 
 def strand_pushforward(chi: Character, keep: Iterable[int]) -> Character:
     """Restrict to the kept strands; defined only when every deleted
     coordinate vanishes (chi factors through the strand-erasing map)."""
+    blocks = strand_blocks(chi)
     group = chi.spec.group
-    if not isinstance(group, GroupContext) or group.surface not in ("T", "K"):
-        raise DomainError("strand maps are defined for torus and Klein-bottle pure groups")
     keep = sorted(set(keep))
     if not keep or keep[0] < 1 or keep[-1] > group.n:
         raise DomainError(f"kept strands must lie in 1..{group.n}")
-    dropped = [i for i in range(1, group.n + 1) if i not in keep]
-    for i in dropped:
-        bad = chi[f"b{i}"] != 0 or (group.surface == "T" and chi[f"a{i}"] != 0)
-        if bad:
+    for i in range(1, group.n + 1):
+        if i not in keep and any(block[i - 1] for block in blocks if block):
             raise DomainError(f"character does not vanish on deleted strand {i}")
     target = GroupContext(group.family, group.surface, len(keep))
-    new = {}
-    for pos, s in enumerate(keep, start=1):
-        if group.surface == "T":
-            new[f"a{pos}"] = chi[f"a{s}"]
-        new[f"b{pos}"] = chi[f"b{s}"]
-    return character(target, new)
+    return character(target, [block[s - 1] for block in blocks if block for s in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -462,30 +449,31 @@ def json_int_field(obj, key: str | int, what: str) -> int:
 
 
 def _num_from_json(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (int,)):
-        return Fraction(v)
+    """The one reader of exact rationals: a JSON integer or a 'p/q' string.
+    A DomainError names a boolean, a malformed string or a zero denominator."""
+    if isinstance(v, (int, str)) and not isinstance(v, bool):  # JSON true/false would pass as 1/0
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"numbers must be integers or exact 'p/q' strings, got {v!r}")
 
 
 def character_to_json(chi: Character) -> dict:
     group = chi.spec.group
+    labelled = zip(chi.spec.free_labels, map(rational_to_json, chi.coords))
     if isinstance(group, ModelId):
-        return {"model": group.value,
-                "coords": {label: rational_to_json(chi[label]) for label in chi.spec.free_labels}}
+        return {"model": group.value, "coords": dict(labelled)}
     out: dict = {"group": group.family, "surface": group.surface, "n": group.n}
-    if group.family == "P" and group.surface == "T":
-        out["a"] = [rational_to_json(chi[f"a{i}"]) for i in range(1, group.n + 1)]
-        out["b"] = [rational_to_json(chi[f"b{i}"]) for i in range(1, group.n + 1)]
-    elif group.family == "P" and group.surface == "K":
-        out["b"] = [rational_to_json(chi[f"b{i}"]) for i in range(1, group.n + 1)]
+    if group.family == "P" and group.surface in ("T", "K"):
+        a, b = strand_blocks(chi)
+        if group.surface == "T":
+            out["a"] = [rational_to_json(v) for v in a]
+        out["b"] = [rational_to_json(v) for v in b]
     elif group.family == "P" and group.surface == "S2":
-        out["A"] = {label[2:-1]: rational_to_json(chi[label])
-                    for label in chi.spec.free_labels if chi[label] != 0}
+        out["A"] = {label[2:-1]: v for label, v in labelled if v != 0}
     else:
-        for label in chi.spec.free_labels:
-            out[label] = rational_to_json(chi[label])
+        out.update(labelled)
     return out
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import characters, criterion, models, sigma
 from .characters import (
+    _num_from_json,
     character_from_json,
     character_to_json,
     json_field,
@@ -29,7 +30,7 @@ from .characters import (
 from .checks import relation_checks
 from .criterion import CertificateCase, CertificateEntry, PathCertificate
 from .models import ModelId
-from .words import DomainError, GroupContext, parse_symbols, parse_word, reduce, serialize_word
+from .words import DomainError, GroupContext, parse_word, serialize_word
 
 
 def _read_json_arg(value: str):
@@ -183,8 +184,9 @@ def _cmd_verify_cert(args, parser) -> dict:
 
 def _cmd_gen_cert(args, parser) -> dict:
     case = CertificateCase(args.case)
-    cert = criterion.generate_lemma_certificates(case, Fraction(args.p), Fraction(args.q))
-    chi_model, chi_braid = criterion.case_character(case, Fraction(args.p), Fraction(args.q))
+    p, q = _num_from_json(args.p), _num_from_json(args.q)
+    cert = criterion.generate_lemma_certificates(case, p, q)
+    chi_model, chi_braid = criterion.case_character(case, p, q)
     return {"certificate": _certificate_to_json(cert),
             "character": character_to_json(chi_model),
             "braid_character": character_to_json(chi_braid)}

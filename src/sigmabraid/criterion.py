@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -48,7 +48,6 @@ from .characters import (
     torus_character,
 )
 from .models import (
-    IsoDictionary,
     ModelId,
     NormalForm,
     dictionary,
@@ -68,7 +67,6 @@ from .words import (
     GroupContext,
     IDENTITY,
     Word,
-    alpha_beta_word,
     model_sym,
     serialize_word,
     sym_a,

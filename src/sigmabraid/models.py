@@ -43,21 +43,26 @@ signed letters, so conjugating a fiber word maps it in a single reducing pass.
 Free words over a fiber are encoded as tuples of signed small ints
 (letter code k, inverse -k), always freely reduced.
 
-Each record also carries one fact about its Cayley graph on the signed
-letters: ``bipartite``, true iff every defining relator has even length
-(then sending every letter to 1 in Z/2 is a homomorphism, and no edge joins
-two vertices at the same distance from the identity).  A level-2 base is
-presented by its base relator (length 4: [a,b] on the torus, a b a b^-1 on
-the Klein bottle) and the action relators g^-1 z g img^-1 with
-img = g^-1 z g, of length 3 + |img|; a letter the table leaves fixed gives
-img = z.  :func:`_extend` adds action relators of the same shape, so it sets
-``base.bipartite and every |img| odd``.  G2T and G2K are bipartite; G3T and
-G4T are not, because x^-1 v x = u^-1 v u w^-1 has length 7.
+Each record also carries two facts read off its defining relators: the
+base relator ([a,b] on the torus, a b a b^-1 on the Klein bottle, both of
+length 4) and the action relators g^-1 z g img^-1 with img = g^-1 z g, of
+length 3 + |img| (a letter a table leaves fixed gives img = z).
+:func:`_relator_facts` reads both off the tables.  ``orders`` is the order
+of each letter's abelian class (0 free, 1 trivial, k torsion of order k):
+an action relator abelianizes to img - z, here always a multiple c z' of
+one fiber letter (import fails otherwise), so z' has order dividing c; the
+Klein base relator gives 2a.  ``bipartite`` is true iff every relator has
+even length, that is, every |img| is odd; then sending every letter to 1
+in Z/2 is a homomorphism, and no edge of the Cayley graph joins two
+vertices at the same distance from the identity.  G3T and G4T are not
+bipartite, because x^-1 v x = u^-1 v u w^-1 has length 7; the same
+relator makes w trivial.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -92,6 +97,11 @@ class ModelId(str, Enum):
     @property
     def letter_names(self) -> tuple[str, ...]:
         return _MODELS[self].alphabet
+
+    @property
+    def letter_orders(self) -> tuple[tuple[str, int], ...]:
+        """(letter, order of its abelian class) in alphabet order (module docstring)."""
+        return tuple(_MODELS[self].orders.items())
 
     @property
     def bipartite(self) -> bool:
@@ -231,6 +241,7 @@ class _Model:
     mult: Callable[[tuple, str, int], tuple]  # right-multiply a state by one letter
     into: dict  # g^-1 z g and g z g^-1 on the outer fiber, per acting letter g
     out: dict
+    orders: dict[str, int]  # abelian order of each letter, in alphabet order (module docstring)
     bipartite: bool  # every defining relator has even length (module docstring)
 
     @property
@@ -239,10 +250,21 @@ class _Model:
         return len(self.layers) + 1
 
 
-def _odd_images(into: dict) -> bool:
-    """Every action relator g^-1 z g img^-1 of the tables has even length,
-    that is, every image img = g^-1 z g has odd length."""
-    return all(len(img) % 2 == 1 for table in into.values() for img in table.values())
+def _relator_facts(fiber: tuple[str, ...], into: dict) -> tuple[dict[str, int], bool]:
+    """The abelian orders of the fiber letters, and whether every action
+    relator g^-1 z g img^-1 has even length (module docstring)."""
+    orders, odd = dict.fromkeys(fiber, 0), True
+    for table in into.values():
+        for code, img in table.items():
+            odd = odd and len(img) % 2 == 1
+            diff = [sum(c // k for c in img if abs(c) == k) - (k == code)  # img - z
+                    for k in range(1, len(fiber) + 1)]
+            hit = [(name, c) for name, c in zip(fiber, diff) if c]
+            if len(hit) > 1:
+                raise ValueError(f"an action relator over {fiber} abelianizes to {diff}")
+            for name, c in hit:
+                orders[name] = math.gcd(orders[name], c)
+    return orders, odd
 
 
 def _g2t_mult(state, name: str, sgn: int):
@@ -301,16 +323,21 @@ def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _M
                 z = tuple(z)
         return (_fmul(state[0], z),) + state[1:]
 
+    orders, odd = _relator_facts(letters, into)
     return _Model(base.surface, (letters,) + base.layers, base.alphabet + letters,
                   ((),) + base.identity, mult, into, out,
-                  base.bipartite and _odd_images(into))
+                  base.orders | orders, base.bipartite and odd)
 
 
-# the level-2 base relators have length 4, so the action relators decide parity
-_G2T = _Model("T", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2t_mult, {}, {},
-              _odd_images({}))
-_G2K = _Model("K", (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), _g2k_mult,
-              _G2K_INTO, _G2K_OUT, _odd_images(_G2K_INTO))
+def _base(surface: str, mult: Callable, into: dict, out: dict, a_order: int) -> _Model:
+    """A level-2 model F(x,y) |x <a,b>; its base relator abelianizes to a_order * a."""
+    orders, odd = _relator_facts(("x", "y"), into)
+    return _Model(surface, (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), mult, into, out,
+                  orders | {"a": a_order, "b": 0}, odd)
+
+
+_G2T = _base("T", _g2t_mult, {}, {}, 0)
+_G2K = _base("K", _g2k_mult, _G2K_INTO, _G2K_OUT, 2)
 _G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO, _G3T_OUT)
 _G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO, _G4T_OUT)
 
@@ -323,16 +350,6 @@ class NormalForm:
 
     model: ModelId
     state: tuple
-
-    @property
-    def fiber(self) -> tuple[int, ...]:
-        """The outermost free-group component."""
-        return self.state[0]
-
-    @property
-    def exponents(self) -> tuple[int, int]:
-        """The central/base exponents (n, m) of a and b."""
-        return self.state[-2], self.state[-1]
 
     def as_word(self) -> Word:
         """Spell the normal form kappa mu omega a^n b^m as a Word."""

@@ -202,7 +202,7 @@ def _pure_relations(surface: str, n: int) -> list[Relation]:
 # The full braid group table: Artin relations, half-twist conjugation rules
 # and Artin-letter spellings of the C braids.
 
-def _braid_relations(surface: str, n: int) -> list[Relation]:
+def _braid_relations(n: int) -> list[Relation]:
     rels: list[Relation] = []
     for i in range(1, n - 1):
         rels.append(Relation(
@@ -245,8 +245,7 @@ def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable
         raise DomainError(f"no presentation table for surface {surface!r}")
     if family == "P":
         return RelationTable(ctx, tuple(_pure_relations(surface, n)))
-    rels = _braid_relations(surface, n)
-    return RelationTable(ctx, tuple(rels))
+    return RelationTable(ctx, tuple(_braid_relations(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +408,7 @@ def _family_P(name: str, surface: str, n: int) -> list[Relation]:
         if T:
             # The order of the two inner encircling factors is forced by
             # the oracle: the transposed variant fails at n = 3 and 4
-            # (see rejected_variant below).
+            # (the presentation tests check both orders).
             rhs = _cat(_beta(n - 1, 3, n), _b(1), _beta(n - 1, 2, n),
                        _C(3, n, -1), _C(2, n), _beta(n - 1, 2, n).inverse(),
                        delta, _b(n), _b(1, -1), _beta(n, 3, n).inverse())
@@ -476,31 +475,3 @@ def instantiate_family(name: str, surface: str, n: int) -> RelationTable:
 
 def all_family_names() -> tuple[str, ...]:
     return _S_NAMES + _R_NAMES + _P_NAMES
-
-
-def rejected_variant(name: str, surface: str, n: int) -> Relation:
-    """Factor-transposed variants of two shipped rules.
-
-    In both cases the pair of encircling factors on the right-hand side
-    does not commute, so transposing them changes the group element; the
-    word-problem oracle rejects these variants at n <= 4.  They are kept
-    available so the test suite can pin the correct order down.
-    """
-    if name == "S2" and n >= 3:
-        # at j = i+1 one factor is the trivial braid and the transposition
-        # is invisible, so the order is only separable from n = 3 on
-        i, j = 1, n
-        return Relation(
-            f"S2:{i},{j}:transposed",
-            _cat(_b(i), _a(j), _b(i, -1)),
-            _cat(_a(j), _C(i + 1, j), _C(i, j, -1)),
-            "transposed encircling factors (rejected by the oracle)")
-    if name == "P2" and surface == "T" and n >= 3:
-        delta = _cat(_C(1, n), _C(2, n, -1), _C(3, n))
-        rhs = _cat(_beta(n - 1, 3, n), _b(1), _beta(n - 1, 2, n),
-                   _C(2, n, -1), _C(3, n), _beta(n - 1, 2, n).inverse(),
-                   delta, _b(n), _b(1, -1), _beta(n, 3, n).inverse())
-        return Relation("P2:1:transposed",
-                        _cat(_b(n, -1), _C(1, n), _b(n)), rhs,
-                        "transposed encircling factors (rejected by the oracle)")
-    raise DomainError(f"no rejected variant recorded for {name} on {surface} at n={n}")

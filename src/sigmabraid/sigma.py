@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .characters import SpherePoint, abelianization, sphere_point
+from .characters import SpherePoint, abelianization, strand_blocks
 from .words import DomainError, GroupContext
 
 IN_SIGMA1 = "InSigma1"
@@ -126,8 +126,7 @@ def sphere_is_empty(group: GroupContext) -> bool:
 # Pattern matchers
 
 def _match_torus(pt: SpherePoint, n: int):
-    a = [pt[f"a{i}"] for i in range(1, n + 1)]
-    b = [pt[f"b{i}"] for i in range(1, n + 1)]
+    a, b = strand_blocks(pt)
     support = [i for i in range(n) if a[i] != 0 or b[i] != 0]
     if len(support) > 2 or not support:
         return None
@@ -140,7 +139,7 @@ def _match_torus(pt: SpherePoint, n: int):
 
 
 def _match_klein(pt: SpherePoint, n: int):
-    b = [pt[f"b{i}"] for i in range(1, n + 1)]
+    _, b = strand_blocks(pt)
     support = [i for i in range(n) if b[i] != 0]
     if len(support) != 2:
         return None
@@ -151,7 +150,7 @@ def _match_klein(pt: SpherePoint, n: int):
 
 
 def _sphere_coord(pt: SpherePoint, i: int, j: int) -> int:
-    return pt[f"A[{i},{j}]"]
+    return pt.coords[pt.spec.positions[f"A[{i},{j}]"]]
 
 
 def _match_p3(pt: SpherePoint, n: int, i: int, j: int, k: int):
@@ -231,8 +230,8 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
     if surf == "T":
         if n == 1:
             return SigmaVerdict(IN_SIGMA1, None, "abelian group, full invariant")
-        if sum(pt[f"a{i}"] for i in range(1, n + 1)) != 0 or \
-           sum(pt[f"b{i}"] for i in range(1, n + 1)) != 0:
+        a, b = strand_blocks(pt)
+        if sum(a) != 0 or sum(b) != 0:
             return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
         witness = _match_torus(pt, n)
         if witness is None:
@@ -242,7 +241,7 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
     if surf == "K":
         if n == 1:
             return SigmaVerdict(IN_SIGMA1, None, "virtually abelian group, full invariant")
-        if sum(pt[f"b{i}"] for i in range(1, n + 1)) != 0:
+        if sum(strand_blocks(pt)[1]) != 0:
             return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
         witness = _match_klein(pt, n)
         if witness is None:
@@ -297,12 +296,7 @@ def act_permutation(group: GroupContext, tau: Sequence[int], pt: SpherePoint) ->
     _check_permutation(tau, n)
     if pt.spec != abelianization(group):
         raise DomainError(f"point lives on {pt.spec.group}, not on {group}")
-    if group.surface == "T":
-        a = [pt[f"a{tau[i]}"] for i in range(n)]
-        b = [pt[f"b{tau[i]}"] for i in range(n)]
-        coords = tuple(a + b)
-    else:
-        coords = tuple(pt[f"b{tau[i]}"] for i in range(n))
+    coords = tuple(block[t - 1] for block in strand_blocks(pt) if block for t in tau)
     return SpherePoint(pt.spec, coords)
 
 

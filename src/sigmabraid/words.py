@@ -91,14 +91,18 @@ class GeneratorSymbol:
         """The positive letter underlying this symbol."""
         return self if self.sign == 1 else GeneratorSymbol(self.kind, self.indices)
 
-    def __str__(self) -> str:
+    @property
+    def label(self) -> str:
+        """The positive letter as it prints; abelianization coordinates are
+        named so."""
         if self.kind in _INDEXED_TWO:
-            token = f"{self.kind}[{self.indices[0]},{self.indices[1]}]"
-        elif self.indices:
-            token = f"{self.kind}{self.indices[0]}"
-        else:
-            token = self.kind
-        return token + ("^-1" if self.sign == -1 else "")
+            return f"{self.kind}[{self.indices[0]},{self.indices[1]}]"
+        if self.indices:
+            return f"{self.kind}{self.indices[0]}"
+        return self.kind
+
+    def __str__(self) -> str:
+        return self.label + ("^-1" if self.sign == -1 else "")
 
 
 def sym_s(i: int, sign: int = 1) -> GeneratorSymbol:
@@ -115,10 +119,6 @@ def sym_b(i: int, sign: int = 1) -> GeneratorSymbol:
 
 def sym_C(i: int, j: int, sign: int = 1) -> GeneratorSymbol:
     return GeneratorSymbol("C", (i, j), sign)
-
-
-def sym_A(i: int, j: int, sign: int = 1) -> GeneratorSymbol:
-    return GeneratorSymbol("A", (i, j), sign)
 
 
 def model_sym(name: str, sign: int = 1) -> GeneratorSymbol:
@@ -184,10 +184,6 @@ def reduce(raw: Iterable[GeneratorSymbol]) -> Word:
         else:
             stack.append(s)
     return Word(tuple(stack))
-
-
-def word(*symbols: GeneratorSymbol) -> Word:
-    return reduce(symbols)
 
 
 def serialize_word(w: Word) -> str:
@@ -315,11 +311,3 @@ def aij_word(i: int, j: int, n: int) -> Word:
     head = [sym_s(k) for k in range(j - 1, i, -1)]
     tail = [sym_s(k, -1) for k in range(i + 1, j)]
     return reduce(head + [sym_s(i), sym_s(i)] + tail)
-
-
-def delta_word(n: int) -> Word:
-    """The full twist spelled in Artin letters:
-    A[1,2] (A[1,3] A[2,3]) ... (A[1,n] ... A[n-1,n])."""
-    if n < 2:
-        raise AlphabetError("the full twist needs n >= 2")
-    return reduce(s for k in range(2, n + 1) for i in range(1, k) for s in aij_word(i, k, n))

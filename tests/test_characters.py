@@ -18,6 +18,7 @@ from sigmabraid.characters import (
     nu,
     sphere_character,
     sphere_point,
+    strand_blocks,
     strand_pullback,
     strand_pushforward,
     torus_character,
@@ -34,7 +35,6 @@ from sigmabraid.words import (
     model_sym,
     parse_word,
     reduce,
-    sym_A,
     sym_a,
     sym_b,
     sym_C,
@@ -55,6 +55,9 @@ def test_abelianize_examples():
     ctx = GroupContext("B", "K", 3)
     image = abelianize(ctx, parse_word("s1 s2", ctx))
     assert image.free == (0,) and image.torsion == (0, 0)  # 1 + 1 = 0 mod 2
+
+    with pytest.raises(AlphabetError):
+        abelianize(ModelId.G2T, Word((model_sym("u"),)))
 
 
 def test_abelianization_shapes():
@@ -149,6 +152,15 @@ def test_strand_maps():
         strand_pushforward(klein_character(3, [1, -1, 5]), [1, 2])
 
 
+def test_strand_blocks():
+    chi = torus_character(3, [1, 0, -1], [2, 3, 4])
+    assert strand_blocks(chi) == ((1, 0, -1), (2, 3, 4))
+    assert strand_blocks(sphere_point(klein_character(2, [2, -4]))) == ((), (1, -2))
+    for group in (GroupContext("P", "S2", 4), GroupContext("B", "T", 3), ModelId.G2T):
+        with pytest.raises(DomainError, match="strand blocks"):
+            strand_blocks(character(group, [1] * abelianization(group).free_rank))
+
+
 def test_strand_maps_are_mutually_inverse():
     chi = torus_character(2, [2, -2], [1, 3])
     assert strand_pushforward(strand_pullback(chi, 4, [2, 4]), [2, 4]) == chi
@@ -204,6 +216,10 @@ def test_character_validation():
 
 def _random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 6, 7)))
+
+
+def sym_A(i, j, sign=1):
+    return GeneratorSymbol("A", (i, j), sign)
 
 
 def _braid_alphabet(ctx):
@@ -331,3 +347,91 @@ def test_character_json_errors_name_the_field():
         character_from_json([1, 2])
     with pytest.raises(DomainError, match="'1;3'"):
         character_from_json({"surface": "S2", "n": 4, "A": {"1;3": 1}})
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the label-based abelianization rule
+#
+# The reference below restates each letter's image by coordinate label and
+# the model abelianizations as literal tables, independently of the
+# position map and of the model records the library derives them from.
+
+_REFERENCE_MODEL_SPECS = {
+    ModelId.G2T: (("x", "y", "a", "b"), ()),
+    ModelId.G2K: (("y", "b"), (("x", 2), ("a", 2))),
+    ModelId.G3T: (("x", "y", "a", "b", "u", "v"), ()),
+    ModelId.G4T: (("x", "y", "a", "b", "u", "v", "ub", "vb"), ()),
+}
+
+
+def _reference_spec(group):
+    if isinstance(group, ModelId):
+        return _REFERENCE_MODEL_SPECS[group]
+    spec = abelianization(group)
+    return spec.free_labels, spec.torsion
+
+
+def _reference_slots(group, free_labels, kind, index, n):
+    """Where one positive letter lands: list of (block, label, coefficient)."""
+    if isinstance(group, ModelId):
+        if kind in ("w", "w2", "w3"):
+            return []
+        return [("free" if kind in free_labels else "torsion", kind, 1)]
+    fam, surf = group.family, group.surface
+    if kind == "C":
+        if fam == "B":
+            return [("torsion", "s", 2)] if surf != "D" else [("free", "s", 2)]
+        return []
+    if kind == "D":
+        coeff = n * (n - 1)
+        if coeff == 0:  # B_1(D) is trivial and has no s coordinate
+            return []
+        return [("free", "s", coeff)] if surf == "D" else [("torsion", "s", coeff)]
+    if fam == "B":
+        return [("free" if kind in free_labels else "torsion", kind, 1)]
+    if kind == "A":
+        return [("free", f"A[{index[0]},{index[1]}]", 1)]
+    label = f"{kind}{index}"
+    return [("free" if label in free_labels else "torsion", label, 1)]
+
+
+def _reference_abelianize(group, w):
+    free_labels, torsion = _reference_spec(group)
+    n = group.n if isinstance(group, GroupContext) else 0
+    free = [0] * len(free_labels)
+    tor = [0] * len(torsion)
+    tor_labels = [label for label, _ in torsion]
+    for s in w:
+        idx = s.indices if s.kind == "A" else (s.indices[0] if s.indices else None)
+        for block, label, coeff in _reference_slots(group, free_labels, s.kind, idx, n):
+            if block == "free":
+                free[free_labels.index(label)] += s.sign * coeff
+            else:
+                tor[tor_labels.index(label)] += s.sign * coeff
+    return tuple(free), tuple(t % order for t, (_, order) in zip(tor, torsion))
+
+
+_EVERY_FAMILY = [GroupContext(fam, surf, n)
+                 for fam, surf, ns in [("P", "T", (1, 2, 4)), ("P", "K", (1, 3)),
+                                       ("P", "S2", (2, 3, 4, 6)), ("P", "RP2", (2, 3)),
+                                       ("B", "T", (2, 4)), ("B", "K", (3,)),
+                                       ("B", "D", (1, 2, 5)), ("B", "S2", (2, 4)),
+                                       ("B", "RP2", (3,))]
+                 for n in ns] + list(ModelId)
+
+
+@pytest.mark.parametrize("group", _EVERY_FAMILY, ids=_label)
+def test_abelianize_and_evaluate_match_the_label_reference(group):
+    free_labels, torsion = _reference_spec(group)
+    spec = abelianization(group)
+    assert (spec.free_labels, spec.torsion) == (free_labels, torsion)
+    rng = random.Random(f"reference {_label(group)}")
+    has_letters = isinstance(group, ModelId) or _braid_alphabet(group)
+    for _ in range(4):
+        chi = character(group, [_random_fraction(rng) for _ in free_labels])
+        for _ in range(25):
+            w = _random_word(group, rng, 14) if has_letters else IDENTITY
+            free, tor = _reference_abelianize(group, w)
+            image = abelianize(group, w)
+            assert (image.free, image.torsion) == (free, tor)
+            assert evaluate(chi, w) == sum((c * e for c, e in zip(chi.coords, free)), Fraction(0))

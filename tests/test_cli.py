@@ -207,6 +207,22 @@ def test_malformed_json_input_names_the_field(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["classify", "--group", "P", "--surface", "K", "--n", "2",
+      "--char", '{"surface":"K","n":2,"b":["1/0",1]}'], "'1/0'"),
+    (["classify", "--group", "P", "--surface", "K", "--n", "2",
+      "--char", '{"surface":"K","n":2,"b":[true,-1]}'], "True"),
+    (["classify", "--group", "P", "--surface", "K", "--n", "2",
+      "--char", '{"surface":"K","n":2,"b":["1/x",-1]}'], "'1/x'"),
+    (["gen-cert", "--case", "g3t-a", "--p", "1/0", "--q", "1"], "'1/0'"),
+    (["gen-cert", "--case", "g3t-a", "--p", "1", "--q", "one"], "'one'"),
+])
+def test_rational_json_faults_name_the_value(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: numbers must be integers or exact 'p/q' strings, got {value}\n"
+
+
 def test_ball(capsys):
     doc = run_json(capsys, "ball", "--model", "G2K",
                    "--char", '{"model":"G2K","coords":{"y":-1}}',

@@ -17,7 +17,7 @@ from sigmabraid.models import (
     verify_equation_bank,
     words_equal,
 )
-from sigmabraid.models import _MODELS, _apply_auto, _finv, _fmul  # internals under test
+from sigmabraid.models import _MODELS, _apply_auto, _finv, _fmul, _relator_facts  # internals under test
 from sigmabraid.words import AlphabetError, Word, model_sym, reduce, sym_a, sym_b, sym_C
 
 
@@ -263,6 +263,30 @@ def test_tower_records():
         assert model.bipartite is _MODELS[model].bipartite is bipartite[model]
         assert identity_state(model) == identities[model]
         assert str(model) == f"{model}" == model.value
+
+
+def test_letter_orders_from_the_relators():
+    # 0 free, 1 trivial, k torsion of order k
+    orders = {
+        ModelId.G2T: {},
+        ModelId.G2K: {"x": 2, "a": 2},  # b^-1 x b = x^-1 and a b a b^-1
+        ModelId.G3T: {"w": 1},  # x^-1 v x = u^-1 v u w^-1
+        ModelId.G4T: {"w": 1, "w2": 1, "w3": 1},
+    }
+    for model in ModelId:
+        assert model.letter_orders == tuple((name, orders[model].get(name, 0))
+                                            for name in model.letter_names)
+
+
+def test_relator_facts_take_the_gcd_and_refuse_mixed_images():
+    # u -> u^5 and u -> u^7 give 4u = 6u = 0, so u has order 2; v is untouched
+    orders, odd = _relator_facts(("u", "v"), {"g": {1: (1,) * 5}, "h": {1: (1,) * 7}})
+    assert orders == {"u": 2, "v": 0} and odd
+    # v -> u v u^-1 abelianizes to 0 and says nothing; its length 3 is odd
+    assert _relator_facts(("u", "v"), {"g": {2: (1, 2, -1)}}) == ({"u": 0, "v": 0}, True)
+    assert _relator_facts(("u", "v"), {"g": {2: (2, 2)}})[1] is False
+    with pytest.raises(ValueError, match="abelianizes to"):
+        _relator_facts(("u", "v"), {"g": {1: (2,)}})
 
 
 def test_big_exponents_are_exact():

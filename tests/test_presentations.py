@@ -6,10 +6,14 @@ from sigmabraid.characters import abelianize
 from sigmabraid.models import dictionary_for, translate, words_equal
 from sigmabraid.presentations import (
     Relation,
+    _C,
+    _a,
+    _b,
+    _beta,
+    _cat,
     all_family_names,
     instantiate_family,
     instantiate_presentation,
-    rejected_variant,
 )
 from sigmabraid.words import DomainError, GroupContext, IDENTITY, parse_word, serialize_word
 
@@ -119,6 +123,33 @@ def test_pure_families_pass_the_oracle():
             if table.group.family != "P":
                 continue
             assert _oracle_check(table) == [], (name, surface, n)
+
+
+def rejected_variant(name: str, surface: str, n: int) -> Relation:
+    """Factor-transposed variants of two shipped rules.
+
+    In both cases the pair of encircling factors on the right-hand side
+    does not commute, so transposing them changes the group element; the
+    word-problem oracle rejects these variants at n <= 4.
+    """
+    if name == "S2" and n >= 3:
+        # at j = i+1 one factor is the trivial braid and the transposition
+        # is invisible, so the order is only separable from n = 3 on
+        i, j = 1, n
+        return Relation(
+            f"S2:{i},{j}:transposed",
+            _cat(_b(i), _a(j), _b(i, -1)),
+            _cat(_a(j), _C(i + 1, j), _C(i, j, -1)),
+            "transposed encircling factors (rejected by the oracle)")
+    if name == "P2" and surface == "T" and n >= 3:
+        delta = _cat(_C(1, n), _C(2, n, -1), _C(3, n))
+        rhs = _cat(_beta(n - 1, 3, n), _b(1), _beta(n - 1, 2, n),
+                   _C(2, n, -1), _C(3, n), _beta(n - 1, 2, n).inverse(),
+                   delta, _b(n), _b(1, -1), _beta(n, 3, n).inverse())
+        return Relation("P2:1:transposed",
+                        _cat(_b(n, -1), _C(1, n), _b(n)), rhs,
+                        "transposed encircling factors (rejected by the oracle)")
+    raise DomainError(f"no rejected variant recorded for {name} on {surface} at n={n}")
 
 
 def test_rejected_variants_fail_the_oracle():

@@ -10,7 +10,6 @@ from sigmabraid.words import (
     WordSyntaxError,
     aij_word,
     alpha_beta_word,
-    delta_word,
     model_sym,
     parse_word,
     reduce,
@@ -89,6 +88,14 @@ def test_alpha_beta_inverse_cancels():
         for i in range(1, 5):
             w = alpha_beta_word("beta", j, i, 4)
             assert w * w.inverse() == IDENTITY
+
+
+def delta_word(n: int) -> Word:
+    """The full twist spelled in Artin letters:
+    A[1,2] (A[1,3] A[2,3]) ... (A[1,n] ... A[n-1,n])."""
+    if n < 2:
+        raise AlphabetError("the full twist needs n >= 2")
+    return reduce(s for k in range(2, n + 1) for i in range(1, k) for s in aij_word(i, k, n))
 
 
 def test_aij_delta_examples():
