@@ -197,7 +197,7 @@ class Character:
         return not any(self.coords)
 
     def scale(self, r: Rational) -> "Character":
-        r = Fraction(r)
+        r = _exact(r)
         return Character(self.spec, tuple(c * r for c in self.coords))
 
     def __neg__(self) -> "Character":
@@ -247,6 +247,13 @@ class LetterTable:
         return sum(map(self.value, w.letters))
 
 
+def _exact(v: Rational) -> Fraction:
+    """An exact rational; a float or a boolean is a DomainError naming it."""
+    if isinstance(v, (float, bool)):
+        raise DomainError(f"values must be exact rationals (int or Fraction), got {v!r}")
+    return Fraction(v)
+
+
 def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Rational]) -> Character:
     """Build a character from a label->value mapping or a full coordinate
     sequence on the free basis."""
@@ -255,9 +262,9 @@ def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Ration
         unknown = set(coords) - set(spec.free_labels)
         if unknown:
             raise AlphabetError(f"not free coordinates of {group}: {sorted(unknown)}")
-        vec = tuple(Fraction(coords.get(label, 0)) for label in spec.free_labels)
+        vec = tuple(_exact(coords.get(label, 0)) for label in spec.free_labels)
     else:
-        vec = tuple(Fraction(c) for c in coords)
+        vec = tuple(map(_exact, coords))
         if len(vec) != spec.free_rank:
             raise DomainError(f"expected {spec.free_rank} coordinates, got {len(vec)}")
     return Character(spec, vec)

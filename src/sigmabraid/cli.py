@@ -242,7 +242,8 @@ def _cmd_abelianize(args, parser) -> dict:
 
 def _cmd_verify_relations(args, parser) -> dict:
     checks = relation_checks(args.max_n, args.random_words)
-    failures = [str(c) for c in checks if not c.passed]
+    failures = [{"check": c.kind, "group": c.group, "family": c.family or None,
+                 "relation": c.relation} for c in checks if not c.passed]
     return {"checks": len(checks), "failures": failures, "healthy": not failures}
 
 

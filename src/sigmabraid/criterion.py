@@ -22,21 +22,28 @@ endpoints are oracle-checked where a model covers the group (torus
 n <= 4, Klein bottle n = 2) and are otherwise delegated to the relation
 tables, which the report records entry by entry.
 
-``explore_ball`` runs a bounded breadth-first sweep of the Cayley ball of
-a model, canonicalising vertices by normal form, and reports which
-targets are connected to the base vertex inside the chi-nonnegative part.
-A bounded sweep can certify reachability but never disconnection; the
-report says so explicitly.
+``explore_ball`` reports which targets are connected to the base vertex
+inside the chi-nonnegative part of a model's Cayley ball.  The ball does
+not depend on chi: a breadth-first sweep, canonicalising vertices by
+normal form, numbers each vertex once and keeps, in ``array`` storage,
+its parent, its arrival letter and its neighbours inside the ball.  One
+whole ball per model is kept, the largest swept so far and never larger
+than the budget it was swept under; because vertices are numbered in
+breadth-first order, a sweep to a smaller radius, or one cut by a vertex
+budget, is a prefix of it.  Each query sums chi along parent pointers
+over its prefix and searches it.  A bounded sweep can certify
+reachability but never disconnection; the report says so explicitly.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress, pairwise
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -415,9 +422,11 @@ class BallReport:
 
 def _ball_budget(budget: int | None) -> int:
     """The vertex cap: the argument, else ``SIGMA_BRAID_BALL_BUDGET``, else
-    10^6; a cap below 1 or a variable that is not an integer is an error
-    naming where it came from."""
+    10^6; a cap that is not an integer or is below 1 is an error naming
+    where it came from."""
     source = "budget"
+    if isinstance(budget, bool) or not isinstance(budget, (int, type(None))):
+        raise DomainError(f"{source} must be an integer, got {budget!r}")
     if budget is None:
         source = "SIGMA_BRAID_BALL_BUDGET"
         text = os.environ.get(source)
@@ -432,33 +441,173 @@ def _ball_budget(budget: int | None) -> int:
     return budget
 
 
-def _shell_edges(rows: list[list[int]], lo: int, n: int) -> tuple[list[int], list[int]]:
-    """The reverse edges into the radius-r shell, the vertices len(rows) .. n - 1.
+def _signed(model: ModelId) -> list[tuple[str, int]]:
+    """The signed letters of a model, each next to its inverse."""
+    return [(name, sign) for name in model.letter_names for sign in (1, -1)]
 
-    Every edge from a shell vertex s to distance r - 1 sits in the row of a
-    vertex u at distance r - 1 (the vertices lo .. len(rows) - 1): u g = s
-    iff s g^-1 = u.  Returns (ends, sources): shell vertex j = s - len(rows)
-    has the sources ``sources[ends[j]:ends[j + 1]]``."""
-    first = len(rows)
-    # count the sources of shell vertex j in ends[j + 2] and sum the counts
-    # up: ends[j + 1] then starts j, and moves to its end as j fills up
-    shift = first - 2
-    ends = [0] * (n - shift)
-    for row in rows[lo:]:
-        for w in row:
+
+@dataclass(frozen=True, eq=False)
+class _Ball:
+    """The character-free part of a breadth-first sweep of a model's Cayley
+    ball: vertices are numbered in discovery order, and nothing but numbers
+    is kept.
+
+    ``sizes[d]`` counts the vertices at distance <= d.  Vertex v > 0 was
+    discovered from ``parent[v]`` by the letter ``_signed(model)[letter[v]]``.
+    ``first`` is the identity's row by letter, partial if the budget cut the
+    sweep inside it.  Each of the first ``len(ends) - 1`` vertices has its
+    neighbours inside the ball listed in ``nbrs[ends[v]:ends[v + 1]]``.
+    ``rank[v]`` is v's place in the order by (distance, repr(state)), kept
+    only for a whole ball."""
+
+    radius: int
+    sizes: array
+    parent: array
+    letter: array
+    first: array
+    ends: array
+    nbrs: array
+    rank: array | None
+
+
+# the whole ball of the largest radius swept so far, one per model
+_BALLS: dict[ModelId, _Ball] = {}
+
+
+def _shell_rows(model: ModelId, rows: list[list[int]], states: list[tuple],
+                index: dict[tuple, int]) -> list[list[int]]:
+    """The in-ball neighbours of each vertex of the radius-r shell, the
+    vertices len(rows) .. len(states) - 1, after a whole sweep.
+
+    A shell vertex has neighbours inside the ball at distance r - 1 or r
+    only.  The graph is undirected (u = s g iff s = u g^-1, and ``_signed``
+    lists each letter next to its inverse), so every edge to distance r - 1
+    already sits in a row at distance r - 1: these reverse edges are read
+    off the rows.  An edge between two shell vertices closes a cycle of
+    2r + 1 edges, which needs a defining relator of odd length.  So on a
+    bipartite model (``ModelId.bipartite``) the reverse edges are all.  On
+    the others each shell vertex is stepped by the positive letters that
+    have no reverse edge: an edge s g = s' inside the shell is also
+    s' g^-1 = s, so it is found from the end where its letter is positive
+    and entered at both ends."""
+    first, n = len(rows), len(states)
+    shell: list[list[int]] = [[] for _ in range(first, n)]
+    known = [0] * (n - first)  # bit k: letter k leads back to distance r - 1
+    for u, row in enumerate(rows):
+        for k, w in enumerate(row):
             if w >= first:
-                ends[w - shift] += 1
-    ends = list(accumulate(ends))
-    sources = [0] * ends[-1]
-    shift += 1
-    for u in range(lo, first):
-        for w in rows[u]:
-            if w >= first:
-                j = w - shift
-                at = ends[j]
-                sources[at] = u
-                ends[j] = at + 1
-    return ends, sources
+                # u g = w, so w g^-1 = u: g^-1 is letter k ^ 1
+                shell[w - first].append(u)
+                known[w - first] |= 1 << (k ^ 1)
+    if not model.bipartite:
+        positive = [(k, name) for k, (name, sign) in enumerate(_signed(model)) if sign == 1]
+        for j, row in enumerate(shell):
+            state = states[first + j]
+            for k, name in positive:
+                if not known[j] >> k & 1:
+                    w = index.get(step(model, state, name, 1))
+                    if w is not None:  # not at distance r - 1, so in the shell
+                        row.append(w)
+                        shell[w - first].append(first + j)
+    return shell
+
+
+def _sample_order(sizes: array, states: list[tuple]):
+    """The sort key of the unreached sample: (distance, repr(state))."""
+    return lambda v: (bisect_right(sizes, v), repr(states[v]))
+
+
+def _rank(sizes: array, states: list[tuple]) -> array:
+    """Each vertex's place in the order of :func:`_sample_order`, sorted one
+    distance at a time."""
+    order = chain.from_iterable(sorted(range(lo, hi), key=lambda v: repr(states[v]))
+                                for lo, hi in pairwise([0, *sizes]))
+    rank = array("i", [0]) * len(states)
+    for place, v in enumerate(order):
+        rank[v] = place
+    return rank
+
+
+def _sweep(model: ModelId, radius: int, budget: int):
+    """Sweep the radius-r ball breadth first, numbering each vertex (a
+    normal-form state) once, in discovery order, and stop where a new
+    vertex would exceed the budget.
+
+    Each vertex the sweep expands with every letter gets its row of
+    neighbour numbers; after a whole sweep the shell gets its rows from
+    :func:`_shell_rows`.  Returns (ball, states, index, truncated): the
+    states and the state -> number map, for the caller's one query, and
+    whether the budget cut the sweep short."""
+    signed = _signed(model)
+    ident = identity_state(model)
+    index = {ident: 0}
+    states = [ident]
+    parent = array("i", [0])
+    letter = array("b", [0])
+    sizes = array("i")
+    rows: list[list[int]] = []
+    row: list[int] = []
+    truncated = False
+    v = 0
+    for _ in range(radius):
+        end = len(states)
+        sizes.append(end)
+        while v < end:
+            state = states[v]
+            row = []
+            for k, (name, sign) in enumerate(signed):
+                nxt = step(model, state, name, sign)
+                w = index.get(nxt)
+                if w is None:
+                    w = len(states)
+                    if w >= budget:
+                        truncated = True
+                        break
+                    index[nxt] = w
+                    states.append(nxt)
+                    parent.append(v)
+                    letter.append(k)
+                row.append(w)
+            else:
+                rows.append(row)
+                v += 1
+                continue
+            break
+        if truncated:
+            break
+    sizes.append(len(states))
+    first = array("i", rows[0] if rows else row)
+    if not truncated:
+        rows += _shell_rows(model, rows, states, index)
+    ends = array("i", accumulate(map(len, rows), initial=0))
+    nbrs = array("i", chain.from_iterable(rows))
+    del rows  # before the ranking, which holds the reprs of one distance at a time
+    rank = None if truncated else _rank(sizes, states)
+    ball = _Ball(radius, sizes, parent, letter, first, ends, nbrs, rank)
+    return ball, states, index, truncated
+
+
+def _prefix_states(model: ModelId, ball: _Ball, n: int) -> list[tuple]:
+    """The states of the vertices 0 .. n - 1, stepped along parent pointers."""
+    signed = _signed(model)
+    parent, letter = ball.parent, ball.letter
+    states = [identity_state(model)]
+    for v in range(1, n):
+        states.append(step(model, states[parent[v]], *signed[letter[v]]))
+    return states
+
+
+def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
+    """The state of one vertex, stepped along its parent path."""
+    path = []
+    while v:
+        path.append(ball.letter[v])
+        v = ball.parent[v]
+    signed = _signed(model)
+    state = identity_state(model)
+    for k in reversed(path):
+        state = step(model, state, *signed[k])
+    return state
 
 
 def explore_ball(model: ModelId, chi: Character, radius: int = 6,
@@ -466,37 +615,37 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     """Bounded sweep of the radius-r Cayley ball of the model, then a
     search from the base vertex through the chi-nonnegative part of it.
 
-    One breadth-first sweep numbers each vertex (a normal-form state) once,
-    in discovery order, and keeps distances and values in lists indexed by
-    that number.  For each vertex it expands with every signed letter, the
-    sweep keeps the row of neighbour numbers.  The reach search reads those
-    rows for the vertices the sweep expanded.
+    The ball does not depend on chi.  :func:`_sweep` numbers its vertices
+    in breadth-first order and keeps, for each, its parent, its arrival
+    letter and its neighbours inside the ball.  A whole ball is kept per
+    model (``_BALLS``) and replaced only by a whole ball of larger radius,
+    so at most one ball per model is kept, and none larger than the budget
+    it was swept under.  A sweep to radius r cut by the budget B keeps the
+    first min(|B(r)|, B) vertices of the breadth-first order, and these are
+    a prefix of every larger ball.  So a query reads that prefix of the kept
+    ball when the ball's radius is at least r or B cuts inside it, and
+    otherwise sweeps anew.  A sweep the budget cut short is used once and
+    not kept; its vertices without a row are stepped by every letter when
+    the search reaches them.
 
-    A vertex of the radius-r shell has no row of its own.  Its neighbours
-    inside the ball lie at distance r - 1 or r.  The graph is undirected
-    (u = s g iff s = u g^-1, and ``signed`` lists each letter next to its
-    inverse), so after a whole sweep every edge to distance r - 1 already
-    sits in a row at distance r - 1: the reach search reads these reverse
-    edges from one flat table built from those rows.  An edge between two
-    shell vertices closes a cycle of 2r + 1 edges, which needs a defining
-    relator of odd length.  So on a bipartite model (``ModelId.bipartite``)
-    the search never steps the shell; on the others it steps a shell vertex
-    only by the letters that have no reverse edge.  When the budget cuts
-    the sweep short, every vertex without a row is stepped by every letter.
+    Within the prefix, vertex values are the character's scaled integer
+    letter values summed along parent pointers (scaling by the table's
+    positive denominator keeps every sign), and the search keeps only the
+    neighbours inside the prefix.  The states of the unreached sample are
+    stepped along parent pointers, and so are all the prefix's states when
+    targets are given, unless this call swept the ball itself.
 
     The budget caps the number of vertices; it comes from the argument or
-    else from ``SIGMA_BRAID_BALL_BUDGET`` and must be at least 1.
-
-    Vertex values are the character's scaled integer letter values summed
-    along the sweep; scaling by the table's positive denominator keeps
-    every sign test."""
+    else from ``SIGMA_BRAID_BALL_BUDGET`` and must be at least 1."""
+    if isinstance(radius, bool) or not isinstance(radius, int):
+        raise DomainError(f"radius must be an integer, got {radius!r}")
     if radius < 1:
         raise DomainError("radius must be >= 1")
     if chi.spec.group != model:
         raise DomainError(f"character lives on {chi.spec.group}, not {model.value}")
     budget = _ball_budget(budget)
     values = letter_values(chi)
-    signed = [(name, sign) for name in model.letter_names for sign in (1, -1)]
+    signed = _signed(model)
 
     base_letter = None
     for sign in (1, -1):
@@ -509,103 +658,79 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     if base_letter is None and any(v != 0 for v in values.values()):
         raise DomainError("no generator with positive value: unsupported base choice")
 
-    ident = identity_state(model)
-    index: dict[tuple, int] = {ident: 0}
-    states = [ident]
-    dist = [0]
-    value = [0]
-    rows: list[list[int]] = []  # rows[v]: the neighbours of vertex v, in `signed` order
-    row: list[int] = []
-    moves = [(name, sign, values[(name, sign)]) for name, sign in signed]
-    truncated = False
-    v = 0
-    while v < len(states) and dist[v] < radius:
-        state, d, val = states[v], dist[v] + 1, value[v]
-        row = []
-        for name, sign, dv in moves:
-            nxt = step(model, state, name, sign)
-            w = index.get(nxt)
-            if w is None:
-                w = len(states)
-                if w >= budget:
-                    truncated = True
-                    break
-                index[nxt] = w
-                states.append(nxt)
-                dist.append(d)
-                value.append(val + dv)
-            row.append(w)
-        else:
-            rows.append(row)
-            v += 1
-            continue
-        break
+    ball = _BALLS.get(model)
+    states = index = None
+    if ball is not None and (radius <= ball.radius or budget < ball.sizes[-1]):
+        whole = ball.sizes[min(radius, ball.radius)]
+        n, truncated = min(whole, budget), whole > budget
+    else:
+        ball, states, index, truncated = _sweep(model, radius, budget)
+        n = len(states)
+        if not truncated:
+            _BALLS[model] = ball
 
-    n = len(states)
+    moves = [values[s] for s in signed]
+    parent, letter = ball.parent, ball.letter
+    value = [0] * n
+    for v in range(1, n):
+        value[v] = value[parent[v]] + moves[letter[v]]
+
     if base_letter is None:
         base_word = IDENTITY
-        base: int | None = 0
+        base = 0
     else:
         base_word = Word((model_sym(*base_letter),))
         k = signed.index(base_letter)
-        known = rows[0] if rows else row  # the identity's row, partial if the budget cut it
-        if k < len(known):
-            base = known[k]
-        elif k == len(known):
-            base = None  # the letter that met the budget leads out of the ball
+        first = ball.first
+        if k < len(first):
+            base = first[k]
+        elif k == len(first):
+            base = n  # the letter that met the budget leads out of the ball
         else:
-            base = index.get(step(model, ident, *base_letter))
+            base = index.get(step(model, states[0], *base_letter), n)
 
-    # open_[v]: v is nonnegative and not yet reached; id n stands for every
-    # state outside the ball
+    # open_[v]: v is nonnegative and not yet reached; every id from n on
+    # stands for a state outside the prefix
     open_ = [val >= 0 for val in value]
     nonnegative = sum(open_)
-    open_.append(False)
+    open_ += [False] * (len(parent) + 1 - n)
     reached = 0
-    if base is not None and open_[base]:
+    if open_[base]:
         open_[base] = False
         reached = 1
         todo = [base]
-        expanded = len(rows)
-        reverse = not truncated and expanded < n
-        if reverse:
-            ends, sources = _shell_edges(rows, bisect_left(dist, radius - 1, 0, expanded), n)
-            bipartite = model.bipartite
-            bits = [(1 << k, name, sign) for k, (name, sign) in enumerate(signed)]
+        ends, nbrs = ball.ends, ball.nbrs
+        listed = len(ends) - 1
         while todo:
             v = todo.pop()
-            if v < expanded:
-                nbrs = rows[v]
-            elif reverse:
-                j = v - expanded
-                nbrs = sources[ends[j]:ends[j + 1]]
-                if not bipartite:
-                    # u's row holds v at the index k of one letter g, and
-                    # v g^-1 = u: step v by every letter but these k ^ 1
-                    known = 0
-                    for u in nbrs:
-                        known |= 1 << (rows[u].index(v) ^ 1)
-                    state = states[v]
-                    nbrs += [index.get(step(model, state, name, sign), n)
-                             for bit, name, sign in bits if not known & bit]
-            else:
+            if v < listed:
+                row = nbrs[ends[v]:ends[v + 1]]
+            else:  # only in a sweep the budget cut short, whose states are at hand
                 state = states[v]
-                nbrs = [index.get(step(model, state, name, sign), n) for name, sign in signed]
-            for w in nbrs:
+                row = [index.get(step(model, state, name, sign), n) for name, sign in signed]
+            for w in row:
                 if open_[w]:
                     open_[w] = False
                     reached += 1
                     todo.append(w)
 
-    unreached = sorted((v for v in range(n) if open_[v]),
-                       key=lambda v: (dist[v], repr(states[v])))
-    sample = tuple(serialize_word(NormalForm(model, states[v]).as_word()) or "1"
-                   for v in unreached[:10])
+    if targets and states is None:
+        states = _prefix_states(model, ball, n)
+    # a sweep the budget cut short keeps no rank: only its unreached are ranked
+    order = _sample_order(ball.sizes, states) if ball.rank is None else ball.rank.__getitem__
+    unreached = sorted(compress(range(n), open_), key=order)[:10]
+    sample = tuple(
+        serialize_word(NormalForm(model, states[v] if states is not None
+                                  else _vertex_state(model, ball, v)).as_word()) or "1"
+        for v in unreached)
     target_reports = []
-    for tw in targets:
-        w = index.get(normalize(model, tw).state)
-        nonneg = w is not None and value[w] >= 0
-        target_reports.append(TargetReport(
-            serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
+    if targets:
+        if index is None:
+            index = dict(zip(states, range(n)))
+        for tw in targets:
+            w = index.get(normalize(model, tw).state)
+            nonneg = w is not None and value[w] >= 0
+            target_reports.append(TargetReport(
+                serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
     return BallReport(model, radius, serialize_word(base_word) or "1",
                       n, nonnegative, reached, truncated, sample, tuple(target_reports))

@@ -211,6 +211,28 @@ def test_character_validation():
         character_from_json({"group": "P", "surface": "K", "n": 2, "b": [0.5, 1]})
 
 
+@pytest.mark.parametrize("build, shown", [
+    (lambda: character(ModelId.G2T, {"x": 0.1}), "0.1"),
+    (lambda: character(ModelId.G2T, {"x": True}), "True"),
+    (lambda: torus_character(2, [0.5, 1], [0, 0]), "0.5"),
+    (lambda: torus_character(2, [1, True], [0, 0]), "True"),
+    (lambda: klein_character(2, [1, False]), "False"),
+    (lambda: character(ModelId.G2T, {"x": 1}).scale(0.5), "0.5"),
+    (lambda: character(ModelId.G2T, {"x": 1}).scale(True), "True"),
+])
+def test_characters_reject_floats_and_booleans(build, shown):
+    # a binary float would store 0.1 as 3602879701896397/36028797018963968,
+    # and a boolean as 0 or 1
+    with pytest.raises(DomainError, match=f"exact rationals .*got {shown}$"):
+        build()
+
+
+def test_characters_keep_exact_values():
+    chi = character(ModelId.G2T, {"x": Fraction(1, 10), "y": 3})
+    assert chi["x"] == Fraction(1, 10) and chi["y"] == 3
+    assert chi.scale(Fraction(10)).coords == (1, 30, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # The scaled integer letter table against the abelianization definition
 

@@ -278,6 +278,26 @@ def test_verify_relations_healthy(capsys):
     assert doc["healthy"] is True and doc["failures"] == []
 
 
+def test_verify_relations_failures_are_objects(capsys, monkeypatch):
+    from sigmabraid import cli
+    from sigmabraid.checks import RelationCheck, relation_checks
+
+    def with_failures(max_n, random_words):
+        return [*relation_checks(max_n, random_words),
+                RelationCheck("abelianization", "P_2(T)", "S1:1,2", False, "S1"),
+                RelationCheck("oracle", "P_2(T)", "1:a1-a2", False)]
+
+    monkeypatch.setattr(cli, "relation_checks", with_failures)
+    code, out, err = run(capsys, "verify-relations", "--max-n", "2", "--random-words", "10")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["healthy"] is False
+    assert doc["failures"] == [
+        {"check": "abelianization", "group": "P_2(T)", "family": "S1", "relation": "S1:1,2"},
+        {"check": "oracle", "group": "P_2(T)", "family": None, "relation": "1:a1-a2"},
+    ]
+
+
 def test_table_format(capsys):
     code, out, err = run(capsys, "--format", "table", "enumerate",
                          "--group", "P", "--surface", "K", "--n", "2")

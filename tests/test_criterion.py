@@ -202,6 +202,22 @@ def test_ball_rejects_bad_inputs():
         explore_ball(ModelId.G2T, chi, radius=2)
 
 
+@pytest.mark.parametrize("radius", [2.0, 2.5, True, "3", None])
+def test_ball_rejects_a_radius_that_is_not_an_int(radius):
+    # the radius indexes the kept ball's counts per distance
+    chi = character(ModelId.G2K, {"b": 1})
+    with pytest.raises(DomainError, match=f"radius must be an integer, got {radius!r}"):
+        explore_ball(ModelId.G2K, chi, radius=radius)
+
+
+@pytest.mark.parametrize("budget", [2.0, 40.5, True])
+def test_ball_rejects_a_budget_that_is_not_an_int(budget):
+    # the budget cuts a prefix off the kept ball
+    chi = character(ModelId.G2K, {"b": 1})
+    with pytest.raises(DomainError, match=f"budget must be an integer, got {budget!r}"):
+        explore_ball(ModelId.G2K, chi, radius=2, budget=budget)
+
+
 def test_ball_negative_control_torus_model():
     # complement point of the two-strand torus group, pulled through the
     # dictionary: only y carries weight, and conjugates of x across y
@@ -369,37 +385,121 @@ def test_ball_matches_two_pass_reference():
     assert truncated > 0
 
 
-def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
+def _cold_balls(monkeypatch):
+    """Give ``explore_ball`` an empty ball store of its own; clearing the
+    returned dict makes the next call sweep anew."""
     from sigmabraid import criterion
 
-    calls = [0]
+    balls = {}
+    monkeypatch.setattr(criterion, "_BALLS", balls)
+    return balls
+
+
+def _recording_step(monkeypatch):
+    """Wrap ``criterion.step``; the returned list collects the arguments
+    (model, state, name, sign) of every call."""
+    from sigmabraid import criterion
+
+    calls = []
     step = criterion.step
 
-    def counting(*args):
-        calls[0] += 1
+    def recording(*args):
+        calls.append(args)
         return step(*args)
 
-    monkeypatch.setattr(criterion, "step", counting)
+    monkeypatch.setattr(criterion, "step", recording)
+    return calls
+
+
+def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
+    balls = _cold_balls(monkeypatch)
+    calls = _recording_step(monkeypatch)
     # b^-1 is the last signed letter of G2T: with budget 2k the identity's
     # last step meets the budget, and the base vertex lies outside the ball
     cases = [*_random_ball_cases(seed=11, per_model=4),
              (ModelId.G2T, character(ModelId.G2T, {"b": -1}), 2, [])]
-    checked = 0
+    checked = warm = 0
     for model, chi, radius, targets in cases:
         k = len(model.letter_names)
         for budget in (None, 1, 2 * k, 2 * k + 1, 40):
             try:
-                _, swept, full, reach = _two_pass_ball(model, chi, radius, budget=budget)
+                report, swept, full, reach = _two_pass_ball(model, chi, radius, budget=budget)
             except DomainError:
                 continue
-            expanded = set(swept[:full])
-            calls[0] = 0
+            balls.clear()
+            calls.clear()
             explore_ball(model, chi, radius, budget=budget)
             # the vertex the budget cut short counts as stepped and, if it is
-            # reached, as unexpanded
-            assert calls[0] <= 2 * k * (len(swept) + len(reach - expanded))
+            # reached, as unexpanded; a whole sweep of a non-bipartite model
+            # steps its shell, reached or not, by at most every letter
+            if report.truncated or model.bipartite:
+                stepped = reach - set(swept[:full])
+            else:
+                stepped = range(len(swept), report.vertex_count)
+            assert len(calls) <= 2 * k * (len(swept) + len(stepped))
             checked += 1
-    assert checked > 0
+        # the kept ball answers any other character at any radius up to its
+        # own and under any budget: it steps only to spell the unreached
+        # sample (at most 10 states at distance <= r), and the prefix's
+        # states when targets are given
+        balls.clear()
+        explore_ball(model, chi, radius)
+        other = -chi
+        for r in range(1, radius + 1):
+            for budget in (None, 1, 2 * k, 2 * k + 1, 40):
+                for given in ((), targets):
+                    calls.clear()
+                    got = explore_ball(model, other, r, given, budget)
+                    assert len(calls) <= 10 * r + (got.vertex_count if given else 0)
+                    warm += 1
+    assert checked > 0 and warm > 0
+
+
+def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
+    from sigmabraid.characters import abelianization
+
+    balls = _cold_balls(monkeypatch)
+    compared = truncated = 0
+
+    def same(model, chi, radius, targets, budget=None):
+        nonlocal compared, truncated
+        expected = _ball_or_error(lambda *a: _two_pass_ball(*a)[0],
+                                  model, chi, radius, targets, budget)
+        got = _ball_or_error(explore_ball, model, chi, radius, targets, budget)
+        assert got == expected, (model, chi.coords, radius, budget, targets)
+        compared += 1
+        truncated += isinstance(got, dict) and got["truncated"]
+
+    # G3T at radius 3 has edges inside the shell
+    cases = [*_random_ball_cases(seed=19, per_model=4),
+             (ModelId.G3T, character(ModelId.G3T, {"x": 1, "u": 1, "v": -2}), 3,
+              [mword("x v u^-1"), mword("y w^-1 x v")])]
+    for model, chi, radius, targets in cases:
+        k = len(model.letter_names)
+        top = _BALL_RADII[model]
+        balls.clear()
+        same(model, chi, radius, targets)  # cold: sweeps and keeps the ball
+        assert balls[model].radius == radius
+        same(model, chi, radius, targets)  # warm, same radius
+        size = balls[model].sizes[-1]
+        # budgets that cut inside the kept ball serve a larger radius too,
+        # and a sweep beyond the ball that the budget cuts is not kept
+        kept = balls[model]
+        for budget in (1, 2, 2 * k, 2 * k + 1, max(1, size // 2), size - 1 or 1, size):
+            same(model, chi, radius + 1, targets, budget)
+            assert balls[model] is kept
+        # warm from a larger ball, every radius up to it, budget prefixes
+        another = character(model, {label: 1 for label in abelianization(model).free_labels[:1]})
+        explore_ball(model, another, top)
+        assert balls[model].radius == max(top, radius)
+        for r in range(1, max(top, radius) + 1):
+            whole = balls[model].sizes[r]
+            for budget in sorted({1, 2, 2 * k, 2 * k + 1, max(1, whole // 2), whole - 1 or 1,
+                                  whole, whole + 1}):
+                for given in ((), targets):
+                    same(model, chi, r, given, budget)
+            same(model, chi, r, targets)
+    assert compared > 0 and truncated > 0
 
 
 # ---------------------------------------------------------------------------
@@ -440,29 +540,15 @@ def test_bipartite_flag_matches_the_ball(model, radius):
     assert model.bipartite == (same == 0), (model, same)
 
 
-def _recording_step(monkeypatch):
-    """Wrap ``criterion.step``; the returned list collects the arguments
-    (model, state, name, sign) of every call."""
-    from sigmabraid import criterion
-
-    calls = []
-    step = criterion.step
-
-    def recording(*args):
-        calls.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(criterion, "step", recording)
-    return calls
-
-
 def test_ball_never_steps_the_shell_of_a_bipartite_model(monkeypatch):
+    balls = _cold_balls(monkeypatch)
     calls = _recording_step(monkeypatch)
     checked = 0
     for model, chi, radius, _ in _random_ball_cases(seed=13, per_model=6):
         if not model.bipartite:
             continue
         inner = sum(d < radius for d in _ball_distances(model, radius).values())
+        balls.clear()
         calls.clear()
         report = explore_ball(model, chi, radius)
         assert not report.truncated
@@ -476,6 +562,7 @@ def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
 
     from sigmabraid.models import step
 
+    balls = _cold_balls(monkeypatch)
     calls = _recording_step(monkeypatch)
     # G3T and G4T at radius 3 have edges inside the shell
     cases = [*_random_ball_cases(seed=17, per_model=3),
@@ -486,15 +573,17 @@ def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
         dist = _ball_distances(model, radius)
         report, swept, _, reach = _two_pass_ball(model, chi, radius)
         letters = [(name, sign) for name in model.letter_names for sign in (1, -1)]
-        # the sweep steps each vertex below distance r by every letter; the
-        # reach search steps a reached shell vertex of a non-bipartite model
-        # by each letter that does not lead back to distance r - 1
+        # the sweep steps each vertex below distance r by every letter; on a
+        # non-bipartite model it then steps every shell vertex, reached or
+        # not, by each positive letter that does not lead back to distance
+        # r - 1 (an edge inside the shell joins the ends of a positive step)
         expected = Counter((model, state, name, sign) for state in swept for name, sign in letters)
         if not model.bipartite:
-            expected.update((model, state, name, sign)
-                            for state in reach if dist[state] == radius
-                            for name, sign in letters
-                            if dist.get(step(model, state, name, sign)) != radius - 1)
+            expected.update((model, state, name, 1)
+                            for state, d in dist.items() if d == radius
+                            for name in model.letter_names
+                            if dist.get(step(model, state, name, 1)) != radius - 1)
+        balls.clear()
         calls.clear()
         assert explore_ball(model, chi, radius).to_json() == report.to_json()
         assert Counter(calls) == expected, (model, chi.coords, radius)
