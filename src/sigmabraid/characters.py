@@ -36,8 +36,9 @@ the lcm L of their denominators, and the exact integer value L*chi(g) of
 every positive letter g met so far.  A letter is validated against the
 group once, when it enters the table.  :func:`evaluate` and :func:`nu`
 sum and minimise these integers and divide by L once at the end, so they
-still return exact Fractions; :func:`letter_values` and the ball sweep
-read the integers directly, since positive scaling keeps every sign.
+still return exact Fractions; :func:`letter_values`, the ball sweep and
+the certificate margins read the integers directly, since positive
+scaling keeps every sign.
 """
 
 from __future__ import annotations
@@ -246,6 +247,17 @@ class LetterTable:
         """L times the character on a word."""
         return sum(map(self.value, w.letters))
 
+    def lowest(self, value: int, w: Word) -> int:
+        """The least of the scaled values met walking ``w`` from a vertex of
+        scaled value ``value``, that vertex included: L times the
+        chi-minimum of the path."""
+        lowest = value
+        for s in w.letters:
+            value += self.value(s)
+            if value < lowest:
+                lowest = value
+        return lowest
+
 
 def _exact(v: Rational) -> Fraction:
     """An exact rational; a float or a boolean is a DomainError naming it."""
@@ -314,14 +326,10 @@ def nu(chi: Character, start: Word, steps: Word) -> Fraction:
     """Minimum of chi over the path start, start.z1, ..., start.z1...zk.
 
     The running value and minimum are scaled integers from the letter
-    table; only the minimum is divided by the denominator L."""
+    table (:meth:`LetterTable.lowest`); only the minimum is divided by the
+    denominator L."""
     table = chi.letter_table
-    value = lowest = table.total(start)
-    for s in steps.letters:
-        value += table.value(s)
-        if value < lowest:
-            lowest = value
-    return Fraction(lowest, table.denominator)
+    return Fraction(table.lowest(table.total(start), steps), table.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,10 @@ def _cmd_abelianize(args, parser) -> dict:
 
 
 def _cmd_verify_relations(args, parser) -> dict:
+    if args.max_n < 1:
+        parser.error("--max-n must be >= 1")
+    if args.random_words < 0:
+        parser.error("--random-words must be >= 0")
     checks = relation_checks(args.max_n, args.random_words)
     failures = [{"check": c.kind, "group": c.group, "family": c.family or None,
                  "relation": c.relation} for c in checks if not c.passed]

@@ -10,7 +10,9 @@ equations against the word-problem oracle and computes the exact margins
 
     m_z = nu_chi(t, W_z) - nu_chi(1, (z)) ,
 
-all of which must be strictly positive.
+all of which must be strictly positive.  It computes them in the scaled
+integers of the character's letter table and divides each by the table's
+denominator once.
 
 ``generate_lemma_certificates`` assembles the certificates for the six
 parametrised character families on the three- and four-strand torus
@@ -51,7 +53,6 @@ from .characters import (
     evaluate,
     letter_values,
     model_character,
-    nu,
     torus_character,
 )
 from .models import (
@@ -141,35 +142,47 @@ def _model_alphabet(model: ModelId) -> list[GeneratorSymbol]:
 def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateReport:
     """Check endpoints against the oracle and compute all margins.
 
-    Raises CertificateError when chi(t) <= 0 or an endpoint equation
-    fails (naming the offending generator); margins that are merely
-    nonpositive only mark the report as failed.
+    The context must be a model, P_n(T) or P_n(K), and chi must live on it;
+    otherwise a DomainError names the context or the character's group.
+    Margins are computed in the scaled integers of ``chi.letter_table``:
+    with L its denominator, L m_z is the least scaled value on the path
+    t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), and each
+    line divides by L once.  Raises CertificateError when chi(t) <= 0, an
+    entry is missing or an endpoint equation fails (naming the offending
+    generator); margins that are merely nonpositive only mark the report
+    as failed.
     """
-    t_word = Word((cert.t,))
-    chi_t = evaluate(chi, t_word)
+    context = cert.context
+    is_model = isinstance(context, ModelId)
+    if not is_model and (context.family, context.surface) not in (("P", "T"), ("P", "K")):
+        raise DomainError(f"{context}: certificates cover the models, P_n(T) and P_n(K)")
+    if chi.spec.group != context:
+        raise DomainError(f"character lives on {chi.spec.group}, not {context}")
+    table = chi.letter_table
+    chi_t = table.value(cert.t)
     if chi_t <= 0:
-        raise CertificateError(f"base letter {cert.t} needs chi(t) > 0, got {chi_t}")
-    is_model = isinstance(cert.context, ModelId)
-    dic = None if is_model else dictionary_for(cert.context.surface, cert.context.n)
+        raise CertificateError(f"base letter {cert.t} needs chi(t) > 0, "
+                               f"got {Fraction(chi_t, table.denominator)}")
+
+    dic = None if is_model else dictionary_for(context.surface, context.n)
 
     if is_model:
-        alphabet = _model_alphabet(cert.context)
+        alphabet = _model_alphabet(context)
     else:
-        n = cert.context.n
+        n = context.n
         alphabet = [sym_a(i) for i in range(1, n + 1)] + \
                    [sym_b(i) for i in range(1, n + 1)] + \
                    [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    required = {str(z) for z in _signed_alphabet(alphabet)}
-    provided = {str(e.z) for e in cert.entries}
-    missing = required - provided
+    missing = set(_signed_alphabet(alphabet)).difference(e.z for e in cert.entries)
     if missing:
-        raise CertificateError(f"certificate misses entries for: {sorted(missing)}")
+        raise CertificateError(f"certificate misses entries for: {sorted(map(str, missing))}")
 
+    t_word = Word((cert.t,))
     lines = []
     endpoints_all = True
     for e in cert.entries:
         if is_model:
-            ok = words_equal(cert.context, t_word * e.path_word, Word((e.z,)) * t_word)
+            ok = words_equal(context, t_word * e.path_word, Word((e.z,)) * t_word)
             checked = True
         elif dic is not None:
             ok = words_equal(dic.model, translate(dic, t_word * e.path_word, "to_model"),
@@ -180,10 +193,11 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         if checked and not ok:
             raise CertificateError(f"endpoint condition fails for z = {e.z}")
         endpoints_all = endpoints_all and checked
-        margin = nu(chi, t_word, e.path_word) - nu(chi, IDENTITY, Word((e.z,)))
-        lines.append(MarginLine(str(e.z), margin, checked, margin > 0))
+        margin = table.lowest(chi_t, e.path_word) - min(0, table.value(e.z))
+        lines.append(MarginLine(str(e.z), Fraction(margin, table.denominator),
+                                checked, margin > 0))
     passed = all(line.positive for line in lines)
-    return CertificateReport(str(cert.context), str(cert.t),
+    return CertificateReport(str(context), str(cert.t),
                              tuple(lines), passed, endpoints_all)
 
 

@@ -614,7 +614,10 @@ def verify_equation_bank(model: ModelId, random_words: int = 2000,
                          max_len: int = 12, seed: int = 0) -> BankReport:
     """Check every banked equation for the model by normal form; for G2K
     additionally check the closed-form rewrite rules against the letterwise
-    conjugation reference on random words."""
+    conjugation reference on random words; a negative count is a
+    DomainError."""
+    if random_words < 0:
+        raise DomainError(f"random_words must be >= 0, got {random_words}")
     checks: list[BankCheck] = []
     for eq in equation_bank(model):
         lhs = parse_model_word(eq["lhs"], model)

@@ -19,6 +19,20 @@ Words are kept freely reduced at all times; construction APIs reduce
 eagerly, so word-problem engines further up the stack can compare normal
 forms by plain sequence equality.
 
+Letters are interned.  The builders (``sym_s``, ``sym_a``, ``sym_b``,
+``sym_C``, ``model_sym``), :func:`parse_symbols`, and
+:meth:`GeneratorSymbol.inverse` and ``.base`` return one shared instance per
+(kind, indices, sign).  That instance is built and validated once, when it
+enters the table, together with its inverse, so ``inverse()`` is an attribute
+read and ``s.inverse().inverse() is s``.  A letter that fails validation
+raises :class:`AlphabetError` and never enters.  Equality and hashing still
+compare fields, so a directly built ``GeneratorSymbol`` equals the interned
+one.  The table lives as long as the process and holds one pair per
+distinct letter met.  Likewise a ``Word`` built directly checks that its
+letters are reduced, while the results of :func:`reduce`,
+:meth:`Word.inverse` and ``*`` are reduced by construction and skip the
+check.
+
 Text syntax: whitespace-separated tokens ``a1 b3 s2 C[1,3] A[2,4] D x ub w2``
 with inverses written ``^-1`` (for example ``C[1,3]^-1``).  Indices are
 1-based everywhere.
@@ -28,6 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -84,12 +99,19 @@ class GeneratorSymbol:
             raise AlphabetError(f"unknown letter family {self.kind!r}")
 
     def inverse(self) -> "GeneratorSymbol":
-        return GeneratorSymbol(self.kind, self.indices, -self.sign)
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "GeneratorSymbol":
+        """The interned inverse.  :func:`_letter` sets it on every interned
+        letter; a directly built letter looks it up on first use."""
+        return _letter(self.kind, self.indices, -self.sign)
 
     @property
     def base(self) -> "GeneratorSymbol":
-        """The positive letter underlying this symbol."""
-        return self if self.sign == 1 else GeneratorSymbol(self.kind, self.indices)
+        """The interned positive letter underlying this symbol."""
+        inverse = self._inverse
+        return inverse if self.sign == -1 else inverse._inverse
 
     @property
     def label(self) -> str:
@@ -105,26 +127,46 @@ class GeneratorSymbol:
         return self.label + ("^-1" if self.sign == -1 else "")
 
 
+# the interned letters by (kind, indices, sign), each entered with its inverse
+_LETTERS: dict[tuple[str, tuple[int, ...], int], GeneratorSymbol] = {}
+
+
+def _letter(kind: str, indices: tuple[int, ...], sign: int) -> GeneratorSymbol:
+    """The one shared instance of a letter, built and validated on first use."""
+    key = (kind, indices, sign)
+    s = _LETTERS.get(key)
+    if s is None:
+        s = GeneratorSymbol(kind, indices, sign)  # raises before anything enters
+        inverse = GeneratorSymbol(kind, indices, -sign)
+        # object.__setattr__, not __dict__: reading __dict__ would turn the
+        # letter's inline attribute values into a dict, slower to read
+        object.__setattr__(s, "_inverse", inverse)
+        object.__setattr__(inverse, "_inverse", s)
+        _LETTERS[key] = s
+        _LETTERS[(kind, indices, -sign)] = inverse
+    return s
+
+
 def sym_s(i: int, sign: int = 1) -> GeneratorSymbol:
-    return GeneratorSymbol("s", (i,), sign)
+    return _letter("s", (i,), sign)
 
 
 def sym_a(i: int, sign: int = 1) -> GeneratorSymbol:
-    return GeneratorSymbol("a", (i,), sign)
+    return _letter("a", (i,), sign)
 
 
 def sym_b(i: int, sign: int = 1) -> GeneratorSymbol:
-    return GeneratorSymbol("b", (i,), sign)
+    return _letter("b", (i,), sign)
 
 
 def sym_C(i: int, j: int, sign: int = 1) -> GeneratorSymbol:
-    return GeneratorSymbol("C", (i, j), sign)
+    return _letter("C", (i, j), sign)
 
 
 def model_sym(name: str, sign: int = 1) -> GeneratorSymbol:
     if name not in MODEL_LETTER_NAMES:
         raise AlphabetError(f"unknown model letter {name!r}")
-    return GeneratorSymbol(name, (), sign)
+    return _letter(name, (), sign)
 
 
 @dataclass(frozen=True)
@@ -157,7 +199,7 @@ class Word:
         return reduce(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(s.inverse() for s in reversed(self.letters)))
+        return _reduced([s._inverse for s in reversed(self.letters)])
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -174,6 +216,14 @@ class Word:
 IDENTITY = Word()
 
 
+def _reduced(letters: list[GeneratorSymbol]) -> Word:
+    """A Word of letters that are freely reduced by construction, built
+    without the check of ``Word.__post_init__``."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", tuple(letters))
+    return w
+
+
 def reduce(raw: Iterable[GeneratorSymbol]) -> Word:
     """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs)."""
     stack: list[GeneratorSymbol] = []
@@ -183,7 +233,7 @@ def reduce(raw: Iterable[GeneratorSymbol]) -> Word:
             stack.pop()
         else:
             stack.append(s)
-    return Word(tuple(stack))
+    return _reduced(stack)
 
 
 def serialize_word(w: Word) -> str:
@@ -269,11 +319,11 @@ def parse_symbols(text: str) -> list[GeneratorSymbol]:
         sign = -1 if m.group("inv") else 1
         # index violations surface as AlphabetError, naming the symbol
         if m.group("br"):
-            out.append(GeneratorSymbol(m.group("br"), (int(m.group("i")), int(m.group("j"))), sign))
+            out.append(_letter(m.group("br"), (int(m.group("i")), int(m.group("j"))), sign))
         elif m.group("ix"):
-            out.append(GeneratorSymbol(m.group("ix"), (int(m.group("k")),), sign))
+            out.append(_letter(m.group("ix"), (int(m.group("k")),), sign))
         else:
-            out.append(GeneratorSymbol(m.group("bare"), (), sign))
+            out.append(_letter(m.group("bare"), (), sign))
     return out
 
 

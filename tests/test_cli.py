@@ -137,6 +137,37 @@ def test_gen_and_verify_certificate(capsys, tmp_path):
 
 
 
+P3T_CHAR = '{"group":"P","surface":"T","n":3,"a":[0,0,0],"b":[-1,-1,2]}'
+
+
+def _p3t_certificate(context) -> str:
+    from sigmabraid import cli, criterion
+    from sigmabraid.characters import character_from_json
+    from sigmabraid.words import GroupContext
+
+    chi = character_from_json(json.loads(P3T_CHAR))
+    cert = criterion.generate_braid_certificate(GroupContext("P", "T", 3), chi)
+    doc = cli._certificate_to_json(cert)
+    doc["context"] = context
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("context, char, message", [
+    ({"group": "B", "surface": "T", "n": 3}, P3T_CHAR,
+     "B_3(T): certificates cover the models, P_n(T) and P_n(K)"),
+    ({"group": "P", "surface": "T", "n": 3},
+     '{"group":"P","surface":"T","n":4,"a":[0,0,0,0],"b":[-1,-1,0,2]}',
+     "character lives on P_4(T), not P_3(T)"),
+], ids=["full-braid-context", "character-on-P4"])
+def test_verify_cert_rejects_a_foreign_context_or_character(capsys, context, char, message):
+    valid = _p3t_certificate({"group": "P", "surface": "T", "n": 3})
+    assert run_json(capsys, "verify-cert", "--cert", valid, "--char", P3T_CHAR)["passed"]
+    cert = _p3t_certificate(context)
+    code, out, err = run(capsys, "verify-cert", "--cert", cert, "--char", char)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 G2T_CHAR = '{"model":"G2T","coords":{"x":1}}'
 
 
@@ -276,6 +307,18 @@ def test_abelianize(capsys):
 def test_verify_relations_healthy(capsys):
     doc = run_json(capsys, "verify-relations", "--max-n", "3", "--random-words", "200")
     assert doc["healthy"] is True and doc["failures"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--random-words", "-5"], "--random-words must be >= 0"),
+    (["--max-n", "0"], "--max-n must be >= 1"),
+    (["--max-n", "-3"], "--max-n must be >= 1"),
+])
+def test_verify_relations_rejects_negative_counts(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-relations", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def test_verify_relations_failures_are_objects(capsys, monkeypatch):

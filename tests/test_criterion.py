@@ -1,12 +1,22 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from sigmabraid.characters import character, evaluate, sphere_point, torus_character
+from sigmabraid.characters import (
+    character,
+    evaluate,
+    klein_character,
+    nu,
+    sphere_point,
+    torus_character,
+)
 from sigmabraid.criterion import (
     CertificateCase,
     CertificateEntry,
     CertificateError,
+    MarginLine,
     PathCertificate,
     case_character,
     explore_ball,
@@ -16,7 +26,7 @@ from sigmabraid.criterion import (
 )
 from sigmabraid.models import ModelId, parse_model_word
 from sigmabraid.sigma import IN_SIGMA1, decide_sigma
-from sigmabraid.words import DomainError, GroupContext, Word, model_sym
+from sigmabraid.words import IDENTITY, DomainError, GroupContext, Word, model_sym
 
 
 def mword(text, model=ModelId.G3T):
@@ -109,6 +119,82 @@ def test_failing_margin_is_reported_not_raised():
     report = verify_certificate(cert, chi)
     assert not report.passed
     assert any(not line.positive for line in report.lines)
+
+
+def test_verify_rejects_contexts_without_certificates():
+    # a valid P_3(T) certificate relabelled: B_3(T) has s-generators with
+    # no entries, and P_5(S2) has none of the certificate's letters
+    chi = torus_character(3, [0, 0, 0], [-1, -1, 2])
+    cert = generate_braid_certificate(GroupContext("P", "T", 3), chi)
+    for context in (GroupContext("B", "T", 3), GroupContext("P", "S2", 5)):
+        relabelled = PathCertificate(context, cert.t, cert.entries)
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(context))}: certificates cover"):
+            verify_certificate(relabelled, chi)
+
+
+def test_verify_rejects_a_character_on_another_group():
+    chi = torus_character(3, [0, 0, 0], [-1, -1, 2])
+    cert = generate_braid_certificate(GroupContext("P", "T", 3), chi)
+    with pytest.raises(DomainError, match=r"^character lives on P_4\(T\), not P_3\(T\)$"):
+        verify_certificate(cert, torus_character(4, [0] * 4, [-1, -1, 0, 2]))
+    lemma = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    with pytest.raises(DomainError, match="^character lives on G4T, not G3T$"):
+        verify_certificate(lemma, character(ModelId.G4T, {"x": 1}))
+
+
+def _dominant_character(rng, surface, n, end):
+    """Seeded b-weights whose strand-n (end "top") or strand-1 (end "low",
+    negative) entry outweighs every other |b_i|."""
+    b = [Fraction(rng.randint(-6, 6), 1 + i % 3) for i in range(n)]
+    lead = Fraction(rng.randint(1, 4), 2)
+    if end == "top":
+        b[-1] = max(abs(v) for v in b[:-1]) + lead
+    else:
+        b[0] = -(max(abs(v) for v in b[1:]) + lead)
+    if surface == "K":
+        return klein_character(n, b)
+    return torus_character(n, [Fraction(rng.randint(-6, 6), 1 + (i + 1) % 3)
+                               for i in range(n)], b)
+
+
+def _broken_dominance(chi, end):
+    """The opposite end outweighs the base letter, so a margin is negative."""
+    values = dict(zip(chi.spec.free_labels, chi.coords))
+    n = chi.spec.group.n
+    if end == "top":
+        values["b1"] = -values[f"b{n}"] - 1
+    else:
+        values[f"b{n}"] = -values["b1"] + 1
+    return character(chi.spec.group, values)
+
+
+def _seeded_certificates():
+    rng = random.Random(20260)
+    for surface in ("T", "K"):
+        for n in range(2, 13):
+            group = GroupContext("P", surface, n)
+            for end in ("top", "low"):
+                chi = _dominant_character(rng, surface, n, end)
+                cert = generate_braid_certificate(group, chi)
+                yield cert, chi
+                yield cert, _broken_dominance(chi, end)
+    for case in CertificateCase:
+        p, q = Fraction(rng.randint(1, 6), 2), Fraction(rng.randint(1, 6), 3)
+        yield generate_lemma_certificates(case, p, q), case_character(case, p, q)[0]
+
+
+def test_integer_margins_match_nu():
+    negative = 0
+    for cert, chi in _seeded_certificates():
+        report = verify_certificate(cert, chi)
+        t = Word((cert.t,))
+        assert len(report.lines) == len(cert.entries)
+        for line, e in zip(report.lines, cert.entries):
+            margin = nu(chi, t, e.path_word) - nu(chi, IDENTITY, Word((e.z,)))
+            assert line == MarginLine(str(e.z), margin, report.endpoints_checked, margin > 0)
+            assert type(line.margin) is Fraction
+            negative += margin < 0
+    assert negative > 0  # the broken-dominance characters give negative margins
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from sigmabraid.models import (
     words_equal,
 )
 from sigmabraid.models import _MODELS, _apply_auto, _finv, _fmul, _relator_facts  # internals under test
-from sigmabraid.words import AlphabetError, Word, model_sym, reduce, sym_a, sym_b, sym_C
+from sigmabraid.words import AlphabetError, DomainError, Word, model_sym, reduce, sym_a, sym_b, sym_C
 
 
 def w(text, model):
@@ -158,6 +158,11 @@ def test_equation_banks_pass():
         assert report.passed, report.failures()
     g3t = verify_equation_bank(ModelId.G3T, random_words=0)
     assert len(g3t.checks) == 12
+
+
+def test_equation_bank_rejects_a_negative_count():
+    with pytest.raises(DomainError, match="random_words must be >= 0, got -5"):
+        verify_equation_bank(ModelId.G2K, random_words=-5)
 
 
 def test_dictionary_roundtrip_model_words():

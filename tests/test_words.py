@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigmabraid.characters import abelianize
+from sigmabraid import words
 from sigmabraid.words import (
     AlphabetError,
+    DomainError,
+    GeneratorSymbol,
     GroupContext,
     IDENTITY,
     Word,
@@ -11,6 +14,7 @@ from sigmabraid.words import (
     aij_word,
     alpha_beta_word,
     model_sym,
+    parse_symbols,
     parse_word,
     reduce,
     serialize_word,
@@ -41,9 +45,53 @@ def test_reduce_idempotent(raw):
 
 @given(st.lists(_LETTERS, max_size=30))
 def test_serialize_parse_roundtrip(raw):
-    from sigmabraid.words import parse_symbols
     w = reduce(raw)
     assert reduce(parse_symbols(serialize_word(w))) == w
+
+
+@given(st.lists(_LETTERS, max_size=30), st.lists(_LETTERS, max_size=30))
+def test_words_built_unchecked_pass_the_check(left, right):
+    # reduce, inverse and * skip the reducedness check of a direct Word(...)
+    u, v = reduce(left), reduce(right)
+    for w in (u, u.inverse(), u * v, v * u.inverse()):
+        assert Word(w.letters) == w
+
+
+def test_direct_word_keeps_its_check():
+    with pytest.raises(DomainError, match="unreduced"):
+        Word((X, Y, Y.inverse()))
+
+
+def test_builders_return_one_interned_letter():
+    assert sym_a(2) is sym_a(2) is parse_symbols("a2")[0] is sym_a(2, -1).inverse()
+    assert sym_b(3, -1) is parse_symbols("b3^-1")[0] is sym_b(3).inverse()
+    assert sym_s(1) is parse_symbols("s1")[0]
+    assert sym_C(1, 3, -1) is sym_C(1, 3, -1) is parse_symbols("C[1,3]^-1")[0]
+    assert model_sym("ub") is parse_symbols("ub")[0] is model_sym("ub", -1).inverse()
+    for s in parse_symbols("a1 b2^-1 s3 C[2,4]^-1 A[1,3] D^-1 x w2^-1"):
+        assert s.inverse().inverse() is s
+        assert s.base is s.inverse().base is parse_symbols(s.label)[0]
+        assert s.base.sign == 1
+
+
+def test_direct_letters_equal_the_interned_ones():
+    d, d_inv = parse_symbols("D D^-1")
+    direct = GeneratorSymbol("D")
+    assert direct == d and hash(direct) == hash(d) and direct is not d
+    assert direct.inverse() is d_inv and direct.base is d
+    assert GeneratorSymbol("D", (), -1).base is d
+
+
+def test_invalid_letters_raise_and_do_not_enter():
+    before = dict(words._LETTERS)
+    for build in (lambda: sym_C(3, 1), lambda: sym_a(0), lambda: sym_s(1, 2),
+                  lambda: parse_symbols("C[2,2]"), lambda: parse_symbols("b0^-1")):
+        with pytest.raises(AlphabetError):
+            build()
+    with pytest.raises(AlphabetError, match="unknown model letter"):
+        model_sym("q")
+    assert words._LETTERS.keys() == before.keys()
+    assert all(words._LETTERS[key] is s for key, s in before.items())
 
 
 def test_parse_examples():
