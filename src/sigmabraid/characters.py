@@ -22,7 +22,10 @@ free and torsion bases implemented here:
 Each :class:`AbelianizationSpec` owns its coordinate layout: one map from
 label to position, free coordinates first, then torsion.  Everything else
 addresses coordinates by position; labels are only read and written at
-the edges (JSON, the CLI, ``chi["a1"]``).  One rule places a letter: a
+the edges (JSON, the CLI, ``chi["a1"]``).  There is one spec per group
+(:func:`abelianization` is cached), and each spec validates a distinct
+letter once, when it enters its table of letter slots, which both
+:func:`abelianize` and the letter tables read.  One rule places a letter: a
 letter of a pure group or a model is its own coordinate, named as it
 prints, or it dies (C[i,j]; w, w2, w3); a full braid group forgets strand
 indices, sends C[i,j] to 2 s and the full twist D to n(n-1) s.  The torus
@@ -33,8 +36,7 @@ is used anywhere: coordinates are ints or fractions.Fraction.
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
 the lcm L of their denominators, and the exact integer value L*chi(g) of
-every positive letter g met so far.  A letter is validated against the
-group once, when it enters the table.  :func:`evaluate` and :func:`nu`
+every positive letter g met so far.  :func:`evaluate` and :func:`nu`
 sum and minimise these integers and divide by L once at the end, so they
 still return exact Fractions; :func:`letter_values`, the ball sweep and
 the certificate margins read the integers directly, since positive
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -95,13 +97,33 @@ class AbelianizationSpec:
             return k
         raise ValueError(f"{label!r} is not a free coordinate of {self.group}")
 
+    @cached_property
+    def _slot_table(self) -> dict[tuple[str, tuple[int, ...]], list[tuple[int, int]]]:
+        """(kind, indices) -> slots of each letter validated so far; not a
+        field, so it stays out of eq, hash and repr."""
+        return {}
+
+    def slots(self, s: GeneratorSymbol) -> list[tuple[int, int]]:
+        """Where one letter, read as positive, lands: (position,
+        coefficient) pairs.  Each distinct letter is validated against the
+        group once, when it enters the table; a letter that fails raises
+        AlphabetError and never enters."""
+        key = (s.kind, s.indices)
+        slots = self._slot_table.get(key)
+        if slots is None:
+            _check_letter(self.group, s)
+            slots = self._slot_table[key] = _letter_slots(self, s)
+        return slots
+
 
 def _sphere_labels(n: int) -> tuple[str, ...]:
     return tuple(f"A[{i},{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if {i, j} != {1, 2})
 
 
+@cache
 def abelianization(group: GroupLike) -> AbelianizationSpec:
+    """The abelianization of a group or model, one shared spec per group."""
     if isinstance(group, ModelId):
         orders = group.letter_orders  # 0 free, 1 trivial, k torsion of order k
         return AbelianizationSpec(group, tuple(name for name, k in orders if k == 0),
@@ -173,8 +195,7 @@ def abelianize(group: GroupLike, w: Word) -> AbelianImage:
     spec = abelianization(group)
     coords = [0] * len(spec.positions)
     for s in w:
-        _check_letter(group, s)
-        for k, coeff in _letter_slots(spec, s):
+        for k, coeff in spec.slots(s):
             coords[k] += s.sign * coeff
     r = spec.free_rank
     return AbelianImage(spec, tuple(coords[:r]),
@@ -217,9 +238,9 @@ class LetterTable:
     ``denominator`` is the lcm L of the coordinate denominators; ``values``
     maps (kind, indices) of each positive letter met so far to L times the
     character's value on it; ``_scaled`` holds L times each coordinate by
-    position, 0 on torsion.  A letter enters on first lookup, after it
-    has been validated against the character's group; a letter that fails
-    validation raises AlphabetError and never enters.
+    position, 0 on torsion.  A letter enters on first lookup, placed by
+    the spec's validated table (:meth:`AbelianizationSpec.slots`); a letter
+    that fails validation raises AlphabetError and never enters.
     """
 
     __slots__ = ("spec", "denominator", "values", "_scaled")
@@ -231,8 +252,7 @@ class LetterTable:
         self.values: dict[tuple[str, tuple[int, ...]], int] = {}
 
     def _enter(self, s: GeneratorSymbol) -> int:
-        _check_letter(self.spec.group, s)
-        value = sum(coeff * self._scaled[k] for k, coeff in _letter_slots(self.spec, s))
+        value = sum(coeff * self._scaled[k] for k, coeff in self.spec.slots(s))
         self.values[(s.kind, s.indices)] = value
         return value
 

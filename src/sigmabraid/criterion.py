@@ -27,25 +27,29 @@ tables, which the report records entry by entry.
 ``explore_ball`` reports which targets are connected to the base vertex
 inside the chi-nonnegative part of a model's Cayley ball.  The ball does
 not depend on chi: a breadth-first sweep, canonicalising vertices by
-normal form, numbers each vertex once and keeps, in ``array`` storage,
-its parent, its arrival letter and its neighbours inside the ball.  One
-whole ball per model is kept, the largest swept so far and never larger
-than the budget it was swept under; because vertices are numbered in
-breadth-first order, a sweep to a smaller radius, or one cut by a vertex
-budget, is a prefix of it.  Each query sums chi along parent pointers
-over its prefix and searches it.  A bounded sweep can certify
-reachability but never disconnection; the report says so explicitly.
+normal form, numbers each vertex once and keeps its parent, its arrival
+letter, its abelian class (the exponent vector of the free letters, on
+which every character is constant) and its neighbours inside the ball.
+One whole ball per model is kept, the largest swept so far and never
+larger than the budget it was swept under; because vertices are numbered
+in breadth-first order, a sweep to a smaller radius, or one cut by a
+vertex budget, is a prefix of it.  Each query sums chi down the tree of
+the prefix's classes, marks the nonnegative vertices by class, and
+searches the prefix; its unreached sample is read off the ball's sample
+order, and each sampled vertex is spelled once per ball.  A bounded
+sweep can certify reachability but never disconnection; the report says
+so explicitly.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, compress, pairwise
+from itertools import accumulate, chain, compress, islice, pairwise
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -464,31 +468,44 @@ def _signed(model: ModelId) -> list[tuple[str, int]]:
 class _Ball:
     """The character-free part of a breadth-first sweep of a model's Cayley
     ball: vertices are numbered in discovery order, and nothing but numbers
-    is kept.
+    is kept, apart from the words of the vertices sampled so far.
 
     ``sizes[d]`` counts the vertices at distance <= d.  Vertex v > 0 was
     discovered from ``parent[v]`` by the letter ``_signed(model)[letter[v]]``.
-    ``first`` is the identity's row by letter, partial if the budget cut the
-    sweep inside it.  Each of the first ``len(ends) - 1`` vertices has its
-    neighbours inside the ball listed in ``nbrs[ends[v]:ends[v + 1]]``.
-    ``rank[v]`` is v's place in the order by (distance, repr(state)), kept
-    only for a whole ball."""
+    ``cls[v]`` is v's abelian class: the exponent vector of the free letters
+    along its parent path, so every character is constant on a class.
+    Classes are numbered in discovery order, ``csizes[d]`` counts those met
+    at distance <= d, and class c > 0 was met from class ``cparent[c]`` by
+    the letter ``cletter[c]``, which is free.  ``first`` is the identity's
+    row by letter, partial if the budget cut the sweep inside it.  Each of
+    the ``len(rows)`` vertices the sweep expanded by every letter has its
+    row of neighbours, one per letter, in ``rows[v]``; after a whole sweep
+    each shell vertex v = len(rows) + j has its neighbours inside the ball
+    in ``nbrs[ends[j]:ends[j + 1]]``.  ``order`` lists a whole ball's
+    vertices in the order of :func:`_sample_order`, and ``texts`` holds the
+    spelled word of each vertex sampled so far."""
 
     radius: int
     sizes: array
     parent: array
     letter: array
-    first: array
+    cls: array
+    csizes: array
+    cparent: array
+    cletter: array
+    first: tuple[int, ...]
+    rows: list[tuple[int, ...]]
     ends: array
     nbrs: array
-    rank: array | None
+    order: array | None
+    texts: dict[int, str]
 
 
 # the whole ball of the largest radius swept so far, one per model
 _BALLS: dict[ModelId, _Ball] = {}
 
 
-def _shell_rows(model: ModelId, rows: list[list[int]], states: list[tuple],
+def _shell_rows(model: ModelId, rows: list[tuple[int, ...]], states: list[tuple],
                 index: dict[tuple, int]) -> list[list[int]]:
     """The in-ball neighbours of each vertex of the radius-r shell, the
     vertices len(rows) .. len(states) - 1, after a whole sweep.
@@ -531,15 +548,43 @@ def _sample_order(sizes: array, states: list[tuple]):
     return lambda v: (bisect_right(sizes, v), repr(states[v]))
 
 
-def _rank(sizes: array, states: list[tuple]) -> array:
-    """Each vertex's place in the order of :func:`_sample_order`, sorted one
+def _order(sizes: array, states: list[tuple]) -> array:
+    """The vertices in the order of :func:`_sample_order`, sorted one
     distance at a time."""
-    order = chain.from_iterable(sorted(range(lo, hi), key=lambda v: repr(states[v]))
-                                for lo, hi in pairwise([0, *sizes]))
-    rank = array("i", [0]) * len(states)
-    for place, v in enumerate(order):
-        rank[v] = place
-    return rank
+    return array("i", chain.from_iterable(sorted(range(lo, hi), key=lambda v: repr(states[v]))
+                                          for lo, hi in pairwise([0, *sizes])))
+
+
+class _Classes:
+    """The abelian classes of a sweep, numbered as they are met: each is
+    the exponent vector of the free letters, and moving along a letter that
+    is not free (torsion or trivial) keeps the class."""
+
+    def __init__(self, model: ModelId):
+        free = [name for name, order in model.letter_orders if order == 0]
+        # signed letter k -> (position, exponent) of its free letter, or None
+        self.moves = [(free.index(name), sign) if name in free else None
+                      for name, sign in _signed(model)]
+        self.vectors = [(0,) * len(free)]
+        self.index = {self.vectors[0]: 0}
+        self.parent = array("i", [0])
+        self.letter = array("b", [0])
+
+    def next(self, c: int, k: int) -> int:
+        """The class of a vertex of class c moved by letter k."""
+        move = self.moves[k]
+        if move is None:
+            return c
+        vec = list(self.vectors[c])
+        vec[move[0]] += move[1]
+        vec = tuple(vec)
+        d = self.index.get(vec)
+        if d is None:
+            d = self.index[vec] = len(self.vectors)
+            self.vectors.append(vec)
+            self.parent.append(c)
+            self.letter.append(k)
+        return d
 
 
 def _sweep(model: ModelId, radius: int, budget: int):
@@ -549,7 +594,8 @@ def _sweep(model: ModelId, radius: int, budget: int):
 
     Each vertex the sweep expands with every letter gets its row of
     neighbour numbers; after a whole sweep the shell gets its rows from
-    :func:`_shell_rows`.  Returns (ball, states, index, truncated): the
+    :func:`_shell_rows`.  Each new vertex gets its abelian class from
+    :class:`_Classes`.  Returns (ball, states, index, truncated): the
     states and the state -> number map, for the caller's one query, and
     whether the budget cut the sweep short."""
     signed = _signed(model)
@@ -558,16 +604,21 @@ def _sweep(model: ModelId, radius: int, budget: int):
     states = [ident]
     parent = array("i", [0])
     letter = array("b", [0])
+    classes = _Classes(model)
+    cls = array("i", [0])
     sizes = array("i")
-    rows: list[list[int]] = []
+    csizes = array("i")
+    rows: list[tuple[int, ...]] = []
     row: list[int] = []
     truncated = False
     v = 0
     for _ in range(radius):
         end = len(states)
         sizes.append(end)
+        csizes.append(len(classes.parent))
         while v < end:
             state = states[v]
+            c = cls[v]
             row = []
             for k, (name, sign) in enumerate(signed):
                 nxt = step(model, state, name, sign)
@@ -581,23 +632,25 @@ def _sweep(model: ModelId, radius: int, budget: int):
                     states.append(nxt)
                     parent.append(v)
                     letter.append(k)
+                    cls.append(classes.next(c, k))
                 row.append(w)
             else:
-                rows.append(row)
+                rows.append(tuple(row))
                 v += 1
                 continue
             break
         if truncated:
             break
     sizes.append(len(states))
-    first = array("i", rows[0] if rows else row)
-    if not truncated:
-        rows += _shell_rows(model, rows, states, index)
-    ends = array("i", accumulate(map(len, rows), initial=0))
-    nbrs = array("i", chain.from_iterable(rows))
-    del rows  # before the ranking, which holds the reprs of one distance at a time
-    rank = None if truncated else _rank(sizes, states)
-    ball = _Ball(radius, sizes, parent, letter, first, ends, nbrs, rank)
+    csizes.append(len(classes.parent))
+    first = rows[0] if rows else tuple(row)
+    shell = [] if truncated else _shell_rows(model, rows, states, index)
+    ends = array("i", accumulate(map(len, shell), initial=0))
+    nbrs = array("i", chain.from_iterable(shell))
+    del shell  # before the ordering, which holds the reprs of one distance at a time
+    order = None if truncated else _order(sizes, states)
+    ball = _Ball(radius, sizes, parent, letter, cls, csizes, classes.parent, classes.letter,
+                 first, rows, ends, nbrs, order, {})
     return ball, states, index, truncated
 
 
@@ -624,6 +677,28 @@ def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
     return state
 
 
+def _spelled(model: ModelId, ball: _Ball, v: int, states: list[tuple] | None) -> str:
+    """The word of vertex v as the sample prints it, spelled once per ball."""
+    text = ball.texts.get(v)
+    if text is None:
+        state = states[v] if states is not None else _vertex_state(model, ball, v)
+        text = ball.texts[v] = serialize_word(NormalForm(model, state).as_word()) or "1"
+    return text
+
+
+def _class_values(ball: _Ball, n: int, moves: list[int]) -> list[int]:
+    """The scaled character on each abelian class met by the vertices
+    0 .. n - 1, summed down the class tree; these classes are the first
+    ones, since classes are numbered as they are met."""
+    d = bisect_left(ball.sizes, n)
+    count = ball.csizes[d] if ball.sizes[d] == n else max(ball.cls[:n]) + 1
+    cparent, cletter = ball.cparent, ball.cletter
+    value = [0] * count
+    for c in range(1, count):
+        value[c] = value[cparent[c]] + moves[cletter[c]]
+    return value
+
+
 def explore_ball(model: ModelId, chi: Character, radius: int = 6,
                  targets: Sequence[Word] = (), budget: int | None = None) -> BallReport:
     """Bounded sweep of the radius-r Cayley ball of the model, then a
@@ -631,23 +706,27 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
 
     The ball does not depend on chi.  :func:`_sweep` numbers its vertices
     in breadth-first order and keeps, for each, its parent, its arrival
-    letter and its neighbours inside the ball.  A whole ball is kept per
-    model (``_BALLS``) and replaced only by a whole ball of larger radius,
-    so at most one ball per model is kept, and none larger than the budget
-    it was swept under.  A sweep to radius r cut by the budget B keeps the
-    first min(|B(r)|, B) vertices of the breadth-first order, and these are
-    a prefix of every larger ball.  So a query reads that prefix of the kept
-    ball when the ball's radius is at least r or B cuts inside it, and
-    otherwise sweeps anew.  A sweep the budget cut short is used once and
-    not kept; its vertices without a row are stepped by every letter when
-    the search reaches them.
+    letter, its abelian class and its neighbours inside the ball.  A whole
+    ball is kept per model (``_BALLS``) and replaced only by a whole ball
+    of larger radius, so at most one ball per model is kept, and none
+    larger than the budget it was swept under.  A sweep to radius r cut by
+    the budget B keeps the first min(|B(r)|, B) vertices of the
+    breadth-first order, and these are a prefix of every larger ball.  So a
+    query reads that prefix of the kept ball when the ball's radius is at
+    least r or B cuts inside it, and otherwise sweeps anew.  A sweep the
+    budget cut short is used once and not kept; its vertices without a row
+    are stepped by every letter when the search reaches them.
 
-    Within the prefix, vertex values are the character's scaled integer
-    letter values summed along parent pointers (scaling by the table's
-    positive denominator keeps every sign), and the search keeps only the
-    neighbours inside the prefix.  The states of the unreached sample are
-    stepped along parent pointers, and so are all the prefix's states when
-    targets are given, unless this call swept the ball itself.
+    A query sums the character's scaled integer letter values (scaling by
+    the table's positive denominator keeps every sign) down the tree of
+    the prefix's abelian classes, which are far fewer than its vertices,
+    and marks the nonnegative vertices by their class.  The search keeps
+    only the neighbours inside the prefix.  The unreached sample is the
+    first ten unreached vertices in the kept ball's ``order``; each is
+    spelled once per ball and its text reused.  A sweep the budget cut
+    short sorts its unreached vertices by :func:`_sample_order` instead.
+    The prefix's states are stepped along parent pointers when targets are
+    given, unless this call swept the ball itself.
 
     The budget caps the number of vertices; it comes from the argument or
     else from ``SIGMA_BRAID_BALL_BUDGET`` and must be at least 1."""
@@ -683,11 +762,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         if not truncated:
             _BALLS[model] = ball
 
-    moves = [values[s] for s in signed]
-    parent, letter = ball.parent, ball.letter
-    value = [0] * n
-    for v in range(1, n):
-        value[v] = value[parent[v]] + moves[letter[v]]
+    value = _class_values(ball, n, [values[s] for s in signed])
 
     if base_letter is None:
         base_word = IDENTITY
@@ -705,19 +780,23 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
 
     # open_[v]: v is nonnegative and not yet reached; every id from n on
     # stands for a state outside the prefix
-    open_ = [val >= 0 for val in value]
+    open_ = list(map([val >= 0 for val in value].__getitem__, ball.cls[:n]))
     nonnegative = sum(open_)
-    open_ += [False] * (len(parent) + 1 - n)
+    open_ += [False] * (len(ball.parent) + 1 - n)
     reached = 0
     if open_[base]:
         open_[base] = False
         reached = 1
         todo = [base]
-        ends, nbrs = ball.ends, ball.nbrs
-        listed = len(ends) - 1
+        rows, ends, nbrs = ball.rows, ball.ends, ball.nbrs
+        inner = len(rows)
+        listed = inner + len(ends) - 1
         while todo:
             v = todo.pop()
-            if v < listed:
+            if v < inner:
+                row = rows[v]
+            elif v < listed:
+                v -= inner
                 row = nbrs[ends[v]:ends[v + 1]]
             else:  # only in a sweep the budget cut short, whose states are at hand
                 state = states[v]
@@ -728,22 +807,21 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
                     reached += 1
                     todo.append(w)
 
-    if targets and states is None:
-        states = _prefix_states(model, ball, n)
-    # a sweep the budget cut short keeps no rank: only its unreached are ranked
-    order = _sample_order(ball.sizes, states) if ball.rank is None else ball.rank.__getitem__
-    unreached = sorted(compress(range(n), open_), key=order)[:10]
-    sample = tuple(
-        serialize_word(NormalForm(model, states[v] if states is not None
-                                  else _vertex_state(model, ball, v)).as_word()) or "1"
-        for v in unreached)
+    if ball.order is None:  # a sweep the budget cut short
+        unreached = sorted(compress(range(n), open_), key=_sample_order(ball.sizes, states))[:10]
+    else:
+        unreached = islice(filter(open_.__getitem__, ball.order), min(nonnegative - reached, 10))
+    sample = tuple(_spelled(model, ball, v, states) for v in unreached)
     target_reports = []
     if targets:
+        if states is None:
+            states = _prefix_states(model, ball, n)
         if index is None:
             index = dict(zip(states, range(n)))
+        cls = ball.cls
         for tw in targets:
             w = index.get(normalize(model, tw).state)
-            nonneg = w is not None and value[w] >= 0
+            nonneg = w is not None and value[cls[w]] >= 0
             target_reports.append(TargetReport(
                 serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
     return BallReport(model, radius, serialize_word(base_word) or "1",

@@ -165,12 +165,6 @@ def _map_signed(signed: dict[int, tuple[int, ...]], w: Iterable[int]) -> list[in
     return out
 
 
-def _apply_auto(table: dict[int, tuple[int, ...]], w: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of ``w`` under the automorphism sending letter k to ``table[k]``
-    (letters without an entry are fixed)."""
-    return tuple(_map_signed(_signed_table(table), w))
-
-
 # ---------------------------------------------------------------------------
 # Action tables
 
@@ -422,6 +416,10 @@ def parse_model_word(text: str, model: ModelId) -> Word:
 # closed-form rewrite rules of ``_g2k_mult``.  Agreement between the two on
 # random words is one of the equation-bank checks.
 
+# z -> c z c^-1 for the signed base codes a = 1, b = 2, built once
+_G2K_ACTS = _actions(("a", "b"), _G2K_INTO, _G2K_OUT)
+
+
 def bruteforce_normalize_g2k(w: Word) -> NormalForm:
     _check_letters(ModelId.G2K, w)
     omega: tuple[int, ...] = ()
@@ -434,15 +432,15 @@ def bruteforce_normalize_g2k(w: Word) -> NormalForm:
         elif name == "b":
             m += sgn
         else:
-            z: tuple[int, ...] = ((1 if name == "x" else 2) * sgn,)
+            z: Iterable[int] = ((1 if name == "x" else 2) * sgn,)
             # (a^n b^m) z (a^n b^m)^-1, conjugating by b^m first, then a^n
-            table = _G2K_OUT["b"] if m >= 0 else _G2K_INTO["b"]
+            table = _G2K_ACTS[2 if m >= 0 else -2]
             for _ in range(abs(m)):
-                z = _apply_auto(table, z)
-            table = _G2K_OUT["a"] if n >= 0 else _G2K_INTO["a"]
+                z = _map_signed(table, z)
+            table = _G2K_ACTS[1 if n >= 0 else -1]
             for _ in range(abs(n)):
-                z = _apply_auto(table, z)
-            omega = _fmul(omega, z)
+                z = _map_signed(table, z)
+            omega = _fmul(omega, tuple(z))
     return NormalForm(ModelId.G2K, (omega, n, m))
 
 

@@ -31,7 +31,7 @@ one.  The table lives as long as the process and holds one pair per
 distinct letter met.  Likewise a ``Word`` built directly checks that its
 letters are reduced, while the results of :func:`reduce`,
 :meth:`Word.inverse` and ``*`` are reduced by construction and skip the
-check.
+check; ``*`` cancels only at the seam of its two reduced factors.
 
 Text syntax: whitespace-separated tokens ``a1 b3 s2 C[1,3] A[2,4] D x ub w2``
 with inverses written ``^-1`` (for example ``C[1,3]^-1``).  Indices are
@@ -196,7 +196,16 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return reduce(self.letters + other.letters)
+        # both factors are reduced, so letters cancel only at the seam
+        u, v = self.letters, other.letters
+        i, j, m = len(u), 0, len(v)
+        while i and j < m:
+            s, t = u[i - 1], v[j]
+            if s.kind != t.kind or s.indices != t.indices or s.sign != -t.sign:
+                break
+            i -= 1
+            j += 1
+        return _reduced(u[:i] + v[j:])
 
     def inverse(self) -> "Word":
         return _reduced([s._inverse for s in reversed(self.letters)])

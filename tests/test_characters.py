@@ -327,6 +327,31 @@ def test_table_keeps_validating_after_warmup():
         evaluate(character(ModelId.G2T, {"x": 1}), Word((model_sym("u"),)))
 
 
+def test_each_letter_is_validated_once_per_group(monkeypatch):
+    from sigmabraid import characters
+
+    checked = []
+    check = characters._check_letter
+    monkeypatch.setattr(characters, "_check_letter",
+                        lambda group, s: checked.append((group, s.kind, s.indices)) or check(group, s))
+    abelianization.cache_clear()  # specs compare by fields, so others' specs still match
+    ctx = GroupContext("P", "K", 5)
+    assert abelianization(ctx) is abelianization(GroupContext("P", "K", 5))
+    w = parse_word("a1 b2 a1 C[1,3] b2^-1 C[1,3]^-1 a1^-1 b4", ctx)
+    abelianize(ctx, w)
+    abelianize(ctx, w.inverse())
+    for seed in range(3):
+        chi = klein_character(5, [seed, 1, -1, 2, Fraction(1, 3)])
+        evaluate(chi, w)
+        nu(chi, w, w.inverse())
+    assert sorted(checked) == [(ctx, "C", (1, 3)), (ctx, "a", (1,)), (ctx, "b", (2,)), (ctx, "b", (4,))]
+    # a bad letter raises every time and never enters the table
+    for _ in range(2):
+        with pytest.raises(AlphabetError):
+            abelianize(ctx, Word((sym_b(6),)))
+    assert abelianization(ctx)._slot_table.keys() == {("C", (1, 3)), ("a", (1,)), ("b", (2,)), ("b", (4,))}
+
+
 def test_table_stays_out_of_eq_hash_repr():
     chi = klein_character(2, [Fraction(1, 2), Fraction(-1, 3)])
     twin = klein_character(2, [Fraction(1, 2), Fraction(-1, 3)])

@@ -589,6 +589,143 @@ def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Abelian classes, the sample order and the spelled sample of a kept ball
+
+# radii whose balls are quick to sweep; G3T at radius 3 has edges inside the shell
+_CLASS_RADII = {ModelId.G2T: 5, ModelId.G2K: 4, ModelId.G3T: 3, ModelId.G4T: 2}
+
+
+def _seeded_characters(model, rng, count):
+    """Characters with small integer values, each zero on a random part of
+    the free letters (the zero character included)."""
+    from sigmabraid.characters import abelianization
+
+    labels = abelianization(model).free_labels
+    yield character(model, {})
+    for _ in range(count - 1):
+        zeros = set(rng.sample(labels, rng.randint(1, len(labels) - 1)))
+        yield character(model, {label: rng.choice((-3, -2, -1, 1, 2, 3))
+                                for label in labels if label not in zeros})
+
+
+def _vertex_values(model, ball, chi):
+    """The scaled character at every vertex, summed along parent pointers."""
+    from sigmabraid.characters import letter_values
+    from sigmabraid.criterion import _signed
+
+    values = letter_values(chi)
+    moves = [values[s] for s in _signed(model)]
+    value = [0] * len(ball.parent)
+    for v in range(1, len(ball.parent)):
+        value[v] = value[ball.parent[v]] + moves[ball.letter[v]]
+    return moves, value
+
+
+def _prefixes(ball, model):
+    """(radius, budget, vertex count) of every radius prefix of the ball
+    and of budgets that cut inside each, the identity's row included."""
+    k = len(model.letter_names)
+    for r in range(1, ball.radius + 1):
+        whole = ball.sizes[r]
+        for budget in sorted({1, 2, 2 * k, 2 * k + 1, ball.sizes[r - 1] + 1,
+                              max(1, whole // 2), whole - 1 or 1, whole}):
+            yield r, budget, min(whole, budget)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_class_sums_equal_parent_pointer_sums(model, monkeypatch):
+    from sigmabraid.criterion import _class_values
+
+    balls = _cold_balls(monkeypatch)
+    explore_ball(model, character(model, {}), _CLASS_RADII[model])
+    ball = balls[model]
+    free = {name for name, order in model.letter_orders if order == 0}
+    names = [name for name in model.letter_names for _ in (1, -1)]
+    # classes are numbered as they are met, and only free letters move them
+    met = 0
+    for v in range(1, len(ball.parent)):
+        if names[ball.letter[v]] not in free:
+            assert ball.cls[v] == ball.cls[ball.parent[v]]
+        assert ball.cls[v] <= met + 1
+        met = max(met, ball.cls[v])
+    assert met + 1 == len(ball.cparent) == ball.csizes[-1]
+    checked = 0
+    for chi in _seeded_characters(model, random.Random(f"classes:{model.value}"), 12):
+        moves, value = _vertex_values(model, ball, chi)
+        for _, _, n in _prefixes(ball, model):
+            by_class = _class_values(ball, n, moves)
+            assert len(by_class) == max(ball.cls[:n]) + 1
+            assert [by_class[ball.cls[v]] for v in range(n)] == value[:n]
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_sample_is_the_first_unreached_in_sample_order(model, monkeypatch):
+    from sigmabraid.criterion import _prefix_states, _sample_order, _signed
+    from sigmabraid.models import NormalForm, normalize, step
+    from sigmabraid.words import serialize_word
+
+    balls = _cold_balls(monkeypatch)
+    explore_ball(model, character(model, {}), _CLASS_RADII[model])
+    ball = balls[model]
+    states = _prefix_states(model, ball, len(ball.parent))
+    index = {state: v for v, state in enumerate(states)}
+    signed = _signed(model)
+    sampled = 0
+    for chi in _seeded_characters(model, random.Random(f"sample:{model.value}"), 8):
+        _, value = _vertex_values(model, ball, chi)
+        for r, budget, n in _prefixes(ball, model):
+            report = explore_ball(model, chi, r, budget=budget)
+            assert balls[model] is ball
+            # reach the nonnegative prefix vertices by stepping their states
+            base_word = IDENTITY if report.base == "1" else mword(report.base, model)
+            nonneg = {v for v in range(n) if value[v] >= 0}
+            reached = {index[normalize(model, base_word).state]} & nonneg
+            todo = list(reached)
+            while todo:
+                v = todo.pop()
+                for name, sign in signed:
+                    w = index.get(step(model, states[v], name, sign))
+                    if w in nonneg and w not in reached:
+                        reached.add(w)
+                        todo.append(w)
+            assert report.reachable_count == len(reached)
+            unreached = sorted(nonneg - reached, key=_sample_order(ball.sizes, states))[:10]
+            assert report.unreached_sample == tuple(
+                serialize_word(NormalForm(model, states[v]).as_word()) or "1" for v in unreached)
+            sampled += len(unreached)
+    assert sampled > 0
+
+
+def test_cached_sample_texts_equal_fresh_spellings(monkeypatch):
+    from sigmabraid.criterion import _vertex_state
+    from sigmabraid.models import NormalForm
+    from sigmabraid.words import serialize_word
+
+    balls = _cold_balls(monkeypatch)
+    calls = _recording_step(monkeypatch)
+    rng = random.Random(23)
+    for model in ModelId:
+        radius = _CLASS_RADII[model]
+        queries = [(chi, rng.randint(1, radius), rng.choice((None, None, 2 * len(model.letter_names) + 1)))
+                   for chi in _seeded_characters(model, rng, 60)]
+        explore_ball(model, character(model, {}), radius)  # keeps the whole ball
+        ball = balls[model]
+        first = [explore_ball(model, chi, r, budget=b) for chi, r, b in queries]
+        assert balls[model] is ball
+        assert ball.texts
+        for v, text in ball.texts.items():
+            fresh = serialize_word(NormalForm(model, _vertex_state(model, ball, v)).as_word()) or "1"
+            assert text == fresh, (model, v)
+        # every sampled vertex is spelled once: asking again steps nothing
+        calls.clear()
+        again = [explore_ball(model, chi, r, budget=b) for chi, r, b in queries]
+        assert not calls
+        assert again == first
+
+
+# ---------------------------------------------------------------------------
 # Parity and reverse edges: when the reach search steps the radius-r shell
 
 def _ball_distances(model, radius):

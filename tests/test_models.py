@@ -17,12 +17,18 @@ from sigmabraid.models import (
     verify_equation_bank,
     words_equal,
 )
-from sigmabraid.models import _MODELS, _apply_auto, _finv, _fmul, _relator_facts  # internals under test
+from sigmabraid.models import _MODELS, _finv, _fmul, _map_signed, _relator_facts, _signed_table  # internals under test
 from sigmabraid.words import AlphabetError, DomainError, Word, model_sym, reduce, sym_a, sym_b, sym_C
 
 
 def w(text, model):
     return parse_model_word(text, model)
+
+
+def _apply_auto(table, w):
+    """Image of ``w`` under the automorphism sending letter k to ``table[k]``
+    (letters without an entry are fixed)."""
+    return tuple(_map_signed(_signed_table(table), w))
 
 
 def word_of_length(model, rng, k):

@@ -57,6 +57,19 @@ def test_words_built_unchecked_pass_the_check(left, right):
         assert Word(w.letters) == w
 
 
+@given(st.lists(_LETTERS, max_size=30), st.lists(_LETTERS, max_size=30), st.integers(0, 30))
+def test_product_cancels_at_the_seam_like_reduce(left, right, k):
+    # v opens with the inverse of up to k trailing letters of u, so the seam
+    # cancels deeply, sometimes through the whole of u or of v
+    u = reduce(left)
+    v = reduce(list(u.inverse().letters[:k]) + right)
+    expected = reduce(u.letters + v.letters)
+    assert u * v == expected
+    # directly built letters cancel against interned ones
+    direct = Word(tuple(GeneratorSymbol(s.kind, s.indices, s.sign) for s in v.letters))
+    assert u * direct == expected
+
+
 def test_direct_word_keeps_its_check():
     with pytest.raises(DomainError, match="unreduced"):
         Word((X, Y, Y.inverse()))
