@@ -29,14 +29,14 @@ inside the chi-nonnegative part of a model's Cayley ball.  The ball does
 not depend on chi: a breadth-first sweep, canonicalising vertices by
 normal form, numbers each vertex once and keeps its parent, its arrival
 letter, its abelian class (the exponent vector of the free letters, on
-which every character is constant) and its neighbours inside the ball.
-One whole ball per model is kept, the largest swept so far and never
-larger than the budget it was swept under; because vertices are numbered
-in breadth-first order, a sweep to a smaller radius, or one cut by a
-vertex budget, is a prefix of it.  Each query sums chi down the tree of
-the prefix's classes, marks the nonnegative vertices by class, and
-searches the prefix; its unreached sample is read off the ball's sample
-order, and each sampled vertex is spelled once per ball.  A bounded
+which every character is constant), its neighbours and the sample order.
+A ball cut by a vertex budget has the same shape.  One whole ball per
+model is kept, the largest swept so far and never larger than the budget
+it was swept under; because vertices are numbered in breadth-first order,
+a sweep to a smaller radius, or one cut by a vertex budget, is a prefix
+of it.  Each query sums chi down the tree of the prefix's classes, marks
+the nonnegative vertices by class, and searches the prefix; it finds its
+unreached sample and its targets through the sample order.  A bounded
 sweep can certify reachability but never disconnection; the report says
 so explicitly.
 """
@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, pairwise
+from itertools import accumulate, chain, islice, pairwise
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -476,14 +476,14 @@ class _Ball:
     along its parent path, so every character is constant on a class.
     Classes are numbered in discovery order, ``csizes[d]`` counts those met
     at distance <= d, and class c > 0 was met from class ``cparent[c]`` by
-    the letter ``cletter[c]``, which is free.  ``first`` is the identity's
-    row by letter, partial if the budget cut the sweep inside it.  Each of
-    the ``len(rows)`` vertices the sweep expanded by every letter has its
-    row of neighbours, one per letter, in ``rows[v]``; after a whole sweep
-    each shell vertex v = len(rows) + j has its neighbours inside the ball
-    in ``nbrs[ends[j]:ends[j + 1]]``.  ``order`` lists a whole ball's
-    vertices in the order of :func:`_sample_order`, and ``texts`` holds the
-    spelled word of each vertex sampled so far."""
+    the letter ``cletter[c]``, which is free.  Vertex v < len(rows) has
+    its row of neighbours, one per letter, in ``rows[v]``, where a number
+    >= the ball's size stands for a state outside it; the others, the
+    radius-r shell of a whole sweep, have their neighbours inside the ball
+    in ``nbrs[ends[j]:ends[j + 1]]`` for v = len(rows) + j.  A cut sweep
+    gives every vertex a row.  ``order`` lists the vertices in the sample
+    order of :func:`_order`, and ``texts`` holds the spelled word of each
+    vertex sampled so far."""
 
     radius: int
     sizes: array
@@ -493,11 +493,10 @@ class _Ball:
     csizes: array
     cparent: array
     cletter: array
-    first: tuple[int, ...]
     rows: list[tuple[int, ...]]
     ends: array
     nbrs: array
-    order: array | None
+    order: array
     texts: dict[int, str]
 
 
@@ -543,14 +542,9 @@ def _shell_rows(model: ModelId, rows: list[tuple[int, ...]], states: list[tuple]
     return shell
 
 
-def _sample_order(sizes: array, states: list[tuple]):
-    """The sort key of the unreached sample: (distance, repr(state))."""
-    return lambda v: (bisect_right(sizes, v), repr(states[v]))
-
-
 def _order(sizes: array, states: list[tuple]) -> array:
-    """The vertices in the order of :func:`_sample_order`, sorted one
-    distance at a time."""
+    """The vertices sorted by distance, then by the repr of their states,
+    one distance at a time: the sample order, which :func:`_vertex_of` bisects."""
     return array("i", chain.from_iterable(sorted(range(lo, hi), key=lambda v: repr(states[v]))
                                           for lo, hi in pairwise([0, *sizes])))
 
@@ -587,17 +581,18 @@ class _Classes:
         return d
 
 
-def _sweep(model: ModelId, radius: int, budget: int):
-    """Sweep the radius-r ball breadth first, numbering each vertex (a
-    normal-form state) once, in discovery order, and stop where a new
-    vertex would exceed the budget.
+def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
+    """Sweep the radius-r ball breadth first, numbering at most ``budget``
+    vertices (normal-form states) once each, in discovery order.
 
-    Each vertex the sweep expands with every letter gets its row of
-    neighbour numbers; after a whole sweep the shell gets its rows from
-    :func:`_shell_rows`.  Each new vertex gets its abelian class from
-    :class:`_Classes`.  Returns (ball, states, index, truncated): the
-    states and the state -> number map, for the caller's one query, and
-    whether the budget cut the sweep short."""
+    Each vertex below distance r gets its row of neighbour numbers, each
+    new vertex its abelian class from :class:`_Classes`, and after a whole
+    sweep the shell its in-ball neighbours from :func:`_shell_rows`.  Once
+    a new vertex would exceed the budget the sweep is cut: a state not yet
+    numbered then gets the number ``budget``, the ball's size, which stands
+    for every state outside it.  A cut sweep finishes its distance and
+    steps the vertices one further out by every letter, so each of its
+    vertices has a full row.  Returns (ball, truncated)."""
     signed = _signed(model)
     ident = identity_state(model)
     index = {ident: 0}
@@ -609,14 +604,11 @@ def _sweep(model: ModelId, radius: int, budget: int):
     sizes = array("i")
     csizes = array("i")
     rows: list[tuple[int, ...]] = []
-    row: list[int] = []
     truncated = False
-    v = 0
     for _ in range(radius):
-        end = len(states)
-        sizes.append(end)
+        sizes.append(len(states))
         csizes.append(len(classes.parent))
-        while v < end:
+        for v in range(len(rows), len(states)):
             state = states[v]
             c = cls[v]
             row = []
@@ -626,42 +618,29 @@ def _sweep(model: ModelId, radius: int, budget: int):
                 if w is None:
                     w = len(states)
                     if w >= budget:
-                        truncated = True
-                        break
-                    index[nxt] = w
-                    states.append(nxt)
-                    parent.append(v)
-                    letter.append(k)
-                    cls.append(classes.next(c, k))
+                        truncated = True  # w = budget: outside the ball
+                    else:
+                        index[nxt] = w
+                        states.append(nxt)
+                        parent.append(v)
+                        letter.append(k)
+                        cls.append(classes.next(c, k))
                 row.append(w)
-            else:
-                rows.append(tuple(row))
-                v += 1
-                continue
-            break
+            rows.append(tuple(row))
         if truncated:
             break
     sizes.append(len(states))
     csizes.append(len(classes.parent))
-    first = rows[0] if rows else tuple(row)
+    if truncated:  # the vertices one distance further out have no row yet
+        rows += [tuple(index.get(step(model, state, name, sign), budget) for name, sign in signed)
+                 for state in states[len(rows):]]
     shell = [] if truncated else _shell_rows(model, rows, states, index)
     ends = array("i", accumulate(map(len, shell), initial=0))
     nbrs = array("i", chain.from_iterable(shell))
     del shell  # before the ordering, which holds the reprs of one distance at a time
-    order = None if truncated else _order(sizes, states)
     ball = _Ball(radius, sizes, parent, letter, cls, csizes, classes.parent, classes.letter,
-                 first, rows, ends, nbrs, order, {})
-    return ball, states, index, truncated
-
-
-def _prefix_states(model: ModelId, ball: _Ball, n: int) -> list[tuple]:
-    """The states of the vertices 0 .. n - 1, stepped along parent pointers."""
-    signed = _signed(model)
-    parent, letter = ball.parent, ball.letter
-    states = [identity_state(model)]
-    for v in range(1, n):
-        states.append(step(model, states[parent[v]], *signed[letter[v]]))
-    return states
+                 rows, ends, nbrs, _order(sizes, states), {})
+    return ball, truncated
 
 
 def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
@@ -677,13 +656,33 @@ def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
     return state
 
 
-def _spelled(model: ModelId, ball: _Ball, v: int, states: list[tuple] | None) -> str:
+def _spelled(model: ModelId, ball: _Ball, v: int) -> str:
     """The word of vertex v as the sample prints it, spelled once per ball."""
     text = ball.texts.get(v)
     if text is None:
-        state = states[v] if states is not None else _vertex_state(model, ball, v)
+        state = _vertex_state(model, ball, v)
         text = ball.texts[v] = serialize_word(NormalForm(model, state).as_word()) or "1"
     return text
+
+
+def _vertex_of(model: ModelId, ball: _Ball, n: int, state: tuple) -> int | None:
+    """The number of the vertex with this state among the vertices
+    0 .. n - 1, or None.  ``order`` sorts each distance's vertices by the
+    repr of their states, so one bisection per distance finds the state
+    if the ball holds it; each probe steps its vertex's state along the
+    parent path, so a hit is exact and the ball stores nothing for it."""
+    text = repr(state)
+    key = lambda v: repr(_vertex_state(model, ball, v))
+    order = ball.order
+    lo = 0
+    for hi in ball.sizes:
+        if lo >= n:
+            break
+        i = bisect_left(order, text, lo, hi, key=key)
+        if i < hi and key(order[i]) == text:
+            return order[i] if order[i] < n else None
+        lo = hi
+    return None
 
 
 def _class_values(ball: _Ball, n: int, moves: list[int]) -> list[int]:
@@ -706,27 +705,25 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
 
     The ball does not depend on chi.  :func:`_sweep` numbers its vertices
     in breadth-first order and keeps, for each, its parent, its arrival
-    letter, its abelian class and its neighbours inside the ball.  A whole
-    ball is kept per model (``_BALLS``) and replaced only by a whole ball
-    of larger radius, so at most one ball per model is kept, and none
-    larger than the budget it was swept under.  A sweep to radius r cut by
-    the budget B keeps the first min(|B(r)|, B) vertices of the
-    breadth-first order, and these are a prefix of every larger ball.  So a
-    query reads that prefix of the kept ball when the ball's radius is at
-    least r or B cuts inside it, and otherwise sweeps anew.  A sweep the
-    budget cut short is used once and not kept; its vertices without a row
-    are stepped by every letter when the search reaches them.
+    letter, its abelian class and its neighbours, and sorts the vertices
+    into the sample order.  A whole ball is kept per model (``_BALLS``)
+    and replaced only by a whole ball of larger radius, so at most one
+    ball per model is kept, and none larger than the budget it was swept
+    under.  A sweep to radius r cut by the budget B keeps the first
+    min(|B(r)|, B) vertices of the breadth-first order, and these are a
+    prefix of every larger ball.  So a query reads that prefix of the kept
+    ball when the ball's radius is at least r or B cuts inside it, and
+    otherwise sweeps anew; a sweep the budget cut is used once, not kept.
 
     A query sums the character's scaled integer letter values (scaling by
     the table's positive denominator keeps every sign) down the tree of
     the prefix's abelian classes, which are far fewer than its vertices,
     and marks the nonnegative vertices by their class.  The search keeps
-    only the neighbours inside the prefix.  The unreached sample is the
-    first ten unreached vertices in the kept ball's ``order``; each is
-    spelled once per ball and its text reused.  A sweep the budget cut
-    short sorts its unreached vertices by :func:`_sample_order` instead.
-    The prefix's states are stepped along parent pointers when targets are
-    given, unless this call swept the ball itself.
+    only the neighbours inside the prefix: every number from n on stands
+    for a state outside it.  The unreached sample is the first ten
+    unreached vertices in the ball's ``order``; each is spelled once per
+    ball and its text reused.  Each target is normalised and looked up in
+    ``order`` by :func:`_vertex_of`.
 
     The budget caps the number of vertices; it comes from the argument or
     else from ``SIGMA_BRAID_BALL_BUDGET`` and must be at least 1."""
@@ -752,13 +749,12 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         raise DomainError("no generator with positive value: unsupported base choice")
 
     ball = _BALLS.get(model)
-    states = index = None
     if ball is not None and (radius <= ball.radius or budget < ball.sizes[-1]):
         whole = ball.sizes[min(radius, ball.radius)]
         n, truncated = min(whole, budget), whole > budget
     else:
-        ball, states, index, truncated = _sweep(model, radius, budget)
-        n = len(states)
+        ball, truncated = _sweep(model, radius, budget)
+        n = ball.sizes[-1]
         if not truncated:
             _BALLS[model] = ball
 
@@ -769,14 +765,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         base = 0
     else:
         base_word = Word((model_sym(*base_letter),))
-        k = signed.index(base_letter)
-        first = ball.first
-        if k < len(first):
-            base = first[k]
-        elif k == len(first):
-            base = n  # the letter that met the budget leads out of the ball
-        else:
-            base = index.get(step(model, states[0], *base_letter), n)
+        base = ball.rows[0][signed.index(base_letter)]
 
     # open_[v]: v is nonnegative and not yet reached; every id from n on
     # stands for a state outside the prefix
@@ -790,39 +779,26 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         todo = [base]
         rows, ends, nbrs = ball.rows, ball.ends, ball.nbrs
         inner = len(rows)
-        listed = inner + len(ends) - 1
         while todo:
             v = todo.pop()
             if v < inner:
                 row = rows[v]
-            elif v < listed:
+            else:
                 v -= inner
                 row = nbrs[ends[v]:ends[v + 1]]
-            else:  # only in a sweep the budget cut short, whose states are at hand
-                state = states[v]
-                row = [index.get(step(model, state, name, sign), n) for name, sign in signed]
             for w in row:
                 if open_[w]:
                     open_[w] = False
                     reached += 1
                     todo.append(w)
 
-    if ball.order is None:  # a sweep the budget cut short
-        unreached = sorted(compress(range(n), open_), key=_sample_order(ball.sizes, states))[:10]
-    else:
-        unreached = islice(filter(open_.__getitem__, ball.order), min(nonnegative - reached, 10))
-    sample = tuple(_spelled(model, ball, v, states) for v in unreached)
+    unreached = islice(filter(open_.__getitem__, ball.order), min(nonnegative - reached, 10))
+    sample = tuple(_spelled(model, ball, v) for v in unreached)
     target_reports = []
-    if targets:
-        if states is None:
-            states = _prefix_states(model, ball, n)
-        if index is None:
-            index = dict(zip(states, range(n)))
-        cls = ball.cls
-        for tw in targets:
-            w = index.get(normalize(model, tw).state)
-            nonneg = w is not None and value[cls[w]] >= 0
-            target_reports.append(TargetReport(
-                serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
+    for tw in targets:
+        w = _vertex_of(model, ball, n, normalize(model, tw).state)
+        nonneg = w is not None and value[ball.cls[w]] >= 0
+        target_reports.append(TargetReport(
+            serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
     return BallReport(model, radius, serialize_word(base_word) or "1",
                       n, nonnegative, reached, truncated, sample, tuple(target_reports))

@@ -336,8 +336,23 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _int_matrix(matrix) -> list[list[int]]:
+    """``matrix``, checked to be a list of lists of integers: a float such
+    as 1.5, a bool or a string is not read as one, and the DomainError
+    names the offending row or entry."""
+    if not isinstance(matrix, list):
+        raise DomainError(f"matrix must be a list of rows, got {matrix!r}")
+    for i, row in enumerate(matrix):
+        if not isinstance(row, list):
+            raise DomainError(f"matrix row {i} must be a list, got {row!r}")
+        for j, entry in enumerate(row):
+            if isinstance(entry, bool) or not isinstance(entry, int):
+                raise DomainError(f"matrix entry [{i}][{j}] must be an integer, got {entry!r}")
+    return matrix
+
+
 def r_infinity_certificate(n: int,
-                           matrix: Sequence[Sequence[int]] | None = None,
+                           matrix: list[list[int]] | None = None,
                            point_permutation: dict | None = None) -> RInfinityCertificate:
     """Certify the twisted-conjugacy criterion for the Klein-bottle pure
     group on n strands.
@@ -359,7 +374,7 @@ def r_infinity_certificate(n: int,
         raise DomainError("pass exactly one of matrix / point_permutation")
     mapping: dict[tuple[int, int], tuple[int, int]] = {}
     if matrix is not None:
-        rows = [list(map(int, row)) for row in matrix]
+        rows = _int_matrix(matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix must be {n}x{n}")
         det = _int_det(rows)

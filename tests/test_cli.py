@@ -231,6 +231,16 @@ def test_verify_cert_malformed_certificate(capsys, cert, message):
      "--perm point must read [i, j], got [1, 2, 3]"),
     (["r-infinity", "--n", "3", "--perm", '[[[1,2],[1,"x"]]]'],
      "--perm point field 1 must be an integer, got 'x'"),
+    (["r-infinity", "--n", "2", "--matrix", "[[1,0],[0,1.5]]"],
+     "matrix entry [1][1] must be an integer, got 1.5"),
+    (["r-infinity", "--n", "2", "--matrix", "[[true,0],[0,1]]"],
+     "matrix entry [0][0] must be an integer, got True"),
+    (["r-infinity", "--n", "2", "--matrix", '[["1","0"],["0","1"]]'],
+     "matrix entry [0][0] must be an integer, got '1'"),
+    (["r-infinity", "--n", "2", "--matrix", "5"],
+     "matrix must be a list of rows, got 5"),
+    (["r-infinity", "--n", "2", "--matrix", "[5,6]"],
+     "matrix row 0 must be a list, got 5"),
 ])
 def test_malformed_json_input_names_the_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -454,9 +455,25 @@ def _ball_or_error(fn, *args):
         return ("DomainError", str(exc))
 
 
+def _tally(counts, got):
+    """Count one report compared with the reference: whether its sweep was
+    truncated, and how many of its targets lie inside and outside the ball."""
+    counts["compared"] += 1
+    if isinstance(got, dict):
+        counts["truncated"] += got["truncated"]
+        for target in got["targets"]:
+            counts["inside" if target["in_ball"] else "outside"] += 1
+
+
+def _assert_coverage(counts):
+    # at least 400 calls, cut sweeps among them, and targets on both sides
+    assert counts["compared"] >= 400, counts
+    assert counts["truncated"] > 0 and counts["inside"] > 0 and counts["outside"] > 0, counts
+
+
 def test_ball_matches_two_pass_reference():
-    truncated = 0
-    for model, chi, radius, targets in _random_ball_cases(seed=5, per_model=6):
+    counts = Counter()
+    for model, chi, radius, targets in _random_ball_cases(seed=5, per_model=16):
         whole = _two_pass_ball(model, chi, radius, targets)[0]
         k = len(model.letter_names)
         # budgets that cut the sweep inside a vertex, the identity included
@@ -467,8 +484,8 @@ def test_ball_matches_two_pass_reference():
                                       model, chi, radius, targets, budget)
             got = _ball_or_error(explore_ball, model, chi, radius, targets, budget)
             assert got == expected, (model, chi.coords, radius, budget)
-            truncated += isinstance(got, dict) and got["truncated"]
-    assert truncated > 0
+            _tally(counts, got)
+    _assert_coverage(counts)
 
 
 def _cold_balls(monkeypatch):
@@ -504,60 +521,69 @@ def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
     # last step meets the budget, and the base vertex lies outside the ball
     cases = [*_random_ball_cases(seed=11, per_model=4),
              (ModelId.G2T, character(ModelId.G2T, {"b": -1}), 2, [])]
-    checked = warm = 0
+    checked = cut = warm = 0
     for model, chi, radius, targets in cases:
         k = len(model.letter_names)
         for budget in (None, 1, 2 * k, 2 * k + 1, 40):
             try:
-                report, swept, full, reach = _two_pass_ball(model, chi, radius, budget=budget)
+                report, swept, _, _ = _two_pass_ball(model, chi, radius, budget=budget)
             except DomainError:
                 continue
             balls.clear()
             calls.clear()
             explore_ball(model, chi, radius, budget=budget)
-            # the vertex the budget cut short counts as stepped and, if it is
-            # reached, as unexpanded; a whole sweep of a non-bipartite model
-            # steps its shell, reached or not, by at most every letter
-            if report.truncated or model.bipartite:
-                stepped = reach - set(swept[:full])
+            n = report.vertex_count
+            if report.truncated:
+                # a cut sweep steps each of its n vertices by every letter,
+                # once: 2k n distinct (state, letter) calls on n states
+                low = high = 2 * k * n
+                assert len(set(calls[:low])) == low
+                assert len({call[1] for call in calls[:low]}) == n
+                cut += 1
             else:
-                stepped = range(len(swept), report.vertex_count)
-            assert len(calls) <= 2 * k * (len(swept) + len(stepped))
+                # a whole sweep steps every vertex below distance r by every
+                # letter and, on a non-bipartite model, the shell by at most
+                # every positive letter (both counted exactly further down)
+                low = 2 * k * len(swept)
+                high = low + (0 if model.bipartite else k * (n - len(swept)))
+            # the sweep steps first; spelling the unreached sample steps at
+            # most 10 vertices along parent paths of at most r letters
+            assert low <= len(calls) <= high + 10 * radius, (model, chi.coords, radius, budget)
             checked += 1
         # the kept ball answers any other character at any radius up to its
         # own and under any budget: it steps only to spell the unreached
-        # sample (at most 10 states at distance <= r), and the prefix's
-        # states when targets are given
+        # sample, and to probe one bisection per distance d <= r for each
+        # target, each probe a parent path of d letters
         balls.clear()
         explore_ball(model, chi, radius)
+        size = len(balls[model].parent)
         other = -chi
         for r in range(1, radius + 1):
             for budget in (None, 1, 2 * k, 2 * k + 1, 40):
                 for given in ((), targets):
                     calls.clear()
-                    got = explore_ball(model, other, r, given, budget)
-                    assert len(calls) <= 10 * r + (got.vertex_count if given else 0)
+                    explore_ball(model, other, r, given, budget)
+                    probes = len(given) * r * (r + 1) // 2 * (size.bit_length() + 1)
+                    assert len(calls) <= 10 * r + probes
                     warm += 1
-    assert checked > 0 and warm > 0
+    assert checked > 0 and cut > 0 and warm > 0
 
 
 def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
     from sigmabraid.characters import abelianization
 
     balls = _cold_balls(monkeypatch)
-    compared = truncated = 0
+    counts = Counter()
 
     def same(model, chi, radius, targets, budget=None):
-        nonlocal compared, truncated
         expected = _ball_or_error(lambda *a: _two_pass_ball(*a)[0],
                                   model, chi, radius, targets, budget)
         got = _ball_or_error(explore_ball, model, chi, radius, targets, budget)
         assert got == expected, (model, chi.coords, radius, budget, targets)
-        compared += 1
-        truncated += isinstance(got, dict) and got["truncated"]
+        _tally(counts, got)
 
     # G3T at radius 3 has edges inside the shell
-    cases = [*_random_ball_cases(seed=19, per_model=4),
+    cases = [*_random_ball_cases(seed=19, per_model=5),
              (ModelId.G3T, character(ModelId.G3T, {"x": 1, "u": 1, "v": -2}), 3,
               [mword("x v u^-1"), mword("y w^-1 x v")])]
     for model, chi, radius, targets in cases:
@@ -585,7 +611,7 @@ def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
                 for given in ((), targets):
                     same(model, chi, r, given, budget)
             same(model, chi, r, targets)
-    assert compared > 0 and truncated > 0
+    _assert_coverage(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -660,16 +686,30 @@ def test_class_sums_equal_parent_pointer_sums(model, monkeypatch):
     assert checked > 0
 
 
+def _ball_states(model, ball):
+    """The state of every vertex of the ball, stepped along parent pointers."""
+    from sigmabraid.criterion import _signed
+    from sigmabraid.models import identity_state, step
+
+    signed = _signed(model)
+    states = [identity_state(model)]
+    for v in range(1, len(ball.parent)):
+        states.append(step(model, states[ball.parent[v]], *signed[ball.letter[v]]))
+    return states
+
+
 @pytest.mark.parametrize("model", list(ModelId))
 def test_sample_is_the_first_unreached_in_sample_order(model, monkeypatch):
-    from sigmabraid.criterion import _prefix_states, _sample_order, _signed
+    from bisect import bisect_right
+
+    from sigmabraid.criterion import _signed
     from sigmabraid.models import NormalForm, normalize, step
     from sigmabraid.words import serialize_word
 
     balls = _cold_balls(monkeypatch)
     explore_ball(model, character(model, {}), _CLASS_RADII[model])
     ball = balls[model]
-    states = _prefix_states(model, ball, len(ball.parent))
+    states = _ball_states(model, ball)
     index = {state: v for v, state in enumerate(states)}
     signed = _signed(model)
     sampled = 0
@@ -691,7 +731,9 @@ def test_sample_is_the_first_unreached_in_sample_order(model, monkeypatch):
                         reached.add(w)
                         todo.append(w)
             assert report.reachable_count == len(reached)
-            unreached = sorted(nonneg - reached, key=_sample_order(ball.sizes, states))[:10]
+            # the sample order: by distance, then by the repr of the state
+            unreached = sorted(nonneg - reached,
+                               key=lambda v: (bisect_right(ball.sizes, v), repr(states[v])))[:10]
             assert report.unreached_sample == tuple(
                 serialize_word(NormalForm(model, states[v]).as_word()) or "1" for v in unreached)
             sampled += len(unreached)
@@ -770,19 +812,24 @@ def test_ball_never_steps_the_shell_of_a_bipartite_model(monkeypatch):
     for model, chi, radius, _ in _random_ball_cases(seed=13, per_model=6):
         if not model.bipartite:
             continue
-        inner = sum(d < radius for d in _ball_distances(model, radius).values())
+        inner = [state for state, d in _ball_distances(model, radius).items() if d < radius]
+        expected = Counter((model, state, name, sign) for state in inner
+                           for name in model.letter_names for sign in (1, -1))
         balls.clear()
         calls.clear()
         report = explore_ball(model, chi, radius)
         assert not report.truncated
-        assert len(calls) == 2 * len(model.letter_names) * inner, (model, chi.coords, radius)
+        # the sweep steps first, and each vertex below distance r by every
+        # letter only; spelling the unreached sample then steps at most 10
+        # vertices along parent paths of at most r letters
+        sweep = sum(expected.values())
+        assert Counter(calls[:sweep]) == expected, (model, chi.coords, radius)
+        assert len(calls) - sweep <= 10 * radius
         checked += 1
     assert checked == 12
 
 
 def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
-    from collections import Counter
-
     from sigmabraid.models import step
 
     balls = _cold_balls(monkeypatch)
@@ -809,6 +856,10 @@ def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
         balls.clear()
         calls.clear()
         assert explore_ball(model, chi, radius).to_json() == report.to_json()
-        assert Counter(calls) == expected, (model, chi.coords, radius)
-        shell_steps += sum(expected.values()) - len(swept) * len(letters)
+        # the sweep steps first; spelling the unreached sample then steps at
+        # most 10 vertices along parent paths of at most r letters
+        sweep = sum(expected.values())
+        assert Counter(calls[:sweep]) == expected, (model, chi.coords, radius)
+        assert len(calls) - sweep <= 10 * radius
+        shell_steps += sweep - len(swept) * len(letters)
     assert shell_steps > 0

@@ -278,6 +278,21 @@ def test_r_infinity_certificates():
         r_infinity_certificate(2, matrix=[[1, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[1, 0], [0, 1.5]], "matrix entry [1][1] must be an integer, got 1.5"),
+    ([[True, 0], [0, 1]], "matrix entry [0][0] must be an integer, got True"),
+    ([["1", "0"], ["0", "1"]], "matrix entry [0][0] must be an integer, got '1'"),
+    (5, "matrix must be a list of rows, got 5"),
+    ([5, 6], "matrix row 0 must be a list, got 5"),
+])
+def test_r_infinity_matrix_must_hold_integers(matrix, message):
+    # a float, bool or string entry is not truncated or converted into an
+    # integer, and a matrix that is not a list of rows is not iterated
+    with pytest.raises(DomainError) as err:
+        r_infinity_certificate(2, matrix=matrix)
+    assert str(err.value) == message
+
+
 def test_r_infinity_point_permutation_input():
     points = [(d.i, d.j) for d in enumerate_complement(K(2)).descriptors]
     ident = {p: p for p in points}
