@@ -38,9 +38,8 @@ Evaluation runs on integers.  Each character carries one
 the lcm L of their denominators, and the exact integer value L*chi(g) of
 every positive letter g met so far.  :func:`evaluate` and :func:`nu`
 sum and minimise these integers and divide by L once at the end, so they
-still return exact Fractions; :func:`letter_values`, the ball sweep and
-the certificate margins read the integers directly, since positive
-scaling keeps every sign.
+still return exact Fractions; the ball search and the certificate margins
+read the integers directly, since positive scaling keeps every sign.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .words import (
     GeneratorSymbol,
     GroupContext,
     Word,
-    model_sym,
     validate_symbol,
 )
 
@@ -328,18 +326,6 @@ def evaluate(chi: Character, w: Word) -> Fraction:
     concatenation."""
     table = chi.letter_table
     return Fraction(table.total(w), table.denominator)
-
-
-def letter_values(chi: Character) -> dict[tuple[str, int], int]:
-    """The letter table on every signed letter of a model alphabet
-    (ball-search helper).  Values are L*chi(letter) for the table's
-    denominator L: exact integers with the signs and order of chi."""
-    group = chi.spec.group
-    if not isinstance(group, ModelId):
-        raise DomainError("letter_values is only defined for model characters")
-    table = chi.letter_table
-    return {(name, sign): table.value(model_sym(name, sign))
-            for name in group.letter_names for sign in (1, -1)}
 
 
 def nu(chi: Character, start: Word, steps: Word) -> Fraction:

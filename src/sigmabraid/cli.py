@@ -318,10 +318,7 @@ def main(argv=None) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         doc = handler(args, parser)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # DomainError and JSONDecodeError among them
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(doc, args.format)

@@ -29,16 +29,16 @@ inside the chi-nonnegative part of a model's Cayley ball.  The ball does
 not depend on chi: a breadth-first sweep, canonicalising vertices by
 normal form, numbers each vertex once and keeps its parent, its arrival
 letter, its abelian class (the exponent vector of the free letters, on
-which every character is constant), its neighbours and the sample order.
-A ball cut by a vertex budget has the same shape.  One whole ball per
-model is kept, the largest swept so far and never larger than the budget
-it was swept under; because vertices are numbered in breadth-first order,
-a sweep to a smaller radius, or one cut by a vertex budget, is a prefix
-of it.  Each query sums chi down the tree of the prefix's classes, marks
-the nonnegative vertices by class, and searches the prefix; it finds its
-unreached sample and its targets through the sample order.  A bounded
-sweep can certify reachability but never disconnection; the report says
-so explicitly.
+which every character is constant), its row of neighbours and the sample
+order.  A ball cut by a vertex budget has the same shape.  One whole
+ball per model is kept, the largest swept so far and never larger than
+the budget it was swept under; because vertices are numbered in
+breadth-first order, a sweep to a smaller radius, or one cut by a vertex
+budget, is a prefix of it.  Each query sums chi down the tree of the
+prefix's classes, marks the nonnegative vertices by class, and searches
+the prefix; it finds its unreached sample and its targets through the
+sample order.  A bounded sweep can certify reachability but never
+disconnection; the report says so explicitly.
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, islice, pairwise
+from itertools import chain, islice, pairwise
 from typing import Iterable, Sequence
 
 from .characters import (
     Character,
     evaluate,
-    letter_values,
     model_character,
     torus_character,
 )
@@ -476,14 +475,14 @@ class _Ball:
     along its parent path, so every character is constant on a class.
     Classes are numbered in discovery order, ``csizes[d]`` counts those met
     at distance <= d, and class c > 0 was met from class ``cparent[c]`` by
-    the letter ``cletter[c]``, which is free.  Vertex v < len(rows) has
-    its row of neighbours, one per letter, in ``rows[v]``, where a number
-    >= the ball's size stands for a state outside it; the others, the
-    radius-r shell of a whole sweep, have their neighbours inside the ball
-    in ``nbrs[ends[j]:ends[j + 1]]`` for v = len(rows) + j.  A cut sweep
-    gives every vertex a row.  ``order`` lists the vertices in the sample
-    order of :func:`_order`, and ``texts`` holds the spelled word of each
-    vertex sampled so far."""
+    the letter ``cletter[c]``, which is free.  Every vertex v has its row
+    of neighbours in ``rows[v]``.  The row of a vertex below distance r,
+    and every row of a cut sweep, holds one number per letter, where the
+    ball's size stands for a state outside it; the row of a vertex of the
+    radius-r shell of a whole sweep holds its neighbours inside the ball
+    only.  ``order`` lists the vertices in the sample order of
+    :func:`_order`, and ``texts`` holds the spelled word of each vertex
+    sampled so far."""
 
     radius: int
     sizes: array
@@ -494,8 +493,6 @@ class _Ball:
     cparent: array
     cletter: array
     rows: list[tuple[int, ...]]
-    ends: array
-    nbrs: array
     order: array
     texts: dict[int, str]
 
@@ -585,14 +582,16 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     """Sweep the radius-r ball breadth first, numbering at most ``budget``
     vertices (normal-form states) once each, in discovery order.
 
-    Each vertex below distance r gets its row of neighbour numbers, each
-    new vertex its abelian class from :class:`_Classes`, and after a whole
-    sweep the shell its in-ball neighbours from :func:`_shell_rows`.  Once
-    a new vertex would exceed the budget the sweep is cut: a state not yet
-    numbered then gets the number ``budget``, the ball's size, which stands
-    for every state outside it.  A cut sweep finishes its distance and
-    steps the vertices one further out by every letter, so each of its
-    vertices has a full row.  Returns (ball, truncated)."""
+    Each vertex below distance r gets its row of neighbour numbers, one
+    per letter, and each new vertex its abelian class from
+    :class:`_Classes`; after a whole sweep each shell vertex gets the row
+    of its in-ball neighbours from :func:`_shell_rows`, so ``rows`` holds
+    one row per vertex.  Once a new vertex would exceed the budget the
+    sweep is cut: a state not yet numbered then gets the number
+    ``budget``, the ball's size, which stands for every state outside it.
+    A cut sweep finishes its distance and steps the vertices one further
+    out by every letter, so each of its vertices has a full row.  Returns
+    (ball, truncated)."""
     signed = _signed(model)
     ident = identity_state(model)
     index = {ident: 0}
@@ -634,12 +633,10 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     if truncated:  # the vertices one distance further out have no row yet
         rows += [tuple(index.get(step(model, state, name, sign), budget) for name, sign in signed)
                  for state in states[len(rows):]]
-    shell = [] if truncated else _shell_rows(model, rows, states, index)
-    ends = array("i", accumulate(map(len, shell), initial=0))
-    nbrs = array("i", chain.from_iterable(shell))
-    del shell  # before the ordering, which holds the reprs of one distance at a time
+    else:
+        rows += map(tuple, _shell_rows(model, rows, states, index))
     ball = _Ball(radius, sizes, parent, letter, cls, csizes, classes.parent, classes.letter,
-                 rows, ends, nbrs, _order(sizes, states), {})
+                 rows, _order(sizes, states), {})
     return ball, truncated
 
 
@@ -703,26 +700,30 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     """Bounded sweep of the radius-r Cayley ball of the model, then a
     search from the base vertex through the chi-nonnegative part of it.
 
-    The ball does not depend on chi.  :func:`_sweep` numbers its vertices
-    in breadth-first order and keeps, for each, its parent, its arrival
-    letter, its abelian class and its neighbours, and sorts the vertices
-    into the sample order.  A whole ball is kept per model (``_BALLS``)
-    and replaced only by a whole ball of larger radius, so at most one
-    ball per model is kept, and none larger than the budget it was swept
-    under.  A sweep to radius r cut by the budget B keeps the first
-    min(|B(r)|, B) vertices of the breadth-first order, and these are a
-    prefix of every larger ball.  So a query reads that prefix of the kept
-    ball when the ball's radius is at least r or B cuts inside it, and
-    otherwise sweeps anew; a sweep the budget cut is used once, not kept.
+    The ball does not depend on chi.  :func:`_sweep` numbers its
+    vertices in breadth-first order and keeps, for each, its parent, its
+    arrival letter, its abelian class and its row of neighbours, and
+    sorts the vertices into the sample order.  A whole ball is kept per
+    model (``_BALLS``) and replaced only by a whole ball of larger
+    radius, so at most one ball per model is kept, and none larger than
+    the budget it was swept under.  A sweep to radius r cut by the
+    budget B keeps the first min(|B(r)|, B) vertices of the
+    breadth-first order, and these are a prefix of every larger ball.
+    So a query reads that prefix of the kept ball when the ball's radius
+    is at least r or B cuts inside it, and otherwise sweeps anew; a
+    sweep the budget cut is used once, not kept.
 
-    A query sums the character's scaled integer letter values (scaling by
-    the table's positive denominator keeps every sign) down the tree of
-    the prefix's abelian classes, which are far fewer than its vertices,
-    and marks the nonnegative vertices by their class.  The search keeps
-    only the neighbours inside the prefix: every number from n on stands
-    for a state outside it.  The unreached sample is the first ten
-    unreached vertices in the ball's ``order``; each is spelled once per
-    ball and its text reused.  Each target is normalised and looked up in
+    A query reads the scaled integer value of each signed letter from
+    ``chi.letter_table`` (scaling by the table's positive denominator
+    keeps every sign); the base is the first letter of positive value,
+    or the identity when chi is zero.  It sums these values down the
+    tree of the prefix's abelian classes, which are far fewer than its
+    vertices, and marks the nonnegative vertices by their class.  The
+    search reads one row per reached vertex and keeps only the
+    neighbours inside the prefix: every number from n on stands for a
+    state outside it.  The unreached sample is the first ten unreached
+    vertices in the ball's ``order``; each is spelled once per ball and
+    its text reused.  Each target is normalised and looked up in
     ``order`` by :func:`_vertex_of`.
 
     The budget caps the number of vertices; it comes from the argument or
@@ -734,19 +735,13 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     if chi.spec.group != model:
         raise DomainError(f"character lives on {chi.spec.group}, not {model.value}")
     budget = _ball_budget(budget)
-    values = letter_values(chi)
+    table = chi.letter_table
     signed = _signed(model)
-
-    base_letter = None
-    for sign in (1, -1):
-        for name in model.letter_names:
-            if values[(name, sign)] > 0:
-                base_letter = (name, sign)
-                break
-        if base_letter:
-            break
-    if base_letter is None and any(v != 0 for v in values.values()):
-        raise DomainError("no generator with positive value: unsupported base choice")
+    moves = [table.value(model_sym(name, sign)) for name, sign in signed]
+    # the base letter: the first letter of positive value, preferring a
+    # generator (even k) to an inverse (odd k); a nonzero chi has one, as
+    # _signed lists each letter next to its inverse
+    base_k = min((k for k, v in enumerate(moves) if v > 0), key=lambda k: k & 1, default=None)
 
     ball = _BALLS.get(model)
     if ball is not None and (radius <= ball.radius or budget < ball.sizes[-1]):
@@ -758,14 +753,14 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         if not truncated:
             _BALLS[model] = ball
 
-    value = _class_values(ball, n, [values[s] for s in signed])
+    value = _class_values(ball, n, moves)
 
-    if base_letter is None:
+    if base_k is None:
         base_word = IDENTITY
         base = 0
     else:
-        base_word = Word((model_sym(*base_letter),))
-        base = ball.rows[0][signed.index(base_letter)]
+        base_word = Word((model_sym(*signed[base_k]),))
+        base = ball.rows[0][base_k]
 
     # open_[v]: v is nonnegative and not yet reached; every id from n on
     # stands for a state outside the prefix
@@ -777,16 +772,9 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         open_[base] = False
         reached = 1
         todo = [base]
-        rows, ends, nbrs = ball.rows, ball.ends, ball.nbrs
-        inner = len(rows)
+        rows = ball.rows
         while todo:
-            v = todo.pop()
-            if v < inner:
-                row = rows[v]
-            else:
-                v -= inner
-                row = nbrs[ends[v]:ends[v + 1]]
-            for w in row:
+            for w in rows[todo.pop()]:
                 if open_[w]:
                     open_[w] = False
                     reached += 1

@@ -364,11 +364,13 @@ def r_infinity_certificate(n: int,
     directly as a dict (i,j) -> (i,j).  The certificate holds when the
     induced permutation is the identity; every automorphism inducing it
     then has infinitely many twisted conjugacy classes.  The index bound
-    (2*C(n,2))! bounds the subgroup of such automorphisms.
+    (2*C(n,2))! bounds the subgroup of such automorphisms.  An n that is
+    not an integer, or a point_permutation that is not a dict from
+    complement points to complement points, is a DomainError naming it.
     """
+    group = GroupContext("P", "K", n)
     if n < 2:
         raise DomainError("need n >= 2")
-    group = GroupContext("P", "K", n)
     points = [(d.i, d.j) for d in enumerate_complement(group).descriptors]
     if (matrix is None) == (point_permutation is None):
         raise DomainError("pass exactly one of matrix / point_permutation")
@@ -391,6 +393,12 @@ def r_infinity_certificate(n: int,
                     f"maps to coordinates {vec}")
             mapping[(i, j)] = image
     else:
+        if not isinstance(point_permutation, dict):
+            raise DomainError("point_permutation must be a dict, "
+                              f"got {type(point_permutation).__name__}")
+        for p in (*point_permutation, *point_permutation.values()):
+            if not isinstance(p, (tuple, list)) or tuple(p) not in points:
+                raise DomainError(f"point_permutation: {p!r} is not a complement point of {group}")
         mapping = {tuple(k): tuple(v) for k, v in point_permutation.items()}
         if sorted(mapping) != sorted(points) or sorted(mapping.values()) != sorted(points):
             raise DomainError("point_permutation must be a bijection of the "

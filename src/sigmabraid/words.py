@@ -278,6 +278,8 @@ class GroupContext:
             raise DomainError(f"family must be P or B, got {self.family!r}")
         if self.surface not in ("T", "K", "S2", "RP2", "D"):
             raise DomainError(f"unknown surface tag {self.surface!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise DomainError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
 

@@ -13,7 +13,6 @@ from sigmabraid.characters import (
     character_to_json,
     evaluate,
     klein_character,
-    letter_values,
     model_character,
     nu,
     sphere_character,
@@ -362,11 +361,15 @@ def test_table_stays_out_of_eq_hash_repr():
 
 def test_letter_values_are_scaled_integers():
     chi = character(ModelId.G2K, {"y": Fraction(-1, 2), "b": Fraction(2, 3)})
-    values = letter_values(chi)
-    assert values[("y", 1)] == -3 and values[("y", -1)] == 3
-    assert values[("b", 1)] == 4 and values[("x", 1)] == 0
-    for (name, sign), v in values.items():
-        assert Fraction(v, 6) == evaluate(chi, Word((model_sym(name, sign),)))
+    table = chi.letter_table
+    assert table.denominator == 6
+    assert table.value(model_sym("y")) == -3 and table.value(model_sym("y", -1)) == 3
+    assert table.value(model_sym("b")) == 4 and table.value(model_sym("x")) == 0
+    for name in ModelId.G2K.letter_names:
+        for sign in (1, -1):
+            v = table.value(model_sym(name, sign))
+            assert type(v) is int
+            assert Fraction(v, 6) == evaluate(chi, Word((model_sym(name, sign),)))
 
 
 @pytest.mark.parametrize("model, coords, radius", [

@@ -339,7 +339,6 @@ def _two_pass_ball(model, chi, radius, targets=(), budget=None):
     them it expanded fully, and the reached set."""
     from collections import deque
 
-    from sigmabraid.characters import letter_values
     from sigmabraid.criterion import BallReport, TargetReport, _ball_budget
     from sigmabraid.models import NormalForm, identity_state, normalize, step
     from sigmabraid.words import IDENTITY, serialize_word
@@ -349,8 +348,8 @@ def _two_pass_ball(model, chi, radius, targets=(), budget=None):
     if chi.spec.group != model:
         raise DomainError(f"character lives on {chi.spec.group}, not {model.value}")
     budget = _ball_budget(budget)
-    values = letter_values(chi)
     signed = [(name, sign) for name in model.letter_names for sign in (1, -1)]
+    values = {(name, sign): chi.letter_table.value(model_sym(name, sign)) for name, sign in signed}
     base_letter = None
     for sign in (1, -1):
         for name in model.letter_names:
@@ -636,11 +635,9 @@ def _seeded_characters(model, rng, count):
 
 def _vertex_values(model, ball, chi):
     """The scaled character at every vertex, summed along parent pointers."""
-    from sigmabraid.characters import letter_values
     from sigmabraid.criterion import _signed
 
-    values = letter_values(chi)
-    moves = [values[s] for s in _signed(model)]
+    moves = [chi.letter_table.value(model_sym(*s)) for s in _signed(model)]
     value = [0] * len(ball.parent)
     for v in range(1, len(ball.parent)):
         value[v] = value[ball.parent[v]] + moves[ball.letter[v]]
@@ -863,3 +860,39 @@ def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
         assert len(calls) - sweep <= 10 * radius
         shell_steps += sweep - len(swept) * len(letters)
     assert shell_steps > 0
+
+
+# the largest radius the ball benchmark sweeps, per model
+_BENCH_RADII = {ModelId.G2T: 5, ModelId.G2K: 5, ModelId.G3T: 3, ModelId.G4T: 3}
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_rows_list_the_neighbours_of_every_vertex(model, monkeypatch):
+    from sigmabraid.criterion import _signed, _sweep
+    from sigmabraid.models import step
+
+    balls = _cold_balls(monkeypatch)
+    radius = _BENCH_RADII[model]
+    explore_ball(model, character(model, {}), radius)
+    whole = balls[model]
+    shell = whole.sizes[-2]
+    # a sweep the budget cuts halfway through the shell
+    cut, truncated = _sweep(model, radius, (shell + whole.sizes[-1]) // 2)
+    assert truncated
+    for ball in (whole, cut):
+        states = _ball_states(model, ball)
+        index = {state: v for v, state in enumerate(states)}
+        size = len(states)
+        assert len(index) == size == len(ball.rows)
+        nbrs = [[index.get(step(model, state, name, sign)) for name, sign in _signed(model)]
+                for state in states]
+        for v, row in enumerate(ball.rows):
+            if ball is cut or v < shell:
+                # inner and cut rows: one neighbour number per letter, the
+                # ball's size for a state outside it
+                assert row == tuple(size if w is None else w for w in nbrs[v]), (model, v)
+            else:
+                # shell rows: the neighbours inside the ball, in any order
+                assert sorted(row) == sorted(w for w in nbrs[v] if w is not None), (model, v)
+                for w in row:
+                    assert ball.rows[w].count(v) == row.count(w), (model, v, w)

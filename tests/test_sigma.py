@@ -304,6 +304,20 @@ def test_r_infinity_point_permutation_input():
         r_infinity_certificate(2, point_permutation={points[0]: points[0]})
 
 
+@pytest.mark.parametrize("n, perm, message", [
+    (2, [1], "point_permutation must be a dict, got list"),
+    (2, {(1, 2): 5}, "point_permutation: 5 is not a complement point of P_2(K)"),
+    (2, {(1, 2): (1, 2), 7: (1, 2)}, "point_permutation: 7 is not a complement point of P_2(K)"),
+    (2.5, {}, "n must be an integer, got 2.5"),
+    ("3", {}, "n must be an integer, got '3'"),
+])
+def test_r_infinity_rejects_malformed_input(n, perm, message):
+    # each of these once escaped as an AttributeError or a TypeError
+    with pytest.raises(DomainError) as err:
+        r_infinity_certificate(n, point_permutation=perm)
+    assert str(err.value) == message
+
+
 def test_commutator_fg_flags():
     expected = {("T", 1): True, ("K", 1): True, ("S2", 1): True,
                 ("S2", 2): True, ("S2", 3): True}

@@ -187,3 +187,10 @@ def test_index_validation():
         alpha_beta_word("alpha", 5, 1, 4)
     with pytest.raises(AlphabetError):
         aij_word(2, 2, 4)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", None])
+def test_group_context_needs_an_integer_n(n):
+    # GroupContext("P", "T", True) once printed as P_True(T)
+    with pytest.raises(DomainError, match=f"n must be an integer, got {n!r}"):
+        GroupContext("P", "T", n)
