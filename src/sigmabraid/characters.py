@@ -288,13 +288,14 @@ def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Ration
     """Build a character from a label->value mapping or a full coordinate
     sequence on the free basis."""
     spec = abelianization(group)
+    # tuples from lists, not generators: see sphere_point
     if isinstance(coords, Mapping):
         unknown = set(coords) - set(spec.free_labels)
         if unknown:
             raise AlphabetError(f"not free coordinates of {group}: {sorted(unknown)}")
-        vec = tuple(_exact(coords.get(label, 0)) for label in spec.free_labels)
+        vec = tuple([_exact(coords.get(label, 0)) for label in spec.free_labels])
     else:
-        vec = tuple(map(_exact, coords))
+        vec = tuple([_exact(c) for c in coords])
         if len(vec) != spec.free_rank:
             raise DomainError(f"expected {spec.free_rank} coordinates, got {len(vec)}")
     return Character(spec, vec)
@@ -407,10 +408,13 @@ class SpherePoint:
 def sphere_point(chi: Character) -> SpherePoint:
     if chi.is_zero():
         raise DomainError("the zero character has no sphere point")
-    scale = math.lcm(*(c.denominator for c in chi.coords))
+    # Lists, not generators, feed the tuples: CPython sizes a tuple built from
+    # a generator by a guess and resizes it, and the freed tuples fill the
+    # interpreter's per-size free lists, which keep their memory.
+    scale = math.lcm(*[c.denominator for c in chi.coords])
     ints = [int(c * scale) for c in chi.coords]
     g = math.gcd(*ints)
-    return SpherePoint(chi.spec, tuple(c // g for c in ints))
+    return SpherePoint(chi.spec, tuple([c // g for c in ints]))
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def _certificate_from_json(doc) -> PathCertificate:
     for e in json_field(doc, "entries", (list,), what):
         z = letter(e, "z", "certificate entry")
         path = parse(json_field(e, "word", (str,), "certificate entry"))
-        entries.append(CertificateEntry(z, path, e.get("cite", "")))
+        cite = json_field(e, "cite", (str,), "certificate entry") if "cite" in e else ""
+        entries.append(CertificateEntry(z, path, cite))
     return PathCertificate(context, t, tuple(entries))
 
 

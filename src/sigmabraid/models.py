@@ -24,21 +24,29 @@ t z = (t z t^-1) t, using the conjugation action tables below.  Exponents are
 plain Python ints (arbitrary precision).  Two elements are equal iff their
 layered normal forms are componentwise equal; this decides the word problem.
 
-Every letter rule treats the outermost fiber component (omega, mu or kappa)
-as write-only: a letter right-multiplies it by a word z computed from the
-inner components and the exponents alone.  The base rules are written so,
-and :func:`_extend` only appends to its new outer component, so this holds by
-construction.  :func:`normalize` relies on it: it runs the rule on a state
-whose outer component is empty, reads z off the result and pushes z onto one
-list with free reduction, so a letter costs O(|z|) instead of O(length of the
-outer component so far).  The result equals the fold of :func:`step` from
-:func:`identity_state`; the tests lock that in.
+A letter never reads the outermost fiber component (omega, mu or kappa): it
+right-multiplies it by a word z computed from the inner components and the
+exponents alone.  The letter rule says so in its signature,
+``rule(inner, name, sign) -> (z, inner')``, where ``inner`` is the state
+without its outer component.  :func:`step` is the rule followed by the
+append; :func:`_extend` runs a lower letter as the base level's step on
+``inner``; :func:`normalize` folds the rules and pushes each z onto one
+list with free reduction, so a letter costs O(|z|) instead of O(length of
+the outer component so far).  The result equals the fold of :func:`step`
+from :func:`identity_state`; the tests lock that in.
+
+Every appended word z and every fiber component is held to
+``FIBER_BUDGET`` letters, tested once per appended word; past it a rule
+raises :class:`FiberBudgetError`, so a long G3T or G4T word, whose fibers
+grow exponentially with its length, fails fast instead of exhausting
+memory.
 
 The tables ``_*_INTO`` store the defining actions g^-1 z g.  The inverse
 automorphisms ``_*_OUT`` (g z g^-1) are solved from them by hand and locked
 in by the composition tests: applying one table after the other must fix
-every letter.  At import each table is expanded once into the images of the
-signed letters, so conjugating a fiber word maps it in a single reducing pass.
+every letter.  At import each table is expanded once into the images of
+all signed letters of its fiber, fixed letters included, so conjugating a
+fiber word maps it in a single reducing pass with one lookup per letter.
 
 Free words over a fiber are encoded as tuples of signed small ints
 (letter code k, inverse -k), always freely reduced.
@@ -114,6 +122,14 @@ class TranslationError(DomainError):
     """A symbol has no image under the requested dictionary direction."""
 
 
+class FiberBudgetError(DomainError):
+    """A fiber word outgrew ``FIBER_BUDGET`` letters (module docstring)."""
+
+
+# the most letters an appended word or a fiber component may hold
+FIBER_BUDGET = 10 ** 6
+
+
 # ---------------------------------------------------------------------------
 # Signed-int free words
 
@@ -132,9 +148,9 @@ def _fmul(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fmul1(w: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """``_fmul(w, (c,))`` without the list round trip."""
-    return w[:-1] if w and w[-1] == -c else w + (c,)
+def _over_budget(length: int) -> FiberBudgetError:
+    return FiberBudgetError(f"a fiber word of {length} letters passes the budget of "
+                            f"{FIBER_BUDGET} letters")
 
 
 def _finv(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -145,11 +161,13 @@ def _xpow(k: int) -> tuple[int, ...]:
     return (1,) * k if k >= 0 else (-1,) * (-k)
 
 
-def _signed_table(table: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
-    """The images of the signed letters under the automorphism sending letter
-    k to ``table[k]``; letters without an entry are fixed and stay absent."""
-    signed = dict(table)
-    signed.update((-k, _finv(img)) for k, img in table.items())
+def _signed_table(table: dict[int, tuple[int, ...]], rank: int) -> dict[int, tuple[int, ...]]:
+    """The images of every signed letter of F(1..rank) under the automorphism
+    sending letter k to ``table[k]``; letters without an entry are fixed."""
+    signed = {}
+    for k in range(1, rank + 1):
+        img = table.get(k, (k,))
+        signed[k], signed[-k] = img, _finv(img)
     return signed
 
 
@@ -157,7 +175,7 @@ def _map_signed(signed: dict[int, tuple[int, ...]], w: Iterable[int]) -> list[in
     """Image of ``w`` under a signed table, freely reduced in one pass."""
     out: list[int] = []
     for c in w:
-        for d in signed.get(c) or (c,):
+        for d in signed[c]:
             if out and out[-1] == -d:
                 out.pop()
             else:
@@ -209,12 +227,14 @@ _G4T_OUT = {
 }
 
 
-def _actions(letters: tuple[str, ...], into: dict, out: dict) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Signed table of z -> c z c^-1 for every signed code c of a layer's letters."""
+def _actions(letters: tuple[str, ...], into: dict, out: dict,
+             rank: int) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Signed table of z -> c z c^-1 on a fiber of ``rank`` letters, for every
+    signed code c of a layer's letters."""
     acts = {}
     for code, name in enumerate(letters, 1):
-        acts[code] = _signed_table(out.get(name, {}))
-        acts[-code] = _signed_table(into.get(name, {}))
+        acts[code] = _signed_table(out.get(name, {}), rank)
+        acts[-code] = _signed_table(into.get(name, {}), rank)
     return acts
 
 
@@ -223,6 +243,7 @@ def _actions(letters: tuple[str, ...], into: dict, out: dict) -> dict[int, dict[
 #
 # A state lists the fiber components outermost first, then the exponents:
 # G2T / G2K (omega, n, m), G3T (mu, omega, n, m), G4T (kappa, mu, omega, n, m).
+# A rule's ``inner`` is the state without its first entry.
 
 @dataclass(frozen=True, slots=True)
 class _Model:
@@ -232,7 +253,10 @@ class _Model:
     layers: tuple[tuple[str, ...], ...]  # fiber letter names, outermost layer first
     alphabet: tuple[str, ...]
     identity: tuple
-    mult: Callable[[tuple, str, int], tuple]  # right-multiply a state by one letter
+    # rule(inner, name, sign) -> (z, inner'): the letter appends z to the outer
+    # fiber component, which it never reads, and turns inner into inner'
+    rule: Callable[[tuple, str, int], tuple[tuple[int, ...], tuple]]
+    step: Callable[[tuple, str, int], tuple]  # the rule, then the append (_stepper)
     into: dict  # g^-1 z g and g z g^-1 on the outer fiber, per acting letter g
     out: dict
     orders: dict[str, int]  # abelian order of each letter, in alphabet order (module docstring)
@@ -261,77 +285,96 @@ def _relator_facts(fiber: tuple[str, ...], into: dict) -> tuple[dict[str, int], 
     return orders, odd
 
 
-def _g2t_mult(state, name: str, sgn: int):
-    omega, n, m = state
+def _g2t_rule(inner, name: str, sgn: int):
     if name == "x":
-        return _fmul1(omega, sgn), n, m
+        return (sgn,), inner
     if name == "y":
-        return _fmul1(omega, 2 * sgn), n, m
+        return (2 * sgn,), inner
+    n, m = inner
     if name == "a":
-        return omega, n + sgn, m
-    return omega, n, m + sgn
+        return (), (n + sgn, m)
+    return (), (n, m + sgn)
 
 
-def _g2k_mult(state, name: str, sgn: int):
-    omega, n, m = state
+def _g2k_rule(inner, name: str, sgn: int):
+    n, m = inner
     if name == "a":
-        return omega, n + (1 if (m % 2 == 0) == (sgn > 0) else -1), m
+        return (), (n + (1 if (m % 2 == 0) == (sgn > 0) else -1), m)
     if name == "b":
-        return omega, n, m + sgn
+        return (), (n, m + sgn)
     if name == "x":
-        return _fmul1(omega, 1 if (m % 2 == 0) == (sgn > 0) else -1), n, m
+        return (1 if (m % 2 == 0) == (sgn > 0) else -1,), inner
     # name == "y"
     if sgn > 0:
         tail = _xpow(2 * n) + (2,) if m % 2 == 0 else _xpow(2 * n + 1) + (2, 1)
     else:
         tail = (-2,) + _xpow(-2 * n) if m % 2 == 0 else (-1, -2) + _xpow(-2 * n - 1)
-    return _fmul(omega, tail), n, m
+    if len(tail) > FIBER_BUDGET:
+        raise _over_budget(len(tail))
+    return tail, inner
+
+
+def _stepper(rule: Callable) -> Callable[[tuple, str, int], tuple]:
+    """A model's step: right-multiply a whole state by one letter, that is,
+    run the rule and append its word to the outer component."""
+    def step(state, name: str, sgn: int):
+        z, inner = rule(state[1:], name, sgn)
+        if not z:
+            return (state[0],) + inner
+        outer = _fmul(state[0], z)
+        if len(outer) > FIBER_BUDGET:
+            raise _over_budget(len(outer))
+        return (outer,) + inner
+    return step
 
 
 def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _Model:
     """The model F(letters) |x base, one level up the Fadell-Neuwirth tower.
 
-    The state gains a new outermost component.  A fiber letter z is pushed
-    left through the base tail t as t z t^-1: conjugated by each lower fiber
-    word, innermost first, through the signed action tables, and then
-    appended to the new outer fiber.  The base exponents a^n b^m are skipped,
-    so ``into`` and ``out`` must not act by a or b (they are central in the
-    torus models).  Any other letter is the base's letter on ``state[1:]``.
+    The state gains a new outermost component, so a rule's ``inner`` is a
+    whole base state.  A fiber letter z is pushed left through the base tail
+    t as t z t^-1: conjugated by each lower fiber word, innermost first,
+    through the signed action tables; the result is the word appended.  The
+    base exponents a^n b^m are skipped, so ``into`` and ``out`` must not act
+    by a or b (they are central in the torus models).  Any other letter
+    appends nothing and is the base level's step on ``inner``.
     """
     codes = {name: k for k, name in enumerate(letters, 1)}
-    # (index in the new state, actions of that layer's letters), innermost first
-    lower = [(i, _actions(base.layers[i - 1], into, out))
-             for i in range(len(base.layers), 0, -1)]
-    inner = base.mult
+    # (index in inner, actions of that layer's letters), innermost first
+    lower = [(i, _actions(base.layers[i], into, out, len(letters)))
+             for i in range(len(base.layers) - 1, -1, -1)]
+    base_step = base.step
 
-    def mult(state, name: str, sgn: int):
+    def rule(inner, name: str, sgn: int):
         code = codes.get(name)
         if code is None:
-            return (state[0],) + inner(state[1:], name, sgn)
+            return (), base_step(inner, name, sgn)
         z = (code * sgn,)
         for i, acts in lower:
-            w = state[i]
+            w = inner[i]
             if w:
                 for c in reversed(w):
                     z = _map_signed(acts[c], z)
                 z = tuple(z)
-        return (_fmul(state[0], z),) + state[1:]
+        if len(z) > FIBER_BUDGET:
+            raise _over_budget(len(z))
+        return z, inner
 
     orders, odd = _relator_facts(letters, into)
     return _Model(base.surface, (letters,) + base.layers, base.alphabet + letters,
-                  ((),) + base.identity, mult, into, out,
+                  ((),) + base.identity, rule, _stepper(rule), into, out,
                   base.orders | orders, base.bipartite and odd)
 
 
-def _base(surface: str, mult: Callable, into: dict, out: dict, a_order: int) -> _Model:
+def _base(surface: str, rule: Callable, into: dict, out: dict, a_order: int) -> _Model:
     """A level-2 model F(x,y) |x <a,b>; its base relator abelianizes to a_order * a."""
     orders, odd = _relator_facts(("x", "y"), into)
-    return _Model(surface, (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), mult, into, out,
-                  orders | {"a": a_order, "b": 0}, odd)
+    return _Model(surface, (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), rule, _stepper(rule),
+                  into, out, orders | {"a": a_order, "b": 0}, odd)
 
 
-_G2T = _base("T", _g2t_mult, {}, {}, 0)
-_G2K = _base("K", _g2k_mult, _G2K_INTO, _G2K_OUT, 2)
+_G2T = _base("T", _g2t_rule, {}, {}, 0)
+_G2K = _base("K", _g2k_rule, _G2K_INTO, _G2K_OUT, 2)
 _G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO, _G3T_OUT)
 _G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO, _G4T_OUT)
 
@@ -367,23 +410,23 @@ def _check_letters(model: ModelId, w: Word) -> None:
 def normalize(model: ModelId, w: Word) -> NormalForm:
     """Normalise a word over the model alphabet (right-multiplication).
 
-    The outer fiber component is kept out of the letter rule's state and reduced
-    in place (see the module docstring)."""
+    The letter rules never see the outer fiber component; each word z they
+    append is reduced onto one list in place (see the module docstring)."""
     _check_letters(model, w)
     rec = _MODELS[model]
-    state, mult = rec.identity, rec.mult
+    inner, rule = rec.identity[1:], rec.rule
     outer: list[int] = []
     for s in w:
-        state = mult(state, s.kind, s.sign)
-        z = state[0]
+        z, inner = rule(inner, s.kind, s.sign)
         if z:
             for c in z:
                 if outer and outer[-1] == -c:
                     outer.pop()
                 else:
                     outer.append(c)
-            state = ((),) + state[1:]
-    return NormalForm(model, (tuple(outer),) + state[1:])
+            if len(outer) > FIBER_BUDGET:
+                raise _over_budget(len(outer))
+    return NormalForm(model, (tuple(outer),) + inner)
 
 
 def words_equal(model: ModelId, w1: Word, w2: Word) -> bool:
@@ -397,8 +440,8 @@ def identity_state(model: ModelId) -> tuple:
 
 def step(model: ModelId, state: tuple, name: str, sign: int) -> tuple:
     """Right-multiply a normal-form state by one signed letter."""
-    mult = _MODELS[model].mult  # read as an attribute: a method-style call on a slot is slower
-    return mult(state, name, sign)
+    run = _MODELS[model].step  # read as an attribute: a method-style call on a slot is slower
+    return run(state, name, sign)
 
 
 def parse_model_word(text: str, model: ModelId) -> Word:
@@ -413,11 +456,11 @@ def parse_model_word(text: str, model: ModelId) -> Word:
 #
 # Maintains the same (omega, n, m) state but computes every fiber
 # conjugation letter by letter from the action tables instead of using the
-# closed-form rewrite rules of ``_g2k_mult``.  Agreement between the two on
+# closed-form rewrite rules of ``_g2k_rule``.  Agreement between the two on
 # random words is one of the equation-bank checks.
 
 # z -> c z c^-1 for the signed base codes a = 1, b = 2, built once
-_G2K_ACTS = _actions(("a", "b"), _G2K_INTO, _G2K_OUT)
+_G2K_ACTS = _actions(("a", "b"), _G2K_INTO, _G2K_OUT, 2)
 
 
 def bruteforce_normalize_g2k(w: Word) -> NormalForm:

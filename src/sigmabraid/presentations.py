@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .words import (
     DomainError,
     GroupContext,
     IDENTITY,
     Word,
+    _reduced,
     alpha_beta_word,
     aij_word,
     reduce,
@@ -78,27 +80,30 @@ class RelationTable:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _w(*symbols) -> Word:
-    return Word(tuple(symbols))
+# The one-letter words below are shared: each is built once, and a word of
+# one letter is reduced, so it skips the check of ``Word.__post_init__``.
 
-
+@cache
 def _C(i: int, j: int, sign: int = 1) -> Word:
     """C[i,j] with the trivial-braid conventions C[j,j] = C[1,1] = empty."""
     if i == j:
         return IDENTITY
-    return _w(sym_C(i, j, sign))
+    return _reduced((sym_C(i, j, sign),))
 
 
+@cache
 def _a(i: int, sign: int = 1) -> Word:
-    return _w(sym_a(i, sign))
+    return _reduced((sym_a(i, sign),))
 
 
+@cache
 def _b(i: int, sign: int = 1) -> Word:
-    return _w(sym_b(i, sign))
+    return _reduced((sym_b(i, sign),))
 
 
+@cache
 def _s(i: int, sign: int = 1) -> Word:
-    return _w(sym_s(i, sign))
+    return _reduced((sym_s(i, sign),))
 
 
 def _cat(*ws: Word) -> Word:

@@ -225,7 +225,7 @@ class Word:
 IDENTITY = Word()
 
 
-def _reduced(letters: list[GeneratorSymbol]) -> Word:
+def _reduced(letters: Iterable[GeneratorSymbol]) -> Word:
     """A Word of letters that are freely reduced by construction, built
     without the check of ``Word.__post_init__``."""
     w = object.__new__(Word)
@@ -361,7 +361,7 @@ def alpha_beta_word(kind: str, j: int, i: int, n: int) -> Word:
     if not (1 <= i <= n and 1 <= j <= n):
         raise AlphabetError(f"alpha/beta indices must lie in 1..{n}")
     mk = sym_a if kind == "alpha" else sym_b
-    return Word(tuple(mk(k) for k in range(j, i - 1, -1)))
+    return _reduced([mk(k) for k in range(j, i - 1, -1)])  # distinct letters
 
 
 def aij_word(i: int, j: int, n: int) -> Word:

@@ -196,6 +196,8 @@ def test_verify_cert_missing_field_names_it(capsys, cert, message):
      "certificate JSON field 'entries' has the wrong type dict"),
     ('{"context":"G2T","t":"x y","entries":[]}',
      "certificate JSON field 't' must be one letter, got 'x y'"),
+    ('{"context":"G2T","t":"x","entries":[{"z":"y","word":"x","cite":5}]}',
+     "certificate entry field 'cite' has the wrong type int"),
     ('{"context":"G9T","t":"x","entries":[]}', "certificate context 'G9T' is not a model"),
     ('{"context":{"group":"P","surface":"T","n":"two"},"t":"a1","entries":[]}',
      "certificate context field 'n' must be an integer, got 'two'"),
@@ -297,6 +299,20 @@ def test_ball_budget_variable_errors_name_it(capsys, monkeypatch, value, message
     assert err == f"error: SIGMA_BRAID_BALL_BUDGET {message}\n"
     # an explicit --budget overrides the variable
     assert run_json(capsys, *_BALL, "--budget", "5")["vertices"] == 5
+
+
+def test_ball_target_past_the_fiber_budget_exits_1(capsys, monkeypatch):
+    from sigmabraid import models
+
+    # a 16-letter G4T word whose fibers reach 42 letters
+    target = "x^-1 a^-1 v ub^-1 w2 vb^-1 w2^-1 w2^-1 w x y^-1 a w2^-1 w x a"
+    argv = ["ball", "--model", "G4T", "--radius", "1", "--target", target,
+            "--char", '{"model":"G4T","coords":{"ub":1}}']
+    assert run_json(capsys, *argv)["targets"]
+    monkeypatch.setattr(models, "FIBER_BUDGET", 40)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: a fiber word of 42 letters passes the budget of 40 letters\n"
 
 
 def test_r_infinity(capsys):

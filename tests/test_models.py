@@ -1,8 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
+from sigmabraid import models
 from sigmabraid.models import (
+    FiberBudgetError,
     ModelId,
     bruteforce_normalize_g2k,
     dictionary,
@@ -17,7 +20,9 @@ from sigmabraid.models import (
     verify_equation_bank,
     words_equal,
 )
-from sigmabraid.models import _MODELS, _finv, _fmul, _map_signed, _relator_facts, _signed_table  # internals under test
+from sigmabraid.models import (  # internals under test
+    _G2K_ACTS, _MODELS, _actions, _finv, _fmul, _map_signed, _relator_facts, _signed_table,
+)
 from sigmabraid.words import AlphabetError, DomainError, Word, model_sym, reduce, sym_a, sym_b, sym_C
 
 
@@ -25,10 +30,11 @@ def w(text, model):
     return parse_model_word(text, model)
 
 
-def _apply_auto(table, w):
-    """Image of ``w`` under the automorphism sending letter k to ``table[k]``
-    (letters without an entry are fixed)."""
-    return tuple(_map_signed(_signed_table(table), w))
+def _apply_auto(table, w, rank):
+    """Image of ``w`` under the automorphism of F(1..rank) sending letter k to
+    ``table[k]`` (letters without an entry are fixed), through the full
+    signed table that the models use."""
+    return tuple(_map_signed(_signed_table(table, rank), w))
 
 
 def word_of_length(model, rng, k):
@@ -99,12 +105,13 @@ def test_action_tables_compose_to_identity():
     for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
         rec = _MODELS[model]
         into, out = rec.into, rec.out
-        letters = list(range(1, len(rec.layers[0]) + 1))
+        rank = len(rec.layers[0])
+        letters = list(range(1, rank + 1))
         for name in set(into) | set(out):
             fwd, bwd = into.get(name, {}), out.get(name, {})
             for z in letters:
-                assert _apply_auto(fwd, _apply_auto(bwd, (z,))) == (z,)
-                assert _apply_auto(bwd, _apply_auto(fwd, (z,))) == (z,)
+                for first, then in ((bwd, fwd), (fwd, bwd)):
+                    assert _apply_auto(then, _apply_auto(first, (z,), rank), rank) == (z,)
 
 
 def test_action_tables_are_automorphisms():
@@ -112,15 +119,16 @@ def test_action_tables_are_automorphisms():
     for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
         rec = _MODELS[model]
         into, out = rec.into, rec.out
-        letters = list(range(1, len(rec.layers[0]) + 1))
+        rank = len(rec.layers[0])
+        letters = list(range(1, rank + 1))
         for table in list(into.values()) + list(out.values()):
             for _ in range(30):
                 u = tuple(rng.choice(letters) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8)))
                 v = tuple(rng.choice(letters) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8)))
-                lhs = _apply_auto(table, _fmul(u, v))
-                rhs = _fmul(_apply_auto(table, u), _apply_auto(table, v))
+                lhs = _apply_auto(table, _fmul(u, v), rank)
+                rhs = _fmul(_apply_auto(table, u, rank), _apply_auto(table, v, rank))
                 assert lhs == rhs
-                assert _apply_auto(table, _finv(u)) == _finv(_apply_auto(table, u))
+                assert _apply_auto(table, _finv(u), rank) == _finv(_apply_auto(table, u, rank))
 
 
 def test_central_letters_commute_in_torus_models():
@@ -309,6 +317,19 @@ def test_big_exponents_are_exact():
     assert n == 40 and m == 0 and len(omega) == 81
 
 
+def test_normal_forms_match_the_recorded_digest():
+    # SHA-256 of the states of 400 seeded random words, recorded from the
+    # rules that took and returned whole states, before they returned the
+    # appended fiber word instead
+    rng = random.Random(47)
+    digest = hashlib.sha256()
+    for model, max_len in ((ModelId.G2T, 200), (ModelId.G2K, 200),
+                           (ModelId.G3T, 24), (ModelId.G4T, 12)):
+        for _ in range(100):
+            digest.update(repr(normalize(model, random_model_word(model, rng, max_len)).state).encode())
+    assert digest.hexdigest() == "b3adf5391a3d89ff1c56a86168e547d7685d67b9e8010c4464745c166f6e1477"
+
+
 def test_normalize_is_the_fold_of_step():
     rng = random.Random(29)
     lengths = {ModelId.G2T: (0, 1, 40, 400), ModelId.G2K: (0, 1, 40, 400),
@@ -347,7 +368,8 @@ def test_apply_auto_is_the_product_of_the_images():
     for model in (ModelId.G2K, ModelId.G3T, ModelId.G4T):
         rec = _MODELS[model]
         into, out = rec.into, rec.out
-        letters = list(range(1, len(rec.layers[0]) + 1))
+        rank = len(rec.layers[0])
+        letters = list(range(1, rank + 1))
         for table in list(into.values()) + list(out.values()):
             for k in (0, 1, 50, 500):
                 u = naive_reduce(rng.choice(letters) * rng.choice((1, -1)) for _ in range(k))
@@ -355,7 +377,7 @@ def test_apply_auto_is_the_product_of_the_images():
                 for c in u:
                     img = table.get(abs(c), (abs(c),))
                     images += img if c > 0 else [-d for d in reversed(img)]
-                assert _apply_auto(table, u) == naive_reduce(images)
+                assert _apply_auto(table, u, rank) == naive_reduce(images)
 
 
 def test_fmul_is_free_reduction():
@@ -387,3 +409,51 @@ def test_long_g2k_word_equals_itself_with_a_relator_inserted():
         assert same != word
         assert words_equal(model, word, same)
     assert not words_equal(model, word, word * w("y", model))
+
+
+def test_action_tables_map_every_signed_fiber_code():
+    # (signed action tables, rank of the fiber they act on, acting letters)
+    cases = [(_G2K_ACTS, 2, ("a", "b"))]
+    for model in (ModelId.G3T, ModelId.G4T):
+        rec = _MODELS[model]
+        rank = len(rec.layers[0])
+        cases += [(_actions(layer, rec.into, rec.out, rank), rank, layer)
+                  for layer in rec.layers[1:]]
+    for acts, rank, letters in cases:
+        assert set(acts) == {c for k in range(1, len(letters) + 1) for c in (k, -k)}
+        for table in acts.values():
+            assert set(table) == {c for k in range(1, rank + 1) for c in (k, -k)}
+            for k in range(1, rank + 1):
+                assert table[-k] == _finv(table[k])
+
+
+def test_fiber_budget_bounds_components_and_appended_words(monkeypatch):
+    monkeypatch.setattr(models, "FIBER_BUDGET", 5)
+    # a component of exactly the budget is fine, one letter more is not
+    assert normalize(ModelId.G2T, w("x x x x x a", ModelId.G2T)).state == ((1,) * 5, 1, 0)
+    with pytest.raises(FiberBudgetError, match="a fiber word of 6 letters passes the budget of 5"):
+        normalize(ModelId.G2T, w("x x x x x a x", ModelId.G2T))
+    state = fold_step(ModelId.G2T, w("x x x x x", ModelId.G2T))
+    with pytest.raises(FiberBudgetError):
+        step(ModelId.G2T, state, "x", 1)
+    # the G2K y rule appends x^4 y after a^2: 5 letters pass, a^3 y appends 7
+    assert normalize(ModelId.G2K, w("a a y", ModelId.G2K)).state == ((1, 1, 1, 1, 2), 2, 0)
+    with pytest.raises(FiberBudgetError, match="7 letters"):
+        normalize(ModelId.G2K, w("a a a y", ModelId.G2K))
+    with pytest.raises(FiberBudgetError, match="7 letters"):
+        fold_step(ModelId.G2K, w("a a a y", ModelId.G2K))
+
+
+def test_fiber_budget_stops_a_long_g4t_word(monkeypatch):
+    rng = random.Random(43)
+    word = word_of_length(ModelId.G4T, rng, 16)
+    state = normalize(ModelId.G4T, word).state  # the default budget lets it pass
+    assert max(len(part) for part in state[:-2]) > 40
+    assert models.FIBER_BUDGET == 10 ** 6
+    monkeypatch.setattr(models, "FIBER_BUDGET", 40)
+    with pytest.raises(FiberBudgetError, match="passes the budget of 40 letters"):
+        normalize(ModelId.G4T, word)
+    with pytest.raises(FiberBudgetError):
+        fold_step(ModelId.G4T, word)
+    with pytest.raises(DomainError):  # a FiberBudgetError is a DomainError
+        words_equal(ModelId.G4T, word, word)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from sigmabraid import checks, presentations
 from sigmabraid.characters import abelianize
 from sigmabraid.models import dictionary_for, translate, words_equal
 from sigmabraid.presentations import (
@@ -179,3 +181,56 @@ def test_json_export_roundtrip():
         lhs = parse_word(entry["lhs"], ctx)
         rhs = parse_word(entry["rhs"], ctx)
         assert abelianize(ctx, lhs * rhs.inverse()).is_zero()
+
+
+# SHA-256 over the JSON text of every table that relation_checks(max_n=8)
+# builds, in the order of (builder, arguments); recorded before the
+# one-letter words were shared, so sharing them changed no table.
+RELATION_TABLES_DIGEST = "300cbf763a839db66a8ceff0585e6c18234eadeed277409b08cbe36f7980875e"
+
+
+def test_relation_checks_build_each_table_once_and_keep_the_digest(monkeypatch):
+    built = {}
+
+    def spy(make):
+        def wrapped(*args):
+            table = make(*args)
+            key = (make.__name__,) + args
+            assert key not in built, key
+            built[key] = table.to_json_text()
+            return table
+        return wrapped
+
+    for name in ("instantiate_presentation", "instantiate_family"):
+        monkeypatch.setattr(presentations, name, spy(getattr(presentations, name)))
+    checks.relation_checks(max_n=8, random_words=0)
+    assert len(built) == 246
+    digest = hashlib.sha256()
+    for key in sorted(built):
+        digest.update(built[key].encode())
+    assert digest.hexdigest() == RELATION_TABLES_DIGEST
+
+
+def test_one_letter_words_are_shared():
+    assert _a(2) is _a(2) and _b(3, -1) is _b(3, -1) and _C(1, 3) is _C(1, 3)
+    assert _C(2, 2) is IDENTITY
+    assert _a(2, -1) == _a(2).inverse() and _C(1, 3, -1) == _C(1, 3).inverse()
+
+
+def test_abelian_check_agrees_with_the_abelianized_quotient():
+    # every relation, and every lhs against the next relation's rhs, which
+    # mostly fails; the torsion of P_n(K) lets a1 and a1^-1 agree
+    extra = [(GroupContext("P", "K", 2), Relation("torsion", _a(1), _a(1, -1), "")),
+             (GroupContext("P", "T", 2), Relation("torsion", _a(1), _a(1, -1), ""))]
+    pairs = list(extra)
+    for surface in ("T", "K"):
+        for family in ("P", "B"):
+            for n in range(1, 5):
+                table = instantiate_presentation(family, surface, n)
+                rels = table.relations
+                pairs += [(table.group, r) for r in rels]
+                pairs += [(table.group, Relation("mixed", r.lhs, q.rhs, ""))
+                          for r, q in zip(rels, rels[1:])]
+    verdicts = [checks._abelian(group, r) for group, r in pairs]
+    assert verdicts == [abelianize(group, r.lhs * r.rhs.inverse()).is_zero() for group, r in pairs]
+    assert verdicts[:2] == [True, False] and verdicts.count(False) > 100
