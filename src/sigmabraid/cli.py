@@ -7,6 +7,14 @@ error, 2 usage error.  All numbers are integers or exact "p/q" strings;
 output ordering is deterministic.
 
 Inline JSON arguments also accept @path to read the value from a file.
+
+Importing this module loads ``characters``, ``models`` and ``words``, which
+every command needs to read its arguments.  A command loads the rest of
+what it uses when it runs: ``classify``, ``enumerate``, ``act`` and
+``r-infinity`` load ``sigma``; ``verify-cert``, ``gen-cert`` and ``ball``
+load ``criterion``; ``verify-relations`` loads ``checks``.  Handlers call
+through module attributes (``sigma.decide_sigma``), so a wrapper bound
+over a library function later is seen on each call.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import characters, criterion, models, sigma
+from . import characters, models
 from .characters import (
     _num_from_json,
     character_from_json,
@@ -27,10 +36,11 @@ from .characters import (
     rational_to_json,
     sphere_point,
 )
-from .checks import relation_checks
-from .criterion import CertificateCase, CertificateEntry, PathCertificate
-from .models import ModelId
+from .models import CertificateCase, ModelId
 from .words import DomainError, GroupContext, parse_word, serialize_word
+
+if TYPE_CHECKING:
+    from .criterion import PathCertificate
 
 
 def _read_json_arg(value: str):
@@ -103,6 +113,7 @@ def _cmd_classify(args, parser) -> dict:
         if chi.spec.group != group:
             raise DomainError(f"character lives on {chi.spec.group}, not {group}")
         pt = sphere_point(chi)
+    from . import sigma
     verdict = sigma.decide_sigma(group, pt)
     return {"membership": verdict.membership,
             "witness": _witness_json(verdict.witness),
@@ -111,6 +122,7 @@ def _cmd_classify(args, parser) -> dict:
 
 def _cmd_enumerate(args, parser) -> dict:
     group = _group(args, parser)
+    from . import sigma
     enum = sigma.enumerate_complement(group)
     descriptors = sorted(d.key() for d in enum.descriptors)
     return {"group": group.family, "surface": group.surface, "n": group.n,
@@ -125,6 +137,7 @@ def _cmd_act(args, parser) -> dict:
     except ValueError:
         parser.error(f"--tau must list integers, got {args.tau!r}")
     chi = character_from_json(_read_json_arg(args.char))
+    from . import sigma
     pt = sigma.act_permutation(group, tau, sphere_point(chi))
     return character_to_json(pt.character())
 
@@ -138,6 +151,7 @@ def _certificate_to_json(cert: PathCertificate) -> dict:
 
 
 def _certificate_from_json(doc) -> PathCertificate:
+    from .criterion import CertificateEntry, PathCertificate
     what = "certificate JSON"
     ctx = json_field(doc, "context", (str, dict), what)
     if isinstance(ctx, str):
@@ -179,6 +193,7 @@ def _report_to_json(report) -> dict:
 def _cmd_verify_cert(args, parser) -> dict:
     cert = _certificate_from_json(_read_json_arg(args.cert))
     chi = character_from_json(_read_json_arg(args.char))
+    from . import criterion
     report = criterion.verify_certificate(cert, chi)
     return _report_to_json(report)
 
@@ -186,6 +201,7 @@ def _cmd_verify_cert(args, parser) -> dict:
 def _cmd_gen_cert(args, parser) -> dict:
     case = CertificateCase(args.case)
     p, q = _num_from_json(args.p), _num_from_json(args.q)
+    from . import criterion
     cert = criterion.generate_lemma_certificates(case, p, q)
     chi_model, chi_braid = criterion.case_character(case, p, q)
     return {"certificate": _certificate_to_json(cert),
@@ -197,6 +213,7 @@ def _cmd_ball(args, parser) -> dict:
     model = ModelId(args.model)
     chi = character_from_json(_read_json_arg(args.char))
     targets = [models.parse_model_word(t, model) for t in args.target or []]
+    from . import criterion
     report = criterion.explore_ball(model, chi, radius=args.radius,
                                     targets=targets, budget=args.budget)
     return report.to_json()
@@ -221,6 +238,7 @@ def _cmd_r_infinity(args, parser) -> dict:
         parser.error("--n must be >= 2")
     if (args.matrix is None) == (args.perm is None):
         parser.error("pass exactly one of --matrix / --perm")
+    from . import sigma
     if args.matrix is not None:
         cert = sigma.r_infinity_certificate(args.n, matrix=_read_json_arg(args.matrix))
     else:
@@ -246,10 +264,11 @@ def _cmd_verify_relations(args, parser) -> dict:
         parser.error("--max-n must be >= 1")
     if args.random_words < 0:
         parser.error("--random-words must be >= 0")
-    checks = relation_checks(args.max_n, args.random_words)
+    from . import checks
+    results = checks.relation_checks(args.max_n, args.random_words)
     failures = [{"check": c.kind, "group": c.group, "family": c.family or None,
-                 "relation": c.relation} for c in checks if not c.passed]
-    return {"checks": len(checks), "failures": failures, "healthy": not failures}
+                 "relation": c.relation} for c in results if not c.passed]
+    return {"checks": len(results), "failures": failures, "healthy": not failures}
 
 
 # ---------------------------------------------------------------------------

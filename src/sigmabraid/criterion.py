@@ -47,7 +47,6 @@ import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, pairwise
 from typing import Iterable, Sequence
@@ -59,6 +58,7 @@ from .characters import (
     torus_character,
 )
 from .models import (
+    CertificateCase,
     ModelId,
     NormalForm,
     dictionary,
@@ -206,16 +206,8 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
 
 # ---------------------------------------------------------------------------
 # The six parametrised certificate cases
-# (character patterns on the 3- and 4-strand torus models)
-
-class CertificateCase(str, Enum):
-    G3T_A = "g3t-a"   # chi(x)=chi(u)=p, chi(y)=q,  t = x
-    G3T_B = "g3t-b"   # chi(x)=chi(u)=p, chi(y)=-q, t = x
-    G3T_C = "g3t-c"   # chi(x)=chi(u)=p, chi(v)=q,  t = v
-    G3T_D = "g3t-d"   # chi(x)=chi(u)=p, chi(v)=-q, t = v^-1
-    G4T_A = "g4t-a"   # chi(x)=chi(u)=chi(ub)=p, chi(v)=q,  t = v
-    G4T_B = "g4t-b"   # chi(x)=chi(u)=chi(ub)=p, chi(v)=-q, t = v^-1
-
+# (character patterns on the 3- and 4-strand torus models; the enum
+# ``CertificateCase`` lives in models, beside ModelId)
 
 _CASE_MODEL = {
     CertificateCase.G3T_A: ModelId.G3T, CertificateCase.G3T_B: ModelId.G3T,

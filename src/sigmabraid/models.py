@@ -79,6 +79,7 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .words import (
+    MODEL_LETTER_NAMES,
     AlphabetError,
     DomainError,
     GeneratorSymbol,
@@ -118,6 +119,20 @@ class ModelId(str, Enum):
         return _MODELS[self].bipartite
 
 
+class CertificateCase(str, Enum):
+    """The six parametrised certificate cases of :mod:`sigmabraid.criterion`
+    (character patterns on the 3- and 4-strand torus models).  They live
+    here, beside :class:`ModelId`, so the CLI can list them without loading
+    the certificate engine."""
+
+    G3T_A = "g3t-a"   # chi(x)=chi(u)=p, chi(y)=q,  t = x
+    G3T_B = "g3t-b"   # chi(x)=chi(u)=p, chi(y)=-q, t = x
+    G3T_C = "g3t-c"   # chi(x)=chi(u)=p, chi(v)=q,  t = v
+    G3T_D = "g3t-d"   # chi(x)=chi(u)=p, chi(v)=-q, t = v^-1
+    G4T_A = "g4t-a"   # chi(x)=chi(u)=chi(ub)=p, chi(v)=q,  t = v
+    G4T_B = "g4t-b"   # chi(x)=chi(u)=chi(ub)=p, chi(v)=-q, t = v^-1
+
+
 class TranslationError(DomainError):
     """A symbol has no image under the requested dictionary direction."""
 
@@ -134,18 +149,17 @@ FIBER_BUDGET = 10 ** 6
 # Signed-int free words
 
 def _fmul(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The reduced product of the reduced words ``w`` and ``v``."""
+    """The reduced product of the reduced words ``w`` and ``v``; letters
+    cancel only at the seam."""
     if not w:
         return v
     if len(v) == 1:
         return w[:-1] if w[-1] == -v[0] else w + v
-    out = list(w)
-    for c in v:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+    i, j, m = len(w), 0, len(v)
+    while i and j < m and w[i - 1] == -v[j]:
+        i -= 1
+        j += 1
+    return w[:i] + v[j:]
 
 
 def _over_budget(length: int) -> FiberBudgetError:
@@ -172,14 +186,21 @@ def _signed_table(table: dict[int, tuple[int, ...]], rank: int) -> dict[int, tup
 
 
 def _map_signed(signed: dict[int, tuple[int, ...]], w: Iterable[int]) -> list[int]:
-    """Image of ``w`` under a signed table, freely reduced in one pass."""
+    """Image of ``w`` under a signed table, freely reduced in one pass.
+    Every image is a nonempty reduced word, so letters cancel only at the
+    seam between ``out`` and the image appended."""
     out: list[int] = []
     for c in w:
-        for d in signed[c]:
-            if out and out[-1] == -d:
+        img = signed[c]
+        if out and out[-1] == -img[0]:
+            out.pop()
+            k = 1
+            while k < len(img) and out and out[-1] == -img[k]:
                 out.pop()
-            else:
-                out.append(d)
+                k += 1
+            out += img[k:]
+        else:
+            out += img
     return out
 
 
@@ -400,9 +421,12 @@ class NormalForm:
         return Word(tuple(spell))
 
 
+_LETTER_SETS = {model: frozenset(rec.alphabet) for model, rec in _MODELS.items()}
+
+
 def _check_letters(model: ModelId, w: Word) -> None:
-    names = model.letter_names
-    for s in w:
+    names = _LETTER_SETS[model]
+    for s in w.letters:
         if s.indices or s.kind not in names:
             raise AlphabetError(f"{s}: not a letter of {model.value}")
 
@@ -411,19 +435,24 @@ def normalize(model: ModelId, w: Word) -> NormalForm:
     """Normalise a word over the model alphabet (right-multiplication).
 
     The letter rules never see the outer fiber component; each word z they
-    append is reduced onto one list in place (see the module docstring)."""
+    append is reduced onto one list in place (see the module docstring).
+    Every z is reduced, so letters cancel only at the seam."""
     _check_letters(model, w)
     rec = _MODELS[model]
     inner, rule = rec.identity[1:], rec.rule
     outer: list[int] = []
-    for s in w:
+    for s in w.letters:
         z, inner = rule(inner, s.kind, s.sign)
         if z:
-            for c in z:
-                if outer and outer[-1] == -c:
+            if outer and outer[-1] == -z[0]:
+                outer.pop()
+                k = 1
+                while k < len(z) and outer and outer[-1] == -z[k]:
                     outer.pop()
-                else:
-                    outer.append(c)
+                    k += 1
+                outer += z[k:]
+            else:
+                outer += z
             if len(outer) > FIBER_BUDGET:
                 raise _over_budget(len(outer))
     return NormalForm(model, (tuple(outer),) + inner)
@@ -645,10 +674,17 @@ def equation_bank(model: ModelId) -> list[dict]:
     return _bank()[model.value]["equations"]
 
 
+_SIGNED_LETTERS = {(name, sign): model_sym(name, sign)
+                   for name in MODEL_LETTER_NAMES for sign in (1, -1)}
+
+
 def random_model_word(model: ModelId, rng: random.Random, max_len: int) -> Word:
-    names = model.letter_names
+    """A reduced random word of at most ``max_len`` letters.  Each raw letter
+    takes two ``rng.choice`` calls, the name first, then the sign, so one
+    seed always gives the same words."""
+    names, choice = model.letter_names, rng.choice
     k = rng.randint(0, max_len)
-    return reduce(model_sym(rng.choice(names), rng.choice((1, -1))) for _ in range(k))
+    return reduce([_SIGNED_LETTERS[choice(names), choice((1, -1))] for _ in range(k)])
 
 
 def verify_equation_bank(model: ModelId, random_words: int = 2000,

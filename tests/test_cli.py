@@ -348,7 +348,7 @@ def test_verify_relations_rejects_negative_counts(capsys, argv, message):
 
 
 def test_verify_relations_failures_are_objects(capsys, monkeypatch):
-    from sigmabraid import cli
+    from sigmabraid import checks
     from sigmabraid.checks import RelationCheck, relation_checks
 
     def with_failures(max_n, random_words):
@@ -356,7 +356,7 @@ def test_verify_relations_failures_are_objects(capsys, monkeypatch):
                 RelationCheck("abelianization", "P_2(T)", "S1:1,2", False, "S1"),
                 RelationCheck("oracle", "P_2(T)", "1:a1-a2", False)]
 
-    monkeypatch.setattr(cli, "relation_checks", with_failures)
+    monkeypatch.setattr(checks, "relation_checks", with_failures)
     code, out, err = run(capsys, "verify-relations", "--max-n", "2", "--random-words", "10")
     assert code == 1 and err == ""
     doc = json.loads(out)
