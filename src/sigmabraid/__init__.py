@@ -58,8 +58,8 @@ _EXPORTS = {
         "verify_certificate"), "criterion"),
     **dict.fromkeys((
         "CertificateCase", "IsoDictionary", "ModelId", "NormalForm", "dictionary",
-        "normalize", "parse_model_word", "translate", "verify_equation_bank",
-        "words_equal"), "models"),
+        "normalize", "parse_model_word", "translate", "words_equal"), "models"),
+    "verify_equation_bank": "checks",
     **dict.fromkeys((
         "RelationTable", "instantiate_family", "instantiate_presentation"), "presentations"),
     **dict.fromkeys((

@@ -513,13 +513,19 @@ def character_from_json(obj: Mapping) -> Character:
     if not isinstance(obj, Mapping):
         raise DomainError(f"{_WHAT} must be an object, got {type(obj).__name__}")
     if "model" in obj:
-        model = ModelId(obj["model"])
+        ctx, read = ModelId(obj["model"]), ("model", "coords")
+    else:
+        fam = json_field(obj, "group", (str,), _WHAT) if "group" in obj else "P"
+        surf = json_field(obj, "surface", (str,), _WHAT)
+        ctx = GroupContext(fam, surf, json_int_field(obj, "n", _WHAT))
+        read = {"T": ("a", "b"), "K": ("b",), "S2": ("A",)}.get(surf) if fam == "P" else None
+        read = ("group", "surface", "n", *(read or abelianization(ctx).free_labels))
+    unread = sorted(set(obj).difference(read))
+    if unread:
+        raise DomainError(f"unknown {_WHAT} fields: {unread}")
+    if isinstance(ctx, ModelId):
         coords = json_field(obj, "coords", (dict,), _WHAT) if "coords" in obj else {}
-        coords = {k: _num_from_json(v) for k, v in coords.items()}
-        return character(model, coords)
-    fam = json_field(obj, "group", (str,), _WHAT) if "group" in obj else "P"
-    surf = json_field(obj, "surface", (str,), _WHAT)
-    ctx = GroupContext(fam, surf, json_int_field(obj, "n", _WHAT))
+        return character(ctx, {k: _num_from_json(v) for k, v in coords.items()})
     if fam == "P" and surf == "T":
         a = _num_list_from_json(obj, "a")
         b = _num_list_from_json(obj, "b")

@@ -10,7 +10,9 @@ abelianization suite built.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import characters, models, presentations
 from .models import ModelId
@@ -102,6 +104,26 @@ def relation_checks(max_n: int = 6, random_words: int = 2000) -> list[RelationCh
             if family_table is not None and family_table.group.family == "P":
                 run("oracle", family_table, oracle)
     for model in ModelId:
-        for check in models.verify_equation_bank(model, random_words=random_words).checks:
-            checks.append(RelationCheck("bank", model.value, check.name, check.passed))
+        checks += verify_equation_bank(model, random_words=random_words)
+    return checks
+
+
+def verify_equation_bank(model: ModelId, random_words: int = 2000, max_len: int = 12,
+                         seed: int = 0) -> list[RelationCheck]:
+    """Check every banked equation for the model by normal form; for G2K
+    additionally check the normal forms against the letterwise conjugation
+    reference on random words; a negative count is a DomainError."""
+    if random_words < 0:
+        raise DomainError(f"random_words must be >= 0, got {random_words}")
+    word = partial(models.parse_model_word, model=model)
+    checks = [RelationCheck("bank", model.value, eq["name"],
+                            models.words_equal(model, word(eq["lhs"]), word(eq["rhs"])))
+              for eq in models.equation_bank(model)]
+    if model is ModelId.G2K and random_words:
+        rng = random.Random(seed)
+        agree = all(models.normalize(model, w).state == models.bruteforce_normalize_g2k(w).state
+                    for w in (models.random_model_word(model, rng, max_len)
+                              for _ in range(random_words)))
+        name = f"rewrite-rules-vs-letterwise-action({random_words} words)"
+        checks.append(RelationCheck("bank", model.value, name, agree))
     return checks

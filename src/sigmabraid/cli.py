@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", required=True)
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--budget", type=int, default=None,
-                   help="vertex cap (default 10^6 or SIGMA_BRAID_BALL_BUDGET)")
+                   help="vertex cap (default 10^6)")
     p.add_argument("--target", action="append", help="word to test; may repeat")
 
     p = subs.add_parser("verify-relations", help="run the relation and equation suites")

@@ -43,7 +43,6 @@ disconnection; the report says so explicitly.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -430,23 +429,13 @@ class BallReport:
 
 
 def _ball_budget(budget: int | None) -> int:
-    """The vertex cap: the argument, else ``SIGMA_BRAID_BALL_BUDGET``, else
-    10^6; a cap that is not an integer or is below 1 is an error naming
-    where it came from."""
-    source = "budget"
-    if isinstance(budget, bool) or not isinstance(budget, (int, type(None))):
-        raise DomainError(f"{source} must be an integer, got {budget!r}")
-    if budget is None:
-        source = "SIGMA_BRAID_BALL_BUDGET"
-        text = os.environ.get(source)
-        if not text:
-            return _DEFAULT_BUDGET
-        try:
-            budget = int(text)
-        except ValueError:
-            raise DomainError(f"{source} must be an integer, got {text!r}") from None
+    """The vertex cap: the argument, else 10^6; a cap that is not an integer
+    or is below 1 is an error."""
+    budget = _DEFAULT_BUDGET if budget is None else budget
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise DomainError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
-        raise DomainError(f"{source} must be >= 1, got {budget}")
+        raise DomainError(f"budget must be >= 1, got {budget}")
     return budget
 
 
@@ -718,8 +707,8 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     its text reused.  Each target is normalised and looked up in
     ``order`` by :func:`_vertex_of`.
 
-    The budget caps the number of vertices; it comes from the argument or
-    else from ``SIGMA_BRAID_BALL_BUDGET`` and must be at least 1."""
+    The budget caps the number of vertices; it defaults to 10^6 and must
+    be at least 1."""
     if isinstance(radius, bool) or not isinstance(radius, int):
         raise DomainError(f"radius must be an integer, got {radius!r}")
     if radius < 1:

@@ -12,34 +12,38 @@ The models and their layered normal forms:
 - ``G3T`` = F(u,v,w) |x G2T        elements  mu . (omega a^n b^m)
 - ``G4T`` = F(ub,vb,w2,w3) |x G3T  elements  kappa . (mu omega a^n b^m)
 
-G3T and G4T are levels of the Fadell-Neuwirth tower P_n(M) = F |x P_{n-1}(M),
-each built from the level below by the one rule :func:`_extend`.  Each model
-is one :class:`_Model` record; every per-model fact is read off it.  Only the
-level-2 bases keep hand-written letter rules: on the torus Z^2 acts
-trivially, on the Klein bottle Z |x Z acts in closed form.
+Every model is one flat tower of Fadell-Neuwirth levels, P_k(M) =
+F |x P_(k-1)(M) down to P_1(M) = pi_1(M): :func:`_surface` builds level 1,
+the exponents a^n b^m, and :func:`_extend` adds a level, its fiber letters
+with the tables by which every lower letter acts on them.  Each model is
+one :class:`_Model` record; every per-model fact is read off it.
 
-Normalisation right-multiplies letter by letter.  A base letter updates the
-tail; a fiber letter z is pushed left through the tail t by rewriting
-t z = (t z t^-1) t, using the conjugation action tables below.  Exponents are
-plain Python ints (arbitrary precision).  Two elements are equal iff their
-layered normal forms are componentwise equal; this decides the word problem.
+Normalisation right-multiplies letter by letter, and each letter belongs to
+one component.  An ``a`` or ``b`` updates (n, m) (:func:`_exponent_step`;
+on the Klein bottle b^m a = a^((-1)^m) b^m).  A fiber letter z of level k
+is pushed left through the tail t = c_(k-1) ... c_2 a^n b^m below it, by
+t z = (t z t^-1) t, and :func:`_push` computes the word t z t^-1 that z
+appends to its own component c_k: z conjugated by a^n b^m through one
+composite table, then by each lower component, innermost first, through
+level k's own action tables.  :func:`normalize` keeps every component as a
+list and reduces each appended word onto it in place, so a letter costs
+O(|z|), not O(|c_k|); :func:`step` rebuilds only the component the letter
+changes.  The result equals the fold of :func:`step` from
+:func:`identity_state`; the tests lock that in.  Exponents are plain Python
+ints (arbitrary precision).  Two elements are equal iff their layered
+normal forms are componentwise equal; this decides the word problem.
 
-A letter never reads the outermost fiber component (omega, mu or kappa): it
-right-multiplies it by a word z computed from the inner components and the
-exponents alone.  The letter rule says so in its signature,
-``rule(inner, name, sign) -> (z, inner')``, where ``inner`` is the state
-without its outer component.  :func:`step` is the rule followed by the
-append; :func:`_extend` runs a lower letter as the base level's step on
-``inner``; :func:`normalize` folds the rules and pushes each z onto one
-list with free reduction, so a letter costs O(|z|) instead of O(length of
-the outer component so far).  The result equals the fold of :func:`step`
-from :func:`identity_state`; the tests lock that in.
+Where a and b act on a level (G2K), its composite table of z ->
+a^n b^m z b^-m a^-n is built once per (n, m), m taken mod 2 where b acts as
+an involution, from cached tables of a^(+-2^i) and b^(+-2^i), one
+composition per set bit.  The level empties its cache once the letters it
+holds pass ``FIBER_BUDGET``.  On the torus they act trivially: no tables.
 
 Every appended word z and every fiber component is held to
-``FIBER_BUDGET`` letters, tested once per appended word; past it a rule
-raises :class:`FiberBudgetError`, so a long G3T or G4T word, whose fibers
-grow exponentially with its length, fails fast instead of exhausting
-memory.
+``FIBER_BUDGET`` letters, tested once per appended word (tables are not);
+past it a letter raises :class:`FiberBudgetError`, so a long G3T or G4T
+word, whose fibers grow exponentially with its length, fails fast instead
+of exhausting memory.
 
 The tables ``_*_INTO`` store the defining actions g^-1 z g.  The inverse
 automorphisms ``_*_OUT`` (g z g^-1) are solved from them by hand and locked
@@ -71,12 +75,10 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from importlib import resources
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .words import (
     MODEL_LETTER_NAMES,
@@ -92,6 +94,9 @@ from .words import (
     sym_b,
     sym_C,
 )
+
+if TYPE_CHECKING:
+    import random
 
 
 class ModelId(str, Enum):
@@ -169,10 +174,6 @@ def _over_budget(length: int) -> FiberBudgetError:
 
 def _finv(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in reversed(w))
-
-
-def _xpow(k: int) -> tuple[int, ...]:
-    return (1,) * k if k >= 0 else (-1,) * (-k)
 
 
 def _signed_table(table: dict[int, tuple[int, ...]], rank: int) -> dict[int, tuple[int, ...]]:
@@ -259,12 +260,63 @@ def _actions(letters: tuple[str, ...], into: dict, out: dict,
     return acts
 
 
+def _compose(outer: dict, inner: dict) -> dict[int, tuple[int, ...]]:
+    """The signed table of ``outer`` after ``inner``."""
+    return {c: tuple(_map_signed(outer, img)) for c, img in inner.items()}
+
+
+def _exponent_tables(into: dict, out: dict, rank: int) -> Callable[[int, int], dict] | None:
+    """(n, m) -> the signed table of z -> a^n b^m z b^-m a^-n on a fiber of
+    ``rank`` letters, built from cached powers (module docstring); None
+    where a and b act trivially."""
+    if "a" not in into and "b" not in into:
+        return None
+    acts = _actions(("a", "b"), into, out, rank)
+    fixed = _signed_table({}, rank)
+    involution = _compose(acts[2], acts[2]) == fixed  # then m counts mod 2
+    powers: dict[tuple[int, int], dict] = {}  # (signed code c, i) -> table of c^(2^i)
+    tables: dict[tuple[int, int], dict] = {}  # (n, m) -> composite table
+    held = 0
+
+    def keep(cache: dict, key: tuple[int, int], table: dict) -> dict:
+        nonlocal held
+        cache[key] = table
+        held += sum(map(len, table.values()))
+        if held > FIBER_BUDGET:
+            powers.clear()
+            tables.clear()
+            held = 0
+        return table
+
+    def power(c: int, i: int) -> dict:
+        table = powers.get((c, i)) if i else acts[c]
+        if table is None:
+            half = power(c, i - 1)
+            table = keep(powers, (c, i), _compose(half, half))
+        return table
+
+    def composite(n: int, m: int) -> dict:
+        m = m & 1 if involution else m
+        table = tables.get((n, m))
+        if table is None:
+            table = fixed
+            for c, e in ((2 if m > 0 else -2, abs(m)), (1 if n > 0 else -1, abs(n))):  # b^m first
+                for i in range(e.bit_length()):
+                    if e >> i & 1:
+                        table = _compose(power(c, i), table)
+            table = keep(tables, (n, m), table)
+        return table
+
+    return composite
+
+
 # ---------------------------------------------------------------------------
-# Model records and letter rules
+# Model records and the tower
 #
 # A state lists the fiber components outermost first, then the exponents:
 # G2T / G2K (omega, n, m), G3T (mu, omega, n, m), G4T (kappa, mu, omega, n, m).
-# A rule's ``inner`` is the state without its first entry.
+# Level 1 owns n and m; level k >= 2 owns the component at index -1 - k, so
+# adding a level moves no index.
 
 @dataclass(frozen=True, slots=True)
 class _Model:
@@ -274,10 +326,10 @@ class _Model:
     layers: tuple[tuple[str, ...], ...]  # fiber letter names, outermost layer first
     alphabet: tuple[str, ...]
     identity: tuple
-    # rule(inner, name, sign) -> (z, inner'): the letter appends z to the outer
-    # fiber component, which it never reads, and turns inner into inner'
-    rule: Callable[[tuple, str, int], tuple[tuple[int, ...], tuple]]
-    step: Callable[[tuple, str, int], tuple]  # the rule, then the append (_stepper)
+    owners: dict[str, tuple[int, int]]  # letter -> (its level k, its code there)
+    # level k >= 2 at index k - 2: (its a^n b^m tables or None, the signed
+    # actions on it of each lower level's letters, innermost level first)
+    levels: tuple[tuple[Callable[[int, int], dict] | None, tuple[dict, ...]], ...]
     into: dict  # g^-1 z g and g z g^-1 on the outer fiber, per acting letter g
     out: dict
     orders: dict[str, int]  # abelian order of each letter, in alphabet order (module docstring)
@@ -306,96 +358,50 @@ def _relator_facts(fiber: tuple[str, ...], into: dict) -> tuple[dict[str, int], 
     return orders, odd
 
 
-def _g2t_rule(inner, name: str, sgn: int):
-    if name == "x":
-        return (sgn,), inner
-    if name == "y":
-        return (2 * sgn,), inner
-    n, m = inner
-    if name == "a":
-        return (), (n + sgn, m)
-    return (), (n, m + sgn)
-
-
-def _g2k_rule(inner, name: str, sgn: int):
-    n, m = inner
-    if name == "a":
-        return (), (n + (1 if (m % 2 == 0) == (sgn > 0) else -1), m)
-    if name == "b":
-        return (), (n, m + sgn)
-    if name == "x":
-        return (1 if (m % 2 == 0) == (sgn > 0) else -1,), inner
-    # name == "y"
-    if sgn > 0:
-        tail = _xpow(2 * n) + (2,) if m % 2 == 0 else _xpow(2 * n + 1) + (2, 1)
-    else:
-        tail = (-2,) + _xpow(-2 * n) if m % 2 == 0 else (-1, -2) + _xpow(-2 * n - 1)
-    if len(tail) > FIBER_BUDGET:
-        raise _over_budget(len(tail))
-    return tail, inner
-
-
-def _stepper(rule: Callable) -> Callable[[tuple, str, int], tuple]:
-    """A model's step: right-multiply a whole state by one letter, that is,
-    run the rule and append its word to the outer component."""
-    def step(state, name: str, sgn: int):
-        z, inner = rule(state[1:], name, sgn)
-        if not z:
-            return (state[0],) + inner
-        outer = _fmul(state[0], z)
-        if len(outer) > FIBER_BUDGET:
-            raise _over_budget(len(outer))
-        return (outer,) + inner
-    return step
+def _surface(surface: str) -> _Model:
+    """Level 1, P_1 = pi_1 of the torus ("T") or the Klein bottle ("K"): the
+    exponents alone; the base relator abelianizes to 0 or to 2a."""
+    return _Model(surface, (), ("a", "b"), (0, 0), {"a": (1, 1), "b": (1, 2)}, (), {}, {},
+                  {"a": 2 if surface == "K" else 0, "b": 0}, True)
 
 
 def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _Model:
-    """The model F(letters) |x base, one level up the Fadell-Neuwirth tower.
-
-    The state gains a new outermost component, so a rule's ``inner`` is a
-    whole base state.  A fiber letter z is pushed left through the base tail
-    t as t z t^-1: conjugated by each lower fiber word, innermost first,
-    through the signed action tables; the result is the word appended.  The
-    base exponents a^n b^m are skipped, so ``into`` and ``out`` must not act
-    by a or b (they are central in the torus models).  Any other letter
-    appends nothing and is the base level's step on ``inner``.
-    """
-    codes = {name: k for k, name in enumerate(letters, 1)}
-    # (index in inner, actions of that layer's letters), innermost first
-    lower = [(i, _actions(base.layers[i], into, out, len(letters)))
-             for i in range(len(base.layers) - 1, -1, -1)]
-    base_step = base.step
-
-    def rule(inner, name: str, sgn: int):
-        code = codes.get(name)
-        if code is None:
-            return (), base_step(inner, name, sgn)
-        z = (code * sgn,)
-        for i, acts in lower:
-            w = inner[i]
-            if w:
-                for c in reversed(w):
-                    z = _map_signed(acts[c], z)
-                z = tuple(z)
-        if len(z) > FIBER_BUDGET:
-            raise _over_budget(len(z))
-        return z, inner
-
+    """The model F(letters) |x base, one level up the Fadell-Neuwirth tower;
+    ``into`` and ``out`` give the action of every lower letter on the new
+    fiber (a letter without an entry acts trivially)."""
+    k, rank = len(base.layers) + 2, len(letters)
+    lower = tuple(_actions(layer, into, out, rank) for layer in reversed(base.layers))
     orders, odd = _relator_facts(letters, into)
-    return _Model(base.surface, (letters,) + base.layers, base.alphabet + letters,
-                  ((),) + base.identity, rule, _stepper(rule), into, out,
-                  base.orders | orders, base.bipartite and odd)
+    orders |= base.orders
+    # level 2 goes before a and b: the alphabet reads x y a b u v w ...
+    alphabet = base.alphabet + letters if base.layers else letters + base.alphabet
+    return _Model(base.surface, (letters,) + base.layers, alphabet, ((),) + base.identity,
+                  base.owners | {name: (k, code) for code, name in enumerate(letters, 1)},
+                  base.levels + ((_exponent_tables(into, out, rank), lower),), into, out,
+                  {name: orders[name] for name in alphabet}, base.bipartite and odd)
 
 
-def _base(surface: str, rule: Callable, into: dict, out: dict, a_order: int) -> _Model:
-    """A level-2 model F(x,y) |x <a,b>; its base relator abelianizes to a_order * a."""
-    orders, odd = _relator_facts(("x", "y"), into)
-    return _Model(surface, (("x", "y"),), ("x", "y", "a", "b"), ((), 0, 0), rule, _stepper(rule),
-                  into, out, orders | {"a": a_order, "b": 0}, odd)
+def _exponent_step(klein: bool, n: int, m: int, code: int, sgn: int) -> tuple[int, int]:
+    """a^n b^m times a^sgn (code 1) or b^sgn (code 2)."""
+    if code == 2:
+        return n, m + sgn
+    return (n - sgn if klein and m & 1 else n + sgn), m
 
 
-_G2T = _base("T", _g2t_rule, {}, {}, 0)
-_G2K = _base("K", _g2k_rule, _G2K_INTO, _G2K_OUT, 2)
+def _push(level: tuple, below: Iterable, n: int, m: int, c: int):
+    """t c t^-1 for the signed fiber code c of ``level``, where the tail t is
+    the components ``below``, innermost first, then a^n b^m: the word that c
+    appends to its own component (module docstring)."""
+    exponents, lower = level
+    z = exponents(n, m)[c] if exponents else (c,)
+    for w, acts in zip(below, lower):
+        for d in reversed(w):
+            z = _map_signed(acts[d], z)
+    return z
+
+
+_G2T = _extend(_surface("T"), ("x", "y"), {}, {})
+_G2K = _extend(_surface("K"), ("x", "y"), _G2K_INTO, _G2K_OUT)
 _G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO, _G3T_OUT)
 _G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO, _G4T_OUT)
 
@@ -434,28 +440,37 @@ def _check_letters(model: ModelId, w: Word) -> None:
 def normalize(model: ModelId, w: Word) -> NormalForm:
     """Normalise a word over the model alphabet (right-multiplication).
 
-    The letter rules never see the outer fiber component; each word z they
-    append is reduced onto one list in place (see the module docstring).
-    Every z is reduced, so letters cancel only at the seam."""
+    Every component is a list, and each word z that a letter appends is
+    reduced onto its component in place (see the module docstring).  Every
+    z is reduced, so letters cancel only at the seam."""
     _check_letters(model, w)
     rec = _MODELS[model]
-    inner, rule = rec.identity[1:], rec.rule
-    outer: list[int] = []
+    owners, levels, klein = rec.owners, rec.levels, rec.surface == "K"
+    comps: list[list[int]] = [[] for _ in levels]  # level k's component at k - 2
+    n = m = 0
     for s in w.letters:
-        z, inner = rule(inner, s.kind, s.sign)
-        if z:
-            if outer and outer[-1] == -z[0]:
-                outer.pop()
-                k = 1
-                while k < len(z) and outer and outer[-1] == -z[k]:
-                    outer.pop()
-                    k += 1
-                outer += z[k:]
-            else:
-                outer += z
-            if len(outer) > FIBER_BUDGET:
-                raise _over_budget(len(outer))
-    return NormalForm(model, (tuple(outer),) + inner)
+        k, code = owners[s.kind]
+        if k == 1:
+            n, m = _exponent_step(klein, n, m, code, s.sign)
+            continue
+        c, comp = code * s.sign, comps[k - 2]
+        exponents, lower = level = levels[k - 2]
+        # _push inlined for level 2, which has no lower component
+        z = _push(level, comps, n, m, c) if lower else exponents(n, m)[c] if exponents else (c,)
+        if len(z) > FIBER_BUDGET:
+            raise _over_budget(len(z))
+        if comp and comp[-1] == -z[0]:
+            comp.pop()
+            i = 1
+            while i < len(z) and comp and comp[-1] == -z[i]:
+                comp.pop()
+                i += 1
+            comp += z[i:]
+        else:
+            comp += z
+        if len(comp) > FIBER_BUDGET:
+            raise _over_budget(len(comp))
+    return NormalForm(model, tuple(map(tuple, reversed(comps))) + (n, m))
 
 
 def words_equal(model: ModelId, w1: Word, w2: Word) -> bool:
@@ -468,9 +483,23 @@ def identity_state(model: ModelId) -> tuple:
 
 
 def step(model: ModelId, state: tuple, name: str, sign: int) -> tuple:
-    """Right-multiply a normal-form state by one signed letter."""
-    run = _MODELS[model].step  # read as an attribute: a method-style call on a slot is slower
-    return run(state, name, sign)
+    """Right-multiply a normal-form state by one signed letter; only the
+    component the letter owns is rebuilt."""
+    rec = _MODELS[model]
+    k, code = rec.owners[name]
+    n, m = state[-2], state[-1]
+    if k == 1:
+        return state[:-2] + _exponent_step(rec.surface == "K", n, m, code, sign)
+    exponents, lower = level = rec.levels[k - 2]
+    c = code * sign
+    z = (tuple(_push(level, state[-3::-1], n, m, c)) if lower  # _push inlined for level 2
+         else exponents(n, m)[c] if exponents else (c,))
+    if len(z) > FIBER_BUDGET:
+        raise _over_budget(len(z))
+    comp = _fmul(state[-1 - k], z)
+    if len(comp) > FIBER_BUDGET:
+        raise _over_budget(len(comp))
+    return state[:-1 - k] + (comp,) + state[-k:]
 
 
 def parse_model_word(text: str, model: ModelId) -> Word:
@@ -484,9 +513,9 @@ def parse_model_word(text: str, model: ModelId) -> Word:
 # Reference normaliser for G2K
 #
 # Maintains the same (omega, n, m) state but computes every fiber
-# conjugation letter by letter from the action tables instead of using the
-# closed-form rewrite rules of ``_g2k_rule``.  Agreement between the two on
-# random words is one of the equation-bank checks.
+# conjugation letter by letter from the action tables instead of through the
+# composite tables of a^n b^m.  Agreement between the two on random words is
+# one of the equation-bank checks.
 
 # z -> c z c^-1 for the signed base codes a = 1, b = 2, built once
 _G2K_ACTS = _actions(("a", "b"), _G2K_INTO, _G2K_OUT, 2)
@@ -506,12 +535,10 @@ def bruteforce_normalize_g2k(w: Word) -> NormalForm:
         else:
             z: Iterable[int] = ((1 if name == "x" else 2) * sgn,)
             # (a^n b^m) z (a^n b^m)^-1, conjugating by b^m first, then a^n
-            table = _G2K_ACTS[2 if m >= 0 else -2]
-            for _ in range(abs(m)):
-                z = _map_signed(table, z)
-            table = _G2K_ACTS[1 if n >= 0 else -1]
-            for _ in range(abs(n)):
-                z = _map_signed(table, z)
+            for code, e in ((2, m), (1, n)):
+                table = _G2K_ACTS[code if e >= 0 else -code]
+                for _ in range(abs(e)):
+                    z = _map_signed(table, z)
             omega = _fmul(omega, tuple(z))
     return NormalForm(ModelId.G2K, (omega, n, m))
 
@@ -644,28 +671,10 @@ def translate(dic: IsoDictionary, w: Word, direction: str) -> Word:
 # ---------------------------------------------------------------------------
 # Equation bank
 
-@dataclass(frozen=True)
-class BankCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class BankReport:
-    model: ModelId
-    checks: tuple[BankCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[BankCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 @cache
 def _bank() -> dict:
+    from importlib import resources
+
     with resources.files("sigmabraid.data").joinpath("equations.json").open("r") as fh:
         return json.load(fh)
 
@@ -685,30 +694,3 @@ def random_model_word(model: ModelId, rng: random.Random, max_len: int) -> Word:
     names, choice = model.letter_names, rng.choice
     k = rng.randint(0, max_len)
     return reduce([_SIGNED_LETTERS[choice(names), choice((1, -1))] for _ in range(k)])
-
-
-def verify_equation_bank(model: ModelId, random_words: int = 2000,
-                         max_len: int = 12, seed: int = 0) -> BankReport:
-    """Check every banked equation for the model by normal form; for G2K
-    additionally check the closed-form rewrite rules against the letterwise
-    conjugation reference on random words; a negative count is a
-    DomainError."""
-    if random_words < 0:
-        raise DomainError(f"random_words must be >= 0, got {random_words}")
-    checks: list[BankCheck] = []
-    for eq in equation_bank(model):
-        lhs = parse_model_word(eq["lhs"], model)
-        rhs = parse_model_word(eq["rhs"], model)
-        ok = words_equal(model, lhs, rhs)
-        checks.append(BankCheck(eq["name"], ok, "" if ok else f"{eq['lhs']} != {eq['rhs']}"))
-    if model is ModelId.G2K and random_words:
-        rng = random.Random(seed)
-        bad = 0
-        for _ in range(random_words):
-            w = random_model_word(model, rng, max_len)
-            if normalize(model, w).state != bruteforce_normalize_g2k(w).state:
-                bad += 1
-        checks.append(BankCheck(
-            f"rewrite-rules-vs-letterwise-action({random_words} words)",
-            bad == 0, "" if bad == 0 else f"{bad} disagreements"))
-    return BankReport(model, tuple(checks))

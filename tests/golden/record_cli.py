@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import pathlib
 
 from sigmabraid import characters, cli, criterion
@@ -110,7 +109,6 @@ def run_case(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> None:
-    os.environ.pop("SIGMA_BRAID_BALL_BUDGET", None)
     (HERE / "cli").mkdir(exist_ok=True)
     manifest = []
     for name, argv in _cases():

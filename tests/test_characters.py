@@ -399,6 +399,22 @@ def test_character_json_errors_name_the_field():
         character_from_json({"surface": "S2", "n": 4, "A": {"1;3": 1}})
 
 
+def test_character_json_refuses_the_fields_it_does_not_read():
+    # a mistyped key is an error, not a coordinate read as zero
+    with pytest.raises(DomainError, match=r"^unknown character JSON fields: \['B'\]$"):
+        character_from_json({"group": "B", "surface": "K", "n": 3, "B": 2})
+    with pytest.raises(DomainError, match=r"^unknown character JSON fields: \['bb'\]$"):
+        character_from_json({"group": "B", "surface": "T", "n": 2, "a": 1, "bb": 5})
+    chi = character_from_json({"group": "B", "surface": "T", "n": 2, "a": 1, "b": 5})
+    assert chi.coords == (1, 5)
+    for doc in ({"model": "G2T", "coords": {}, "x": 1},
+                {"surface": "K", "n": 2, "a": [0, 0], "b": [0, 0]},
+                {"surface": "S2", "n": 4, "A": {}, "b": 1},
+                {"group": "B", "surface": "D", "n": 3, "c": 1}):
+        with pytest.raises(DomainError, match="unknown character JSON fields"):
+            character_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # Differential check against the label-based abelianization rule
 #

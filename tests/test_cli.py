@@ -97,6 +97,13 @@ def test_classify_char_missing_field_names_it(capsys):
     assert err == "error: character JSON misses the field 'a'\n"
 
 
+def test_classify_char_with_an_unread_field_exits_1(capsys):
+    code, out, err = run(capsys, "classify", "--group", "B", "--surface", "K", "--n", "3",
+                         "--char", '{"group":"B","surface":"K","n":3,"B":2}')
+    assert code == 1 and out == ""
+    assert err == "error: unknown character JSON fields: ['B']\n"
+
+
 def test_act_malformed_tau_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["act", "--group", "P", "--surface", "T", "--n", "2", "--tau", "2 x",
@@ -285,20 +292,6 @@ def test_ball_rejects_a_budget_below_one(capsys, budget):
     code, out, err = run(capsys, *_BALL, "--budget", budget)
     assert code == 1 and out == ""
     assert err == f"error: budget must be >= 1, got {budget}\n"
-
-
-@pytest.mark.parametrize("value, message", [
-    ("abc", "must be an integer, got 'abc'"),
-    ("2.5", "must be an integer, got '2.5'"),
-    ("0", "must be >= 1, got 0"),
-])
-def test_ball_budget_variable_errors_name_it(capsys, monkeypatch, value, message):
-    monkeypatch.setenv("SIGMA_BRAID_BALL_BUDGET", value)
-    code, out, err = run(capsys, *_BALL)
-    assert code == 1 and out == ""
-    assert err == f"error: SIGMA_BRAID_BALL_BUDGET {message}\n"
-    # an explicit --budget overrides the variable
-    assert run_json(capsys, *_BALL, "--budget", "5")["vertices"] == 5
 
 
 def test_ball_target_past_the_fiber_budget_exits_1(capsys, monkeypatch):

@@ -18,8 +18,7 @@ CASES = json.loads((GOLDEN / "cli_cases.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_cli_matches_the_recording(case, monkeypatch):
-    monkeypatch.delenv("SIGMA_BRAID_BALL_BUDGET", raising=False)
+def test_cli_matches_the_recording(case):
     code, out, err = run_case(case["argv"])
     assert (GOLDEN / "cli" / f"{case['name']}.out").read_text() == out
     assert err == case["stderr"]

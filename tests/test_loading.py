@@ -23,16 +23,16 @@ GOLDEN = ROOT / "tests" / "golden"
 
 
 def _env() -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if k != "SIGMA_BRAID_BALL_BUDGET"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
 
 
-def _fresh(code: str) -> str:
+def _fresh(code: str, *flags: str) -> str:
     """Standard output of ``code`` run in a new interpreter."""
-    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -47,6 +47,13 @@ def _loaded_after(statement: str) -> set[str]:
 def test_importing_models_loads_only_words():
     assert _loaded_after("import sigmabraid.models") == {
         "sigmabraid", "sigmabraid.models", "sigmabraid.words"}
+
+
+def test_importing_models_loads_neither_random_nor_resources():
+    # without site, so no startup hook has loaded them already
+    out = _fresh("import sys, sigmabraid.models\n"
+                 "print(sorted({'random', 'importlib.resources'} & set(sys.modules)))", "-S")
+    assert out == "[]\n"
 
 
 def test_importing_the_cli_loads_no_command_module():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sigmabraid import models
+from sigmabraid.checks import verify_equation_bank
 from sigmabraid.models import (
     FiberBudgetError,
     ModelId,
@@ -17,7 +18,6 @@ from sigmabraid.models import (
     random_model_word,
     step,
     translate,
-    verify_equation_bank,
     words_equal,
 )
 from sigmabraid.models import (  # internals under test
@@ -168,10 +168,10 @@ def test_g2k_rules_match_letterwise_reference():
 
 def test_equation_banks_pass():
     for model in ModelId:
-        report = verify_equation_bank(model, random_words=1000)
-        assert report.passed, report.failures()
-    g3t = verify_equation_bank(ModelId.G3T, random_words=0)
-    assert len(g3t.checks) == 12
+        checks = verify_equation_bank(model, random_words=1000)
+        assert all(c.passed for c in checks), [str(c) for c in checks if not c.passed]
+        assert {c.kind for c in checks} == {"bank"} and {c.group for c in checks} == {model.value}
+    assert len(verify_equation_bank(ModelId.G3T, random_words=0)) == 12
 
 
 def test_equation_bank_rejects_a_negative_count():
@@ -457,3 +457,50 @@ def test_fiber_budget_stops_a_long_g4t_word(monkeypatch):
         fold_step(ModelId.G4T, word)
     with pytest.raises(DomainError):  # a FiberBudgetError is a DomainError
         words_equal(ModelId.G4T, word, word)
+
+
+
+def test_g2k_powers_of_a_match_the_letterwise_reference():
+    # words a^k b^j z reach every bit of the cached power tables up to 2^12.
+    # The reference conjugates y by a^k in O(k^2) steps (1.2 s at k = 2^12),
+    # so y meets it up to |k| = 2^9 + 1 and the closed form above that:
+    # a^k b^j y = x^(2k) y a^k b^j for even j, x^(2k+1) y x a^k b^j for odd j.
+    # x is fixed by a, so it meets the reference at every k.
+    ks = [0, 2 ** 12 - 1, 1 - 2 ** 12] + [s * (2 ** i + d) for i in range(13)
+                                         for d in (0, 1) for s in (1, -1)]
+    for k in ks:
+        for j in (-2, 3):
+            for name in ("x", "y"):
+                for sign in (1, -1):
+                    word = Word((model_sym("a", 1 if k > 0 else -1),) * abs(k)
+                                + (model_sym("b", 1 if j > 0 else -1),) * abs(j)
+                                + (model_sym(name, sign),))
+                    state = normalize(ModelId.G2K, word).state
+                    if name == "x" or abs(k) <= 2 ** 9 + 1:
+                        assert state == bruteforce_normalize_g2k(word).state, (k, j, name, sign)
+                        continue
+                    e = 2 * k + j % 2
+                    omega = ((1,) * e if e > 0 else (-1,) * -e) + ((2, 1) if j % 2 else (2,))
+                    assert state == (omega if sign > 0 else _finv(omega), k, j), (k, j, sign)
+
+
+def test_g2k_states_do_not_depend_on_the_table_cache(monkeypatch):
+    # A fresh record starts with an empty cache.  At a budget of 120 letters
+    # no appended word or component of these words reaches the budget, but
+    # their tables hold about 1,900 letters, so the cache is emptied often.
+    rng = random.Random(53)
+    words = [random_model_word(ModelId.G2K, rng, 16) for _ in range(400)]
+    words += [w("a", ModelId.G2K) ** k * word for k in (7, -9, 13) for word in words[:40]]
+    expected = [normalize(ModelId.G2K, word).state for word in words]
+    fresh = models._extend(models._surface("K"), ("x", "y"), models._G2K_INTO, models._G2K_OUT)
+    monkeypatch.setitem(_MODELS, ModelId.G2K, fresh)
+    monkeypatch.setattr(models, "FIBER_BUDGET", 120)
+    assert [normalize(ModelId.G2K, word).state for word in words] == expected
+    assert [fold_step(ModelId.G2K, word) for word in words] == expected
+
+
+def test_a_huge_power_of_a_normalises_past_the_budget_of_its_tables():
+    # the table of a^(2^19) sends y to x^(2^20) y, past the budget of 10^6
+    # letters; only appended words and components are held to the budget
+    word = Word((model_sym("a"),) * 2 ** 19 + (model_sym("x"),))
+    assert normalize(ModelId.G2K, word).state == ((1,), 524288, 0)
