@@ -53,8 +53,9 @@ def _abelian(group, r) -> bool:
     coords = [0] * len(spec.positions)
     for w, sign in ((r.lhs, 1), (r.rhs, -1)):
         for s in w:
+            e = sign * s.sign
             for k, coeff in spec.slots(s):
-                coords[k] += sign * s.sign * coeff
+                coords[k] += e * coeff
     free = spec.free_rank
     return not any(coords[:free]) and all(
         c % order == 0 for c, (_, order) in zip(coords[free:], spec.torsion))

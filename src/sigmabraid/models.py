@@ -25,25 +25,37 @@ is pushed left through the tail t = c_(k-1) ... c_2 a^n b^m below it, by
 t z = (t z t^-1) t, and :func:`_push` computes the word t z t^-1 that z
 appends to its own component c_k: z conjugated by a^n b^m through one
 composite table, then by each lower component, innermost first, through
-level k's own action tables.  :func:`normalize` keeps every component as a
-list and reduces each appended word onto it in place, so a letter costs
-O(|z|), not O(|c_k|); :func:`step` rebuilds only the component the letter
-changes.  The result equals the fold of :func:`step` from
-:func:`identity_state`; the tests lock that in.  Exponents are plain Python
-ints (arbitrary precision).  Two elements are equal iff their layered
-normal forms are componentwise equal; this decides the word problem.
+level k's own action tables.  :func:`step` rebuilds only the component the
+letter changes.  :func:`normalize` reads each letter once, in one pass: it
+checks the letter against the model (so an invalid letter raises when the
+pass reaches it, after any budget error of the prefix before it) and
+applies it, keeping every component as a list and reducing each appended
+word onto it in place, so a letter costs O(|z|), not O(|c_k|).  Level 2
+has no lower component, so where a and b act on it trivially (G2T, and
+the x, y level of G3T and G4T) its letter pushes or pops its own code;
+where they act (G2K) one a^n b^m table serves a whole run of fiber
+letters and is dropped when an ``a`` or ``b`` changes (n, m).  The result
+equals the fold of :func:`step` from :func:`identity_state`; the tests
+lock that in.  Exponents are plain Python ints (arbitrary precision).  Two
+elements are equal iff their layered normal forms are componentwise equal;
+this decides the word problem.
 
 Where a and b act on a level (G2K), its composite table of z ->
-a^n b^m z b^-m a^-n is built once per (n, m), m taken mod 2 where b acts as
-an involution, from cached tables of a^(+-2^i) and b^(+-2^i), one
-composition per set bit.  The level empties its cache once the letters it
-holds pass ``FIBER_BUDGET``.  On the torus they act trivially: no tables.
+a^n b^m z b^-m a^-n is kept per (n, m), m taken mod 2 where b acts as an
+involution, as the product of cached tables of a^(+-2^i) and b^(+-2^i),
+one factor per set bit.  Every such table (:class:`_LazyTable`) builds a
+letter's image only when the letter is read, so a lone x after a^(2^19)
+builds x's image under each power, not y's of 2^20 letters; a table read
+again is a plain dict lookup.  The level empties its cache once the
+letters its tables hold pass ``FIBER_BUDGET``.  On the torus a and b act
+trivially: no tables.
 
 Every appended word z and every fiber component is held to
-``FIBER_BUDGET`` letters, tested once per appended word (tables are not);
-past it a letter raises :class:`FiberBudgetError`, so a long G3T or G4T
-word, whose fibers grow exponentially with its length, fails fast instead
-of exhausting memory.
+``FIBER_BUDGET`` letters, tested once per appended word (a level-2 push
+tests its component alone, tables are not tested); past it a letter
+raises :class:`FiberBudgetError`, so a long G3T or G4T word, whose fibers
+grow exponentially with its length, fails fast instead of exhausting
+memory.
 
 The tables ``_*_INTO`` store the defining actions g^-1 z g.  The inverse
 automorphisms ``_*_OUT`` (g z g^-1) are solved from them by hand and locked
@@ -89,6 +101,7 @@ from .words import (
     Word,
     model_sym,
     parse_symbols,
+    product,
     reduce,
     sym_a,
     sym_b,
@@ -260,9 +273,28 @@ def _actions(letters: tuple[str, ...], into: dict, out: dict,
     return acts
 
 
-def _compose(outer: dict, inner: dict) -> dict[int, tuple[int, ...]]:
-    """The signed table of ``outer`` after ``inner``."""
-    return {c: tuple(_map_signed(outer, img)) for c, img in inner.items()}
+class _LazyTable(dict):
+    """The signed table of f_k(... f_1(z)) for the signed tables ``factors``
+    f_1 .. f_k, each image built when first read (module docstring); ``hold``
+    is told the letters of each image stored."""
+
+    __slots__ = ("factors", "hold")
+
+    def __init__(self, factors: tuple[dict, ...], hold: Callable[[int], None]):
+        super().__init__()
+        self.factors, self.hold = factors, hold
+
+    def __missing__(self, c: int) -> tuple[int, ...]:
+        if c < 0:
+            img = _finv(self[-c])
+        else:
+            z: Iterable[int] = (c,)
+            for table in self.factors:
+                z = _map_signed(table, z)
+            img = tuple(z)
+        self[c] = img
+        self.hold(len(img))
+        return img
 
 
 def _exponent_tables(into: dict, out: dict, rank: int) -> Callable[[int, int], dict] | None:
@@ -273,38 +305,39 @@ def _exponent_tables(into: dict, out: dict, rank: int) -> Callable[[int, int], d
         return None
     acts = _actions(("a", "b"), into, out, rank)
     fixed = _signed_table({}, rank)
-    involution = _compose(acts[2], acts[2]) == fixed  # then m counts mod 2
+    # where b^2 acts trivially, m counts mod 2
+    involution = all(_map_signed(acts[2], img) == [c] for c, img in acts[2].items())
     powers: dict[tuple[int, int], dict] = {}  # (signed code c, i) -> table of c^(2^i)
     tables: dict[tuple[int, int], dict] = {}  # (n, m) -> composite table
     held = 0
 
-    def keep(cache: dict, key: tuple[int, int], table: dict) -> dict:
+    def hold(letters: int) -> None:
         nonlocal held
-        cache[key] = table
-        held += sum(map(len, table.values()))
+        held += letters
         if held > FIBER_BUDGET:
             powers.clear()
             tables.clear()
             held = 0
-        return table
 
     def power(c: int, i: int) -> dict:
-        table = powers.get((c, i)) if i else acts[c]
+        if not i:
+            return acts[c]
+        table = powers.get((c, i))
         if table is None:
             half = power(c, i - 1)
-            table = keep(powers, (c, i), _compose(half, half))
+            table = powers[c, i] = _LazyTable((half, half), hold)
         return table
 
     def composite(n: int, m: int) -> dict:
         m = m & 1 if involution else m
         table = tables.get((n, m))
         if table is None:
-            table = fixed
-            for c, e in ((2 if m > 0 else -2, abs(m)), (1 if n > 0 else -1, abs(n))):  # b^m first
-                for i in range(e.bit_length()):
-                    if e >> i & 1:
-                        table = _compose(power(c, i), table)
-            table = keep(tables, (n, m), table)
+            exponents = ((2 if m > 0 else -2, abs(m)), (1 if n > 0 else -1, abs(n)))  # b^m first
+            factors = tuple(power(c, i) for c, e in exponents
+                            for i in range(e.bit_length()) if e >> i & 1)
+            # one factor is a power table already; none leaves every letter fixed
+            table = tables[n, m] = (_LazyTable(factors, hold) if len(factors) > 1
+                                    else factors[0] if factors else fixed)
         return table
 
     return composite
@@ -440,23 +473,51 @@ def _check_letters(model: ModelId, w: Word) -> None:
 def normalize(model: ModelId, w: Word) -> NormalForm:
     """Normalise a word over the model alphabet (right-multiplication).
 
-    Every component is a list, and each word z that a letter appends is
-    reduced onto its component in place (see the module docstring).  Every
-    z is reduced, so letters cancel only at the seam."""
-    _check_letters(model, w)
+    One pass reads each letter once (module docstring): it checks the
+    letter, raising :class:`AlphabetError` on one with no owner in the model
+    or with indices, and applies it.  So an invalid letter raises only when
+    the pass reaches it: a prefix whose fibers pass ``FIBER_BUDGET`` raises
+    :class:`FiberBudgetError` first; both are :class:`DomainError`.  Every
+    component is a list, and each word z that a letter appends is reduced
+    onto it in place; every z is reduced, so letters cancel only at the
+    seam.  A level-2 letter on which a and b act trivially pushes or pops
+    its own code; on a level they act on, one a^n b^m table serves every
+    fiber letter until a or b changes (n, m)."""
     rec = _MODELS[model]
     owners, levels, klein = rec.owners, rec.levels, rec.surface == "K"
     comps: list[list[int]] = [[] for _ in levels]  # level k's component at k - 2
     n = m = 0
+    table = None  # level 2's a^n b^m table, fetched on the first fiber letter after a or b
     for s in w.letters:
-        k, code = owners[s.kind]
+        owner = owners.get(s.kind)
+        if owner is None or s.indices:
+            raise AlphabetError(f"{s}: not a letter of {model.value}")
+        k, code = owner
         if k == 1:
-            n, m = _exponent_step(klein, n, m, code, s.sign)
+            if code == 2:
+                m += s.sign
+            elif klein and m & 1:
+                n -= s.sign
+            else:
+                n += s.sign
+            table = None
             continue
         c, comp = code * s.sign, comps[k - 2]
         exponents, lower = level = levels[k - 2]
-        # _push inlined for level 2, which has no lower component
-        z = _push(level, comps, n, m, c) if lower else exponents(n, m)[c] if exponents else (c,)
+        if lower:
+            z = _push(level, comps, n, m, c)
+        elif exponents is None:  # level 2, a and b act trivially: z = (c,)
+            if comp and comp[-1] == -c:
+                comp.pop()
+            else:
+                comp.append(c)
+                if len(comp) > FIBER_BUDGET:
+                    raise _over_budget(len(comp))
+            continue
+        else:
+            if table is None:
+                table = exponents(n, m)
+            z = table[c]
         if len(z) > FIBER_BUDGET:
             raise _over_budget(len(z))
         if comp and comp[-1] == -z[0]:
@@ -573,13 +634,13 @@ def _mw(text: str) -> Word:
 
 
 def _braid_to_model(from_braid: dict[GeneratorSymbol, Word], w: Word) -> Word:
-    letters: list[GeneratorSymbol] = []
+    images: list[Word] = []
     for s in w:
         img = from_braid.get(s.base)
         if img is None:
             raise TranslationError(f"{s}: no dictionary entry")
-        letters.extend(img if s.sign == 1 else img.inverse())
-    return reduce(letters)
+        images.append(img if s.sign == 1 else img.inverse())
+    return product(*images)
 
 
 def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, Word]) -> Word:
@@ -601,7 +662,7 @@ def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, W
         parts = (b_i.inverse(), a_i.inverse(), prod_m, b_i, a_i)
     else:
         parts = (b_i.inverse(), prod_m, a_i, b_i, a_i)
-    return reduce(s for part in parts for s in part)
+    return product(*parts)
 
 
 @cache
@@ -659,13 +720,13 @@ def translate(dic: IsoDictionary, w: Word, direction: str) -> Word:
         return _braid_to_model(dic.from_braid, w)
     if direction != "to_braid":
         raise DomainError(f"direction must be 'to_model' or 'to_braid', got {direction!r}")
-    letters: list[GeneratorSymbol] = []
+    images: list[Word] = []
     for s in w:
         img = dic.to_braid.get(s.kind) if not s.indices else None
         if img is None:
             raise TranslationError(f"{s}: no dictionary entry")
-        letters.extend(img if s.sign == 1 else img.inverse())
-    return reduce(letters)
+        images.append(img if s.sign == 1 else img.inverse())
+    return product(*images)
 
 
 # ---------------------------------------------------------------------------

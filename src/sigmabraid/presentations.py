@@ -36,7 +36,7 @@ from .words import (
     _reduced,
     alpha_beta_word,
     aij_word,
-    reduce,
+    product,
     serialize_word,
     sym_a,
     sym_b,
@@ -106,8 +106,8 @@ def _s(i: int, sign: int = 1) -> Word:
     return _reduced((sym_s(i, sign),))
 
 
-def _cat(*ws: Word) -> Word:
-    return reduce(s for w in ws for s in w.letters)
+# every factor is reduced, so a product cancels letters only at its seams
+_cat = product
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,12 @@ def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable
 # ---------------------------------------------------------------------------
 # Derived relation families
 
+@cache
 def _alpha(j: int, i: int, n: int) -> Word:
     return alpha_beta_word("alpha", j, i, n)
 
 
+@cache
 def _beta(j: int, i: int, n: int) -> Word:
     return alpha_beta_word("beta", j, i, n)
 

@@ -30,8 +30,9 @@ compare fields, so a directly built ``GeneratorSymbol`` equals the interned
 one.  The table lives as long as the process and holds one pair per
 distinct letter met.  Likewise a ``Word`` built directly checks that its
 letters are reduced, while the results of :func:`reduce`,
-:meth:`Word.inverse` and ``*`` are reduced by construction and skip the
-check; ``*`` cancels only at the seam of its two reduced factors.
+:meth:`Word.inverse`, ``*`` and :func:`product` are reduced by construction
+and skip the check; ``*`` and :func:`product` cancel only at the seams of
+their reduced factors.
 
 Text syntax: whitespace-separated tokens ``a1 b3 s2 C[1,3] A[2,4] D x ub w2``
 with inverses written ``^-1`` (for example ``C[1,3]^-1``).  Indices are
@@ -196,16 +197,7 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        # both factors are reduced, so letters cancel only at the seam
-        u, v = self.letters, other.letters
-        i, j, m = len(u), 0, len(v)
-        while i and j < m:
-            s, t = u[i - 1], v[j]
-            if s.kind != t.kind or s.indices != t.indices or s.sign != -t.sign:
-                break
-            i -= 1
-            j += 1
-        return _reduced(u[:i] + v[j:])
+        return product(self, other)
 
     def inverse(self) -> "Word":
         return _reduced([s._inverse for s in reversed(self.letters)])
@@ -231,6 +223,24 @@ def _reduced(letters: Iterable[GeneratorSymbol]) -> Word:
     w = object.__new__(Word)
     object.__setattr__(w, "letters", tuple(letters))
     return w
+
+
+def product(*factors: Word) -> Word:
+    """The reduced product of reduced words, left to right.  Letters cancel
+    only at the seams, so it costs the letters kept plus those cancelled,
+    not a letter-by-letter reduction of the whole concatenation."""
+    out: list[GeneratorSymbol] = []
+    for w in factors:
+        v = w.letters
+        j, m = 0, len(v)
+        while out and j < m:
+            s, t = out[-1], v[j]
+            if s.kind != t.kind or s.indices != t.indices or s.sign != -t.sign:
+                break
+            out.pop()
+            j += 1
+        out += v[j:]
+    return _reduced(out)
 
 
 def reduce(raw: Iterable[GeneratorSymbol]) -> Word:

@@ -88,6 +88,11 @@ def test_alphabet_violation():
         normalize(ModelId.G2T, Word((model_sym("u"),)))
     with pytest.raises(AlphabetError):
         normalize(ModelId.G3T, Word((sym_a(1),)))
+    # the pass checks each letter when it reaches it, after a valid prefix
+    with pytest.raises(AlphabetError, match=r"^u: not a letter of G2T$"):
+        normalize(ModelId.G2T, Word((model_sym("x"), model_sym("a"), model_sym("u"))))
+    with pytest.raises(AlphabetError, match=r"^a1: not a letter of G3T$"):
+        normalize(ModelId.G3T, Word((model_sym("x"), model_sym("y"), sym_a(1))))
 
 
 def test_normal_form_uniqueness_under_splitting():
@@ -442,6 +447,27 @@ def test_fiber_budget_bounds_components_and_appended_words(monkeypatch):
         normalize(ModelId.G2K, w("a a a y", ModelId.G2K))
     with pytest.raises(FiberBudgetError, match="7 letters"):
         fold_step(ModelId.G2K, w("a a a y", ModelId.G2K))
+    # level 2 of G3T and G4T pushes and pops the letter's own code
+    for model in (ModelId.G3T, ModelId.G4T):
+        assert normalize(model, w("x x x x x a x^-1 b x", model)).state[-3:] == ((1,) * 5, 1, 1)
+        for text in ("x x x x x a x^-1 b x x", "y^-1 a y^-1 y^-1 b y^-1 y^-1 y^-1"):
+            word = w(text, model)
+            with pytest.raises(FiberBudgetError,
+                               match="^a fiber word of 6 letters passes the budget of 5 letters$"):
+                normalize(model, word)
+            with pytest.raises(FiberBudgetError,
+                               match="^a fiber word of 6 letters passes the budget of 5 letters$"):
+                fold_step(model, word)
+
+
+def test_a_prefix_over_the_budget_raises_before_a_later_invalid_letter(monkeypatch):
+    monkeypatch.setattr(models, "FIBER_BUDGET", 5)
+    word = Word((model_sym("x"),) * 6 + (model_sym("u"),))
+    with pytest.raises(FiberBudgetError, match="6 letters"):
+        normalize(ModelId.G2T, word)
+    word = Word((model_sym("a"),) * 3 + (model_sym("y"), sym_a(1)))
+    with pytest.raises(FiberBudgetError, match="7 letters"):
+        normalize(ModelId.G2K, word)
 
 
 def test_fiber_budget_stops_a_long_g4t_word(monkeypatch):
@@ -504,3 +530,63 @@ def test_a_huge_power_of_a_normalises_past_the_budget_of_its_tables():
     # letters; only appended words and components are held to the budget
     word = Word((model_sym("a"),) * 2 ** 19 + (model_sym("x"),))
     assert normalize(ModelId.G2K, word).state == ((1,), 524288, 0)
+
+
+def _letters_held(table, seen):
+    """Letters stored in a lazy exponent table and the lazy tables it reads."""
+    if id(table) in seen or not isinstance(table, models._LazyTable):
+        return 0
+    seen.add(id(table))
+    return sum(map(len, table.values())) + sum(_letters_held(f, seen) for f in table.factors)
+
+
+def test_a_lone_letter_after_a_huge_power_builds_only_its_own_images(monkeypatch):
+    # x is fixed by a, so each power of a is read at x alone: about one
+    # letter per power, not the 2^20 letters of y's image under a^(2^19)
+    fresh = models._extend(models._surface("K"), ("x", "y"), models._G2K_INTO, models._G2K_OUT)
+    monkeypatch.setitem(_MODELS, ModelId.G2K, fresh)
+    word = Word((model_sym("a"),) * 2 ** 19 + (model_sym("x"),))
+    assert normalize(ModelId.G2K, word).state == ((1,), 2 ** 19, 0)
+    exponents = fresh.levels[0][0]
+    assert _letters_held(exponents(2 ** 19, 0), set()) <= 20
+    # the same table still builds y's image, x^(2^20) y, when y is read
+    with pytest.raises(FiberBudgetError, match="1048577 letters"):
+        normalize(ModelId.G2K, word * Word((model_sym("y"),)))
+
+
+def _g2k_runs_word(rng, big, y_bound):
+    """A G2K word of a and b runs, each moving n to a target of |n| <= ``big``
+    with m of either parity, then a run of fiber letters; y only where
+    |n| <= ``y_bound``.  Returns the word and the (n, m) of each fiber run."""
+    letters, seen, n, m = [], [], 0, 0
+    for _ in range(6):
+        target = rng.randint(-big, big)
+        e = n - target if m % 2 else target - n  # b^m a = a^((-1)^m) b^m
+        letters += [model_sym("a", 1 if e > 0 else -1)] * abs(e)
+        j = rng.randint(-3, 3)
+        letters += [model_sym("b", 1 if j > 0 else -1)] * abs(j)
+        n, m = target, m + j
+        names = "xy" if abs(n) <= y_bound else "x"
+        letters += [model_sym(rng.choice(names), rng.choice((1, -1)))
+                    for _ in range(rng.randint(1, 4))]
+        seen.append((n, m))
+    return reduce(letters), seen
+
+
+def test_g2k_runs_of_fiber_letters_read_the_table_of_their_own_exponents():
+    # normalize fetches one a^n b^m table per run of fiber letters and drops
+    # it when a or b changes (n, m); step fetches one per letter.  The
+    # letterwise reference conjugates y by a^n in O(n^2) steps, so it meets
+    # y only up to |n| = 2^7 and x up to 2^12.
+    rng = random.Random(61)
+    seen = []
+    for big, y_bound in ((2 ** 12, 2 ** 12), (2 ** 12, 2 ** 7), (2 ** 7, 2 ** 7)):
+        for _ in range(6):
+            word, runs = _g2k_runs_word(rng, big, y_bound)
+            state = normalize(ModelId.G2K, word).state
+            assert state == fold_step(ModelId.G2K, word)
+            if y_bound <= 2 ** 7:
+                assert state == bruteforce_normalize_g2k(word).state
+            seen += runs
+    assert max(abs(n) for n, _ in seen) > 2 ** 11
+    assert {m % 2 for _, m in seen} == {0, 1}
