@@ -36,7 +36,8 @@ is used anywhere: coordinates are ints or fractions.Fraction.
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
 the lcm L of their denominators, and the exact integer value L*chi(g) of
-every positive letter g met so far.  :func:`evaluate` and :func:`nu`
+every signed letter g met so far, keyed by the letter's code.
+:func:`evaluate` and :func:`nu`
 sum and minimise these integers and divide by L once at the end, so they
 still return exact Fractions; the ball search and the certificate margins
 read the integers directly, since positive scaling keeps every sign.
@@ -96,9 +97,9 @@ class AbelianizationSpec:
         raise ValueError(f"{label!r} is not a free coordinate of {self.group}")
 
     @cached_property
-    def _slot_table(self) -> dict[tuple[str, tuple[int, ...]], list[tuple[int, int]]]:
-        """(kind, indices) -> slots of each letter validated so far; not a
-        field, so it stays out of eq, hash and repr."""
+    def _slot_table(self) -> dict[int, list[tuple[int, int]]]:
+        """abs(code) -> slots of each letter validated so far; not a field,
+        so it stays out of eq, hash and repr."""
         return {}
 
     def slots(self, s: GeneratorSymbol) -> list[tuple[int, int]]:
@@ -106,7 +107,7 @@ class AbelianizationSpec:
         coefficient) pairs.  Each distinct letter is validated against the
         group once, when it enters the table; a letter that fails raises
         AlphabetError and never enters."""
-        key = (s.kind, s.indices)
+        key = abs(s.code)
         slots = self._slot_table.get(key)
         if slots is None:
             _check_letter(self.group, s)
@@ -234,11 +235,12 @@ class LetterTable:
     """A character on letters as exact integers.
 
     ``denominator`` is the lcm L of the coordinate denominators; ``values``
-    maps (kind, indices) of each positive letter met so far to L times the
-    character's value on it; ``_scaled`` holds L times each coordinate by
-    position, 0 on torsion.  A letter enters on first lookup, placed by
-    the spec's validated table (:meth:`AbelianizationSpec.slots`); a letter
-    that fails validation raises AlphabetError and never enters.
+    maps the signed code (:attr:`GeneratorSymbol.code`) of each letter met
+    so far to L times the character's value on that signed letter;
+    ``_scaled`` holds L times each coordinate by position, 0 on torsion.  A
+    letter enters on first lookup, both signs at once, placed by the spec's
+    validated table (:meth:`AbelianizationSpec.slots`); a letter that fails
+    validation raises AlphabetError and never enters.
     """
 
     __slots__ = ("spec", "denominator", "values", "_scaled")
@@ -247,19 +249,20 @@ class LetterTable:
         self.spec = chi.spec
         self.denominator = math.lcm(*(Fraction(c).denominator for c in chi.coords))
         self._scaled = [int(c * self.denominator) for c in chi.coords] + [0] * len(chi.spec.torsion)
-        self.values: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.values: dict[int, int] = {}
 
     def _enter(self, s: GeneratorSymbol) -> int:
-        value = sum(coeff * self._scaled[k] for k, coeff in self.spec.slots(s))
-        self.values[(s.kind, s.indices)] = value
+        value = s.sign * sum(coeff * self._scaled[k] for k, coeff in self.spec.slots(s))
+        self.values[s.code] = value
+        self.values[-s.code] = -value
         return value
 
     def value(self, s: GeneratorSymbol) -> int:
         """L times the character on one signed letter."""
-        v = self.values.get((s.kind, s.indices))
+        v = self.values.get(s.code)
         if v is None:
             v = self._enter(s)
-        return s.sign * v
+        return v
 
     def total(self, w: Word) -> int:
         """L times the character on a word."""
@@ -269,9 +272,11 @@ class LetterTable:
         """The least of the scaled values met walking ``w`` from a vertex of
         scaled value ``value``, that vertex included: L times the
         chi-minimum of the path."""
+        get = self.values.get
         lowest = value
         for s in w.letters:
-            value += self.value(s)
+            v = get(s.code)
+            value += self._enter(s) if v is None else v
             if value < lowest:
                 lowest = value
         return lowest

@@ -11,16 +11,21 @@ equations against the word-problem oracle and computes the exact margins
     m_z = nu_chi(t, W_z) - nu_chi(1, (z)) ,
 
 all of which must be strictly positive.  It computes them in the scaled
-integers of the character's letter table and divides each by the table's
-denominator once.
+integers of the character's letter table, and builds one Fraction per
+distinct scaled margin in a call, dividing by the table's denominator L
+once for each; a trivial path W_z = z has margin exactly chi(t), so its
+scaled margin is L chi(t) without a walk.
 
 ``generate_lemma_certificates`` assembles the certificates for the six
 parametrised character families on the three- and four-strand torus
 models (cases A-D on G3T, A-B on G4T), drawing the nontrivial path words
 from the shipped equation bank.  ``generate_braid_certificate`` builds
 certificates directly over the braid generators for characters whose
-extreme b-weight sits on strand n (t = b_n) or strand 1 (t = b_1^-1);
-endpoints are oracle-checked where a model covers the group (torus
+extreme b-weight sits on strand n (t = b_n) or strand 1 (t = b_1^-1).
+It builds each path word with one seam product of cached one-letter
+words, so the products read no more letters than the certificate keeps,
+Theta(n^2), instead of copying every partial product, Theta(n^3).
+Endpoints are oracle-checked where a model covers the group (torus
 n <= 4, Klein bottle n = 2) and are otherwise delegated to the relation
 tables, which the report records entry by entry.
 
@@ -70,7 +75,7 @@ from .models import (
     translate,
     words_equal,
 )
-from .presentations import _C
+from .presentations import _C, _a, _b
 from .words import (
     DomainError,
     GeneratorSymbol,
@@ -78,6 +83,7 @@ from .words import (
     IDENTITY,
     Word,
     model_sym,
+    product,
     serialize_word,
     sym_a,
     sym_b,
@@ -148,11 +154,13 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     otherwise a DomainError names the context or the character's group.
     Margins are computed in the scaled integers of ``chi.letter_table``:
     with L its denominator, L m_z is the least scaled value on the path
-    t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), and each
-    line divides by L once.  Raises CertificateError when chi(t) <= 0, an
-    entry is missing or an endpoint equation fails (naming the offending
-    generator); margins that are merely nonpositive only mark the report
-    as failed.
+    t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), or L chi(t)
+    for a trivial path W_z = z, and each distinct scaled margin is divided
+    by L once per call, its Fraction shared by the lines that have it.  The
+    alphabet and every endpoint are checked anew on each call.  Raises
+    CertificateError when chi(t) <= 0, an entry is missing or an endpoint
+    equation fails (naming the offending generator); margins that are
+    merely nonpositive only mark the report as failed.
     """
     context = cert.context
     is_model = isinstance(context, ModelId)
@@ -175,11 +183,16 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         alphabet = [sym_a(i) for i in range(1, n + 1)] + \
                    [sym_b(i) for i in range(1, n + 1)] + \
                    [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    missing = set(_signed_alphabet(alphabet)).difference(e.z for e in cert.entries)
+    signed = _signed_alphabet(alphabet)
+    missing = {s.code for s in signed}.difference(e.z.code for e in cert.entries)
     if missing:
-        raise CertificateError(f"certificate misses entries for: {sorted(map(str, missing))}")
+        names = sorted(str(s) for s in signed if s.code in missing)
+        raise CertificateError(f"certificate misses entries for: {names}")
 
     t_word = Word((cert.t,))
+    # one Fraction per distinct scaled margin; a trivial path (W_z = z)
+    # has margin exactly L chi(t)
+    margins = {chi_t: Fraction(chi_t, table.denominator)}
     lines = []
     endpoints_all = True
     for e in cert.entries:
@@ -195,9 +208,16 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         if checked and not ok:
             raise CertificateError(f"endpoint condition fails for z = {e.z}")
         endpoints_all = endpoints_all and checked
-        margin = table.lowest(chi_t, e.path_word) - min(0, table.value(e.z))
-        lines.append(MarginLine(str(e.z), Fraction(margin, table.denominator),
-                                checked, margin > 0))
+        chi_z = table.value(e.z)  # validates z, trivial path or not
+        path = e.path_word.letters
+        if len(path) == 1 and path[0].code == e.z.code:
+            margin = chi_t
+        else:
+            margin = table.lowest(chi_t, e.path_word) - min(0, chi_z)
+        value = margins.get(margin)
+        if value is None:
+            value = margins[margin] = Fraction(margin, table.denominator)
+        lines.append(MarginLine(str(e.z), value, checked, margin > 0))
     passed = all(line.positive for line in lines)
     return CertificateReport(str(context), str(cert.t),
                              tuple(lines), passed, endpoints_all)
@@ -323,58 +343,51 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
     top_ok = b_top > 0 and all(b_top + v > 0 for v in b[:-1])
     low_ok = b_low < 0 and all(-b_low - v > 0 for v in b[1:])
     use_top = top_ok or (not low_ok and b_top > 0)
+    # every path word is one product of cached one-letter words (C[j,j] is
+    # the empty word)
     entries: list[CertificateEntry] = []
     if use_top:
         t = sym_b(n)
         for i in range(1, n):
-            w = _C(i, n) * _C(i + 1, n).inverse() * Word((sym_a(i),))
-            entries += _pair(sym_a(i), w, "strand conjugation rule P1")
-        w_an = Word((sym_a(n),)) * _C(1, n).inverse() if not K \
-            else _C(1, n) * Word((sym_a(n, -1),))
+            entries += _pair(sym_a(i), product(_C(i, n), _C(i + 1, n, -1), _a(i)),
+                             "strand conjugation rule P1")
+        w_an = product(_C(1, n), _a(n, -1)) if K else product(_a(n), _C(1, n, -1))
         entries += _pair(sym_a(n), w_an, "strand conjugation rule P1, top row")
         for i in range(1, n):
-            w = Word((sym_b(i),)) if not K \
-                else Word((sym_b(i),)) * _C(i + 1, n) * _C(i, n).inverse()
+            w = product(_b(i), _C(i + 1, n), _C(i, n, -1)) if K else _b(i)
             entries += _pair(sym_b(i), w, "b-commutation rule")
         entries += _triv(sym_b(n))
         for i in range(1, n):
             for j in range(i + 1, n):
                 entries += _triv(sym_C(i, j), "disjoint encircling braid")
+        # the S4 bands b_k C[k,n] C[k+1,n]^-1 b_k^-1 (the band inverted on
+        # the Klein bottle) for k = n-1 down to 1, four factors each; the
+        # word for C[i,n] is the bands down to k = i
+        bands: list[Word] = []
+        for k in range(n - 1, 0, -1):
+            band = (_C(k + 1, n), _C(k, n, -1)) if K else (_C(k, n), _C(k + 1, n, -1))
+            bands += (_b(k), *band, _b(k, -1))
         for i in range(1, n):
-            w = IDENTITY
-            for j in range(1, n - i + 1):
-                band = _C(n - j, n) * _C(n - j + 1, n).inverse()
-                if K:
-                    band = band.inverse()
-                w = w * Word((sym_b(n - j),)) * band * Word((sym_b(n - j, -1),))
-            entries += _pair(sym_C(i, n), w, "iterated outward conjugation S4")
+            entries += _pair(sym_C(i, n), product(*bands[:4 * (n - i)]),
+                             "iterated outward conjugation S4")
     elif b_low < 0:
         t = sym_b(1, -1)
         entries += _triv(sym_b(1))
         for j in range(2, n + 1):
-            w = Word((sym_b(j),)) if not K \
-                else _C(2, j).inverse() * _C(1, j) * Word((sym_b(j),))
+            w = product(_C(2, j, -1), _C(1, j), _b(j)) if K else _b(j)
             entries += _pair(sym_b(j), w, "outward conjugation S5")
         for j in range(2, n + 1):
-            w = Word((sym_a(j),)) * _C(1, j).inverse() * _C(2, j)
-            entries += _pair(sym_a(j), w, "outward conjugation S2")
-        w1 = IDENTITY
+            entries += _pair(sym_a(j), product(_a(j), _C(1, j, -1), _C(2, j)),
+                             "outward conjugation S2")
+        bands = []
         for j in range(2, n + 1):
-            band = _C(1, j) * _C(2, j).inverse() if K else _C(1, j).inverse() * _C(2, j)
-            w1 = w1 * band
-        if K:
-            w_a1_inv = w1 * Word((sym_a(1),))
-        else:
-            w_a1_inv = Word((sym_a(1, -1),)) * w1
+            bands += (_C(1, j), _C(2, j, -1)) if K else (_C(1, j, -1), _C(2, j))
+        w_a1_inv = product(*bands, _a(1)) if K else product(_a(1, -1), *bands)
         entries += _pair(sym_a(1, -1), w_a1_inv, "wall-crossing relation, first strand")
         for j in range(2, n + 1):
-            if not K:
-                w = Word((sym_b(j, -1),)) * _C(2, j).inverse() * _C(1, j) * \
-                    Word((sym_b(j),)) * _C(2, j)
-            else:
-                w = Word((sym_b(j, -1),)) * _C(1, j).inverse() * _C(2, j) * \
-                    Word((sym_b(j),)) * _C(2, j)
-            entries += _pair(sym_C(1, j), w, "outward conjugation S4, first strand")
+            middle = (_C(1, j, -1), _C(2, j)) if K else (_C(2, j, -1), _C(1, j))
+            entries += _pair(sym_C(1, j), product(_b(j, -1), *middle, _b(j), _C(2, j)),
+                             "outward conjugation S4, first strand")
         for j in range(2, n + 1):
             for k in range(j + 1, n + 1):
                 entries += _triv(sym_C(j, k), "disjoint encircling braid")

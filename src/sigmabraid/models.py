@@ -89,7 +89,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .words import (
@@ -628,19 +628,39 @@ class IsoDictionary:
     def braid_context(self) -> GroupContext:
         return GroupContext("P", self.surface, self.n)
 
+    @cached_property
+    def images(self) -> dict[int, Word]:
+        """Signed braid-letter code -> model word, read by
+        ``translate(..., "to_model")``; built on first use, after
+        :func:`dictionary` has made ``from_braid`` final.  Not a field, so
+        it stays out of eq and repr."""
+        return _signed_images(self.from_braid)
+
 
 def _mw(text: str) -> Word:
     return reduce(parse_symbols(text))
 
 
-def _braid_to_model(from_braid: dict[GeneratorSymbol, Word], w: Word) -> Word:
-    images: list[Word] = []
-    for s in w:
-        img = from_braid.get(s.base)
+def _signed_images(from_braid: dict[GeneratorSymbol, Word]) -> dict[int, Word]:
+    """Each braid letter's code -> its image, and the negated code -> the
+    inverse image."""
+    images: dict[int, Word] = {}
+    for s, w in from_braid.items():
+        images[s.code] = w
+        images[-s.code] = w.inverse()
+    return images
+
+
+def _braid_to_model(images: dict[int, Word], w: Word) -> Word:
+    """One lookup per letter in a table of :func:`_signed_images`."""
+    get = images.get
+    parts: list[Word] = []
+    for s in w.letters:
+        img = get(s.code)
         if img is None:
             raise TranslationError(f"{s}: no dictionary entry")
-        images.append(img if s.sign == 1 else img.inverse())
-    return product(*images)
+        parts.append(img)
+    return product(*parts)
 
 
 def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, Word]) -> Word:
@@ -655,7 +675,7 @@ def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, W
         raw.append(sym_C(i, j, sign))
         if i + 1 < j:
             raw.append(sym_C(i + 1, j, -sign))
-    prod_m = _braid_to_model(from_braid, reduce(raw))
+    prod_m = _braid_to_model(_signed_images(from_braid), reduce(raw))
     a_i = from_braid[sym_a(i)]
     b_i = from_braid[sym_b(i)]
     if surface == "T":
@@ -717,7 +737,7 @@ def translate(dic: IsoDictionary, w: Word, direction: str) -> Word:
     """Substitute letterwise and reduce.  ``direction`` is "to_model"
     (braid generators to model letters) or "to_braid"."""
     if direction == "to_model":
-        return _braid_to_model(dic.from_braid, w)
+        return _braid_to_model(dic.images, w)
     if direction != "to_braid":
         raise DomainError(f"direction must be 'to_model' or 'to_braid', got {direction!r}")
     images: list[Word] = []

@@ -25,14 +25,24 @@ Letters are interned.  The builders (``sym_s``, ``sym_a``, ``sym_b``,
 (kind, indices, sign).  That instance is built and validated once, when it
 enters the table, together with its inverse, so ``inverse()`` is an attribute
 read and ``s.inverse().inverse() is s``.  A letter that fails validation
-raises :class:`AlphabetError` and never enters.  Equality and hashing still
-compare fields, so a directly built ``GeneratorSymbol`` equals the interned
-one.  The table lives as long as the process and holds one pair per
-distinct letter met.  Likewise a ``Word`` built directly checks that its
-letters are reduced, while the results of :func:`reduce`,
-:meth:`Word.inverse`, ``*`` and :func:`product` are reduced by construction
-and skip the check; ``*`` and :func:`product` cancel only at the seams of
-their reduced factors.
+raises :class:`AlphabetError` and never enters.  Each pair gets a signed
+integer ``code`` as it enters, +k for the positive letter and -k for its
+inverse, so two letters cancel exactly when their codes sum to zero, and
+hot lookups (the seams of :func:`product` and :func:`reduce`, the letter
+tables of characters, the braid-to-model dictionaries) key by code.
+Codes depend on the order letters are first met, so they belong to the
+process: they are never printed, serialized or sorted by.  Equality,
+hashing and repr still compare fields, so a directly built
+``GeneratorSymbol`` equals the interned one and reads its code.  The
+table lives as long as the process and holds one pair per distinct letter
+met.  Beside it, :func:`parse_symbols` keeps a table from token text to
+interned letter, so each distinct token is parsed once per process; a
+token that fails to parse or validate never enters it.
+
+A ``Word`` built directly checks that its letters are reduced, while the
+results of :func:`reduce`, :meth:`Word.inverse`, ``*`` and :func:`product`
+are reduced by construction and skip the check; ``*`` and :func:`product`
+cancel only at the seams of their reduced factors.
 
 Text syntax: whitespace-separated tokens ``a1 b3 s2 C[1,3] A[2,4] D x ub w2``
 with inverses written ``^-1`` (for example ``C[1,3]^-1``).  Indices are
@@ -42,6 +52,7 @@ with inverses written ``^-1`` (for example ``C[1,3]^-1``).  Indices are
 from __future__ import annotations
 
 import re
+from _thread import allocate_lock
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -103,6 +114,13 @@ class GeneratorSymbol:
         return self._inverse
 
     @cached_property
+    def code(self) -> int:
+        """The signed code: +k for the positive letter, -k for its inverse.
+        :func:`_letter` sets it on every interned letter; a directly built
+        letter reads its interned twin's on first use."""
+        return _letter(self.kind, self.indices, self.sign).code
+
+    @cached_property
     def _inverse(self) -> "GeneratorSymbol":
         """The interned inverse.  :func:`_letter` sets it on every interned
         letter; a directly built letter looks it up on first use."""
@@ -130,21 +148,32 @@ class GeneratorSymbol:
 
 # the interned letters by (kind, indices, sign), each entered with its inverse
 _LETTERS: dict[tuple[str, tuple[int, ...], int], GeneratorSymbol] = {}
+# held while a letter enters: two threads that miss one letter at once must
+# not both enter it, nor two letters take one code
+_ENTERING = allocate_lock()
 
 
 def _letter(kind: str, indices: tuple[int, ...], sign: int) -> GeneratorSymbol:
-    """The one shared instance of a letter, built and validated on first use."""
+    """The one shared instance of a letter, built and validated on first use;
+    the k-th pair to enter gets the codes +k and -k."""
     key = (kind, indices, sign)
     s = _LETTERS.get(key)
-    if s is None:
-        s = GeneratorSymbol(kind, indices, sign)  # raises before anything enters
-        inverse = GeneratorSymbol(kind, indices, -sign)
-        # object.__setattr__, not __dict__: reading __dict__ would turn the
-        # letter's inline attribute values into a dict, slower to read
-        object.__setattr__(s, "_inverse", inverse)
-        object.__setattr__(inverse, "_inverse", s)
-        _LETTERS[key] = s
-        _LETTERS[(kind, indices, -sign)] = inverse
+    if s is not None:
+        return s
+    with _ENTERING:
+        s = _LETTERS.get(key)
+        if s is None:
+            s = GeneratorSymbol(kind, indices, sign)  # raises before anything enters
+            inverse = GeneratorSymbol(kind, indices, -sign)
+            k = len(_LETTERS) // 2 + 1
+            # object.__setattr__, not __dict__: reading __dict__ would turn the
+            # letter's inline attribute values into a dict, slower to read
+            object.__setattr__(s, "_inverse", inverse)
+            object.__setattr__(inverse, "_inverse", s)
+            object.__setattr__(s, "code", sign * k)
+            object.__setattr__(inverse, "code", -sign * k)
+            _LETTERS[key] = s
+            _LETTERS[(kind, indices, -sign)] = inverse
     return s
 
 
@@ -183,8 +212,7 @@ class Word:
 
     def __post_init__(self):
         for prev, cur in zip(self.letters, self.letters[1:]):
-            if prev.kind == cur.kind and prev.indices == cur.indices \
-                    and prev.sign == -cur.sign:
+            if prev.code == -cur.code:
                 raise DomainError(f"unreduced word: {prev} {cur} cancel")
 
     def __len__(self) -> int:
@@ -233,10 +261,7 @@ def product(*factors: Word) -> Word:
     for w in factors:
         v = w.letters
         j, m = 0, len(v)
-        while out and j < m:
-            s, t = out[-1], v[j]
-            if s.kind != t.kind or s.indices != t.indices or s.sign != -t.sign:
-                break
+        while out and j < m and out[-1].code == -v[j].code:
             out.pop()
             j += 1
         out += v[j:]
@@ -247,8 +272,7 @@ def reduce(raw: Iterable[GeneratorSymbol]) -> Word:
     """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs)."""
     stack: list[GeneratorSymbol] = []
     for s in raw:
-        if stack and stack[-1].kind == s.kind and stack[-1].indices == s.indices \
-                and stack[-1].sign == -s.sign:
+        if stack and stack[-1].code == -s.code:
             stack.pop()
         else:
             stack.append(s)
@@ -330,21 +354,34 @@ def validate_symbol(sym: GeneratorSymbol, ctx: GroupContext) -> None:
             raise AlphabetError(f"{sym}: A[1,2] is not a coordinate letter")
 
 
+# token text -> interned letter, for every token parsed so far
+_TOKENS: dict[str, GeneratorSymbol] = {}
+
+
+def _token_letter(token: str, pos: int) -> GeneratorSymbol:
+    m = _TOKEN_RE.match(token)
+    if m is None:
+        raise WordSyntaxError(f"cannot parse {token!r}", pos)
+    sign = -1 if m.group("inv") else 1
+    # index violations surface as AlphabetError, naming the symbol
+    if m.group("br"):
+        return _letter(m.group("br"), (int(m.group("i")), int(m.group("j"))), sign)
+    if m.group("ix"):
+        return _letter(m.group("ix"), (int(m.group("k")),), sign)
+    return _letter(m.group("bare"), (), sign)
+
+
 def parse_symbols(text: str) -> list[GeneratorSymbol]:
-    """Tokenize without context validation (model parsers layer on top)."""
+    """Tokenize without context validation (model parsers layer on top).
+    Each distinct token is parsed once; a token that fails never enters
+    the token table."""
+    tokens = _TOKENS
     out: list[GeneratorSymbol] = []
     for pos, token in enumerate(text.split()):
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            raise WordSyntaxError(f"cannot parse {token!r}", pos)
-        sign = -1 if m.group("inv") else 1
-        # index violations surface as AlphabetError, naming the symbol
-        if m.group("br"):
-            out.append(_letter(m.group("br"), (int(m.group("i")), int(m.group("j"))), sign))
-        elif m.group("ix"):
-            out.append(_letter(m.group("ix"), (int(m.group("k")),), sign))
-        else:
-            out.append(_letter(m.group("bare"), (), sign))
+        s = tokens.get(token)
+        if s is None:
+            s = tokens[token] = _token_letter(token, pos)
+        out.append(s)
     return out
 
 

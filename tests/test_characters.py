@@ -348,7 +348,8 @@ def test_each_letter_is_validated_once_per_group(monkeypatch):
     for _ in range(2):
         with pytest.raises(AlphabetError):
             abelianize(ctx, Word((sym_b(6),)))
-    assert abelianization(ctx)._slot_table.keys() == {("C", (1, 3)), ("a", (1,)), ("b", (2,)), ("b", (4,))}
+    assert abelianization(ctx)._slot_table.keys() == {
+        abs(s.code) for s in (sym_C(1, 3), sym_a(1), sym_b(2), sym_b(4))}
 
 
 def test_table_stays_out_of_eq_hash_repr():
@@ -356,7 +357,8 @@ def test_table_stays_out_of_eq_hash_repr():
     twin = klein_character(2, [Fraction(1, 2), Fraction(-1, 3)])
     evaluate(chi, Word((sym_b(1),)))
     assert chi == twin and hash(chi) == hash(twin) and repr(chi) == repr(twin)
-    assert chi.letter_table.denominator == 6 and chi.letter_table.values == {("b", (1,)): 3}
+    code = sym_b(1).code
+    assert chi.letter_table.denominator == 6 and chi.letter_table.values == {code: 3, -code: -3}
 
 
 def test_letter_values_are_scaled_integers():

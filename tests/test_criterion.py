@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 import re
 from collections import Counter
@@ -182,6 +184,74 @@ def _seeded_certificates():
     for case in CertificateCase:
         p, q = Fraction(rng.randint(1, 6), 2), Fraction(rng.randint(1, 6), 3)
         yield generate_lemma_certificates(case, p, q), case_character(case, p, q)[0]
+
+
+def _certify_character(rng, surface, n, end):
+    """The certify benchmark's characters: every value has the exact
+    denominator its strand fixes, and the base end outweighs the others."""
+    def frac(den):
+        return Fraction(rng.choice([k for k in range(-4 * den, 4 * den + 1)
+                                    if k and math.gcd(k, den) == 1]), den)
+    lead = Fraction(rng.choice([1, 3, 5, 7, 9]), 2)
+    b = [frac(1 + i % 3) for i in range(n)]
+    if end == "top":
+        b[-1] = max(abs(v) for v in b[:-1]) + lead
+    else:
+        b[0] = -(max(abs(v) for v in b[1:]) + lead)
+    if surface == "K":
+        return klein_character(n, b)
+    return torus_character(n, [frac(1 + (i + 1) % 3) for i in range(n)], b)
+
+
+def test_braid_certificates_match_the_recorded_digest():
+    # SHA-256 of the generated certificates and their reports, T and K,
+    # n = 2..19, both ends, recorded before letters had codes, before path
+    # words were built as one product and before margins shared Fractions
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    for surface in ("T", "K"):
+        for n in range(2, 20):
+            for end in ("top", "low"):
+                chi = _certify_character(rng, surface, n, end)
+                cert = generate_braid_certificate(GroupContext("P", surface, n), chi)
+                digest.update(f"{cert.t}\n".encode())
+                for e in cert.entries:
+                    digest.update(f"{e.z}|{e.path_word}|{e.cite}\n".encode())
+                # the dominant character passes; the broken one fails a margin
+                for x in (chi, _broken_dominance(chi, end)):
+                    report = verify_certificate(cert, x)
+                    for line in report.lines:
+                        digest.update(f"{line.z}|{line.margin}|{line.endpoint_checked}|"
+                                      f"{line.positive}\n".encode())
+                    digest.update(f"{report.passed}\n".encode())
+    assert digest.hexdigest() == "96e9d40fad7c6e56d405460dfc072777f49f2039dcf8ae89cf49f8058c5df50f"
+
+
+@pytest.mark.parametrize("surface", ["T", "K"])
+@pytest.mark.parametrize("end", ["top", "low"])
+def test_generation_reads_no_more_letters_than_it_keeps(surface, end, monkeypatch):
+    # counts the letters handed to the seam products, through criterion's
+    # name and through Word.__mul__; before each path word was one product,
+    # the torus top end at n = 48 handed them 215,683 letters for 11,472 kept
+    from sigmabraid import criterion, words
+
+    handed = [0]
+    product = words.product
+
+    def counting(*factors):
+        handed[0] += sum(map(len, factors))
+        return product(*factors)
+
+    monkeypatch.setattr(criterion, "product", counting)
+    monkeypatch.setattr(words, "product", counting)
+    n = 48
+    b = [0] * n
+    b[-1 if end == "top" else 0] = 1 if end == "top" else -1
+    chi = klein_character(n, b) if surface == "K" else torus_character(n, [0] * n, b)
+    cert = generate_braid_certificate(GroupContext("P", surface, n), chi)
+    assert str(cert.t) == ("b48" if end == "top" else "b1^-1")
+    kept = sum(len(e.path_word) for e in cert.entries)
+    assert 0 < handed[0] <= kept, (handed[0], kept)
 
 
 def test_integer_margins_match_nu():

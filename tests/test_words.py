@@ -97,14 +97,69 @@ def test_direct_letters_equal_the_interned_ones():
 
 def test_invalid_letters_raise_and_do_not_enter():
     before = dict(words._LETTERS)
-    for build in (lambda: sym_C(3, 1), lambda: sym_a(0), lambda: sym_s(1, 2),
-                  lambda: parse_symbols("C[2,2]"), lambda: parse_symbols("b0^-1")):
-        with pytest.raises(AlphabetError):
-            build()
-    with pytest.raises(AlphabetError, match="unknown model letter"):
-        model_sym("q")
+    tokens = dict(words._TOKENS)
+    for _ in range(2):  # a bad token raises every time
+        for build in (lambda: sym_C(3, 1), lambda: sym_a(0), lambda: sym_s(1, 2),
+                      lambda: parse_symbols("C[2,2]"), lambda: parse_symbols("b0^-1")):
+            with pytest.raises(AlphabetError):
+                build()
+        with pytest.raises(AlphabetError, match="unknown model letter"):
+            model_sym("q")
+        with pytest.raises(WordSyntaxError, match="token 0"):
+            parse_symbols("q7")
     assert words._LETTERS.keys() == before.keys()
     assert all(words._LETTERS[key] is s for key, s in before.items())
+    assert words._TOKENS == tokens
+
+
+def test_codes_are_signed_and_follow_the_fields():
+    letters = parse_symbols("a1 a2 b1 s1 s2 C[1,3] C[2,3] A[1,3] D x a b ub w2")
+    for s in letters:
+        assert s.code > 0 and s.code == -s.inverse().code
+    assert len({s.code for s in letters}) == len(letters)
+    # a directly built letter reads its interned twin's code, even before
+    # the twin was ever built; equality, hash and repr still use the fields
+    direct = GeneratorSymbol("C", (7, 977), -1)
+    assert direct.code == sym_C(7, 977, -1).code == -sym_C(7, 977).code
+    assert direct == sym_C(7, 977, -1) and repr(direct) == repr(sym_C(7, 977, -1))
+    assert "code" not in repr(direct) and str(direct) == "C[7,977]^-1"
+
+
+def test_letters_entered_from_many_threads_get_one_instance_and_code():
+    import sys
+    import threading
+
+    indices = range(7001, 7401)  # letters no other test builds
+    got = [[] for _ in range(8)]
+
+    def build(k):
+        order = indices if k % 2 else reversed(indices)
+        got[k] = {i: sym_b(i, 1 if k % 4 < 2 else -1).inverse().inverse() for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in indices:
+        positive = sym_b(i)
+        assert all(g[i] is (positive if k % 4 < 2 else positive.inverse()) for k, g in enumerate(got))
+    codes = [sym_b(i).code for i in indices]
+    assert len(set(codes)) == len(codes) and all(sym_b(i, -1).code == -sym_b(i).code for i in indices)
+
+
+def test_each_token_is_parsed_once():
+    first = parse_symbols("a31 b31^-1 a31")
+    assert first[0] is first[2] is sym_a(31) and first[1] is sym_b(31, -1)
+    assert words._TOKENS["a31"] is sym_a(31) and words._TOKENS["b31^-1"] is sym_b(31, -1)
+    # a second spelling of one letter is its own token, read as that letter
+    assert parse_symbols("a031")[0] is sym_a(31)
 
 
 def test_parse_examples():
