@@ -13,7 +13,10 @@ equations against the word-problem oracle and computes the exact margins
 all of which must be strictly positive.  It computes them in the scaled
 integers of the character's letter table, and builds one Fraction per
 distinct scaled margin in a call, dividing by the table's denominator L
-once for each.
+once for each.  It decides each inverse pair's endpoint equation once:
+t W = z t holds exactly when t W^-1 = z^-1 t, so an entry whose path word
+is, letter for letter, the inverse of the word of an earlier entry for
+the inverse letter whose endpoint held needs no oracle call.
 
 ``generate_lemma_certificates`` assembles the certificates for the six
 parametrised character families on the three- and four-strand torus
@@ -52,11 +55,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .characters import (
     Character,
-    evaluate,
+    evaluate,  # not called here; bench/selftest.py reads criterion.evaluate
     model_character,
     torus_character,
 )
@@ -92,6 +96,9 @@ from .words import (
 
 class CertificateError(DomainError):
     pass
+
+
+_INVERSE = attrgetter("_inverse")  # a letter's interned inverse
 
 
 @dataclass(frozen=True)
@@ -155,8 +162,16 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     with L its denominator, L m_z is the least scaled value on the path
     t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), and each
     distinct scaled margin is divided by L once per call, its Fraction
-    shared by the lines that have it.  The alphabet and every endpoint are
-    checked anew on each call.  Raises
+    shared by the lines that have it.  The alphabet is checked anew on
+    each call.  Where a model covers the context, entries are checked in
+    certificate order, each pair of inverse entries with one oracle call:
+    an entry for z whose path letters are those of W^-1, where W is the
+    path word of an earlier entry for z^-1 whose endpoint held and that no
+    other entry has been paired with, holds too (t W = z^-1 t gives
+    t W^-1 = z t).  Every other entry is normalized and compared, among
+    them duplicates and words equal to W^-1 in the group but spelled
+    otherwise, so the first failing entry is the one a check of every
+    entry would find.  Raises
     CertificateError when chi(t) <= 0, an entry is missing or an endpoint
     equation fails (naming the offending generator); margins that are
     merely nonpositive only mark the report as failed.
@@ -189,30 +204,34 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         raise CertificateError(f"certificate misses entries for: {names}")
 
     t_word = Word((cert.t,))
+    checked = is_model or dic is not None
+    held = {}  # code of z -> the path letters of an unpaired entry whose endpoint held
     margins = {}  # one Fraction per distinct scaled margin
     lines = []
-    endpoints_all = True
     for e in cert.entries:
-        if is_model:
-            ok = words_equal(context, t_word * e.path_word, Word((e.z,)) * t_word)
-            checked = True
-        elif dic is not None:
-            ok = words_equal(dic.model, translate(dic, t_word * e.path_word, "to_model"),
-                             translate(dic, Word((e.z,)) * t_word, "to_model"))
-            checked = True
-        else:
-            ok, checked = True, False
-        if checked and not ok:
-            raise CertificateError(f"endpoint condition fails for z = {e.z}")
-        endpoints_all = endpoints_all and checked
-        margin = table.lowest(chi_t, e.path_word) - min(0, table.value(e.z))
+        z, letters = e.z, e.path_word.letters
+        if checked:
+            partner = held.get(-z.code)
+            if partner is not None and tuple(map(_INVERSE, reversed(partner))) == letters:
+                # t W = z^-1 t held, so t W^-1 = z t holds: the pair is decided
+                del held[-z.code]
+            else:
+                if is_model:
+                    ok = words_equal(context, t_word * e.path_word, Word((z,)) * t_word)
+                else:
+                    ok = words_equal(dic.model, translate(dic, t_word * e.path_word, "to_model"),
+                                     translate(dic, Word((z,)) * t_word, "to_model"))
+                if not ok:
+                    raise CertificateError(f"endpoint condition fails for z = {z}")
+                held[z.code] = letters
+        margin = table.lowest(chi_t, e.path_word) - min(0, table.value(z))
         value = margins.get(margin)
         if value is None:
             value = margins[margin] = Fraction(margin, table.denominator)
-        lines.append(MarginLine(str(e.z), value, checked, margin > 0))
+        lines.append(MarginLine(str(z), value, checked, margin > 0))
     passed = all(line.positive for line in lines)
     return CertificateReport(str(context), str(cert.t),
-                             tuple(lines), passed, endpoints_all)
+                             tuple(lines), passed, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +347,10 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
     if n < 2:
         raise DomainError("need n >= 2")
     K = group.surface == "K"
-    b = [evaluate(chi, Word((sym_b(i),))) for i in range(1, n + 1)]
+    # the b-weights scaled by the letter table's positive denominator, which
+    # keeps every sign and comparison below
+    value = chi.letter_table.value
+    b = [value(sym_b(i)) for i in range(1, n + 1)]
     b_top, b_low = b[-1], b[0]
     # prefer the end whose weight strictly dominates every partner sum,
     # so the certificate's margins can come out positive

@@ -33,11 +33,14 @@ tables of characters, the braid-to-model dictionaries) key by code.
 Codes depend on the order letters are first met, so they belong to the
 process: they are never printed, serialized or sorted by.  Equality,
 hashing and repr still compare fields, so a directly built
-``GeneratorSymbol`` equals the interned one and reads its code.  The
-table lives as long as the process and holds one pair per distinct letter
-met.  Beside it, :func:`parse_symbols` keeps a table from token text to
-interned letter, so each distinct token is parsed once per process; a
-token that fails to parse or validate never enters it.
+``GeneratorSymbol`` equals the interned one and reads its code.  Each
+letter's printed text is formatted once, when it enters (a directly built
+letter formats its own on first use); ``str`` and :func:`serialize_word`
+read it.  The table lives as long as the process and holds one pair per
+distinct letter met.  Beside it, :func:`parse_symbols` keeps a table
+from token text to interned letter, so each distinct token is parsed
+once per process; a token that fails to parse or validate never enters
+it.
 
 A ``Word`` built directly checks that its letters are reduced, while the
 results of :func:`reduce`, :meth:`Word.inverse`, ``*`` and :func:`product`
@@ -126,6 +129,13 @@ class GeneratorSymbol:
         letter; a directly built letter looks it up on first use."""
         return _letter(self.kind, self.indices, -self.sign)
 
+    def _format(self) -> str:
+        return self.label + ("^-1" if self.sign == -1 else "")
+
+    # the letter as it prints: :func:`_letter` sets it on every interned
+    # letter; a directly built letter formats its own on first use
+    _text = cached_property(_format)
+
     @property
     def base(self) -> "GeneratorSymbol":
         """The interned positive letter underlying this symbol."""
@@ -143,7 +153,7 @@ class GeneratorSymbol:
         return self.kind
 
     def __str__(self) -> str:
-        return self.label + ("^-1" if self.sign == -1 else "")
+        return self._text
 
 
 # the interned letters by (kind, indices, sign), each entered with its inverse
@@ -172,6 +182,8 @@ def _letter(kind: str, indices: tuple[int, ...], sign: int) -> GeneratorSymbol:
             object.__setattr__(inverse, "_inverse", s)
             object.__setattr__(s, "code", sign * k)
             object.__setattr__(inverse, "code", -sign * k)
+            object.__setattr__(s, "_text", s._format())
+            object.__setattr__(inverse, "_text", inverse._format())
             _LETTERS[key] = s
             _LETTERS[(kind, indices, -sign)] = inverse
     return s
@@ -280,7 +292,7 @@ def reduce(raw: Iterable[GeneratorSymbol]) -> Word:
 
 
 def serialize_word(w: Word) -> str:
-    return " ".join(str(s) for s in w.letters)
+    return " ".join([s._text for s in w.letters])
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,110 @@ def test_integer_margins_match_nu():
     assert negative > 0  # the broken-dominance characters give negative margins
 
 
+def _counting_oracle(monkeypatch):
+    """Count the endpoint checks, through criterion's name of the oracle."""
+    from sigmabraid import criterion
+
+    calls = []
+    words_equal = criterion.words_equal
+
+    def counting(model, u, v):
+        calls.append(v)
+        return words_equal(model, u, v)
+
+    monkeypatch.setattr(criterion, "words_equal", counting)
+    return calls
+
+
+def _oracle_covered_certificates():
+    rng = random.Random(18)
+    group = GroupContext("P", "T", 4)
+    for end in ("top", "low"):
+        chi = _dominant_character(rng, "T", 4, end)
+        yield generate_braid_certificate(group, chi), chi
+    for case in (CertificateCase.G4T_A, CertificateCase.G4T_B):
+        yield generate_lemma_certificates(case, 2, 3), case_character(case, 2, 3)[0]
+
+
+def test_one_endpoint_check_per_inverse_pair(monkeypatch):
+    from sigmabraid import criterion
+
+    calls = _counting_oracle(monkeypatch)
+    certs = list(_oracle_covered_certificates())
+    paired = []
+    for cert, chi in certs:
+        del calls[:]
+        paired.append(verify_certificate(cert, chi))
+        # every entry is listed next to its inverse, with the inverted word
+        assert len(calls) == len(cert.entries) // 2, (cert.context, len(calls))
+    # an inverse that matches nothing checks every entry, with the same report
+    monkeypatch.setattr(criterion, "_INVERSE", lambda s: None)
+    for (cert, chi), report in zip(certs, paired):
+        del calls[:]
+        assert verify_certificate(cert, chi) == report
+        assert len(calls) == len(cert.entries)
+        assert report.passed and report.endpoints_checked
+
+
+def _replace(cert, z, word):
+    """The certificate with every entry for z given the path word ``word``."""
+    return PathCertificate(cert.context, cert.t, tuple(
+        CertificateEntry(e.z, word, e.cite) if str(e.z) == z else e for e in cert.entries))
+
+
+@pytest.mark.parametrize("z", ["y", "y^-1"])
+def test_a_doctored_entry_of_a_pair_names_its_own_letter(z):
+    # each G3T_A entry lists y before y^-1; the trivial path fails for both
+    cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    chi, _ = case_character(CertificateCase.G3T_A, 1, 1)
+    bad = _replace(cert, z, mword(z))
+    with pytest.raises(CertificateError, match=rf"^endpoint condition fails for z = {re.escape(z)}$"):
+        verify_certificate(bad, chi)
+    # the same when the pair is listed the other way round
+    swapped = PathCertificate(bad.context, bad.t, bad.entries[3::-1] + bad.entries[4:])
+    assert [str(e.z) for e in swapped.entries[:4]] == ["y^-1", "y", "x^-1", "x"]
+    with pytest.raises(CertificateError, match=rf"z = {re.escape(z)}$"):
+        verify_certificate(swapped, chi)
+
+
+def test_an_inverse_spelled_otherwise_is_checked_directly(monkeypatch):
+    # x and a commute in G3T, so x a^-1 x^-1 is a^-1 spelled otherwise
+    calls = _counting_oracle(monkeypatch)
+    cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    chi, _ = case_character(CertificateCase.G3T_A, 1, 1)
+    other = _replace(cert, "a^-1", mword("x a^-1 x^-1"))
+    report = verify_certificate(other, chi)
+    assert report.passed and report.endpoints_checked
+    assert len(calls) == len(cert.entries) // 2 + 1
+    assert [str(v) for v in calls].count("a^-1 x") == 1
+    t = Word((other.t,))
+    for line, e in zip(report.lines, other.entries):
+        assert line.margin == nu(chi, t, e.path_word) - nu(chi, IDENTITY, Word((e.z,)))
+
+
+def test_duplicate_entries_are_each_checked(monkeypatch):
+    calls = _counting_oracle(monkeypatch)
+    cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    chi, _ = case_character(CertificateCase.G3T_A, 1, 1)
+    y, y_inv = cert.entries[2:4]
+    assert (str(y.z), str(y_inv.z)) == ("y", "y^-1")
+    # y three times, then y^-1 twice: each y is checked, the first y^-1
+    # pairs with the last y, and the second y^-1 is left unpaired
+    dup = PathCertificate(cert.context, cert.t,
+                          cert.entries[:2] + (y, y, y, y_inv, y_inv) + cert.entries[4:])
+    report = verify_certificate(dup, chi)
+    assert report.passed and len(report.lines) == len(cert.entries) + 3
+    assert [str(v) for v in calls].count("y x") == 3
+    assert [str(v) for v in calls].count("y^-1 x") == 1
+    # a second y^-1 has no unpaired y left, so it is checked: doctored, it fails
+    del calls[:]
+    doctored = CertificateEntry(y_inv.z, mword("y^-1"), y_inv.cite)
+    twice = PathCertificate(cert.context, cert.t, cert.entries[:4] + (doctored,) + cert.entries[4:])
+    with pytest.raises(CertificateError, match=r"z = y\^-1$"):
+        verify_certificate(twice, chi)
+    assert [str(v) for v in calls][-2:] == ["y x", "y^-1 x"]
+
+
 # ---------------------------------------------------------------------------
 # Braid-generator certificates
 

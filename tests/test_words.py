@@ -125,6 +125,31 @@ def test_codes_are_signed_and_follow_the_fields():
     assert "code" not in repr(direct) and str(direct) == "C[7,977]^-1"
 
 
+def test_letters_print_from_one_stored_text(monkeypatch):
+    tokens = "a1 b2^-1 s3 C[3,12]^-1 A[1,3] D^-1 x w2^-1 ub"
+    letters = parse_symbols(tokens)
+    assert [str(s) for s in letters] == tokens.split()
+    assert serialize_word(Word(tuple(letters))) == tokens
+    # a letter's text is formatted once, when the letter and its inverse
+    # enter, and never again
+    formatted = []
+    format_ = GeneratorSymbol._format
+    monkeypatch.setattr(GeneratorSymbol, "_format", lambda s: formatted.append(s) or format_(s))
+    c = sym_C(8, 980, -1)
+    assert formatted == [c, c.inverse()]
+    for _ in range(3):
+        assert str(c) == "C[8,980]^-1" and str(c.inverse()) == "C[8,980]"
+        assert serialize_word(Word((c, c))) == "C[8,980]^-1 C[8,980]^-1"
+    assert formatted == [c, c.inverse()]
+    # a directly built letter prints the same text, alone or in a word
+    for s in letters + [GeneratorSymbol("C", (8, 978), -1)]:
+        direct = GeneratorSymbol(s.kind, s.indices, s.sign)
+        interned = words._letter(s.kind, s.indices, s.sign)
+        assert direct is not interned and str(direct) == str(interned) == str(s)
+        assert serialize_word(Word((direct,))) == str(s)
+    assert str(GeneratorSymbol("C", (8, 979), -1)) == "C[8,979]^-1"
+
+
 def test_letters_entered_from_many_threads_get_one_instance_and_code():
     import sys
     import threading
