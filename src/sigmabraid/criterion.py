@@ -10,10 +10,25 @@ equations against the word-problem oracle and computes the exact margins
 
     m_z = nu_chi(t, W_z) - nu_chi(1, (z)) ,
 
-all of which must be strictly positive.  It computes them in the scaled
-integers of the character's letter table, and builds one Fraction per
-distinct scaled margin in a call, dividing by the table's denominator L
-once for each.  It decides each inverse pair's endpoint equation once:
+all of which must be strictly positive.  The endpoint equations do not
+depend on chi; only the margins do.  So the certificates and their
+checks are kept per process, and each chi pays for its margins alone:
+
+- ``generate_braid_certificate`` keeps one certificate per group and
+  base end, in a store emptied once the path letters it holds pass
+  ``CERTIFICATE_BUDGET``; ``generate_lemma_certificates`` keeps one per
+  case, six in all.  Both validate their arguments on every call.  The
+  trivial-path entries of a letter are one pair, shared by every
+  certificate that has them.
+- ``verify_certificate`` checks the entries and the endpoint equations
+  of a certificate object once, and records the object, by identity,
+  when they hold; a failing certificate is checked again on every call
+  and fails the same way.  It computes the margins on every call, in
+  the scaled integers of the character's letter table, and builds one
+  Fraction per distinct scaled margin in a call, dividing by the table's
+  denominator L once for each.
+
+Verification decides each inverse pair's endpoint equation once:
 t W = z t holds exactly when t W^-1 = z^-1 t, so an entry whose path word
 is, letter for letter, the inverse of the word of an earlier entry for
 the inverse letter whose endpoint held needs no oracle call.
@@ -50,16 +65,18 @@ disconnection; the report says so explicitly.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .characters import (
     Character,
+    _exact,
     evaluate,  # not called here; bench/selftest.py reads criterion.evaluate
     model_character,
     torus_character,
@@ -85,6 +102,7 @@ from .words import (
     GroupContext,
     IDENTITY,
     Word,
+    _reduced,
     model_sym,
     product,
     serialize_word,
@@ -101,8 +119,7 @@ class CertificateError(DomainError):
 _INVERSE = attrgetter("_inverse")  # a letter's interned inverse
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(NamedTuple):
     z: GeneratorSymbol
     path_word: Word
     cite: str
@@ -124,8 +141,7 @@ class PathCertificate:
         raise KeyError(str(z))
 
 
-@dataclass(frozen=True)
-class MarginLine:
+class MarginLine(NamedTuple):
     z: str
     margin: Fraction
     endpoint_checked: bool
@@ -153,28 +169,56 @@ def _model_alphabet(model: ModelId) -> list[GeneratorSymbol]:
     return [model_sym(name) for name in model.letter_names]
 
 
+# id of each certificate whose entries and endpoint equations held -> a
+# weak reference to it: an id is reused only once its object is gone, the
+# reference tells a new object from the old one, and its callback drops
+# the record when the object goes
+_HELD: dict[int, weakref.ref] = {}
+
+
+def _held(cert: PathCertificate) -> bool:
+    ref = _HELD.get(id(cert))
+    return ref is not None and ref() is cert
+
+
+def _hold(cert: PathCertificate) -> None:
+    key = id(cert)
+
+    def drop(ref: weakref.ref) -> None:
+        if _HELD.get(key) is ref:
+            del _HELD[key]
+
+    _HELD[key] = weakref.ref(cert, drop)
+
+
 def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateReport:
     """Check endpoints against the oracle and compute all margins.
 
     The context must be a model, P_n(T) or P_n(K), and chi must live on it;
     otherwise a DomainError names the context or the character's group.
-    Margins are computed in the scaled integers of ``chi.letter_table``:
-    with L its denominator, L m_z is the least scaled value on the path
-    t, t W_z (:meth:`LetterTable.lowest`) less min(0, L chi(z)), and each
-    distinct scaled margin is divided by L once per call, its Fraction
-    shared by the lines that have it.  The alphabet is checked anew on
-    each call.  Where a model covers the context, entries are checked in
-    certificate order, each pair of inverse entries with one oracle call:
-    an entry for z whose path letters are those of W^-1, where W is the
-    path word of an earlier entry for z^-1 whose endpoint held and that no
-    other entry has been paired with, holds too (t W = z^-1 t gives
-    t W^-1 = z t).  Every other entry is normalized and compared, among
-    them duplicates and words equal to W^-1 in the group but spelled
-    otherwise, so the first failing entry is the one a check of every
-    entry would find.  Raises
-    CertificateError when chi(t) <= 0, an entry is missing or an endpoint
-    equation fails (naming the offending generator); margins that are
-    merely nonpositive only mark the report as failed.
+    Margins are computed on every call, in the scaled integers of
+    ``chi.letter_table``: with L its denominator, L m_z is the least scaled
+    value on the path t, t W_z (:meth:`LetterTable.lowest`) less
+    min(0, L chi(z)), and each distinct scaled margin is divided by L once
+    per call, its Fraction shared by the lines that have it.
+
+    The entries (one per signed letter of the alphabet) and the endpoint
+    equations do not depend on chi: they are checked on the first call
+    for a certificate object, and a call that succeeds records the object
+    by identity, so later calls for it skip them.  Nothing is recorded
+    for a certificate that fails, so it is checked again on every call
+    and raises the same error.  Where a model covers the context, entries
+    are checked in certificate order, each pair of inverse entries with
+    one oracle call: an entry for z whose path letters are those of W^-1,
+    where W is the path word of an earlier entry for z^-1 whose endpoint
+    held and that no other entry has been paired with, holds too
+    (t W = z^-1 t gives t W^-1 = z t).  Every other entry is normalized
+    and compared, among them duplicates and words equal to W^-1 in the
+    group but spelled otherwise, so the first failing entry is the one a
+    check of every entry would find.  Raises CertificateError when
+    chi(t) <= 0, an entry is missing or an endpoint equation fails
+    (naming the offending generator); margins that are merely nonpositive
+    only mark the report as failed.
     """
     context = cert.context
     is_model = isinstance(context, ModelId)
@@ -189,46 +233,51 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
                                f"got {Fraction(chi_t, table.denominator)}")
 
     dic = None if is_model else dictionary_for(context.surface, context.n)
-
-    if is_model:
-        alphabet = _model_alphabet(context)
-    else:
-        n = context.n
-        alphabet = [sym_a(i) for i in range(1, n + 1)] + \
-                   [sym_b(i) for i in range(1, n + 1)] + \
-                   [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    signed = _signed_alphabet(alphabet)
-    missing = {s.code for s in signed}.difference(e.z.code for e in cert.entries)
-    if missing:
-        names = sorted(str(s) for s in signed if s.code in missing)
-        raise CertificateError(f"certificate misses entries for: {names}")
+    checked = is_model or dic is not None
+    held = _held(cert)
+    if not held:
+        if is_model:
+            alphabet = _model_alphabet(context)
+        else:
+            n = context.n
+            alphabet = [sym_a(i) for i in range(1, n + 1)] + \
+                       [sym_b(i) for i in range(1, n + 1)] + \
+                       [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        signed = _signed_alphabet(alphabet)
+        missing = {s.code for s in signed}.difference(e.z.code for e in cert.entries)
+        if missing:
+            names = sorted(str(s) for s in signed if s.code in missing)
+            raise CertificateError(f"certificate misses entries for: {names}")
 
     t_word = Word((cert.t,))
-    checked = is_model or dic is not None
-    held = {}  # code of z -> the path letters of an unpaired entry whose endpoint held
+    check = checked and not held
+    pending = {}  # code of z -> the path letters of an unpaired entry whose endpoint held
     margins = {}  # one Fraction per distinct scaled margin
     lines = []
     for e in cert.entries:
-        z, letters = e.z, e.path_word.letters
-        if checked:
-            partner = held.get(-z.code)
+        z, path_word = e.z, e.path_word
+        if check:
+            letters = path_word.letters
+            partner = pending.get(-z.code)
             if partner is not None and tuple(map(_INVERSE, reversed(partner))) == letters:
                 # t W = z^-1 t held, so t W^-1 = z t holds: the pair is decided
-                del held[-z.code]
+                del pending[-z.code]
             else:
                 if is_model:
-                    ok = words_equal(context, t_word * e.path_word, Word((z,)) * t_word)
+                    ok = words_equal(context, t_word * path_word, Word((z,)) * t_word)
                 else:
-                    ok = words_equal(dic.model, translate(dic, t_word * e.path_word, "to_model"),
+                    ok = words_equal(dic.model, translate(dic, t_word * path_word, "to_model"),
                                      translate(dic, Word((z,)) * t_word, "to_model"))
                 if not ok:
                     raise CertificateError(f"endpoint condition fails for z = {z}")
-                held[z.code] = letters
-        margin = table.lowest(chi_t, e.path_word) - min(0, table.value(z))
+                pending[z.code] = letters
+        margin = table.lowest(chi_t, path_word) - min(0, table.value(z))
         value = margins.get(margin)
         if value is None:
             value = margins[margin] = Fraction(margin, table.denominator)
         lines.append(MarginLine(str(z), value, checked, margin > 0))
+    if not held:
+        _hold(cert)
     passed = all(line.positive for line in lines)
     return CertificateReport(str(context), str(cert.t),
                              tuple(lines), passed, checked)
@@ -278,8 +327,9 @@ _CASE_PLAN = {
 
 
 def case_character(case: CertificateCase, p, q) -> tuple[Character, Character]:
-    """The (model character, braid character) pair the case certifies."""
-    p, q = Fraction(p), Fraction(q)
+    """The (model character, braid character) pair the case certifies; p
+    and q must be exact positive rationals."""
+    p, q = _exact(p), _exact(q)
     if p <= 0 or q <= 0:
         raise DomainError("the case parameters need p, q > 0")
     model = _CASE_MODEL[case]
@@ -288,12 +338,29 @@ def case_character(case: CertificateCase, p, q) -> tuple[Character, Character]:
     return model_character(dictionary(model), braid), braid
 
 
+# the certificate of each case, built on first use
+_LEMMA_CERTS: dict[CertificateCase, PathCertificate] = {}
+
+
 def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
     """Assemble the certificate for one parametrised case; the banked
     equations supply the nontrivial paths, commuting letters take the
-    trivial path, and inverse letters get the inverted relation."""
+    trivial path, and inverse letters get the inverted relation.
+
+    The certificate does not depend on p and q, which fix only the
+    character (:func:`case_character`): each call validates the case and
+    reads p and q as exact rationals (a float or a boolean is a
+    DomainError), then returns the certificate kept for the case, built
+    on the first call for it.  Six certificates are kept in all."""
     case = CertificateCase(case)
-    Fraction(p), Fraction(q)  # validate numerics early
+    _exact(p), _exact(q)  # validate numerics early
+    cert = _LEMMA_CERTS.get(case)
+    if cert is None:
+        cert = _LEMMA_CERTS[case] = _lemma_certificate(case)
+    return cert
+
+
+def _lemma_certificate(case: CertificateCase) -> PathCertificate:
     model = _CASE_MODEL[case]
     t_name, t_sign, banked, trivial = _CASE_PLAN[case]
     bank = {eq["name"]: eq for eq in equation_bank(model)}
@@ -311,9 +378,7 @@ def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
             entries.append(CertificateEntry(z.inverse(), w.inverse(),
                                             f"inverted bank equation {eq['name']}"))
         elif name in trivial:
-            entries.append(CertificateEntry(z, Word((z,)), "commuting letter, trivial path"))
-            entries.append(CertificateEntry(z.inverse(), Word((z.inverse(),)),
-                                            "commuting letter, trivial path"))
+            entries += _triv(z)
         else:  # pragma: no cover - the plans cover every letter
             raise AssertionError(f"case plan misses letter {name}")
     return PathCertificate(model, model_sym(t_name, t_sign), tuple(entries))
@@ -322,14 +387,53 @@ def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
 # ---------------------------------------------------------------------------
 # Certificates over the braid generators (general strand count)
 
-def _triv(z: GeneratorSymbol, note: str = "commuting letter, trivial path") -> list[CertificateEntry]:
-    return [CertificateEntry(z, Word((z,)), note),
-            CertificateEntry(z.inverse(), Word((z.inverse(),)), note)]
+# the trivial-path entries of each letter and its inverse, by the letter's
+# code and the note: entries are immutable, so every certificate that has
+# them shares one pair, and one one-letter word per signed letter
+_TRIVIAL: dict[tuple[int, str], tuple[CertificateEntry, CertificateEntry]] = {}
+
+
+def _triv(z: GeneratorSymbol, note: str = "commuting letter, trivial path") -> tuple[CertificateEntry, ...]:
+    pair = _TRIVIAL.get((z.code, note))
+    if pair is None:
+        z_inv = z.inverse()
+        pair = _TRIVIAL[z.code, note] = (CertificateEntry(z, _reduced((z,)), note),
+                                         CertificateEntry(z_inv, _reduced((z_inv,)), note))
+    return pair
 
 
 def _pair(z: GeneratorSymbol, w: Word, note: str) -> list[CertificateEntry]:
     return [CertificateEntry(z, w, note),
             CertificateEntry(z.inverse(), w.inverse(), note + " (inverted)")]
+
+
+# the most path letters the kept braid certificates may hold together: at
+# n = 96 a certificate's own entries and words take 10-17 bytes per path
+# letter (its trivial-path entries are shared, ``_TRIVIAL``), so at most
+# about 4.5 MB
+CERTIFICATE_BUDGET = 2 ** 18
+
+
+class _Kept(dict):
+    """Braid certificates by (surface, n, top end), and the path letters
+    they hold; emptied once those pass ``CERTIFICATE_BUDGET``."""
+
+    letters = 0
+
+    def keep(self, key: tuple[str, int, bool], cert: PathCertificate) -> PathCertificate:
+        self.letters += sum(len(e.path_word) for e in cert.entries)
+        if self.letters > CERTIFICATE_BUDGET:
+            self.clear()
+        else:
+            self[key] = cert
+        return cert
+
+    def clear(self) -> None:
+        super().clear()
+        self.letters = 0
+
+
+_BRAID_CERTS = _Kept()
 
 
 def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCertificate:
@@ -340,13 +444,20 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
     permutation action first to sort the b-block if needed.  At n <= 4 on
     the torus and n = 2 on the Klein bottle the endpoint equations are
     oracle-checked; for larger n they rest on the relation tables.
+
+    chi must live on the group.  Each call validates the group and chi and
+    picks the base end from chi's b-weights; the certificate depends on
+    the surface, n and that end alone.  It is built on the first call for
+    them and kept for later ones, in a store that is emptied once the
+    path letters of its certificates pass ``CERTIFICATE_BUDGET``.
     """
     if (group.family, group.surface) not in (("P", "T"), ("P", "K")):
         raise DomainError(f"{group}: braid certificates cover P_n(T) and P_n(K)")
     n = group.n
     if n < 2:
         raise DomainError("need n >= 2")
-    K = group.surface == "K"
+    if chi.spec.group != group:
+        raise DomainError(f"character lives on {chi.spec.group}, not {group}")
     # the b-weights scaled by the letter table's positive denominator, which
     # keeps every sign and comparison below
     value = chi.letter_table.value
@@ -357,6 +468,20 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
     top_ok = b_top > 0 and all(b_top + v > 0 for v in b[:-1])
     low_ok = b_low < 0 and all(-b_low - v > 0 for v in b[1:])
     use_top = top_ok or (not low_ok and b_top > 0)
+    if not use_top and b_low >= 0:
+        raise DomainError("need chi(b_n) > 0 or chi(b_1) < 0; "
+                          "sort the b-block with act_permutation first")
+    key = (group.surface, n, use_top)
+    cert = _BRAID_CERTS.get(key)
+    if cert is None:
+        cert = _BRAID_CERTS.keep(key, _braid_certificate(group, use_top))
+    return cert
+
+
+def _braid_certificate(group: GroupContext, use_top: bool) -> PathCertificate:
+    """The certificate with base b_n (``use_top``) or b_1^-1."""
+    n = group.n
+    K = group.surface == "K"
     # every path word is one product of cached one-letter words (C[j,j] is
     # the empty word)
     entries: list[CertificateEntry] = []
@@ -384,7 +509,7 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
         for i in range(1, n):
             entries += _pair(sym_C(i, n), product(*bands[:4 * (n - i)]),
                              "iterated outward conjugation S4")
-    elif b_low < 0:
+    else:
         t = sym_b(1, -1)
         entries += _triv(sym_b(1))
         for j in range(2, n + 1):
@@ -405,9 +530,6 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
         for j in range(2, n + 1):
             for k in range(j + 1, n + 1):
                 entries += _triv(sym_C(j, k), "disjoint encircling braid")
-    else:
-        raise DomainError("need chi(b_n) > 0 or chi(b_1) < 0; "
-                          "sort the b-block with act_permutation first")
     return PathCertificate(group, t, tuple(entries))
 
 

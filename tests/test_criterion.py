@@ -76,6 +76,20 @@ def test_case_parameters_must_be_positive():
         case_character(CertificateCase.G3T_A, 1, -2)
 
 
+@pytest.mark.parametrize("value", [0.1, True, 1.0])
+def test_case_parameters_must_be_exact(value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
+    message = r"^values must be exact rationals \(int or Fraction\), got "
+    for p, q in ((value, 1), (1, value)):
+        with pytest.raises(DomainError, match=message):
+            case_character(CertificateCase.G3T_A, p, q)
+        with pytest.raises(DomainError, match=message):
+            generate_lemma_certificates(CertificateCase.G3T_A, p, q)
+    # exact values still pass, a string too
+    generate_lemma_certificates(CertificateCase.G3T_A, Fraction(1, 10), "2/3")
+    assert case_character(CertificateCase.G3T_A, "1/10", 1)[0].coords
+
+
 def test_g4t_certificate_covers_both_layers():
     cert = generate_lemma_certificates(CertificateCase.G4T_B, 1, 5)
     assert str(cert.t) == "v^-1"
@@ -226,6 +240,7 @@ def test_generation_reads_no_more_letters_than_it_keeps(surface, end, monkeypatc
 
     monkeypatch.setattr(criterion, "product", counting)
     monkeypatch.setattr(words, "product", counting)
+    monkeypatch.setattr(criterion, "_BRAID_CERTS", criterion._Kept())  # build, do not look up
     n = 48
     b = [0] * n
     b[-1 if end == "top" else 0] = 1 if end == "top" else -1
@@ -275,6 +290,12 @@ def _oracle_covered_certificates():
         yield generate_lemma_certificates(case, 2, 3), case_character(case, 2, 3)[0]
 
 
+def _fresh(cert):
+    """A new certificate object with the same entries, which no call has
+    verified yet."""
+    return PathCertificate(cert.context, cert.t, cert.entries)
+
+
 def test_one_endpoint_check_per_inverse_pair(monkeypatch):
     from sigmabraid import criterion
 
@@ -283,14 +304,14 @@ def test_one_endpoint_check_per_inverse_pair(monkeypatch):
     paired = []
     for cert, chi in certs:
         del calls[:]
-        paired.append(verify_certificate(cert, chi))
+        paired.append(verify_certificate(_fresh(cert), chi))
         # every entry is listed next to its inverse, with the inverted word
         assert len(calls) == len(cert.entries) // 2, (cert.context, len(calls))
     # an inverse that matches nothing checks every entry, with the same report
     monkeypatch.setattr(criterion, "_INVERSE", lambda s: None)
     for (cert, chi), report in zip(certs, paired):
         del calls[:]
-        assert verify_certificate(cert, chi) == report
+        assert verify_certificate(_fresh(cert), chi) == report
         assert len(calls) == len(cert.entries)
         assert report.passed and report.endpoints_checked
 
@@ -399,6 +420,121 @@ def test_braid_certificate_needs_dominant_extreme():
     chi = torus_character(3, [1, -1, 0], [0, 0, 0])
     with pytest.raises(DomainError, match="act_permutation"):
         generate_braid_certificate(group, chi)
+
+
+def test_generation_rejects_a_character_on_another_group():
+    # each would otherwise read the base end off another group's b-block
+    group = GroupContext("P", "T", 3)
+    for chi in (torus_character(4, [0] * 4, [-1, -1, 0, 2]), klein_character(3, [-1, -1, 2])):
+        with pytest.raises(DomainError, match=rf"^character lives on {re.escape(str(chi.spec.group))}, "
+                                              r"not P_3\(T\)$"):
+            generate_braid_certificate(group, chi)
+
+
+# ---------------------------------------------------------------------------
+# Certificates and their checks are kept per process
+
+def test_generation_keeps_one_certificate_per_group_and_end():
+    rng = random.Random(19)
+    for surface in ("T", "K"):
+        group = GroupContext("P", surface, 5)
+        top = [generate_braid_certificate(group, _dominant_character(rng, surface, 5, "top"))
+               for _ in range(2)]
+        # an equal group object finds the same certificate
+        low = [generate_braid_certificate(GroupContext("P", surface, 5),
+                                          _dominant_character(rng, surface, 5, "low"))
+               for _ in range(2)]
+        assert top[0] is top[1] and low[0] is low[1]
+        assert top[0] is not low[0] and top[0].t != low[0].t
+    # a lemma certificate does not depend on p and q
+    cases = list(CertificateCase)
+    first = [generate_lemma_certificates(case, 1, 2) for case in cases]
+    assert all(generate_lemma_certificates(case, Fraction(7, 3), 5) is cert
+               for case, cert in zip(cases, first))
+    assert len({id(cert) for cert in first}) == len(cases)
+
+
+def test_a_second_verification_makes_no_oracle_call(monkeypatch):
+    calls = _counting_oracle(monkeypatch)
+    for cert, chi in _oracle_covered_certificates():
+        cert = _fresh(cert)
+        del calls[:]
+        first = verify_certificate(cert, chi)
+        assert len(calls) == len(cert.entries) // 2
+        del calls[:]
+        assert verify_certificate(cert, chi) == first
+        # the margins are computed anew for each character
+        doubled = verify_certificate(cert, chi.scale(2))
+        assert [line.margin for line in doubled.lines] == [2 * line.margin for line in first.lines]
+        assert not calls
+
+
+def test_a_failing_certificate_fails_the_same_way_on_every_call():
+    cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    chi, _ = case_character(CertificateCase.G3T_A, 1, 1)
+    bad = _replace(cert, "y", mword("y"))
+    truncated = PathCertificate(cert.context, cert.t, cert.entries[:-2])
+    for doctored, message in ((bad, "endpoint condition fails for z = y"),
+                              (truncated, "certificate misses entries for: ['w', 'w^-1']")):
+        for _ in range(2):
+            with pytest.raises(CertificateError) as info:
+                verify_certificate(doctored, chi)
+            assert str(info.value) == message
+    # a certificate the oracle cannot check fails on its entries each time
+    chi5 = torus_character(5, [0] * 5, [0, 0, 0, 0, 1])
+    cert5 = generate_braid_certificate(GroupContext("P", "T", 5), chi5)
+    short = PathCertificate(cert5.context, cert5.t, cert5.entries[1:])
+    for _ in range(2):
+        with pytest.raises(CertificateError, match=r"^certificate misses entries for: \['a1'\]$"):
+            verify_certificate(short, chi5)
+
+
+def test_records_follow_their_certificate_objects():
+    import gc
+    import weakref
+
+    from sigmabraid import criterion
+
+    cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    chi, _ = case_character(CertificateCase.G3T_A, 1, 1)
+    fresh = _fresh(cert)
+    verify_certificate(fresh, chi)
+    key = id(fresh)
+    assert key in criterion._HELD
+    del fresh
+    gc.collect()
+    assert key not in criterion._HELD  # dropped with its object
+    # a record left under an id that another object now has vouches for nothing
+    bad = _replace(cert, "y", mword("y"))
+    criterion._HELD[id(bad)] = weakref.ref(cert)
+    try:
+        with pytest.raises(CertificateError, match="z = y$"):
+            verify_certificate(bad, chi)
+    finally:
+        del criterion._HELD[id(bad)]
+
+
+def test_kept_braid_certificates_stay_within_the_budget(monkeypatch):
+    from sigmabraid import criterion
+
+    kept = criterion._Kept()
+    monkeypatch.setattr(criterion, "_BRAID_CERTS", kept)
+    monkeypatch.setattr(criterion, "CERTIFICATE_BUDGET", 2000)
+    group = lambda n: GroupContext("P", "T", n)
+    chi = lambda n: torus_character(n, [0] * n, [0] * (n - 1) + [1])
+    emptied = 0
+    first = {}
+    for n in range(2, 13):
+        before = len(kept)
+        first[n] = generate_braid_certificate(group(n), chi(n))
+        emptied += len(kept) <= before
+        assert kept.letters == sum(len(e.path_word) for c in kept.values() for e in c.entries)
+        assert kept.letters <= 2000
+    assert emptied > 0
+    # a certificate dropped with the store is built again, equal to the first
+    again = {n: generate_braid_certificate(group(n), chi(n)) for n in range(2, 13)}
+    assert any(again[n] is not first[n] for n in first)
+    assert again == first
 
 
 # ---------------------------------------------------------------------------
