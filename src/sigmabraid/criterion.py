@@ -20,13 +20,14 @@ checks are kept per process, and each chi pays for its margins alone:
   case, six in all.  Both validate their arguments on every call.  The
   trivial-path entries of a letter are one pair, shared by every
   certificate that has them.
-- ``verify_certificate`` checks the entries and the endpoint equations
-  of a certificate object once, and records the object, by identity,
-  when they hold; a failing certificate is checked again on every call
-  and fails the same way.  It computes the margins on every call, in
-  the scaled integers of the character's letter table, and builds one
-  Fraction per distinct scaled margin in a call, dividing by the table's
-  denominator L once for each.
+- A certificate checks its entries and endpoint equations itself, once
+  (:attr:`PathCertificate.endpoints_checked`), and keeps the result when
+  they hold; a failing certificate keeps nothing, so it is checked again
+  on every call and fails the same way.  ``verify_certificate`` reads
+  that check and computes the margins on every call, in the scaled
+  integers of the character's letter table, and builds one Fraction per
+  distinct scaled margin in a call, dividing by the table's denominator
+  L once for each.
 
 Verification decides each inverse pair's endpoint equation once:
 t W = z t holds exactly when t W^-1 = z^-1 t, so an entry whose path word
@@ -65,14 +66,14 @@ disconnection; the report says so explicitly.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, islice, pairwise
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .characters import (
     Character,
@@ -140,6 +141,56 @@ class PathCertificate:
                 return e
         raise KeyError(str(z))
 
+    @cached_property
+    def endpoints_checked(self) -> bool:
+        """The character-free half of :func:`verify_certificate`: every
+        signed letter of the alphabet has an entry, and each endpoint
+        equation t W_z = z t holds.  True when an oracle checked the
+        equations, False when no model covers the context and they rest on
+        the relation tables.  Not a field, so it stays out of eq, hash and
+        repr; kept once it returns, while a read that raises keeps nothing,
+        so a failing certificate raises the same error on every read.
+
+        Raises CertificateError when an entry is missing (naming every
+        missing letter) or an endpoint equation fails (naming the first
+        failing z in certificate order).  Entries are checked in
+        certificate order, each pair of inverse entries with one oracle
+        call: an entry for z whose path letters are those of W^-1, where W
+        is the path word of an earlier entry for z^-1 whose endpoint held
+        and that no other entry has been paired with, holds too (t W =
+        z^-1 t gives t W^-1 = z t).  Every other entry is normalized and
+        compared, among them duplicates and words equal to W^-1 in the
+        group but spelled otherwise, so the first failing entry is the one
+        a check of every entry would find."""
+        context = self.context
+        signed = _signed_alphabet(context)
+        missing = {s.code for s in signed}.difference(e.z.code for e in self.entries)
+        if missing:
+            names = sorted(str(s) for s in signed if s.code in missing)
+            raise CertificateError(f"certificate misses entries for: {names}")
+        is_model = isinstance(context, ModelId)
+        dic = None if is_model else dictionary_for(context.surface, context.n)
+        if not is_model and dic is None:
+            return False
+        t_word = Word((self.t,))
+        pending = {}  # code of z -> the path letters of an unpaired entry whose endpoint held
+        for z, path_word, _ in self.entries:
+            letters = path_word.letters
+            partner = pending.get(-z.code)
+            if partner is not None and tuple(map(_INVERSE, reversed(partner))) == letters:
+                # t W = z^-1 t held, so t W^-1 = z t holds: the pair is decided
+                del pending[-z.code]
+                continue
+            if is_model:
+                ok = words_equal(context, t_word * path_word, Word((z,)) * t_word)
+            else:
+                ok = words_equal(dic.model, translate(dic, t_word * path_word, "to_model"),
+                                 translate(dic, Word((z,)) * t_word, "to_model"))
+            if not ok:
+                raise CertificateError(f"endpoint condition fails for z = {z}")
+            pending[z.code] = letters
+        return True
+
 
 class MarginLine(NamedTuple):
     z: str
@@ -157,38 +208,17 @@ class CertificateReport:
     endpoints_checked: bool
 
 
-def _signed_alphabet(letters: Iterable[GeneratorSymbol]) -> list[GeneratorSymbol]:
-    out = []
-    for s in letters:
-        out.append(s)
-        out.append(s.inverse())
-    return out
-
-
-def _model_alphabet(model: ModelId) -> list[GeneratorSymbol]:
-    return [model_sym(name) for name in model.letter_names]
-
-
-# id of each certificate whose entries and endpoint equations held -> a
-# weak reference to it: an id is reused only once its object is gone, the
-# reference tells a new object from the old one, and its callback drops
-# the record when the object goes
-_HELD: dict[int, weakref.ref] = {}
-
-
-def _held(cert: PathCertificate) -> bool:
-    ref = _HELD.get(id(cert))
-    return ref is not None and ref() is cert
-
-
-def _hold(cert: PathCertificate) -> None:
-    key = id(cert)
-
-    def drop(ref: weakref.ref) -> None:
-        if _HELD.get(key) is ref:
-            del _HELD[key]
-
-    _HELD[key] = weakref.ref(cert, drop)
+def _signed_alphabet(context: ModelId | GroupContext) -> list[GeneratorSymbol]:
+    """The generators of a model, or of P_n(T) or P_n(K), each followed by
+    its inverse."""
+    if isinstance(context, ModelId):
+        letters = [model_sym(name) for name in context.letter_names]
+    else:
+        n = context.n
+        letters = [sym_a(i) for i in range(1, n + 1)] + \
+                  [sym_b(i) for i in range(1, n + 1)] + \
+                  [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [s for letter in letters for s in (letter, letter._inverse)]
 
 
 def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateReport:
@@ -202,27 +232,18 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     min(0, L chi(z)), and each distinct scaled margin is divided by L once
     per call, its Fraction shared by the lines that have it.
 
-    The entries (one per signed letter of the alphabet) and the endpoint
-    equations do not depend on chi: they are checked on the first call
-    for a certificate object, and a call that succeeds records the object
-    by identity, so later calls for it skip them.  Nothing is recorded
-    for a certificate that fails, so it is checked again on every call
-    and raises the same error.  Where a model covers the context, entries
-    are checked in certificate order, each pair of inverse entries with
-    one oracle call: an entry for z whose path letters are those of W^-1,
-    where W is the path word of an earlier entry for z^-1 whose endpoint
-    held and that no other entry has been paired with, holds too
-    (t W = z^-1 t gives t W^-1 = z t).  Every other entry is normalized
-    and compared, among them duplicates and words equal to W^-1 in the
-    group but spelled otherwise, so the first failing entry is the one a
-    check of every entry would find.  Raises CertificateError when
-    chi(t) <= 0, an entry is missing or an endpoint equation fails
-    (naming the offending generator); margins that are merely nonpositive
-    only mark the report as failed.
+    The entries and the endpoint equations do not depend on chi: they
+    are checked by the certificate's :attr:`PathCertificate.endpoints_checked`,
+    which is kept on the certificate once it holds, so later calls for the
+    same certificate object compute the margins alone.  A certificate that
+    fails keeps nothing and raises the same error on every call.  Raises
+    CertificateError when chi(t) <= 0, an entry is missing or an endpoint
+    equation fails (naming the offending generator); margins that are
+    merely nonpositive only mark the report as failed.
     """
     context = cert.context
-    is_model = isinstance(context, ModelId)
-    if not is_model and (context.family, context.surface) not in (("P", "T"), ("P", "K")):
+    if not isinstance(context, ModelId) and \
+            (context.family, context.surface) not in (("P", "T"), ("P", "K")):
         raise DomainError(f"{context}: certificates cover the models, P_n(T) and P_n(K)")
     if chi.spec.group != context:
         raise DomainError(f"character lives on {chi.spec.group}, not {context}")
@@ -232,52 +253,15 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
         raise CertificateError(f"base letter {cert.t} needs chi(t) > 0, "
                                f"got {Fraction(chi_t, table.denominator)}")
 
-    dic = None if is_model else dictionary_for(context.surface, context.n)
-    checked = is_model or dic is not None
-    held = _held(cert)
-    if not held:
-        if is_model:
-            alphabet = _model_alphabet(context)
-        else:
-            n = context.n
-            alphabet = [sym_a(i) for i in range(1, n + 1)] + \
-                       [sym_b(i) for i in range(1, n + 1)] + \
-                       [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        signed = _signed_alphabet(alphabet)
-        missing = {s.code for s in signed}.difference(e.z.code for e in cert.entries)
-        if missing:
-            names = sorted(str(s) for s in signed if s.code in missing)
-            raise CertificateError(f"certificate misses entries for: {names}")
-
-    t_word = Word((cert.t,))
-    check = checked and not held
-    pending = {}  # code of z -> the path letters of an unpaired entry whose endpoint held
+    checked = cert.endpoints_checked
     margins = {}  # one Fraction per distinct scaled margin
     lines = []
-    for e in cert.entries:
-        z, path_word = e.z, e.path_word
-        if check:
-            letters = path_word.letters
-            partner = pending.get(-z.code)
-            if partner is not None and tuple(map(_INVERSE, reversed(partner))) == letters:
-                # t W = z^-1 t held, so t W^-1 = z t holds: the pair is decided
-                del pending[-z.code]
-            else:
-                if is_model:
-                    ok = words_equal(context, t_word * path_word, Word((z,)) * t_word)
-                else:
-                    ok = words_equal(dic.model, translate(dic, t_word * path_word, "to_model"),
-                                     translate(dic, Word((z,)) * t_word, "to_model"))
-                if not ok:
-                    raise CertificateError(f"endpoint condition fails for z = {z}")
-                pending[z.code] = letters
+    for z, path_word, _ in cert.entries:
         margin = table.lowest(chi_t, path_word) - min(0, table.value(z))
         value = margins.get(margin)
         if value is None:
             value = margins[margin] = Fraction(margin, table.denominator)
         lines.append(MarginLine(str(z), value, checked, margin > 0))
-    if not held:
-        _hold(cert)
     passed = all(line.positive for line in lines)
     return CertificateReport(str(context), str(cert.t),
                              tuple(lines), passed, checked)
@@ -329,6 +313,7 @@ _CASE_PLAN = {
 def case_character(case: CertificateCase, p, q) -> tuple[Character, Character]:
     """The (model character, braid character) pair the case certifies; p
     and q must be exact positive rationals."""
+    case = CertificateCase(case)
     p, q = _exact(p), _exact(q)
     if p <= 0 or q <= 0:
         raise DomainError("the case parameters need p, q > 0")
@@ -336,10 +321,6 @@ def case_character(case: CertificateCase, p, q) -> tuple[Character, Character]:
     a, b = _CASE_BRAID_COORDS[case]
     braid = torus_character(len(a), [p * c for c in a], [q * c for c in b])
     return model_character(dictionary(model), braid), braid
-
-
-# the certificate of each case, built on first use
-_LEMMA_CERTS: dict[CertificateCase, PathCertificate] = {}
 
 
 def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
@@ -354,12 +335,10 @@ def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
     on the first call for it.  Six certificates are kept in all."""
     case = CertificateCase(case)
     _exact(p), _exact(q)  # validate numerics early
-    cert = _LEMMA_CERTS.get(case)
-    if cert is None:
-        cert = _LEMMA_CERTS[case] = _lemma_certificate(case)
-    return cert
+    return _lemma_certificate(case)
 
 
+@cache  # the certificate of each case, built on first use
 def _lemma_certificate(case: CertificateCase) -> PathCertificate:
     model = _CASE_MODEL[case]
     t_name, t_sign, banked, trivial = _CASE_PLAN[case]
@@ -387,19 +366,12 @@ def _lemma_certificate(case: CertificateCase) -> PathCertificate:
 # ---------------------------------------------------------------------------
 # Certificates over the braid generators (general strand count)
 
-# the trivial-path entries of each letter and its inverse, by the letter's
-# code and the note: entries are immutable, so every certificate that has
-# them shares one pair, and one one-letter word per signed letter
-_TRIVIAL: dict[tuple[int, str], tuple[CertificateEntry, CertificateEntry]] = {}
-
-
+@cache  # entries are immutable, so every certificate that has them shares one pair
 def _triv(z: GeneratorSymbol, note: str = "commuting letter, trivial path") -> tuple[CertificateEntry, ...]:
-    pair = _TRIVIAL.get((z.code, note))
-    if pair is None:
-        z_inv = z.inverse()
-        pair = _TRIVIAL[z.code, note] = (CertificateEntry(z, _reduced((z,)), note),
-                                         CertificateEntry(z_inv, _reduced((z_inv,)), note))
-    return pair
+    """The trivial-path entries of a letter and its inverse."""
+    z_inv = z.inverse()
+    return (CertificateEntry(z, _reduced((z,)), note),
+            CertificateEntry(z_inv, _reduced((z_inv,)), note))
 
 
 def _pair(z: GeneratorSymbol, w: Word, note: str) -> list[CertificateEntry]:
@@ -409,7 +381,7 @@ def _pair(z: GeneratorSymbol, w: Word, note: str) -> list[CertificateEntry]:
 
 # the most path letters the kept braid certificates may hold together: at
 # n = 96 a certificate's own entries and words take 10-17 bytes per path
-# letter (its trivial-path entries are shared, ``_TRIVIAL``), so at most
+# letter (its trivial-path entries are shared, ``_triv``), so at most
 # about 4.5 MB
 CERTIFICATE_BUDGET = 2 ** 18
 

@@ -150,6 +150,11 @@ class CertificateCase(str, Enum):
     G4T_A = "g4t-a"   # chi(x)=chi(u)=chi(ub)=p, chi(v)=q,  t = v
     G4T_B = "g4t-b"   # chi(x)=chi(u)=chi(ub)=p, chi(v)=-q, t = v^-1
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown certificate case {value!r}; "
+                          f"the cases are {', '.join(case.value for case in cls)}")
+
 
 class TranslationError(DomainError):
     """A symbol has no image under the requested dictionary direction."""

@@ -19,28 +19,27 @@ Words are kept freely reduced at all times; construction APIs reduce
 eagerly, so word-problem engines further up the stack can compare normal
 forms by plain sequence equality.
 
-Letters are interned.  The builders (``sym_s``, ``sym_a``, ``sym_b``,
-``sym_C``, ``model_sym``), :func:`parse_symbols`, and
-:meth:`GeneratorSymbol.inverse` and ``.base`` return one shared instance per
-(kind, indices, sign).  That instance is built and validated once, when it
-enters the table, together with its inverse, so ``inverse()`` is an attribute
-read and ``s.inverse().inverse() is s``.  A letter that fails validation
-raises :class:`AlphabetError` and never enters.  Each pair gets a signed
-integer ``code`` as it enters, +k for the positive letter and -k for its
-inverse, so two letters cancel exactly when their codes sum to zero, and
-hot lookups (the seams of :func:`product` and :func:`reduce`, the letter
-tables of characters, the braid-to-model dictionaries) key by code.
-Codes depend on the order letters are first met, so they belong to the
-process: they are never printed, serialized or sorted by.  Equality,
-hashing and repr still compare fields, so a directly built
-``GeneratorSymbol`` equals the interned one and reads its code.  Each
-letter's printed text is formatted once, when it enters (a directly built
-letter formats its own on first use); ``str`` and :func:`serialize_word`
-read it.  The table lives as long as the process and holds one pair per
-distinct letter met.  Beside it, :func:`parse_symbols` keeps a table
-from token text to interned letter, so each distinct token is parsed
-once per process; a token that fails to parse or validate never enters
-it.
+Letters are interned.  ``GeneratorSymbol(kind, indices, sign)``, the
+builders (``sym_s``, ``sym_a``, ``sym_b``, ``sym_C``, ``model_sym``),
+:func:`parse_symbols`, and :meth:`GeneratorSymbol.inverse` and ``.base``
+all return one shared instance per (kind, indices, sign): there is no
+other way to build a letter.  That instance is built and validated once,
+when it enters the table, together with its inverse, so ``inverse()`` is
+an attribute read and ``s.inverse().inverse() is s``.  A letter that fails
+validation raises :class:`AlphabetError` and never enters.  Each pair gets
+a signed integer ``code`` as it enters, +k for the positive letter and -k
+for its inverse, so two letters cancel exactly when their codes sum to
+zero, and hot lookups (the seams of :func:`product` and :func:`reduce`,
+the letter tables of characters, the braid-to-model dictionaries) key by
+code.  Codes depend on the order letters are first met, so they belong to
+the process: they are never printed, serialized or sorted by.  Letters
+compare and hash by identity, so neither may order output either.  Each
+letter's printed text is formatted once, when it enters; ``str`` and
+:func:`serialize_word` read it.  The table lives as long as the process
+and holds one pair per distinct letter met.  Beside it,
+:func:`parse_symbols` keeps a table from token text to interned letter, so
+each distinct token is parsed once per process; a token that fails to
+parse or validate never enters it.
 
 A ``Word`` built directly checks that its letters are reduced, while the
 results of :func:`reduce`, :meth:`Word.inverse`, ``*`` and :func:`product`
@@ -57,7 +56,6 @@ from __future__ import annotations
 import re
 from _thread import allocate_lock
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -85,62 +83,40 @@ _INDEXED_ONE = ("s", "a", "b")
 _INDEXED_TWO = ("C", "A")
 
 
-@dataclass(frozen=True)
 class GeneratorSymbol:
-    """One signed letter: a family tag, optional indices and a sign (+1/-1).
+    """One signed letter: a family tag, its indices and a sign (+1/-1).
 
-    A symbol with ``kind`` in {"a","b"} and empty indices is a bare model
-    letter; with one index it is the strand-indexed braid generator.
+    ``GeneratorSymbol(kind, indices, sign)`` returns the interned letter,
+    validated and entered on first use (:func:`_letter`).  A letter with
+    ``kind`` in {"a","b"} and no indices is a bare model letter; with one
+    index it is the strand-indexed braid generator.  Its six attributes are
+    set once, when the letter and its inverse enter, and assigning to one
+    afterwards raises.  Letters compare and hash by identity, which is
+    equality, since each letter has one instance.
     """
 
-    kind: str
-    indices: tuple[int, ...] = ()
-    sign: int = 1
+    __slots__ = ("kind", "indices", "sign", "code", "_inverse", "_text")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise AlphabetError(f"sign must be +1 or -1, got {self.sign}")
-        if self.kind in _INDEXED_TWO:
-            i, j = self.indices
-            if not (1 <= i < j):
-                raise AlphabetError(f"{self.kind}[{i},{j}]: indices must satisfy 1 <= i < j")
-        elif self.kind in _INDEXED_ONE and self.indices:
-            if self.indices[0] < 1:
-                raise AlphabetError(f"{self}: index must be >= 1")
-        elif self.kind == "D" or self.kind in MODEL_LETTER_NAMES:
-            if self.indices:
-                raise AlphabetError(f"{self.kind} takes no indices")
-        else:
-            raise AlphabetError(f"unknown letter family {self.kind!r}")
+    def __new__(cls, kind: str, indices: tuple[int, ...] = (), sign: int = 1) -> "GeneratorSymbol":
+        _validate(kind, indices, sign)  # a bool index would find the int's letter
+        return _letter(kind, indices, sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"letter {self}: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"letter {self}: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"GeneratorSymbol(kind={self.kind!r}, indices={self.indices!r}, sign={self.sign!r})"
 
     def inverse(self) -> "GeneratorSymbol":
         return self._inverse
 
-    @cached_property
-    def code(self) -> int:
-        """The signed code: +k for the positive letter, -k for its inverse.
-        :func:`_letter` sets it on every interned letter; a directly built
-        letter reads its interned twin's on first use."""
-        return _letter(self.kind, self.indices, self.sign).code
-
-    @cached_property
-    def _inverse(self) -> "GeneratorSymbol":
-        """The interned inverse.  :func:`_letter` sets it on every interned
-        letter; a directly built letter looks it up on first use."""
-        return _letter(self.kind, self.indices, -self.sign)
-
-    def _format(self) -> str:
-        return self.label + ("^-1" if self.sign == -1 else "")
-
-    # the letter as it prints: :func:`_letter` sets it on every interned
-    # letter; a directly built letter formats its own on first use
-    _text = cached_property(_format)
-
     @property
     def base(self) -> "GeneratorSymbol":
         """The interned positive letter underlying this symbol."""
-        inverse = self._inverse
-        return inverse if self.sign == -1 else inverse._inverse
+        return self if self.sign == 1 else self._inverse
 
     @property
     def label(self) -> str:
@@ -161,11 +137,37 @@ _LETTERS: dict[tuple[str, tuple[int, ...], int], GeneratorSymbol] = {}
 # held while a letter enters: two threads that miss one letter at once must
 # not both enter it, nor two letters take one code
 _ENTERING = allocate_lock()
+_set = object.__setattr__  # letters refuse plain assignment
+
+
+def _validate(kind: str, indices: tuple[int, ...], sign: int) -> None:
+    """Raise AlphabetError, naming the letter, unless (kind, indices, sign)
+    is a letter: s takes one index, a and b one or none (a bare model
+    letter), C and A two, D and the other model letters none; an index is
+    an int, never a bool."""
+    if sign not in (1, -1):
+        raise AlphabetError(f"sign must be +1 or -1, got {sign}")
+    if kind in _INDEXED_ONE or kind in _INDEXED_TWO:
+        arity = 2 if kind in _INDEXED_TWO else 1
+        if (len(indices) != arity and not (kind in ("a", "b") and not indices)) \
+                or any(type(i) is not int for i in indices):
+            takes = "two integer indices" if arity == 2 else "one integer index"
+            raise AlphabetError(f"{kind}{indices}: {kind} takes {takes}")
+        if arity == 2 and not 1 <= indices[0] < indices[1]:
+            raise AlphabetError(f"{kind}[{indices[0]},{indices[1]}]: indices must satisfy 1 <= i < j")
+        if arity == 1 and indices and indices[0] < 1:
+            raise AlphabetError(f"{kind}{indices[0]}{'^-1' if sign == -1 else ''}: index must be >= 1")
+    elif kind == "D" or kind in MODEL_LETTER_NAMES:
+        if indices:
+            raise AlphabetError(f"{kind} takes no indices")
+    else:
+        raise AlphabetError(f"unknown letter family {kind!r}")
 
 
 def _letter(kind: str, indices: tuple[int, ...], sign: int) -> GeneratorSymbol:
     """The one shared instance of a letter, built and validated on first use;
-    the k-th pair to enter gets the codes +k and -k."""
+    the k-th pair to enter gets the codes +k and -k.  The pair enters only
+    once every attribute of both letters is set."""
     key = (kind, indices, sign)
     s = _LETTERS.get(key)
     if s is not None:
@@ -173,19 +175,18 @@ def _letter(kind: str, indices: tuple[int, ...], sign: int) -> GeneratorSymbol:
     with _ENTERING:
         s = _LETTERS.get(key)
         if s is None:
-            s = GeneratorSymbol(kind, indices, sign)  # raises before anything enters
-            inverse = GeneratorSymbol(kind, indices, -sign)
+            _validate(kind, indices, sign)  # raises before anything enters
             k = len(_LETTERS) // 2 + 1
-            # object.__setattr__, not __dict__: reading __dict__ would turn the
-            # letter's inline attribute values into a dict, slower to read
-            object.__setattr__(s, "_inverse", inverse)
-            object.__setattr__(inverse, "_inverse", s)
-            object.__setattr__(s, "code", sign * k)
-            object.__setattr__(inverse, "code", -sign * k)
-            object.__setattr__(s, "_text", s._format())
-            object.__setattr__(inverse, "_text", inverse._format())
+            s, inverse = object.__new__(GeneratorSymbol), object.__new__(GeneratorSymbol)
+            for letter, twin, sgn in ((s, inverse, sign), (inverse, s, -sign)):
+                _set(letter, "kind", kind)
+                _set(letter, "indices", indices)
+                _set(letter, "sign", sgn)
+                _set(letter, "code", sgn * k)
+                _set(letter, "_inverse", twin)
+                _set(letter, "_text", letter.label + ("^-1" if sgn == -1 else ""))
             _LETTERS[key] = s
-            _LETTERS[(kind, indices, -sign)] = inverse
+            _LETTERS[kind, indices, -sign] = inverse
     return s
 
 

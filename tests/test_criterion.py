@@ -69,6 +69,16 @@ def test_all_cases_verify_and_land_in_the_invariant():
                 assert verdict.membership == IN_SIGMA1
 
 
+@pytest.mark.parametrize("build", [case_character, generate_lemma_certificates])
+def test_an_unknown_case_is_a_domain_error(build):
+    message = ("unknown certificate case 'nope'; "
+               "the cases are g3t-a, g3t-b, g3t-c, g3t-d, g4t-a, g4t-b")
+    with pytest.raises(DomainError) as info:
+        build("nope", 1, 1)
+    assert str(info.value) == message
+    assert build("g3t-a", 1, 1) == build(CertificateCase.G3T_A, 1, 1)
+
+
 def test_case_parameters_must_be_positive():
     with pytest.raises(DomainError):
         case_character(CertificateCase.G3T_A, 0, 1)
@@ -489,29 +499,30 @@ def test_a_failing_certificate_fails_the_same_way_on_every_call():
             verify_certificate(short, chi5)
 
 
-def test_records_follow_their_certificate_objects():
-    import gc
-    import weakref
-
-    from sigmabraid import criterion
-
+def test_a_failing_certificate_keeps_nothing(monkeypatch):
+    calls = _counting_oracle(monkeypatch)
     cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
     chi, _ = case_character(CertificateCase.G3T_A, 1, 1)
-    fresh = _fresh(cert)
-    verify_certificate(fresh, chi)
-    key = id(fresh)
-    assert key in criterion._HELD
-    del fresh
-    gc.collect()
-    assert key not in criterion._HELD  # dropped with its object
-    # a record left under an id that another object now has vouches for nothing
     bad = _replace(cert, "y", mword("y"))
-    criterion._HELD[id(bad)] = weakref.ref(cert)
-    try:
-        with pytest.raises(CertificateError, match="z = y$"):
-            verify_certificate(bad, chi)
-    finally:
-        del criterion._HELD[id(bad)]
+    truncated = PathCertificate(cert.context, cert.t, cert.entries[:-2])
+    for doctored, oracle_calls in ((bad, 2), (truncated, 0)):
+        for _ in range(2):
+            del calls[:]
+            with pytest.raises(CertificateError):
+                doctored.endpoints_checked
+            assert "endpoints_checked" not in vars(doctored)
+            assert len(calls) == oracle_calls  # checked anew on every read
+    good = _fresh(cert)
+    assert good.endpoints_checked is True and vars(good)["endpoints_checked"] is True
+
+
+def test_check_stays_out_of_eq_hash_repr():
+    cert = _fresh(generate_lemma_certificates(CertificateCase.G3T_A, 1, 1))
+    twin = _fresh(cert)
+    text = repr(cert)
+    assert cert.endpoints_checked and "endpoints_checked" not in vars(twin)
+    assert cert == twin and hash(cert) == hash(twin) and repr(cert) == repr(twin) == text
+    assert "endpoints_checked" not in text
 
 
 def test_kept_braid_certificates_stay_within_the_budget(monkeypatch):

@@ -65,7 +65,7 @@ def test_product_cancels_at_the_seam_like_reduce(left, right, k):
     v = reduce(list(u.inverse().letters[:k]) + right)
     expected = reduce(u.letters + v.letters)
     assert u * v == expected
-    # directly built letters cancel against interned ones
+    # directly built letters are the interned ones
     direct = Word(tuple(GeneratorSymbol(s.kind, s.indices, s.sign) for s in v.letters))
     assert u * direct == expected
 
@@ -89,10 +89,43 @@ def test_builders_return_one_interned_letter():
 
 def test_direct_letters_equal_the_interned_ones():
     d, d_inv = parse_symbols("D D^-1")
-    direct = GeneratorSymbol("D")
-    assert direct == d and hash(direct) == hash(d) and direct is not d
-    assert direct.inverse() is d_inv and direct.base is d
-    assert GeneratorSymbol("D", (), -1).base is d
+    assert GeneratorSymbol("D") is d and GeneratorSymbol("D", (), -1) is d_inv
+    assert GeneratorSymbol("C", (2, 5), -1) is sym_C(2, 5, -1) is parse_symbols("C[2,5]^-1")[0]
+    # a letter built directly before any builder met it enters like one
+    c = GeneratorSymbol("C", (9, 981))
+    assert c is sym_C(9, 981) and c.inverse() is sym_C(9, 981, -1) and c.base is c
+    assert repr(c) == "GeneratorSymbol(kind='C', indices=(9, 981), sign=1)"
+    assert repr(c.inverse()) == "GeneratorSymbol(kind='C', indices=(9, 981), sign=-1)"
+
+
+def test_letters_refuse_assignment():
+    a = sym_a(1)
+    for name, value in (("code", 99), ("sign", -1), ("_text", "z"), ("kind", "b"), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.kind, a.indices, a.sign, str(a)) == ("a", (1,), 1, "a1")
+    assert a.code == -a.inverse().code > 0
+
+
+@pytest.mark.parametrize("kind, indices, message", [
+    ("a", (1, 2), "a(1, 2): a takes one integer index"),
+    ("b", (True,), "b(True,): b takes one integer index"),
+    ("s", (), "s(): s takes one integer index"),
+    ("s", (1.0,), "s(1.0,): s takes one integer index"),
+    ("C", (1,), "C(1,): C takes two integer indices"),
+    ("A", (1, 2, 3), "A(1, 2, 3): A takes two integer indices"),
+    ("C", (False, 3), "C(False, 3): C takes two integer indices"),
+])
+def test_letter_arity_and_index_type(kind, indices, message):
+    sym_b(1), sym_s(1), sym_C(1, 3)  # a bool or float index hashes as these
+    before = dict(words._LETTERS)
+    for sign in (1, -1):
+        with pytest.raises(AlphabetError) as info:
+            GeneratorSymbol(kind, indices, sign)
+        assert str(info.value) == message
+    assert words._LETTERS == before
 
 
 def test_invalid_letters_raise_and_do_not_enter():
@@ -117,11 +150,10 @@ def test_codes_are_signed_and_follow_the_fields():
     for s in letters:
         assert s.code > 0 and s.code == -s.inverse().code
     assert len({s.code for s in letters}) == len(letters)
-    # a directly built letter reads its interned twin's code, even before
-    # the twin was ever built; equality, hash and repr still use the fields
+    # a directly built letter is the interned one, even when it enters
+    # first; repr names the fields, not the code
     direct = GeneratorSymbol("C", (7, 977), -1)
-    assert direct.code == sym_C(7, 977, -1).code == -sym_C(7, 977).code
-    assert direct == sym_C(7, 977, -1) and repr(direct) == repr(sym_C(7, 977, -1))
+    assert direct is sym_C(7, 977, -1) and direct.code == -sym_C(7, 977).code
     assert "code" not in repr(direct) and str(direct) == "C[7,977]^-1"
 
 
@@ -131,22 +163,18 @@ def test_letters_print_from_one_stored_text(monkeypatch):
     assert [str(s) for s in letters] == tokens.split()
     assert serialize_word(Word(tuple(letters))) == tokens
     # a letter's text is formatted once, when the letter and its inverse
-    # enter, and never again
-    formatted = []
-    format_ = GeneratorSymbol._format
-    monkeypatch.setattr(GeneratorSymbol, "_format", lambda s: formatted.append(s) or format_(s))
+    # enter, from its label, and never again
+    labelled = []
+    label = GeneratorSymbol.label
+    monkeypatch.setattr(GeneratorSymbol, "label",
+                        property(lambda s: labelled.append(s) or label.fget(s)))
     c = sym_C(8, 980, -1)
-    assert formatted == [c, c.inverse()]
+    assert labelled == [c, c.inverse()]
     for _ in range(3):
         assert str(c) == "C[8,980]^-1" and str(c.inverse()) == "C[8,980]"
         assert serialize_word(Word((c, c))) == "C[8,980]^-1 C[8,980]^-1"
-    assert formatted == [c, c.inverse()]
-    # a directly built letter prints the same text, alone or in a word
-    for s in letters + [GeneratorSymbol("C", (8, 978), -1)]:
-        direct = GeneratorSymbol(s.kind, s.indices, s.sign)
-        interned = words._letter(s.kind, s.indices, s.sign)
-        assert direct is not interned and str(direct) == str(interned) == str(s)
-        assert serialize_word(Word((direct,))) == str(s)
+        assert str(GeneratorSymbol("C", (8, 980), 1)) == "C[8,980]"
+    assert labelled == [c, c.inverse()]
     assert str(GeneratorSymbol("C", (8, 979), -1)) == "C[8,979]^-1"
 
 
