@@ -50,8 +50,8 @@ _EXPORTS = {
     **dict.fromkeys((
         "Character", "SpherePoint", "abelianization", "abelianize", "character",
         "character_from_json", "character_to_json", "evaluate", "klein_character",
-        "model_character", "nu", "sphere_character", "sphere_point", "strand_pullback",
-        "strand_pushforward", "torus_character"), "characters"),
+        "model_character", "nu", "sphere_character", "sphere_point", "torus_character"),
+        "characters"),
     **dict.fromkeys((
         "BallReport", "PathCertificate", "case_character", "explore_ball",
         "generate_braid_certificate", "generate_lemma_certificates",

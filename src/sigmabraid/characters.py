@@ -51,7 +51,7 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .models import ModelId
+from .models import IsoDictionary, ModelId, _check_letters
 from .words import (
     AlphabetError,
     DomainError,
@@ -166,8 +166,7 @@ class AbelianImage:
 
 def _check_letter(group: GroupLike, s: GeneratorSymbol) -> None:
     if isinstance(group, ModelId):
-        if s.indices or s.kind not in group.letter_names:
-            raise AlphabetError(f"{s}: not a letter of {group.value}")
+        _check_letters(group, (s,))
     else:
         validate_symbol(s, group)
 
@@ -345,7 +344,7 @@ def nu(chi: Character, start: Word, steps: Word) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Strand insertion / deletion
+# Strand blocks
 
 def strand_blocks(x: "Character | SpherePoint") -> tuple[tuple, tuple]:
     """The a and b blocks of a P_n(T) or P_n(K) character or point, strand
@@ -356,36 +355,6 @@ def strand_blocks(x: "Character | SpherePoint") -> tuple[tuple, tuple]:
     if group.surface == "K":
         return (), x.coords
     return x.coords[:group.n], x.coords[group.n:]
-
-
-def strand_pullback(chi: Character, n_target: int, strands: Iterable[int]) -> Character:
-    """Insert zero coordinates so that strand i of the source becomes
-    strand strands[i] of the target (composition with strand erasure)."""
-    blocks = strand_blocks(chi)
-    group = chi.spec.group
-    strands = list(strands)
-    k = group.n
-    if len(strands) != k or sorted(strands) != strands or strands[0] < 1 or strands[-1] > n_target:
-        raise DomainError(f"need {k} increasing target strands within 1..{n_target}")
-    target = GroupContext(group.family, group.surface, n_target)
-    source = {s: pos for pos, s in enumerate(strands)}  # target strand -> source index
-    return character(target, [block[source[t]] if t in source else 0
-                              for block in blocks if block for t in range(1, n_target + 1)])
-
-
-def strand_pushforward(chi: Character, keep: Iterable[int]) -> Character:
-    """Restrict to the kept strands; defined only when every deleted
-    coordinate vanishes (chi factors through the strand-erasing map)."""
-    blocks = strand_blocks(chi)
-    group = chi.spec.group
-    keep = sorted(set(keep))
-    if not keep or keep[0] < 1 or keep[-1] > group.n:
-        raise DomainError(f"kept strands must lie in 1..{group.n}")
-    for i in range(1, group.n + 1):
-        if i not in keep and any(block[i - 1] for block in blocks if block):
-            raise DomainError(f"character does not vanish on deleted strand {i}")
-    target = GroupContext(group.family, group.surface, len(keep))
-    return character(target, [block[s - 1] for block in blocks if block for s in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +397,6 @@ def sphere_point(chi: Character) -> SpherePoint:
 def model_character(dic, chi: Character) -> Character:
     """Pull a pure braid character through a model dictionary: the model
     letter g gets the value chi(image of g)."""
-    from .models import IsoDictionary  # local to avoid import cycle at load
-
     assert isinstance(dic, IsoDictionary)
     if chi.spec.group != dic.braid_context:
         raise DomainError(f"character lives on {chi.spec.group}, dictionary covers {dic.braid_context}")

@@ -468,9 +468,9 @@ class NormalForm:
 _LETTER_SETS = {model: frozenset(rec.alphabet) for model, rec in _MODELS.items()}
 
 
-def _check_letters(model: ModelId, w: Word) -> None:
+def _check_letters(model: ModelId, letters: Iterable[GeneratorSymbol]) -> None:
     names = _LETTER_SETS[model]
-    for s in w.letters:
+    for s in letters:
         if s.indices or s.kind not in names:
             raise AlphabetError(f"{s}: not a letter of {model.value}")
 
@@ -571,7 +571,7 @@ def step(model: ModelId, state: tuple, name: str, sign: int) -> tuple:
 def parse_model_word(text: str, model: ModelId) -> Word:
     symbols = parse_symbols(text)
     w = reduce(symbols)
-    _check_letters(model, w)
+    _check_letters(model, w.letters)
     return w
 
 
@@ -588,7 +588,7 @@ _G2K_ACTS = _actions(("a", "b"), _G2K_INTO, _G2K_OUT, 2)
 
 
 def bruteforce_normalize_g2k(w: Word) -> NormalForm:
-    _check_letters(ModelId.G2K, w)
+    _check_letters(ModelId.G2K, w.letters)
     omega: tuple[int, ...] = ()
     n = m = 0
     for s in w:

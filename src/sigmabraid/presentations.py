@@ -5,7 +5,12 @@ groups of the torus (T) and the Klein bottle (K).
 ``instantiate_presentation`` emits the defining relations of P_n(M)
 (eight numbered families) or, for the full braid group B_n(M), the Artin
 relations together with the half-twist conjugation rules and the
-Artin-letter spellings of the encircling braids C[i,j].
+Artin-letter spellings of the encircling braids C[i,j].  The B relations
+hold in B_n(M) but do not present it: in B_2(T) the four twist relations
+give a2 and b2 in terms of s1, a1 and b1, and the band relation gives
+C[1,2] = s1^2, which leaves <s1, a1, b1> free, while B_2(T) has a
+nontrivial centre.  Fox calculus finds the table short at n = 2..6 too;
+``verify-relations`` claims only that every listed relation holds.
 
 ``instantiate_family`` emits the derived relation families used by the
 connectivity certificates:
@@ -24,7 +29,6 @@ at n <= 4.  C[j,j] and C[1,1] are materialised as the empty word.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -34,7 +38,6 @@ from .words import (
     IDENTITY,
     Word,
     _reduced,
-    alpha_beta_word,
     aij_word,
     product,
     serialize_word,
@@ -61,9 +64,6 @@ class RelationTable:
     def __len__(self) -> int:
         return len(self.relations)
 
-    def names(self) -> list[str]:
-        return [r.name for r in self.relations]
-
     def to_json(self) -> dict:
         return {
             "group": self.group.family,
@@ -75,9 +75,6 @@ class RelationTable:
                 for r in self.relations
             ],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 # The one-letter words below are shared: each is built once, and a word of
@@ -244,7 +241,8 @@ def _braid_relations(n: int) -> list[Relation]:
 
 
 def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable:
-    """Every relation instance of the P_n or B_n table for the given n."""
+    """Every relation instance of the P_n or B_n table for the given n; each
+    holds in the group, but the B_n table does not present it (see above)."""
     ctx = GroupContext(family, surface, n)
     if surface not in ("T", "K"):
         raise DomainError(f"no presentation table for surface {surface!r}")
@@ -256,14 +254,16 @@ def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable
 # ---------------------------------------------------------------------------
 # Derived relation families
 
+# The descending products a_j a_{j-1} ... a_i and b_j ... b_i, empty when
+# i > j; their letters are distinct, so they are reduced.
 @cache
-def _alpha(j: int, i: int, n: int) -> Word:
-    return alpha_beta_word("alpha", j, i, n)
+def _alpha(j: int, i: int) -> Word:
+    return _reduced([sym_a(k) for k in range(j, i - 1, -1)])
 
 
 @cache
-def _beta(j: int, i: int, n: int) -> Word:
-    return alpha_beta_word("beta", j, i, n)
+def _beta(j: int, i: int) -> Word:
+    return _reduced([sym_b(k) for k in range(j, i - 1, -1)])
 
 
 def _family_S(name: str, surface: str, n: int) -> list[Relation]:
@@ -336,7 +336,7 @@ def _family_R(name: str, surface: str, n: int) -> list[Relation]:
                 for k in range(i, j):
                     out.append(Relation(
                         f"R2:{j},{i};s{k}",
-                        _cat(_alpha(j, i, n), _s(k)), _cat(_s(k), _alpha(j, i, n)),
+                        _cat(_alpha(j, i), _s(k)), _cat(_s(k), _alpha(j, i)),
                         "descending a product commutes with inner half twists"))
     elif name == "R3":
         for i in range(1, n + 1):
@@ -345,8 +345,8 @@ def _family_R(name: str, surface: str, n: int) -> list[Relation]:
                     for t in range(k + 1, j + 1):
                         out.append(Relation(
                             f"R3:{j},{i};C{k},{t}",
-                            _cat(_alpha(j, i, n), _C(k, t)),
-                            _cat(_C(k, t), _alpha(j, i, n)),
+                            _cat(_alpha(j, i), _C(k, t)),
+                            _cat(_C(k, t), _alpha(j, i)),
                             "descending a product commutes with inner C braids"))
     elif name == "R4":
         for i in range(1, n):
@@ -358,19 +358,19 @@ def _family_R(name: str, surface: str, n: int) -> list[Relation]:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(i, j):
-                    rhs = _cat(_s(k, 1 if T else -1), _beta(j, i, n))
+                    rhs = _cat(_s(k, 1 if T else -1), _beta(j, i))
                     out.append(Relation(
-                        f"R5:{j},{i};s{k}", _cat(_beta(j, i, n), _s(k)), rhs,
+                        f"R5:{j},{i};s{k}", _cat(_beta(j, i), _s(k)), rhs,
                         "descending b product versus inner half twists"))
     elif name == "R6":
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(i, j):
                     for t in range(k + 1, j + 1):
-                        rhs = _cat(_C(k, t, 1 if T else -1), _beta(j, i, n))
+                        rhs = _cat(_C(k, t, 1 if T else -1), _beta(j, i))
                         out.append(Relation(
                             f"R6:{j},{i};C{k},{t}",
-                            _cat(_beta(j, i, n), _C(k, t)), rhs,
+                            _cat(_beta(j, i), _C(k, t)), rhs,
                             "descending b product versus inner C braids"))
     elif name == "R7":
         for i in range(1, n + 1):
@@ -378,13 +378,13 @@ def _family_R(name: str, surface: str, n: int) -> list[Relation]:
                 if T:
                     out.append(Relation(
                         f"R7:{j},{i}",
-                        _cat(_beta(j, i, n), _b(j)), _cat(_b(j), _beta(j, i, n)),
+                        _cat(_beta(j, i), _b(j)), _cat(_b(j), _beta(j, i)),
                         "b_j commutes with the descending b product"))
                 else:
                     out.append(Relation(
                         f"R7:{j},{i}",
-                        _cat(_beta(j, i, n), _b(j), _C(i, j)),
-                        _cat(_b(j), _beta(j, i, n)),
+                        _cat(_beta(j, i), _b(j), _C(i, j)),
+                        _cat(_b(j), _beta(j, i)),
                         "b_j versus the descending b product"))
     return out
 
@@ -409,21 +409,21 @@ def _family_P(name: str, surface: str, n: int) -> list[Relation]:
             out.append(Relation(
                 f"P2:{i}",
                 _cat(_b(n, -1), _C(i, n), _b(n)),
-                _cat(_beta(n - 1, i, n), _C(i, n, 1 if T else -1),
-                     _beta(n - 1, i, n).inverse()),
+                _cat(_beta(n - 1, i), _C(i, n, 1 if T else -1),
+                     _beta(n - 1, i).inverse()),
                 "conjugation of C[i,n] by b_n"))
         if T:
             # The order of the two inner encircling factors is forced by
             # the oracle: the transposed variant fails at n = 3 and 4
             # (the presentation tests check both orders).
-            rhs = _cat(_beta(n - 1, 3, n), _b(1), _beta(n - 1, 2, n),
-                       _C(3, n, -1), _C(2, n), _beta(n - 1, 2, n).inverse(),
-                       delta, _b(n), _b(1, -1), _beta(n, 3, n).inverse())
+            rhs = _cat(_beta(n - 1, 3), _b(1), _beta(n - 1, 2),
+                       _C(3, n, -1), _C(2, n), _beta(n - 1, 2).inverse(),
+                       delta, _b(n), _b(1, -1), _beta(n, 3).inverse())
         else:
-            rhs = _cat(_beta(n - 1, 3, n), _b(1), delta.inverse(),
-                       _beta(n - 1, 2, n), _C(3, n), _C(2, n, -1),
-                       _beta(n - 1, 2, n).inverse(), _b(n), delta,
-                       _b(1, -1), _beta(n, 3, n).inverse())
+            rhs = _cat(_beta(n - 1, 3), _b(1), delta.inverse(),
+                       _beta(n - 1, 2), _C(3, n), _C(2, n, -1),
+                       _beta(n - 1, 2).inverse(), _b(n), delta,
+                       _b(1, -1), _beta(n, 3).inverse())
         out.append(Relation("P2:1", _cat(_b(n, -1), _C(1, n), _b(n)), rhs,
                             "conjugation of C[1,n] by b_n"))
     elif name == "P3":
@@ -441,11 +441,11 @@ def _family_P(name: str, surface: str, n: int) -> list[Relation]:
             out.append(Relation(
                 f"P4:{i}",
                 _cat(_a(n, -1), _C(i, n), _a(n)),
-                _cat(_alpha(n - 1, i, n), _C(i, n), _alpha(n - 1, i, n).inverse()),
+                _cat(_alpha(n - 1, i), _C(i, n), _alpha(n - 1, i).inverse()),
                 "conjugation of C[i,n] by a_n"))
-        rhs = _cat(_alpha(n - 1, 3, n), _a(1), delta_bar, _alpha(n - 1, 2, n),
-                   _C(2, n), _C(3, n, -1), _alpha(n - 1, 2, n).inverse(),
-                   _a(n), _a(1, -1), _alpha(n, 3, n).inverse())
+        rhs = _cat(_alpha(n - 1, 3), _a(1), delta_bar, _alpha(n - 1, 2),
+                   _C(2, n), _C(3, n, -1), _alpha(n - 1, 2).inverse(),
+                   _a(n), _a(1, -1), _alpha(n, 3).inverse())
         out.append(Relation("P4:1", _cat(_a(n, -1), _C(1, n), _a(n)), rhs,
                             "conjugation of C[1,n] by a_n"))
     return out

@@ -51,49 +51,43 @@ class SigmaVerdict:
     justification: str
 
 
+class _Piece:
+    """A complement piece; its key (class name, *fields) sorts and prints it."""
+
+    def key(self) -> tuple:
+        return (type(self).__name__, *vars(self).values())
+
+
 @dataclass(frozen=True)
-class TorusCircle:
+class TorusCircle(_Piece):
     i: int
     j: int
 
-    def key(self):
-        return ("TorusCircle", self.i, self.j)
-
 
 @dataclass(frozen=True)
-class KleinPoint:
+class KleinPoint(_Piece):
     i: int
     j: int
 
-    def key(self):
-        return ("KleinPoint", self.i, self.j)
-
 
 @dataclass(frozen=True)
-class P3Circle:
+class P3Circle(_Piece):
     i: int
     j: int
     k: int
 
-    def key(self):
-        return ("P3Circle", self.i, self.j, self.k)
-
 
 @dataclass(frozen=True)
-class P4Circle:
+class P4Circle(_Piece):
     i: int
     j: int
     k: int
     l: int
 
-    def key(self):
-        return ("P4Circle", self.i, self.j, self.k, self.l)
-
 
 @dataclass(frozen=True)
-class WholeSphere:
-    def key(self):
-        return ("WholeSphere",)
+class WholeSphere(_Piece):
+    pass
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,15 @@ forms by plain sequence equality.
 
 Letters are interned.  ``GeneratorSymbol(kind, indices, sign)``, the
 builders (``sym_s``, ``sym_a``, ``sym_b``, ``sym_C``, ``model_sym``),
-:func:`parse_symbols`, and :meth:`GeneratorSymbol.inverse` and ``.base``
-all return one shared instance per (kind, indices, sign): there is no
-other way to build a letter.  That instance is built and validated once,
-when it enters the table, together with its inverse, so ``inverse()`` is
-an attribute read and ``s.inverse().inverse() is s``.  A letter that fails
-validation raises :class:`AlphabetError` and never enters.  Each pair gets
-a signed integer ``code`` as it enters, +k for the positive letter and -k
+:func:`parse_symbols` and :meth:`GeneratorSymbol.inverse` all return one
+shared instance per (kind, indices, sign): there is no other way to build
+a letter.  That instance is built and validated once, when it enters the
+table, together with its inverse, so ``inverse()`` is an attribute read
+and ``s.inverse().inverse() is s``.  A letter that fails validation raises
+:class:`AlphabetError` and never enters.  A bool or float index or sign
+equal to an int would find that int's letter, so a builder passes any
+non-int to the validating constructor, which refuses it.  Each pair gets a
+signed integer ``code`` as it enters, +k for the positive letter and -k
 for its inverse, so two letters cancel exactly when their codes sum to
 zero, and hot lookups (the seams of :func:`product` and :func:`reduce`,
 the letter tables of characters, the braid-to-model dictionaries) key by
@@ -98,7 +100,7 @@ class GeneratorSymbol:
     __slots__ = ("kind", "indices", "sign", "code", "_inverse", "_text")
 
     def __new__(cls, kind: str, indices: tuple[int, ...] = (), sign: int = 1) -> "GeneratorSymbol":
-        _validate(kind, indices, sign)  # a bool index would find the int's letter
+        _validate(kind, indices, sign)  # a bool or float would find the int's letter
         return _letter(kind, indices, sign)
 
     def __setattr__(self, name, value):
@@ -112,11 +114,6 @@ class GeneratorSymbol:
 
     def inverse(self) -> "GeneratorSymbol":
         return self._inverse
-
-    @property
-    def base(self) -> "GeneratorSymbol":
-        """The interned positive letter underlying this symbol."""
-        return self if self.sign == 1 else self._inverse
 
     @property
     def label(self) -> str:
@@ -143,9 +140,9 @@ _set = object.__setattr__  # letters refuse plain assignment
 def _validate(kind: str, indices: tuple[int, ...], sign: int) -> None:
     """Raise AlphabetError, naming the letter, unless (kind, indices, sign)
     is a letter: s takes one index, a and b one or none (a bare model
-    letter), C and A two, D and the other model letters none; an index is
-    an int, never a bool."""
-    if sign not in (1, -1):
+    letter), C and A two, D and the other model letters none; an index and
+    the sign are ints, never bools."""
+    if type(sign) is not int or sign not in (1, -1):
         raise AlphabetError(f"sign must be +1 or -1, got {sign}")
     if kind in _INDEXED_ONE or kind in _INDEXED_TWO:
         arity = 2 if kind in _INDEXED_TWO else 1
@@ -191,25 +188,26 @@ def _letter(kind: str, indices: tuple[int, ...], sign: int) -> GeneratorSymbol:
 
 
 def sym_s(i: int, sign: int = 1) -> GeneratorSymbol:
-    return _letter("s", (i,), sign)
+    return (_letter if i.__class__ is sign.__class__ is int else GeneratorSymbol)("s", (i,), sign)
 
 
 def sym_a(i: int, sign: int = 1) -> GeneratorSymbol:
-    return _letter("a", (i,), sign)
+    return (_letter if i.__class__ is sign.__class__ is int else GeneratorSymbol)("a", (i,), sign)
 
 
 def sym_b(i: int, sign: int = 1) -> GeneratorSymbol:
-    return _letter("b", (i,), sign)
+    return (_letter if i.__class__ is sign.__class__ is int else GeneratorSymbol)("b", (i,), sign)
 
 
 def sym_C(i: int, j: int, sign: int = 1) -> GeneratorSymbol:
-    return _letter("C", (i, j), sign)
+    ints = i.__class__ is j.__class__ is sign.__class__ is int
+    return (_letter if ints else GeneratorSymbol)("C", (i, j), sign)
 
 
 def model_sym(name: str, sign: int = 1) -> GeneratorSymbol:
     if name not in MODEL_LETTER_NAMES:
         raise AlphabetError(f"unknown model letter {name!r}")
-    return _letter(name, (), sign)
+    return (_letter if sign.__class__ is int else GeneratorSymbol)(name, (), sign)
 
 
 @dataclass(frozen=True)
@@ -412,17 +410,6 @@ def parse_word(text: str, context: GroupContext) -> Word:
 
 # ---------------------------------------------------------------------------
 # Standard word builders
-
-def alpha_beta_word(kind: str, j: int, i: int, n: int) -> Word:
-    """The descending product a_j a_{j-1} ... a_i (kind "alpha") or
-    b_j ... b_i (kind "beta"); the empty word when i > j."""
-    if kind not in ("alpha", "beta"):
-        raise DomainError(f"kind must be 'alpha' or 'beta', got {kind!r}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise AlphabetError(f"alpha/beta indices must lie in 1..{n}")
-    mk = sym_a if kind == "alpha" else sym_b
-    return _reduced([mk(k) for k in range(j, i - 1, -1)])  # distinct letters
-
 
 def aij_word(i: int, j: int, n: int) -> Word:
     """The band generator A[i,j] spelled in Artin letters:

@@ -75,7 +75,7 @@ def test_criterion_3_equation_bank():
     with Timer("3 equation bank", 5.0):
         for model in ModelId:
             count = 10_000 if model is ModelId.G2K else 0
-            checks = verify_equation_bank(model, random_words=count, max_len=12)
+            checks = verify_equation_bank(model, random_words=count)
             assert all(c.passed for c in checks), [str(c) for c in checks if not c.passed]
         assert len(verify_equation_bank(ModelId.G3T, random_words=0)) == 12
 

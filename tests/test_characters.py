@@ -18,8 +18,6 @@ from sigmabraid.characters import (
     sphere_character,
     sphere_point,
     strand_blocks,
-    strand_pullback,
-    strand_pushforward,
     torus_character,
 )
 from sigmabraid.criterion import explore_ball
@@ -138,19 +136,6 @@ def test_sphere_point_canonicalization():
         sphere_point(klein_character(2, [0, 0]))
 
 
-def test_strand_maps():
-    chi = klein_character(2, [1, -1])
-    up = strand_pullback(chi, 3, [1, 3])
-    assert [up[f"b{i}"] for i in (1, 2, 3)] == [1, 0, -1]
-
-    chi_t = torus_character(3, [1, 0, -1], [0, 0, 0])
-    down = strand_pushforward(chi_t, [1, 3])
-    assert [down[f"a{i}"] for i in (1, 2)] == [1, -1]
-
-    with pytest.raises(DomainError, match="strand 3"):
-        strand_pushforward(klein_character(3, [1, -1, 5]), [1, 2])
-
-
 def test_strand_blocks():
     chi = torus_character(3, [1, 0, -1], [2, 3, 4])
     assert strand_blocks(chi) == ((1, 0, -1), (2, 3, 4))
@@ -158,11 +143,6 @@ def test_strand_blocks():
     for group in (GroupContext("P", "S2", 4), GroupContext("B", "T", 3), ModelId.G2T):
         with pytest.raises(DomainError, match="strand blocks"):
             strand_blocks(character(group, [1] * abelianization(group).free_rank))
-
-
-def test_strand_maps_are_mutually_inverse():
-    chi = torus_character(2, [2, -2], [1, 3])
-    assert strand_pushforward(strand_pullback(chi, 4, [2, 4]), [2, 4]) == chi
 
 
 def test_character_json_roundtrip():

@@ -10,6 +10,7 @@ from sigmabraid.presentations import (
     Relation,
     _C,
     _a,
+    _alpha,
     _b,
     _beta,
     _cat,
@@ -17,7 +18,15 @@ from sigmabraid.presentations import (
     instantiate_family,
     instantiate_presentation,
 )
-from sigmabraid.words import DomainError, GroupContext, IDENTITY, parse_word, serialize_word
+from sigmabraid.words import (
+    DomainError,
+    GroupContext,
+    IDENTITY,
+    parse_word,
+    serialize_word,
+    sym_a,
+    sym_b,
+)
 
 ORACLE_SPECS = [("T", 2), ("T", 3), ("T", 4), ("K", 2)]
 
@@ -145,9 +154,9 @@ def rejected_variant(name: str, surface: str, n: int) -> Relation:
             "transposed encircling factors (rejected by the oracle)")
     if name == "P2" and surface == "T" and n >= 3:
         delta = _cat(_C(1, n), _C(2, n, -1), _C(3, n))
-        rhs = _cat(_beta(n - 1, 3, n), _b(1), _beta(n - 1, 2, n),
-                   _C(2, n, -1), _C(3, n), _beta(n - 1, 2, n).inverse(),
-                   delta, _b(n), _b(1, -1), _beta(n, 3, n).inverse())
+        rhs = _cat(_beta(n - 1, 3), _b(1), _beta(n - 1, 2),
+                   _C(2, n, -1), _C(3, n), _beta(n - 1, 2).inverse(),
+                   delta, _b(n), _b(1, -1), _beta(n, 3).inverse())
         return Relation("P2:1:transposed",
                         _cat(_b(n, -1), _C(1, n), _b(n)), rhs,
                         "transposed encircling factors (rejected by the oracle)")
@@ -172,9 +181,22 @@ def test_relation_counts_grow_with_n():
     assert len(instantiate_presentation("P", "T", 4)) == 75
 
 
+def test_alpha_beta_examples():
+    assert _beta(3, 2).letters == (sym_b(3), sym_b(2))
+    assert _alpha(2, 3) == IDENTITY
+    assert _alpha(3, 1).letters == (sym_a(3), sym_a(2), sym_a(1))
+
+
+def test_alpha_beta_inverse_cancels():
+    for j in range(1, 5):
+        for i in range(1, 5):
+            for w in (_alpha(j, i), _beta(j, i)):
+                assert w * w.inverse() == IDENTITY
+
+
 def test_json_export_roundtrip():
     table = instantiate_presentation("P", "K", 3)
-    doc = json.loads(table.to_json_text())
+    doc = json.loads(json.dumps(table.to_json(), indent=2))
     assert doc["group"] == "P" and doc["surface"] == "K" and doc["n"] == 3
     ctx = GroupContext("P", "K", 3)
     for entry in doc["relations"]:
@@ -197,7 +219,7 @@ def test_relation_checks_build_each_table_once_and_keep_the_digest(monkeypatch):
             table = make(*args)
             key = (make.__name__,) + args
             assert key not in built, key
-            built[key] = table.to_json_text()
+            built[key] = json.dumps(table.to_json(), indent=2)
             return table
         return wrapped
 

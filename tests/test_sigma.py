@@ -8,7 +8,7 @@ from sigmabraid.characters import (
     klein_character,
     sphere_character,
     sphere_point,
-    strand_pushforward,
+    strand_blocks,
     torus_character,
 )
 from sigmabraid.sigma import (
@@ -130,6 +130,21 @@ def test_enumeration_is_sorted_and_typed():
     assert enumerate_complement(T(4)).descriptors[0] == TorusCircle(1, 2)
 
 
+def test_piece_keys_reprs_and_hashes():
+    # the keys sort the pieces and name them in the CLI output; demo 03
+    # prints the reprs
+    pieces = [(TorusCircle(1, 3), ("TorusCircle", 1, 3), "TorusCircle(i=1, j=3)"),
+              (KleinPoint(3, 1), ("KleinPoint", 3, 1), "KleinPoint(i=3, j=1)"),
+              (P3Circle(1, 2, 4), ("P3Circle", 1, 2, 4), "P3Circle(i=1, j=2, k=4)"),
+              (P4Circle(1, 2, 3, 5), ("P4Circle", 1, 2, 3, 5), "P4Circle(i=1, j=2, k=3, l=5)"),
+              (WholeSphere(), ("WholeSphere",), "WholeSphere()")]
+    for piece, key, text in pieces:
+        assert piece.key() == key and repr(piece) == text
+        assert piece == type(piece)(*key[1:]) and hash(piece) == hash(type(piece)(*key[1:]))
+    assert TorusCircle(1, 2) != KleinPoint(1, 2)
+    assert len({piece for piece, _, _ in pieces} | {KleinPoint(1, 3)}) == 6
+
+
 def _torus_point(n, i, j, p, q):
     a = [0] * n
     b = [0] * n
@@ -247,15 +262,23 @@ def test_center_shortcut_is_consistent():
 
 
 def test_pushforward_coherence():
+    # a complement point vanishes off its witness strands, and its
+    # coordinates there, sliced out of the strand blocks, give a complement
+    # point of the 2-strand group
     pt = _torus_point(5, 2, 4, 3, -1)
     v = decide_sigma(T(5), pt)
     i, j, p, q = v.witness
-    small = strand_pushforward(pt.character(), [i, j])
+    a, b = strand_blocks(pt)
+    assert not any(block[s - 1] for block in (a, b) for s in range(1, 6) if s not in (i, j))
+    small = torus_character(2, [a[i - 1], a[j - 1]], [b[i - 1], b[j - 1]])
     assert decide_sigma(T(2), sphere_point(small)).membership == IN_COMPLEMENT
 
     ptk = _klein_point(4, 3, 1)
     v = decide_sigma(K(4), ptk)
-    small = strand_pushforward(ptk.character(), sorted(v.witness))
+    _, b = strand_blocks(ptk)
+    kept = sorted(v.witness)
+    assert not any(b[s - 1] for s in range(1, 5) if s not in kept)
+    small = klein_character(2, [b[s - 1] for s in kept])
     assert decide_sigma(K(2), sphere_point(small)).membership == IN_COMPLEMENT
 
 

@@ -12,7 +12,6 @@ from sigmabraid.words import (
     Word,
     WordSyntaxError,
     aij_word,
-    alpha_beta_word,
     model_sym,
     parse_symbols,
     parse_word,
@@ -83,8 +82,8 @@ def test_builders_return_one_interned_letter():
     assert model_sym("ub") is parse_symbols("ub")[0] is model_sym("ub", -1).inverse()
     for s in parse_symbols("a1 b2^-1 s3 C[2,4]^-1 A[1,3] D^-1 x w2^-1"):
         assert s.inverse().inverse() is s
-        assert s.base is s.inverse().base is parse_symbols(s.label)[0]
-        assert s.base.sign == 1
+        positive = parse_symbols(s.label)[0]
+        assert positive.sign == 1 and positive in (s, s.inverse())
 
 
 def test_direct_letters_equal_the_interned_ones():
@@ -93,7 +92,7 @@ def test_direct_letters_equal_the_interned_ones():
     assert GeneratorSymbol("C", (2, 5), -1) is sym_C(2, 5, -1) is parse_symbols("C[2,5]^-1")[0]
     # a letter built directly before any builder met it enters like one
     c = GeneratorSymbol("C", (9, 981))
-    assert c is sym_C(9, 981) and c.inverse() is sym_C(9, 981, -1) and c.base is c
+    assert c is sym_C(9, 981) and c.inverse() is sym_C(9, 981, -1) and c.sign == 1
     assert repr(c) == "GeneratorSymbol(kind='C', indices=(9, 981), sign=1)"
     assert repr(c.inverse()) == "GeneratorSymbol(kind='C', indices=(9, 981), sign=-1)"
 
@@ -126,6 +125,33 @@ def test_letter_arity_and_index_type(kind, indices, message):
             GeneratorSymbol(kind, indices, sign)
         assert str(info.value) == message
     assert words._LETTERS == before
+
+
+def test_a_bool_or_float_index_or_sign_makes_no_letter():
+    # True == 1 == 1.0, so each would find the int's letter in the table; it
+    # must raise before the int's letter has entered and after it has
+    builds = [
+        (lambda: sym_a(9101, True), lambda: sym_a(9101)),
+        (lambda: sym_b(9102, 1.0), lambda: sym_b(9102)),
+        (lambda: sym_s(9103, True), lambda: sym_s(9103)),
+        (lambda: sym_C(True, 9104), lambda: sym_C(1, 9104)),
+        (lambda: sym_C(1, 9105, True), lambda: sym_C(1, 9105)),
+        (lambda: GeneratorSymbol("b", (9106,), True), lambda: sym_b(9106)),
+        (lambda: GeneratorSymbol("C", (1.0, 9107)), lambda: sym_C(1, 9107)),
+        (lambda: model_sym("w3", True), lambda: model_sym("w3")),
+        (lambda: sym_a(True), lambda: sym_a(1)),
+        (lambda: sym_b(True, -1), lambda: sym_b(1, -1)),
+        (lambda: sym_s(1.0), lambda: sym_s(1)),
+    ]
+    for odd, int_letter in builds:
+        for _ in range(2):  # first maybe before the int's letter exists, then after
+            before = dict(words._LETTERS)
+            with pytest.raises(AlphabetError):
+                odd()
+            assert words._LETTERS == before
+            int_letter()
+    assert repr(sym_b(9106)) == "GeneratorSymbol(kind='b', indices=(9106,), sign=1)"
+    assert sym_a(9101).sign == 1 and type(sym_C(1, 9104).indices[0]) is int
 
 
 def test_invalid_letters_raise_and_do_not_enter():
@@ -246,19 +272,6 @@ def test_word_algebra():
     assert (w ** 2).letters == (sym_a(1), sym_b(2), sym_a(1), sym_b(2))
 
 
-def test_alpha_beta_examples():
-    assert alpha_beta_word("beta", 3, 2, 4).letters == (sym_b(3), sym_b(2))
-    assert alpha_beta_word("alpha", 2, 3, 4) == IDENTITY
-    assert alpha_beta_word("alpha", 3, 1, 3).letters == (sym_a(3), sym_a(2), sym_a(1))
-
-
-def test_alpha_beta_inverse_cancels():
-    for j in range(1, 5):
-        for i in range(1, 5):
-            w = alpha_beta_word("beta", j, i, 4)
-            assert w * w.inverse() == IDENTITY
-
-
 def delta_word(n: int) -> Word:
     """The full twist spelled in Artin letters:
     A[1,2] (A[1,3] A[2,3]) ... (A[1,n] ... A[n-1,n])."""
@@ -291,8 +304,6 @@ def test_delta_abelianizes_to_full_degree():
 def test_index_validation():
     with pytest.raises(AlphabetError):
         sym_C(2, 2)
-    with pytest.raises(AlphabetError):
-        alpha_beta_word("alpha", 5, 1, 4)
     with pytest.raises(AlphabetError):
         aij_word(2, 2, 4)
 
