@@ -380,8 +380,9 @@ class SpherePoint:
 
 
 def sphere_point(chi: Character) -> SpherePoint:
-    if chi.is_zero():
-        raise DomainError("the zero character has no sphere point")
+    if chi.is_zero():  # every character of a group with an empty sphere is zero
+        raise DomainError(f"{chi.spec.group} has an empty character sphere; no points exist"
+                          if not chi.spec.free_rank else "the zero character has no sphere point")
     # Lists, not generators, feed the tuples: CPython sizes a tuple built from
     # a generator by a guess and resizes it, and the freed tuples fill the
     # interpreter's per-size free lists, which keep their memory.

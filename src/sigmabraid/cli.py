@@ -341,7 +341,15 @@ def main(argv=None) -> int:
     except (OSError, KeyError, ValueError) as exc:  # DomainError and JSONDecodeError among them
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(doc, args.format)
+    # r-infinity's exact bound passes the int -> str digit limit from n = 40
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        _emit(doc, args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if args.command == "verify-relations" and not doc["healthy"]:
         return 1
     return 0

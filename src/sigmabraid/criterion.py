@@ -96,7 +96,7 @@ from .models import (
     translate,
     words_equal,
 )
-from .presentations import _C, _a, _b
+from .presentations import _C, _a, _b, signed_generators
 from .words import (
     DomainError,
     GeneratorSymbol,
@@ -163,12 +163,12 @@ class PathCertificate:
         group but spelled otherwise, so the first failing entry is the one
         a check of every entry would find."""
         context = self.context
-        signed = _signed_alphabet(context)
+        is_model = isinstance(context, ModelId)
+        signed = context.signed_letters if is_model else signed_generators(context.surface, context.n)
         missing = {s.code for s in signed}.difference(e.z.code for e in self.entries)
         if missing:
             names = sorted(str(s) for s in signed if s.code in missing)
             raise CertificateError(f"certificate misses entries for: {names}")
-        is_model = isinstance(context, ModelId)
         dic = None if is_model else dictionary_for(context.surface, context.n)
         if not is_model and dic is None:
             return False
@@ -206,19 +206,6 @@ class CertificateReport:
     lines: tuple[MarginLine, ...]
     passed: bool
     endpoints_checked: bool
-
-
-def _signed_alphabet(context: ModelId | GroupContext) -> list[GeneratorSymbol]:
-    """The generators of a model, or of P_n(T) or P_n(K), each followed by
-    its inverse."""
-    if isinstance(context, ModelId):
-        letters = [model_sym(name) for name in context.letter_names]
-    else:
-        n = context.n
-        letters = [sym_a(i) for i in range(1, n + 1)] + \
-                  [sym_b(i) for i in range(1, n + 1)] + \
-                  [sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return [s for letter in letters for s in (letter, letter._inverse)]
 
 
 def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateReport:
@@ -272,41 +259,24 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
 # (character patterns on the 3- and 4-strand torus models; the enum
 # ``CertificateCase`` lives in models, beside ModelId)
 
-_CASE_MODEL = {
-    CertificateCase.G3T_A: ModelId.G3T, CertificateCase.G3T_B: ModelId.G3T,
-    CertificateCase.G3T_C: ModelId.G3T, CertificateCase.G3T_D: ModelId.G3T,
-    CertificateCase.G4T_A: ModelId.G4T, CertificateCase.G4T_B: ModelId.G4T,
-}
-
-_CASE_BRAID_COORDS = {
-    CertificateCase.G3T_A: ((-1, 0, 1), (-1, 1, 0)),
-    CertificateCase.G3T_B: ((-1, 0, 1), (1, -1, 0)),
-    CertificateCase.G3T_C: ((-1, 0, 1), (0, -1, 1)),
-    CertificateCase.G3T_D: ((-1, 0, 1), (0, 1, -1)),
-    CertificateCase.G4T_A: ((-1, 0, 0, 1), (0, -1, 1, 0)),
-    CertificateCase.G4T_B: ((-1, 0, 0, 1), (0, 1, -1, 0)),
-}
-
-# base letter, banked path-word names, letters taking the trivial path
-_CASE_PLAN = {
-    CertificateCase.G3T_A: ("x", 1, {"v": "conj-x-v-via-y", "y": "conj-x-y-via-y"},
-                            ("a", "b", "u", "w", "x")),
-    CertificateCase.G3T_B: ("x", 1, {"v": "conj-x-v-via-y-neg", "y": "conj-x-y-via-y-neg"},
-                            ("a", "b", "u", "w", "x")),
-    CertificateCase.G3T_C: ("v", 1, {"u": "conj-v-u-via-v", "x": "conj-v-x-via-v",
-                                     "w": "conj-v-w-via-v"},
-                            ("a", "b", "y", "v")),
-    CertificateCase.G3T_D: ("v", -1, {"u": "conj-v-u-out", "x": "conj-v-x-out",
-                                      "w": "conj-v-w-out"},
-                            ("a", "b", "y", "v")),
-    CertificateCase.G4T_A: ("v", 1, {"u": "conj-v-u-via-v", "x": "conj-v-x-via-v",
-                                     "w": "conj-v-w-via-v", "ub": "into-v-ub",
-                                     "w2": "into-v-w2"},
-                            ("a", "b", "y", "v", "vb", "w3")),
-    CertificateCase.G4T_B: ("v", -1, {"u": "conj-v-u-out", "x": "conj-v-x-out",
-                                      "w": "conj-v-w-out", "ub": "out-v-ub",
-                                      "w2": "out-v-w2"},
-                            ("a", "b", "y", "v", "vb", "w3")),
+# model, braid character (a- and b-coordinates), base letter t, and the
+# banked path word of each letter that does not commute with t; every other
+# letter takes the trivial path, which the endpoint check confirms
+_CASES = {
+    CertificateCase.G3T_A: (ModelId.G3T, ((-1, 0, 1), (-1, 1, 0)), model_sym("x"),
+                            {"v": "conj-x-v-via-y", "y": "conj-x-y-via-y"}),
+    CertificateCase.G3T_B: (ModelId.G3T, ((-1, 0, 1), (1, -1, 0)), model_sym("x"),
+                            {"v": "conj-x-v-via-y-neg", "y": "conj-x-y-via-y-neg"}),
+    CertificateCase.G3T_C: (ModelId.G3T, ((-1, 0, 1), (0, -1, 1)), model_sym("v"),
+                            {"u": "conj-v-u-via-v", "x": "conj-v-x-via-v", "w": "conj-v-w-via-v"}),
+    CertificateCase.G3T_D: (ModelId.G3T, ((-1, 0, 1), (0, 1, -1)), model_sym("v", -1),
+                            {"u": "conj-v-u-out", "x": "conj-v-x-out", "w": "conj-v-w-out"}),
+    CertificateCase.G4T_A: (ModelId.G4T, ((-1, 0, 0, 1), (0, -1, 1, 0)), model_sym("v"),
+                            {"u": "conj-v-u-via-v", "x": "conj-v-x-via-v", "w": "conj-v-w-via-v",
+                             "ub": "into-v-ub", "w2": "into-v-w2"}),
+    CertificateCase.G4T_B: (ModelId.G4T, ((-1, 0, 0, 1), (0, 1, -1, 0)), model_sym("v", -1),
+                            {"u": "conj-v-u-out", "x": "conj-v-x-out", "w": "conj-v-w-out",
+                             "ub": "out-v-ub", "w2": "out-v-w2"}),
 }
 
 
@@ -317,16 +287,16 @@ def case_character(case: CertificateCase, p, q) -> tuple[Character, Character]:
     p, q = _exact(p), _exact(q)
     if p <= 0 or q <= 0:
         raise DomainError("the case parameters need p, q > 0")
-    model = _CASE_MODEL[case]
-    a, b = _CASE_BRAID_COORDS[case]
+    model, (a, b), _, _ = _CASES[case]
     braid = torus_character(len(a), [p * c for c in a], [q * c for c in b])
     return model_character(dictionary(model), braid), braid
 
 
 def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
     """Assemble the certificate for one parametrised case; the banked
-    equations supply the nontrivial paths, commuting letters take the
-    trivial path, and inverse letters get the inverted relation.
+    equations supply the nontrivial paths, every other letter takes the
+    trivial path (the endpoint check confirms that it commutes with t),
+    and inverse letters get the inverted relation.
 
     The certificate does not depend on p and q, which fix only the
     character (:func:`case_character`): each call validates the case and
@@ -340,27 +310,23 @@ def generate_lemma_certificates(case: CertificateCase, p, q) -> PathCertificate:
 
 @cache  # the certificate of each case, built on first use
 def _lemma_certificate(case: CertificateCase) -> PathCertificate:
-    model = _CASE_MODEL[case]
-    t_name, t_sign, banked, trivial = _CASE_PLAN[case]
+    model, _, t, banked = _CASES[case]
     bank = {eq["name"]: eq for eq in equation_bank(model)}
     if model is ModelId.G4T:
         # the 3-strand path words remain valid in the 4-strand model
         for eq in equation_bank(ModelId.G3T):
             bank.setdefault(eq["name"], eq)
     entries: list[CertificateEntry] = []
-    for name in model.letter_names:
-        z = model_sym(name)
-        if name in banked:
-            eq = bank[banked[name]]
-            w = parse_model_word(eq["rhs"], model)
-            entries.append(CertificateEntry(z, w, f"equation bank: {eq['name']}"))
-            entries.append(CertificateEntry(z.inverse(), w.inverse(),
-                                            f"inverted bank equation {eq['name']}"))
-        elif name in trivial:
+    for z in model.signed_letters[::2]:
+        if z.label not in banked:
             entries += _triv(z)
-        else:  # pragma: no cover - the plans cover every letter
-            raise AssertionError(f"case plan misses letter {name}")
-    return PathCertificate(model, model_sym(t_name, t_sign), tuple(entries))
+            continue
+        eq = bank[banked[z.label]]
+        w = parse_model_word(eq["rhs"], model)
+        entries.append(CertificateEntry(z, w, f"equation bank: {eq['name']}"))
+        entries.append(CertificateEntry(z.inverse(), w.inverse(),
+                                        f"inverted bank equation {eq['name']}"))
+    return PathCertificate(model, t, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +526,6 @@ def _ball_budget(budget: int | None) -> int:
     return budget
 
 
-def _signed(model: ModelId) -> list[tuple[str, int]]:
-    """The signed letters of a model, each next to its inverse."""
-    return [(name, sign) for name in model.letter_names for sign in (1, -1)]
-
-
 @dataclass(frozen=True, eq=False)
 class _Ball:
     """The character-free part of a breadth-first sweep of a model's Cayley
@@ -572,7 +533,7 @@ class _Ball:
     is kept, apart from the words of the vertices sampled so far.
 
     ``sizes[d]`` counts the vertices at distance <= d.  Vertex v > 0 was
-    discovered from ``parent[v]`` by the letter ``_signed(model)[letter[v]]``.
+    discovered from ``parent[v]`` by the letter ``model.signed_letters[letter[v]]``.
     ``cls[v]`` is v's abelian class: the exponent vector of the free letters
     along its parent path, so every character is constant on a class.
     Classes are numbered in discovery order, ``csizes[d]`` counts those met
@@ -609,10 +570,10 @@ def _shell_rows(model: ModelId, rows: list[tuple[int, ...]], states: list[tuple]
     vertices len(rows) .. len(states) - 1, after a whole sweep.
 
     A shell vertex has neighbours inside the ball at distance r - 1 or r
-    only.  The graph is undirected (u = s g iff s = u g^-1, and ``_signed``
-    lists each letter next to its inverse), so every edge to distance r - 1
-    already sits in a row at distance r - 1: these reverse edges are read
-    off the rows.  An edge between two shell vertices closes a cycle of
+    only.  The graph is undirected (u = s g iff s = u g^-1, and
+    ``ModelId.signed_letters`` lists each letter next to its inverse), so
+    every edge to distance r - 1 already sits in a row at distance r - 1:
+    these reverse edges are read off the rows.  An edge between two shell vertices closes a cycle of
     2r + 1 edges, which needs a defining relator of odd length.  So on a
     bipartite model (``ModelId.bipartite``) the reverse edges are all.  On
     the others each shell vertex is stepped by the positive letters that
@@ -629,12 +590,12 @@ def _shell_rows(model: ModelId, rows: list[tuple[int, ...]], states: list[tuple]
                 shell[w - first].append(u)
                 known[w - first] |= 1 << (k ^ 1)
     if not model.bipartite:
-        positive = [(k, name) for k, (name, sign) in enumerate(_signed(model)) if sign == 1]
+        signed = model.signed_letters
         for j, row in enumerate(shell):
             state = states[first + j]
-            for k, name in positive:
+            for k in range(0, len(signed), 2):  # the positive letters
                 if not known[j] >> k & 1:
-                    w = index.get(step(model, state, name, 1))
+                    w = index.get(step(model, state, signed[k]))
                     if w is not None:  # not at distance r - 1, so in the shell
                         row.append(w)
                         shell[w - first].append(first + j)
@@ -656,8 +617,8 @@ class _Classes:
     def __init__(self, model: ModelId):
         free = [name for name, order in model.letter_orders if order == 0]
         # signed letter k -> (position, exponent) of its free letter, or None
-        self.moves = [(free.index(name), sign) if name in free else None
-                      for name, sign in _signed(model)]
+        self.moves = [(free.index(s.label), s.sign) if s.label in free else None
+                      for s in model.signed_letters]
         self.vectors = [(0,) * len(free)]
         self.index = {self.vectors[0]: 0}
         self.parent = array("i", [0])
@@ -694,7 +655,7 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     A cut sweep finishes its distance and steps the vertices one further
     out by every letter, so each of its vertices has a full row.  Returns
     (ball, truncated)."""
-    signed = _signed(model)
+    signed = model.signed_letters
     ident = identity_state(model)
     index = {ident: 0}
     states = [ident]
@@ -713,8 +674,8 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
             state = states[v]
             c = cls[v]
             row = []
-            for k, (name, sign) in enumerate(signed):
-                nxt = step(model, state, name, sign)
+            for k, s in enumerate(signed):
+                nxt = step(model, state, s)
                 w = index.get(nxt)
                 if w is None:
                     w = len(states)
@@ -733,7 +694,7 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     sizes.append(len(states))
     csizes.append(len(classes.parent))
     if truncated:  # the vertices one distance further out have no row yet
-        rows += [tuple(index.get(step(model, state, name, sign), budget) for name, sign in signed)
+        rows += [tuple(index.get(step(model, state, s), budget) for s in signed)
                  for state in states[len(rows):]]
     else:
         rows += map(tuple, _shell_rows(model, rows, states, index))
@@ -748,10 +709,10 @@ def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
     while v:
         path.append(ball.letter[v])
         v = ball.parent[v]
-    signed = _signed(model)
+    signed = model.signed_letters
     state = identity_state(model)
     for k in reversed(path):
-        state = step(model, state, *signed[k])
+        state = step(model, state, signed[k])
     return state
 
 
@@ -838,11 +799,11 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         raise DomainError(f"character lives on {chi.spec.group}, not {model.value}")
     budget = _ball_budget(budget)
     table = chi.letter_table
-    signed = _signed(model)
-    moves = [table.value(model_sym(name, sign)) for name, sign in signed]
+    signed = model.signed_letters
+    moves = [table.value(s) for s in signed]
     # the base letter: the first letter of positive value, preferring a
     # generator (even k) to an inverse (odd k); a nonzero chi has one, as
-    # _signed lists each letter next to its inverse
+    # signed_letters lists each letter next to its inverse
     base_k = min((k for k, v in enumerate(moves) if v > 0), key=lambda k: k & 1, default=None)
 
     ball = _BALLS.get(model)
@@ -861,7 +822,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         base_word = IDENTITY
         base = 0
     else:
-        base_word = Word((model_sym(*signed[base_k]),))
+        base_word = Word((signed[base_k],))
         base = ball.rows[0][base_k]
 
     # open_[v]: v is nonnegative and not yet reached; every id from n on

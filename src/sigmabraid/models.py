@@ -16,7 +16,10 @@ Every model is one flat tower of Fadell-Neuwirth levels, P_k(M) =
 F |x P_(k-1)(M) down to P_1(M) = pi_1(M): :func:`_surface` builds level 1,
 the exponents a^n b^m, and :func:`_extend` adds a level, its fiber letters
 with the tables by which every lower letter acts on them.  Each model is
-one :class:`_Model` record; every per-model fact is read off it.
+one :class:`_Model` record; every per-model fact is read off it.  A record
+lists the model's interned letters once, each followed by its inverse, and
+keys by letter code each signed letter's owner: its level and its signed
+code there (a = 1 and b = 2 on level 1, the fiber codes above).
 
 Normalisation right-multiplies letter by letter, and each letter belongs to
 one component.  An ``a`` or ``b`` updates (n, m) (:func:`_exponent_step`;
@@ -93,7 +96,6 @@ from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .words import (
-    MODEL_LETTER_NAMES,
     AlphabetError,
     DomainError,
     GeneratorSymbol,
@@ -124,6 +126,11 @@ class ModelId(str, Enum):
     @property
     def letter_names(self) -> tuple[str, ...]:
         return _MODELS[self].alphabet
+
+    @property
+    def signed_letters(self) -> tuple[GeneratorSymbol, ...]:
+        """The model's letters in alphabet order, each followed by its inverse."""
+        return _MODELS[self].letters
 
     @property
     def letter_orders(self) -> tuple[tuple[str, int], ...]:
@@ -363,8 +370,9 @@ class _Model:
     surface: str
     layers: tuple[tuple[str, ...], ...]  # fiber letter names, outermost layer first
     alphabet: tuple[str, ...]
+    letters: tuple[GeneratorSymbol, ...]  # each letter of the alphabet, then its inverse
     identity: tuple
-    owners: dict[str, tuple[int, int]]  # letter -> (its level k, its code there)
+    owners: dict[int, tuple[int, int]]  # signed letter code -> (its level k, its signed code there)
     # level k >= 2 at index k - 2: (its a^n b^m tables or None, the signed
     # actions on it of each lower level's letters, innermost level first)
     levels: tuple[tuple[Callable[[int, int], dict] | None, tuple[dict, ...]], ...]
@@ -396,11 +404,22 @@ def _relator_facts(fiber: tuple[str, ...], into: dict) -> tuple[dict[str, int], 
     return orders, odd
 
 
+def _pairs(names: tuple[str, ...]) -> tuple[GeneratorSymbol, ...]:
+    """Each named model letter, then its inverse."""
+    return tuple(s for name in names for s in (model_sym(name), model_sym(name, -1)))
+
+
+def _owned(k: int, names: tuple[str, ...]) -> dict[int, tuple[int, int]]:
+    """Signed letter code -> (k, signed code) for level k's letters, coded 1, 2, ..."""
+    return {s.code: (k, s.sign * code) for code, name in enumerate(names, 1)
+            for s in (model_sym(name), model_sym(name, -1))}
+
+
 def _surface(surface: str) -> _Model:
     """Level 1, P_1 = pi_1 of the torus ("T") or the Klein bottle ("K"): the
     exponents alone; the base relator abelianizes to 0 or to 2a."""
-    return _Model(surface, (), ("a", "b"), (0, 0), {"a": (1, 1), "b": (1, 2)}, (), {}, {},
-                  {"a": 2 if surface == "K" else 0, "b": 0}, True)
+    return _Model(surface, (), ("a", "b"), _pairs(("a", "b")), (0, 0), _owned(1, ("a", "b")),
+                  (), {}, {}, {"a": 2 if surface == "K" else 0, "b": 0}, True)
 
 
 def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _Model:
@@ -413,17 +432,17 @@ def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _M
     orders |= base.orders
     # level 2 goes before a and b: the alphabet reads x y a b u v w ...
     alphabet = base.alphabet + letters if base.layers else letters + base.alphabet
-    return _Model(base.surface, (letters,) + base.layers, alphabet, ((),) + base.identity,
-                  base.owners | {name: (k, code) for code, name in enumerate(letters, 1)},
+    return _Model(base.surface, (letters,) + base.layers, alphabet, _pairs(alphabet),
+                  ((),) + base.identity, base.owners | _owned(k, letters),
                   base.levels + ((_exponent_tables(into, out, rank), lower),), into, out,
                   {name: orders[name] for name in alphabet}, base.bipartite and odd)
 
 
-def _exponent_step(klein: bool, n: int, m: int, code: int, sgn: int) -> tuple[int, int]:
-    """a^n b^m times a^sgn (code 1) or b^sgn (code 2)."""
-    if code == 2:
-        return n, m + sgn
-    return (n - sgn if klein and m & 1 else n + sgn), m
+def _exponent_step(klein: bool, n: int, m: int, c: int) -> tuple[int, int]:
+    """a^n b^m times a^+-1 (signed code c = +-1) or b^+-1 (c = +-2)."""
+    if c & 1:
+        return (n - c if klein and m & 1 else n + c), m
+    return n, m + (c >> 1)
 
 
 def _push(level: tuple, below: Iterable, n: int, m: int, c: int):
@@ -465,22 +484,19 @@ class NormalForm:
         return Word(tuple(spell))
 
 
-_LETTER_SETS = {model: frozenset(rec.alphabet) for model, rec in _MODELS.items()}
-
-
 def _check_letters(model: ModelId, letters: Iterable[GeneratorSymbol]) -> None:
-    names = _LETTER_SETS[model]
+    owners = _MODELS[model].owners
     for s in letters:
-        if s.indices or s.kind not in names:
+        if s.code not in owners:
             raise AlphabetError(f"{s}: not a letter of {model.value}")
 
 
 def normalize(model: ModelId, w: Word) -> NormalForm:
     """Normalise a word over the model alphabet (right-multiplication).
 
-    One pass reads each letter once (module docstring): it checks the
-    letter, raising :class:`AlphabetError` on one with no owner in the model
-    or with indices, and applies it.  So an invalid letter raises only when
+    One pass reads each letter once (module docstring): it looks up the
+    letter's owner by its code, raising :class:`AlphabetError` when the
+    model has none, and applies it.  So an invalid letter raises only when
     the pass reaches it: a prefix whose fibers pass ``FIBER_BUDGET`` raises
     :class:`FiberBudgetError` first; both are :class:`DomainError`.  Every
     component is a list, and each word z that a letter appends is reduced
@@ -494,20 +510,20 @@ def normalize(model: ModelId, w: Word) -> NormalForm:
     n = m = 0
     table = None  # level 2's a^n b^m table, fetched on the first fiber letter after a or b
     for s in w.letters:
-        owner = owners.get(s.kind)
-        if owner is None or s.indices:
+        owner = owners.get(s.code)
+        if owner is None:
             raise AlphabetError(f"{s}: not a letter of {model.value}")
-        k, code = owner
-        if k == 1:
-            if code == 2:
-                m += s.sign
+        k, c = owner
+        if k == 1:  # c = +-1 for a, +-2 for b
+            if not c & 1:
+                m += c >> 1
             elif klein and m & 1:
-                n -= s.sign
+                n -= c
             else:
-                n += s.sign
+                n += c
             table = None
             continue
-        c, comp = code * s.sign, comps[k - 2]
+        comp = comps[k - 2]
         exponents, lower = level = levels[k - 2]
         if lower:
             z = _push(level, comps, n, m, c)
@@ -548,16 +564,19 @@ def identity_state(model: ModelId) -> tuple:
     return _MODELS[model].identity
 
 
-def step(model: ModelId, state: tuple, name: str, sign: int) -> tuple:
-    """Right-multiply a normal-form state by one signed letter; only the
-    component the letter owns is rebuilt."""
+def step(model: ModelId, state: tuple, letter: GeneratorSymbol) -> tuple:
+    """Right-multiply a normal-form state by one signed model letter, found
+    by its code; only the component the letter owns is rebuilt.  A letter
+    outside the model raises :class:`AlphabetError`, as in :func:`normalize`."""
     rec = _MODELS[model]
-    k, code = rec.owners[name]
+    owner = rec.owners.get(letter.code)
+    if owner is None:
+        raise AlphabetError(f"{letter}: not a letter of {model.value}")
+    k, c = owner
     n, m = state[-2], state[-1]
     if k == 1:
-        return state[:-2] + _exponent_step(rec.surface == "K", n, m, code, sign)
+        return state[:-2] + _exponent_step(rec.surface == "K", n, m, c)
     exponents, lower = level = rec.levels[k - 2]
-    c = code * sign
     z = (tuple(_push(level, state[-3::-1], n, m, c)) if lower  # _push inlined for level 2
          else exponents(n, m)[c] if exponents else (c,))
     if len(z) > FIBER_BUDGET:
@@ -634,29 +653,29 @@ class IsoDictionary:
         return GroupContext("P", self.surface, self.n)
 
     @cached_property
-    def images(self) -> dict[int, Word]:
-        """Signed braid-letter code -> model word, read by
-        ``translate(..., "to_model")``; built on first use, after
-        :func:`dictionary` has made ``from_braid`` final.  Not a field, so
-        it stays out of eq and repr."""
-        return _signed_images(self.from_braid)
+    def images(self) -> dict[str, dict[int, Word]]:
+        """Per direction of :func:`translate`, signed letter code -> image;
+        built on first use, after :func:`dictionary` has made ``from_braid``
+        final.  Not a field, so it stays out of eq and repr."""
+        return {"to_model": _signed_images(self.from_braid.items()),
+                "to_braid": _signed_images((model_sym(name), w) for name, w in self.to_braid.items())}
 
 
 def _mw(text: str) -> Word:
     return reduce(parse_symbols(text))
 
 
-def _signed_images(from_braid: dict[GeneratorSymbol, Word]) -> dict[int, Word]:
-    """Each braid letter's code -> its image, and the negated code -> the
+def _signed_images(pairs: Iterable[tuple[GeneratorSymbol, Word]]) -> dict[int, Word]:
+    """Each letter's code -> its image, and the negated code -> the
     inverse image."""
     images: dict[int, Word] = {}
-    for s, w in from_braid.items():
+    for s, w in pairs:
         images[s.code] = w
         images[-s.code] = w.inverse()
     return images
 
 
-def _braid_to_model(images: dict[int, Word], w: Word) -> Word:
+def _substitute(images: dict[int, Word], w: Word) -> Word:
     """One lookup per letter in a table of :func:`_signed_images`."""
     get = images.get
     parts: list[Word] = []
@@ -680,7 +699,7 @@ def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, W
         raw.append(sym_C(i, j, sign))
         if i + 1 < j:
             raw.append(sym_C(i + 1, j, -sign))
-    prod_m = _braid_to_model(_signed_images(from_braid), reduce(raw))
+    prod_m = _substitute(_signed_images(from_braid.items()), reduce(raw))
     a_i = from_braid[sym_a(i)]
     b_i = from_braid[sym_b(i)]
     if surface == "T":
@@ -741,17 +760,9 @@ def dictionary_for(surface: str, n: int) -> IsoDictionary | None:
 def translate(dic: IsoDictionary, w: Word, direction: str) -> Word:
     """Substitute letterwise and reduce.  ``direction`` is "to_model"
     (braid generators to model letters) or "to_braid"."""
-    if direction == "to_model":
-        return _braid_to_model(dic.images, w)
-    if direction != "to_braid":
+    if direction not in ("to_model", "to_braid"):
         raise DomainError(f"direction must be 'to_model' or 'to_braid', got {direction!r}")
-    images: list[Word] = []
-    for s in w:
-        img = dic.to_braid.get(s.kind) if not s.indices else None
-        if img is None:
-            raise TranslationError(f"{s}: no dictionary entry")
-        images.append(img if s.sign == 1 else img.inverse())
-    return product(*images)
+    return _substitute(dic.images[direction], w)
 
 
 # ---------------------------------------------------------------------------
@@ -769,14 +780,11 @@ def equation_bank(model: ModelId) -> list[dict]:
     return _bank()[model.value]["equations"]
 
 
-_SIGNED_LETTERS = {(name, sign): model_sym(name, sign)
-                   for name in MODEL_LETTER_NAMES for sign in (1, -1)}
-
-
 def random_model_word(model: ModelId, rng: random.Random, max_len: int) -> Word:
     """A reduced random word of at most ``max_len`` letters.  Each raw letter
-    takes two ``rng.choice`` calls, the name first, then the sign, so one
+    takes two ``rng.choice`` calls, the letter first, then the sign, so one
     seed always gives the same words."""
-    names, choice = model.letter_names, rng.choice
+    letters, choice = model.signed_letters, rng.choice
+    positive = range(0, len(letters), 2)  # each letter, then its inverse
     k = rng.randint(0, max_len)
-    return reduce([_SIGNED_LETTERS[choice(names), choice((1, -1))] for _ in range(k)])
+    return reduce([letters[choice(positive) + choice((0, 1))] for _ in range(k)])

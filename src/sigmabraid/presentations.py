@@ -34,6 +34,7 @@ from functools import cache
 
 from .words import (
     DomainError,
+    GeneratorSymbol,
     GroupContext,
     IDENTITY,
     Word,
@@ -249,6 +250,16 @@ def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable
     if family == "P":
         return RelationTable(ctx, tuple(_pure_relations(surface, n)))
     return RelationTable(ctx, tuple(_braid_relations(n)))
+
+
+def signed_generators(surface: str, n: int) -> tuple[GeneratorSymbol, ...]:
+    """The generators of P_n(T) or P_n(K) in table order, a_1..a_n, b_1..b_n,
+    then C[i,j] row by row, each followed by its inverse."""
+    if surface not in ("T", "K"):
+        raise DomainError(f"no presentation table for surface {surface!r}")
+    gens = [*map(sym_a, range(1, n + 1)), *map(sym_b, range(1, n + 1)),
+            *(sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))]
+    return tuple(s for g in gens for s in (g, g.inverse()))
 
 
 # ---------------------------------------------------------------------------

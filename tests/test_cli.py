@@ -250,6 +250,14 @@ def test_verify_cert_malformed_certificate(capsys, cert, message):
      "matrix must be a list of rows, got 5"),
     (["r-infinity", "--n", "2", "--matrix", "[5,6]"],
      "matrix row 0 must be a list, got 5"),
+    # a group with an empty character sphere has no point for any --char
+    *[(["classify", "--group", g, "--surface", s, "--n", n,
+        "--char", f'{{"group":"{g}","surface":"{s}","n":{n}}}'],
+       f"{g}_{n}({s}) has an empty character sphere; no points exist")
+      for g, s, n in (("P", "RP2", "2"), ("B", "RP2", "3"), ("B", "S2", "3"), ("B", "D", "1"))],
+    (["classify", "--group", "P", "--surface", "T", "--n", "2",
+      "--char", '{"group":"P","surface":"T","n":2,"a":[0,0],"b":[0,0]}'],
+     "the zero character has no sphere point"),
 ])
 def test_malformed_json_input_names_the_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -315,6 +323,26 @@ def test_r_infinity(capsys):
     assert doc["certified"] is False
     doc = run_json(capsys, "r-infinity", "--n", "2", "--perm", "[[[1,2],[2,1]],[[2,1],[1,2]]]")
     assert doc["certified"] is False and doc["moved_points"] == [[[1, 2], [2, 1]], [[2, 1], [1, 2]]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_r_infinity_prints_a_bound_past_the_digit_limit(capsys, fmt):
+    # (2 C(40,2))! = 1560! has 4,306 digits, past CPython's default int -> str
+    # limit of 4,300 (Decimal spells it without that limit); main prints it
+    # exactly and leaves the limit as it found it
+    import decimal
+    import math
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    identity = json.dumps([[int(i == j) for j in range(40)] for i in range(40)])
+    code, out, err = run(capsys, "--format", fmt, "r-infinity", "--n", "40", "--matrix", identity)
+    assert code == 0 and err == ""
+    bound = str(decimal.Decimal(math.factorial(1560)))
+    assert len(bound) == 4306
+    line = f'  "index_bound": {bound},' if fmt == "json" else f"index_bound: {bound}"
+    assert line in out.splitlines()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_abelianize(capsys):

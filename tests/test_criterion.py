@@ -676,7 +676,7 @@ def _two_pass_ball(model, chi, radius, targets=(), budget=None):
         for state in frontier:
             swept.append(state)
             for name, sign in signed:
-                nxt = step(model, state, name, sign)
+                nxt = step(model, state, model_sym(name, sign))
                 if nxt not in dist:
                     if len(dist) >= budget:
                         truncated = True
@@ -698,7 +698,7 @@ def _two_pass_ball(model, chi, radius, targets=(), budget=None):
         base_state, base_word = ident, IDENTITY
     else:
         base_word = Word((model_sym(*base_letter),))
-        base_state = step(model, ident, *base_letter)
+        base_state = step(model, ident, model_sym(*base_letter))
     reach = set()
     if base_state in dist and value[base_state] >= 0:
         reach.add(base_state)
@@ -706,7 +706,7 @@ def _two_pass_ball(model, chi, radius, targets=(), budget=None):
         while bfs:
             state = bfs.popleft()
             for name, sign in signed:
-                nxt = step(model, state, name, sign)
+                nxt = step(model, state, model_sym(name, sign))
                 if nxt in nonneg and nxt in dist and nxt not in reach:
                     reach.add(nxt)
                     bfs.append(nxt)
@@ -802,7 +802,7 @@ def _cold_balls(monkeypatch):
 
 def _recording_step(monkeypatch):
     """Wrap ``criterion.step``; the returned list collects the arguments
-    (model, state, name, sign) of every call."""
+    (model, state, letter) of every call."""
     from sigmabraid import criterion
 
     calls = []
@@ -938,9 +938,7 @@ def _seeded_characters(model, rng, count):
 
 def _vertex_values(model, ball, chi):
     """The scaled character at every vertex, summed along parent pointers."""
-    from sigmabraid.criterion import _signed
-
-    moves = [chi.letter_table.value(model_sym(*s)) for s in _signed(model)]
+    moves = [chi.letter_table.value(s) for s in model.signed_letters]
     value = [0] * len(ball.parent)
     for v in range(1, len(ball.parent)):
         value[v] = value[ball.parent[v]] + moves[ball.letter[v]]
@@ -988,13 +986,12 @@ def test_class_sums_equal_parent_pointer_sums(model, monkeypatch):
 
 def _ball_states(model, ball):
     """The state of every vertex of the ball, stepped along parent pointers."""
-    from sigmabraid.criterion import _signed
     from sigmabraid.models import identity_state, step
 
-    signed = _signed(model)
+    signed = model.signed_letters
     states = [identity_state(model)]
     for v in range(1, len(ball.parent)):
-        states.append(step(model, states[ball.parent[v]], *signed[ball.letter[v]]))
+        states.append(step(model, states[ball.parent[v]], signed[ball.letter[v]]))
     return states
 
 
@@ -1002,7 +999,6 @@ def _ball_states(model, ball):
 def test_sample_is_the_first_unreached_in_sample_order(model, monkeypatch):
     from bisect import bisect_right
 
-    from sigmabraid.criterion import _signed
     from sigmabraid.models import NormalForm, normalize, step
     from sigmabraid.words import serialize_word
 
@@ -1011,7 +1007,7 @@ def test_sample_is_the_first_unreached_in_sample_order(model, monkeypatch):
     ball = balls[model]
     states = _ball_states(model, ball)
     index = {state: v for v, state in enumerate(states)}
-    signed = _signed(model)
+    signed = model.signed_letters
     sampled = 0
     for chi in _seeded_characters(model, random.Random(f"sample:{model.value}"), 8):
         _, value = _vertex_values(model, ball, chi)
@@ -1025,8 +1021,8 @@ def test_sample_is_the_first_unreached_in_sample_order(model, monkeypatch):
             todo = list(reached)
             while todo:
                 v = todo.pop()
-                for name, sign in signed:
-                    w = index.get(step(model, states[v], name, sign))
+                for letter in signed:
+                    w = index.get(step(model, states[v], letter))
                     if w in nonneg and w not in reached:
                         reached.add(w)
                         todo.append(w)
@@ -1082,7 +1078,7 @@ def _ball_distances(model, radius):
         for state in layer:
             for name in model.letter_names:
                 for sign in (1, -1):
-                    nxt = step(model, state, name, sign)
+                    nxt = step(model, state, model_sym(name, sign))
                     if nxt not in dist:
                         dist[nxt] = d
                         outer.append(nxt)
@@ -1100,7 +1096,7 @@ def test_bipartite_flag_matches_the_ball(model, radius):
     from sigmabraid.models import step
 
     dist = _ball_distances(model, radius)
-    same = sum(dist.get(step(model, state, name, sign)) == d
+    same = sum(dist.get(step(model, state, model_sym(name, sign))) == d
                for state, d in dist.items() for name in model.letter_names for sign in (1, -1))
     assert model.bipartite == (same == 0), (model, same)
 
@@ -1113,7 +1109,7 @@ def test_ball_never_steps_the_shell_of_a_bipartite_model(monkeypatch):
         if not model.bipartite:
             continue
         inner = [state for state, d in _ball_distances(model, radius).items() if d < radius]
-        expected = Counter((model, state, name, sign) for state in inner
+        expected = Counter((model, state, model_sym(name, sign)) for state in inner
                            for name in model.letter_names for sign in (1, -1))
         balls.clear()
         calls.clear()
@@ -1147,12 +1143,13 @@ def test_ball_steps_the_shell_by_letters_without_a_reverse_edge(monkeypatch):
         # non-bipartite model it then steps every shell vertex, reached or
         # not, by each positive letter that does not lead back to distance
         # r - 1 (an edge inside the shell joins the ends of a positive step)
-        expected = Counter((model, state, name, sign) for state in swept for name, sign in letters)
+        expected = Counter((model, state, model_sym(name, sign))
+                           for state in swept for name, sign in letters)
         if not model.bipartite:
-            expected.update((model, state, name, 1)
+            expected.update((model, state, model_sym(name))
                             for state, d in dist.items() if d == radius
                             for name in model.letter_names
-                            if dist.get(step(model, state, name, 1)) != radius - 1)
+                            if dist.get(step(model, state, model_sym(name))) != radius - 1)
         balls.clear()
         calls.clear()
         assert explore_ball(model, chi, radius).to_json() == report.to_json()
@@ -1171,7 +1168,7 @@ _BENCH_RADII = {ModelId.G2T: 5, ModelId.G2K: 5, ModelId.G3T: 3, ModelId.G4T: 3}
 
 @pytest.mark.parametrize("model", list(ModelId))
 def test_rows_list_the_neighbours_of_every_vertex(model, monkeypatch):
-    from sigmabraid.criterion import _signed, _sweep
+    from sigmabraid.criterion import _sweep
     from sigmabraid.models import step
 
     balls = _cold_balls(monkeypatch)
@@ -1187,7 +1184,7 @@ def test_rows_list_the_neighbours_of_every_vertex(model, monkeypatch):
         index = {state: v for v, state in enumerate(states)}
         size = len(states)
         assert len(index) == size == len(ball.rows)
-        nbrs = [[index.get(step(model, state, name, sign)) for name, sign in _signed(model)]
+        nbrs = [[index.get(step(model, state, letter)) for letter in model.signed_letters]
                 for state in states]
         for v, row in enumerate(ball.rows):
             if ball is cut or v < shell:

@@ -63,7 +63,7 @@ def naive_reduce(letters):
 def fold_step(model, word):
     state = identity_state(model)
     for s in word:
-        state = step(model, state, s.kind, s.sign)
+        state = step(model, state, s)
     return state
 
 
@@ -93,6 +93,39 @@ def test_alphabet_violation():
         normalize(ModelId.G2T, Word((model_sym("x"), model_sym("a"), model_sym("u"))))
     with pytest.raises(AlphabetError, match=r"^a1: not a letter of G3T$"):
         normalize(ModelId.G3T, Word((model_sym("x"), model_sym("y"), sym_a(1))))
+
+
+def test_step_refuses_a_foreign_letter_as_normalize_does():
+    ident = identity_state(ModelId.G2T)
+    for letter in (model_sym("u"), model_sym("w3", -1), sym_a(1), sym_b(2, -1), sym_C(1, 2)):
+        with pytest.raises(AlphabetError) as by_normalize:
+            normalize(ModelId.G2T, Word((letter,)))
+        with pytest.raises(AlphabetError) as by_step:
+            step(ModelId.G2T, ident, letter)
+        assert str(by_step.value) == str(by_normalize.value) == f"{letter}: not a letter of G2T"
+    # each signed letter steps to its own state: x^-1 is not y
+    assert [step(ModelId.G2T, ident, s) for s in ModelId.G2T.signed_letters] == [
+        ((1,), 0, 0), ((-1,), 0, 0), ((2,), 0, 0), ((-2,), 0, 0),
+        ((), 1, 0), ((), -1, 0), ((), 0, 1), ((), 0, -1)]
+
+
+def test_signed_letters_list_each_letter_then_its_inverse():
+    for model in ModelId:
+        signed = model.signed_letters
+        assert [s.label for s in signed[::2]] == list(model.letter_names)
+        assert all(s.sign == 1 and t is s.inverse() for s, t in zip(signed[::2], signed[1::2]))
+
+
+def test_random_model_word_keeps_its_stream():
+    # the first words of the seed the G2K reference check reads, and a digest
+    # of all 2,000 of them
+    rng = random.Random(0)
+    texts = [str(random_model_word(ModelId.G2K, rng, 12)) for _ in range(2000)]
+    assert texts[:8] == ["b a^-1 b^-1 b^-1 y a", "x^-1 y^-1 x a^-1 x^-1 b^-1 y^-1 b^-1 x^-1 a",
+                         "a y y b x^-1 b a^-1 x^-1 y^-1", "y a^-1 x y x b^-1 y",
+                         "b^-1 b^-1 a a b^-1 y", "", "y", ""]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+        "0cf61f7416e45f72249ae3e9194aed152575dccc8d092f9291053a7516640b1a"
 
 
 def test_normal_form_uniqueness_under_splitting():
@@ -244,6 +277,19 @@ def test_translate_unknown_symbol():
     dic = dictionary(ModelId.G2T)
     with pytest.raises(TranslationError, match="a3"):
         translate(dic, Word((sym_a(3),)), "to_model")
+
+
+def test_translate_refuses_letters_of_the_other_side():
+    from sigmabraid.models import TranslationError
+    dic = dictionary(ModelId.G2T)
+    with pytest.raises(TranslationError, match=r"^a1: no dictionary entry$"):
+        translate(dic, Word((sym_a(1), sym_b(2))), "to_braid")
+    with pytest.raises(TranslationError, match=r"^u\^-1: no dictionary entry$"):
+        translate(dic, Word((model_sym("x"), model_sym("u", -1))), "to_braid")
+    with pytest.raises(TranslationError, match=r"^x: no dictionary entry$"):
+        translate(dic, Word((model_sym("x"),)), "to_model")
+    with pytest.raises(DomainError, match="direction must be 'to_model' or 'to_braid', got 'up'"):
+        translate(dic, Word((model_sym("x"),)), "up")
 
 
 def test_dictionary_for():
@@ -440,7 +486,7 @@ def test_fiber_budget_bounds_components_and_appended_words(monkeypatch):
         normalize(ModelId.G2T, w("x x x x x a x", ModelId.G2T))
     state = fold_step(ModelId.G2T, w("x x x x x", ModelId.G2T))
     with pytest.raises(FiberBudgetError):
-        step(ModelId.G2T, state, "x", 1)
+        step(ModelId.G2T, state, model_sym("x"))
     # the G2K y rule appends x^4 y after a^2: 5 letters pass, a^3 y appends 7
     assert normalize(ModelId.G2K, w("a a y", ModelId.G2K)).state == ((1, 1, 1, 1, 2), 2, 0)
     with pytest.raises(FiberBudgetError, match="7 letters"):

@@ -17,6 +17,7 @@ from sigmabraid.presentations import (
     all_family_names,
     instantiate_family,
     instantiate_presentation,
+    signed_generators,
 )
 from sigmabraid.words import (
     DomainError,
@@ -256,3 +257,19 @@ def test_abelian_check_agrees_with_the_abelianized_quotient():
     verdicts = [checks._abelian(group, r) for group, r in pairs]
     assert verdicts == [abelianize(group, r.lhs * r.rhs.inverse()).is_zero() for group, r in pairs]
     assert verdicts[:2] == [True, False] and verdicts.count(False) > 100
+
+
+def test_signed_generators_follow_the_table_order():
+    gens = signed_generators("K", 3)
+    assert [str(s) for s in gens[::2]] == ["a1", "a2", "a3", "b1", "b2", "b3",
+                                           "C[1,2]", "C[1,3]", "C[2,3]"]
+    assert all(t is s.inverse() for s, t in zip(gens[::2], gens[1::2]))
+    assert signed_generators("T", 3) == gens
+    # every letter of the P_n table is one of them
+    for surface in ("T", "K"):
+        for n in range(1, 6):
+            table = instantiate_presentation("P", surface, n)
+            used = {s for r in table.relations for s in (*r.lhs, *r.rhs)}
+            assert used <= set(signed_generators(surface, n)), (surface, n)
+    with pytest.raises(DomainError, match="no presentation table for surface 'S2'"):
+        signed_generators("S2", 3)
