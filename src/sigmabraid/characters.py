@@ -29,9 +29,10 @@ letter once, when it enters its table of letter slots, which both
 letter of a pure group or a model is its own coordinate, named as it
 prints, or it dies (C[i,j]; w, w2, w3); a full braid group forgets strand
 indices, sends C[i,j] to 2 s and the full twist D to n(n-1) s.  The torus
-and Klein-bottle pure groups lay their coordinates out in strand blocks,
-a1..an then b1..bn; :func:`strand_blocks` slices them.  No floating point
-is used anywhere: coordinates are ints or fractions.Fraction.
+and Klein-bottle pure groups lay their free coordinates out in the strand
+blocks of ``_STRAND_BLOCKS``, which the abelianization, both JSON forms
+and :func:`strand_blocks` read.  No floating point is used anywhere:
+coordinates are ints or fractions.Fraction.
 
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
@@ -115,6 +116,10 @@ class AbelianizationSpec:
         return slots
 
 
+# The free strand blocks of P_n(T) and P_n(K), each strands 1..n, in order
+_STRAND_BLOCKS = {"T": ("a", "b"), "K": ("b",)}
+
+
 def _sphere_labels(n: int) -> tuple[str, ...]:
     return tuple(f"A[{i},{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if {i, j} != {1, 2})
@@ -129,17 +134,16 @@ def abelianization(group: GroupLike) -> AbelianizationSpec:
                                   tuple((name, k) for name, k in orders if k > 1))
     fam, surf, n = group.family, group.surface, group.n
     if fam == "P":
-        if surf == "T":
-            labels = tuple(f"a{i}" for i in range(1, n + 1)) + tuple(f"b{i}" for i in range(1, n + 1))
-            return AbelianizationSpec(group, labels)
-        if surf == "K":
-            return AbelianizationSpec(
-                group, tuple(f"b{i}" for i in range(1, n + 1)),
-                tuple((f"a{i}", 2) for i in range(1, n + 1)))
+        strands = range(1, n + 1)
+        torsion_a = tuple((f"a{i}", 2) for i in strands)
+        if surf in _STRAND_BLOCKS:
+            blocks = _STRAND_BLOCKS[surf]
+            return AbelianizationSpec(group, tuple(f"{x}{i}" for x in blocks for i in strands),
+                                      () if "a" in blocks else torsion_a)
         if surf == "S2":
             return AbelianizationSpec(group, _sphere_labels(n))
         if surf == "RP2":
-            return AbelianizationSpec(group, (), tuple((f"a{i}", 2) for i in range(1, n + 1)))
+            return AbelianizationSpec(group, (), torsion_a)
     else:
         if surf == "T":
             return AbelianizationSpec(group, ("a", "b"), (("s", 2),))
@@ -350,11 +354,10 @@ def strand_blocks(x: "Character | SpherePoint") -> tuple[tuple, tuple]:
     """The a and b blocks of a P_n(T) or P_n(K) character or point, strand
     i at index i-1; the a block is empty on the Klein bottle."""
     group = x.spec.group
-    if not isinstance(group, GroupContext) or (group.family, group.surface) not in (("P", "T"), ("P", "K")):
+    if not isinstance(group, GroupContext) or group.family != "P" or group.surface not in _STRAND_BLOCKS:
         raise DomainError("strand blocks are defined for torus and Klein-bottle pure groups")
-    if group.surface == "K":
-        return (), x.coords
-    return x.coords[:group.n], x.coords[group.n:]
+    r = len(x.coords) - group.n
+    return x.coords[:r], x.coords[r:]
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +466,10 @@ def character_to_json(chi: Character) -> dict:
     if isinstance(group, ModelId):
         return {"model": group.value, "coords": dict(labelled)}
     out: dict = {"group": group.family, "surface": group.surface, "n": group.n}
-    if group.family == "P" and group.surface in ("T", "K"):
-        a, b = strand_blocks(chi)
-        if group.surface == "T":
-            out["a"] = [rational_to_json(v) for v in a]
-        out["b"] = [rational_to_json(v) for v in b]
+    if group.family == "P" and group.surface in _STRAND_BLOCKS:
+        n = group.n
+        for k, name in enumerate(_STRAND_BLOCKS[group.surface]):
+            out[name] = [rational_to_json(v) for v in chi.coords[k * n:(k + 1) * n]]
     elif group.family == "P" and group.surface == "S2":
         out["A"] = {label[2:-1]: v for label, v in labelled if v != 0}
     else:
@@ -491,7 +493,7 @@ def character_from_json(obj: Mapping) -> Character:
         fam = json_field(obj, "group", (str,), _WHAT) if "group" in obj else "P"
         surf = json_field(obj, "surface", (str,), _WHAT)
         ctx = GroupContext(fam, surf, json_int_field(obj, "n", _WHAT))
-        read = {"T": ("a", "b"), "K": ("b",), "S2": ("A",)}.get(surf) if fam == "P" else None
+        read = {**_STRAND_BLOCKS, "S2": ("A",)}.get(surf) if fam == "P" else None
         read = ("group", "surface", "n", *(read or abelianization(ctx).free_labels))
     unread = sorted(set(obj).difference(read))
     if unread:
@@ -499,17 +501,12 @@ def character_from_json(obj: Mapping) -> Character:
     if isinstance(ctx, ModelId):
         coords = json_field(obj, "coords", (dict,), _WHAT) if "coords" in obj else {}
         return character(ctx, {k: _num_from_json(v) for k, v in coords.items()})
-    if fam == "P" and surf == "T":
-        a = _num_list_from_json(obj, "a")
-        b = _num_list_from_json(obj, "b")
-        if len(a) != ctx.n or len(b) != ctx.n:
-            raise DomainError(f"need {ctx.n} entries in 'a' and 'b'")
-        return character(ctx, list(a) + list(b))
-    if fam == "P" and surf == "K":
-        b = _num_list_from_json(obj, "b")
-        if len(b) != ctx.n:
-            raise DomainError(f"need {ctx.n} entries in 'b'")
-        return character(ctx, b)
+    if fam == "P" and surf in _STRAND_BLOCKS:
+        names = _STRAND_BLOCKS[surf]
+        blocks = [_num_list_from_json(obj, name) for name in names]
+        if any(len(block) != ctx.n for block in blocks):
+            raise DomainError(f"need {ctx.n} entries in {' and '.join(map(repr, names))}")
+        return character(ctx, [v for block in blocks for v in block])
     if fam == "P" and surf == "S2":
         values = {}
         for key, v in (json_field(obj, "A", (dict,), _WHAT) if "A" in obj else {}).items():

@@ -704,16 +704,12 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
 
 
 def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
-    """The state of one vertex, stepped along its parent path."""
+    """The state of one vertex: its parent path, a geodesic, normalised."""
     path = []
     while v:
-        path.append(ball.letter[v])
+        path.append(model.signed_letters[ball.letter[v]])
         v = ball.parent[v]
-    signed = model.signed_letters
-    state = identity_state(model)
-    for k in reversed(path):
-        state = step(model, state, signed[k])
-    return state
+    return normalize(model, Word(tuple(reversed(path)))).state
 
 
 def _spelled(model: ModelId, ball: _Ball, v: int) -> str:
@@ -729,8 +725,8 @@ def _vertex_of(model: ModelId, ball: _Ball, n: int, state: tuple) -> int | None:
     """The number of the vertex with this state among the vertices
     0 .. n - 1, or None.  ``order`` sorts each distance's vertices by the
     repr of their states, so one bisection per distance finds the state
-    if the ball holds it; each probe steps its vertex's state along the
-    parent path, so a hit is exact and the ball stores nothing for it."""
+    if the ball holds it; each probe normalises its vertex's parent path,
+    so a hit is exact and the ball stores nothing for it."""
     text = repr(state)
     key = lambda v: repr(_vertex_state(model, ball, v))
     order = ball.order

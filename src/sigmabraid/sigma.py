@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .characters import SpherePoint, abelianization, strand_blocks
@@ -119,22 +119,18 @@ def sphere_is_empty(group: GroupContext) -> bool:
 # ---------------------------------------------------------------------------
 # Pattern matchers
 
-def _match_torus(pt: SpherePoint, n: int):
-    a, b = strand_blocks(pt)
-    support = [i for i in range(n) if a[i] != 0 or b[i] != 0]
-    if len(support) > 2 or not support:
+def _match_torus(a: Sequence[int], b: Sequence[int]):
+    support = [i for i in range(len(a)) if a[i] != 0 or b[i] != 0]
+    if len(support) != 2:
         return None
-    if len(support) == 1:
-        return None  # would force p = q = 0 at the partner strand
     i, j = support
     if a[i] + a[j] != 0 or b[i] + b[j] != 0:
         return None
     return (i + 1, j + 1, a[i], b[i])
 
 
-def _match_klein(pt: SpherePoint, n: int):
-    _, b = strand_blocks(pt)
-    support = [i for i in range(n) if b[i] != 0]
+def _match_klein(b: Sequence[int]):
+    support = [i for i in range(len(b)) if b[i] != 0]
     if len(support) != 2:
         return None
     i, j = support
@@ -227,7 +223,7 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
         a, b = strand_blocks(pt)
         if sum(a) != 0 or sum(b) != 0:
             return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
-        witness = _match_torus(pt, n)
+        witness = _match_torus(a, b)
         if witness is None:
             return SigmaVerdict(IN_SIGMA1, None, "no paired-strand pattern matches")
         return SigmaVerdict(IN_COMPLEMENT, witness,
@@ -235,9 +231,10 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
     if surf == "K":
         if n == 1:
             return SigmaVerdict(IN_SIGMA1, None, "virtually abelian group, full invariant")
-        if sum(strand_blocks(pt)[1]) != 0:
+        _, b = strand_blocks(pt)
+        if sum(b) != 0:
             return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
-        witness = _match_klein(pt, n)
+        witness = _match_klein(b)
         if witness is None:
             return SigmaVerdict(IN_SIGMA1, None, "no opposite-unit-pair pattern matches")
         return SigmaVerdict(IN_COMPLEMENT, witness,
@@ -260,9 +257,8 @@ def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
         descs = tuple(TorusCircle(i, j) for i, j in combinations(range(1, n + 1), 2))
         return ComplementEnumeration(group, descs)
     if surf == "K":
-        descs = tuple(KleinPoint(i, j) for i in range(1, n + 1)
-                      for j in range(1, n + 1) if i != j)
-        return ComplementEnumeration(group, tuple(sorted(descs, key=KleinPoint.key)))
+        descs = tuple(KleinPoint(i, j) for i, j in permutations(range(1, n + 1), 2))
+        return ComplementEnumeration(group, descs)
     if surf == "S2":
         if n == 3:
             return ComplementEnumeration(group, (), whole_sphere=True)
@@ -275,8 +271,13 @@ def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
 # ---------------------------------------------------------------------------
 # Permutation action on the sphere
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: True would pass as the strand 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_permutation(tau: Sequence[int], n: int) -> None:
-    if sorted(tau) != list(range(1, n + 1)):
+    if not all(map(_is_int, tau)) or sorted(tau) != list(range(1, n + 1)):
         raise DomainError(f"{tau!r} is not a permutation of 1..{n}")
 
 
@@ -340,7 +341,7 @@ def _int_matrix(matrix) -> list[list[int]]:
         if not isinstance(row, list):
             raise DomainError(f"matrix row {i} must be a list, got {row!r}")
         for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, int):
+            if not _is_int(entry):
                 raise DomainError(f"matrix entry [{i}][{j}] must be an integer, got {entry!r}")
     return matrix
 
@@ -358,17 +359,17 @@ def r_infinity_certificate(n: int,
     directly as a dict (i,j) -> (i,j).  The certificate holds when the
     induced permutation is the identity; every automorphism inducing it
     then has infinitely many twisted conjugacy classes.  The index bound
-    (2*C(n,2))! bounds the subgroup of such automorphisms.  An n that is
-    not an integer, or a point_permutation that is not a dict from
-    complement points to complement points, is a DomainError naming it.
+    (2*C(n,2))! bounds the subgroup of such automorphisms.  A point is an
+    index pair (i, j), two distinct ints in 1..n; the whole input is
+    checked before any work that grows with n, and a bad n, matrix or
+    point_permutation is a DomainError naming it.
     """
     group = GroupContext("P", "K", n)
     if n < 2:
         raise DomainError("need n >= 2")
-    points = [(d.i, d.j) for d in enumerate_complement(group).descriptors]
     if (matrix is None) == (point_permutation is None):
         raise DomainError("pass exactly one of matrix / point_permutation")
-    mapping: dict[tuple[int, int], tuple[int, int]] = {}
+    count = n * (n - 1)
     if matrix is not None:
         rows = _int_matrix(matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -376,31 +377,28 @@ def r_infinity_certificate(n: int,
         det = _int_det(rows)
         if det not in (1, -1):
             raise DomainError(f"matrix is not invertible over the integers (det={det})")
-        for (i, j) in points:
-            vec = [rows[r][i - 1] - rows[r][j - 1] for r in range(n)]
-            image = _match_klein(
-                SpherePoint(abelianization(group), tuple(vec)), n) \
-                if any(vec) else None
-            if image is None or image not in points:
-                raise DomainError(
-                    f"matrix does not preserve the complement: point {(i, j)} "
-                    f"maps to coordinates {vec}")
+        mapping: dict[tuple[int, int], tuple[int, int]] = {}
+        for i, j in permutations(range(1, n + 1), 2):
+            vec = [row[i - 1] - row[j - 1] for row in rows]
+            image = _match_klein(vec)
+            if image is None:
+                raise DomainError(f"matrix does not preserve the complement: point {(i, j)} "
+                                  f"maps to coordinates {vec}")
             mapping[(i, j)] = image
     else:
         if not isinstance(point_permutation, dict):
             raise DomainError("point_permutation must be a dict, "
                               f"got {type(point_permutation).__name__}")
-        for p in (*point_permutation, *point_permutation.values()):
-            if not isinstance(p, (tuple, list)) or tuple(p) not in points:
+        for p in (*point_permutation, *point_permutation.values()):  # p reads (i, j), i != j
+            if not (isinstance(p, (tuple, list)) and len(p) == 2
+                    and all(_is_int(t) and 1 <= t <= n for t in p) and p[0] != p[1]):
                 raise DomainError(f"point_permutation: {p!r} is not a complement point of {group}")
         mapping = {tuple(k): tuple(v) for k, v in point_permutation.items()}
-        if sorted(mapping) != sorted(points) or sorted(mapping.values()) != sorted(points):
-            raise DomainError("point_permutation must be a bijection of the "
-                              f"{len(points)} complement points")
-    certified = all(mapping[p] == p for p in points)
+        if len(mapping) != count or len(set(mapping.values())) != count:
+            raise DomainError(f"point_permutation must be a bijection of the {count} complement points")
+    certified = all(src == dst for src, dst in mapping.items())
     bound = math.factorial(2 * math.comb(n, 2))
-    induced = tuple(sorted((p, mapping[p]) for p in points))
-    return RInfinityCertificate(n, certified, bound, induced)
+    return RInfinityCertificate(n, certified, bound, tuple(sorted(mapping.items())))
 
 
 _FG_EXCEPTIONS = {("T", 1), ("K", 1), ("S2", 1), ("S2", 2), ("S2", 3)}

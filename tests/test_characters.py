@@ -382,6 +382,19 @@ def test_character_json_errors_name_the_field():
         character_from_json({"surface": "S2", "n": 4, "A": {"1;3": 1}})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"surface": "T", "n": 2, "a": [0, 1], "b": [1]}, "need 2 entries in 'a' and 'b'"),
+    ({"surface": "T", "n": 2, "a": [0, 1, 2], "b": [1]}, "need 2 entries in 'a' and 'b'"),
+    ({"surface": "K", "n": 3, "b": [1, -1]}, "need 3 entries in 'b'"),
+])
+def test_character_json_checks_each_strand_block_length(doc, message):
+    # the blocks add up to 2n in the second torus document, which is
+    # refused all the same
+    with pytest.raises(DomainError) as err:
+        character_from_json(doc)
+    assert str(err.value) == message
+
+
 def test_character_json_refuses_the_fields_it_does_not_read():
     # a mistyped key is an error, not a coordinate read as zero
     with pytest.raises(DomainError, match=r"^unknown character JSON fields: \['B'\]$"):

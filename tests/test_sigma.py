@@ -172,6 +172,15 @@ def test_act_permutation_examples():
         == (1, -1, 0)
 
 
+@pytest.mark.parametrize("tau", [(2.0, 1.0), [2, "1"], (True, 2)])
+def test_act_permutation_refuses_entries_that_are_not_ints(tau):
+    # a float once escaped as a TypeError from indexing, a string as one
+    # from sorted, and True was read as the strand 1
+    with pytest.raises(DomainError) as err:
+        act_permutation(K(2), tau, _klein_point(2, 1, 2))
+    assert str(err.value) == f"{tau!r} is not a permutation of 1..2"
+
+
 def test_act_permutation_is_a_group_action():
     rng = random.Random(2)
     n = 4
@@ -333,12 +342,36 @@ def test_r_infinity_point_permutation_input():
     (2, {(1, 2): (1, 2), 7: (1, 2)}, "point_permutation: 7 is not a complement point of P_2(K)"),
     (2.5, {}, "n must be an integer, got 2.5"),
     ("3", {}, "n must be an integer, got '3'"),
+    (2, {(1, 2): (2, True), (2, 1): (1, 2)},
+     "point_permutation: (2, True) is not a complement point of P_2(K)"),
+    (2, {(1, 2): (1.0, 2.0), (2, 1): (2, 1)},
+     "point_permutation: (1.0, 2.0) is not a complement point of P_2(K)"),
 ])
 def test_r_infinity_rejects_malformed_input(n, perm, message):
-    # each of these once escaped as an AttributeError or a TypeError
+    # each of these once escaped as an AttributeError or a TypeError, but
+    # for the bool and float points: they compare equal to complement
+    # points, so they were accepted and (2, True) was printed back
     with pytest.raises(DomainError) as err:
         r_infinity_certificate(n, point_permutation=perm)
     assert str(err.value) == message
+
+
+def test_r_infinity_never_enumerates_the_complement(monkeypatch):
+    # points are index pairs, so neither a certificate nor a refusal
+    # builds the list of complement points
+    import sigmabraid.sigma as sigma
+
+    def refuse(group):
+        raise AssertionError(f"enumerated the complement of {group}")
+
+    monkeypatch.setattr(sigma, "enumerate_complement", refuse)
+    cert = r_infinity_certificate(3, matrix=[[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert not cert.certified and len(cert.moved_points()) == 6
+    ident = {(i, j): (i, j) for i, j in permutations(range(1, 4), 2)}
+    assert r_infinity_certificate(3, point_permutation=ident).certified
+    with pytest.raises(DomainError) as err:
+        r_infinity_certificate(600, point_permutation={})
+    assert str(err.value) == "point_permutation must be a bijection of the 359400 complement points"
 
 
 def test_commutator_fg_flags():
