@@ -25,7 +25,7 @@ cert = generate_lemma_certificates(CertificateCase.G3T_A, 1, 2)
 chi_model, chi_braid = case_character(CertificateCase.G3T_A, 1, 2)
 report = verify_certificate(cert, chi_model)
 for line in report.lines:
-    entry = cert.entry(next(e.z for e in cert.entries if str(e.z) == line.z))
+    entry = next(e for e in cert.entries if str(e.z) == line.z)
     print(f"  z={line.z:5} margin={str(line.margin):5} path={serialize_word(entry.path_word)}")
 print(f"  all margins positive: {report.passed}; endpoints oracle-checked: "
       f"{report.endpoints_checked}")

@@ -47,6 +47,7 @@ read the integers directly, since positive scaling keeps every sign.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -367,16 +368,22 @@ def strand_blocks(x: "Character | SpherePoint") -> tuple[tuple, tuple]:
 class SpherePoint:
     """A nonzero character up to positive scaling, in canonical form: the
     primitive integer vector with the same signs (denominators cleared,
-    divided by the gcd).  Antipodes stay distinct."""
+    divided by the gcd).  Antipodes stay distinct.
+
+    The form is an invariant: one int (not a bool) per free coordinate, not
+    all zero, with gcd 1; any other tuple is a DomainError naming the group."""
 
     spec: AbelianizationSpec
     coords: tuple[int, ...]
 
+    def __post_init__(self):
+        c = self.coords  # math.gcd of no ints, or of zeros only, is 0
+        if len(c) != self.spec.free_rank or not all(type(v) is int for v in c) or math.gcd(*c) != 1:
+            raise DomainError(f"{c!r} is not a sphere point of {self.spec.group}: need "
+                              f"{self.spec.free_rank} ints with gcd 1")
+
     def __neg__(self) -> "SpherePoint":
         return SpherePoint(self.spec, tuple(-c for c in self.coords))
-
-    def __getitem__(self, label: str) -> int:
-        return self.coords[self.spec.free_index(label)]
 
     def character(self) -> Character:
         return Character(self.spec, tuple(Fraction(c) for c in self.coords))
@@ -438,21 +445,26 @@ def json_field(obj, key: str | int, kinds: tuple[type, ...], what: str):
     return value
 
 
+# the strings read as numbers: ASCII digits, with no blank, '+', '_', point or exponent
+_INTEGER, _RATIONAL = re.compile("-?[0-9]+"), re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def json_int_field(obj, key: str | int, what: str) -> int:
-    """An integer field, given as a JSON number or a decimal string."""
+    """An integer field, given as a JSON number or a string reading -?[0-9]+."""
     value = json_field(obj, key, (int, str), what)
     try:
-        if not isinstance(value, bool):  # JSON true/false would pass as 1/0
-            return int(value)
-    except ValueError:
+        if type(value) is int or isinstance(value, str) and _INTEGER.fullmatch(value):
+            return int(value)  # not a bool: JSON true/false would pass as 1/0
+    except ValueError:  # past the int -> str digit limit
         pass
     raise DomainError(f"{what} field {key!r} must be an integer, got {value!r}")
 
 
 def _num_from_json(v) -> Fraction:
-    """The one reader of exact rationals: a JSON integer or a 'p/q' string.
-    A DomainError names a boolean, a malformed string or a zero denominator."""
-    if isinstance(v, (int, str)) and not isinstance(v, bool):  # JSON true/false would pass as 1/0
+    """The one reader of exact rationals: an int that is not a bool, or a
+    string reading -?[0-9]+(/[0-9]+)?.  A DomainError names anything else,
+    a zero denominator, or digits past the int -> str digit limit."""
+    if type(v) is int or isinstance(v, str) and _RATIONAL.fullmatch(v):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

@@ -30,10 +30,6 @@ class RelationCheck:
     passed: bool
     family: str = ""
 
-    def __str__(self) -> str:
-        table = f"{self.family} {self.group}" if self.family else self.group
-        return f"{self.kind}: {table} {self.relation}"
-
 
 def _table(name: str, surface: str, n: int):
     """The P or B presentation table, or the derived family table ``name``;

@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import characters, models
@@ -72,28 +71,19 @@ def _emit_table(doc, prefix: str = "") -> None:
                 sys.stdout.write("\n" if prefix == "" else "")
             else:
                 sys.stdout.write(f"{prefix}- {value}\n")
-    else:
-        sys.stdout.write(f"{prefix}{doc}\n")
 
 
 def _group(args, parser) -> GroupContext:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    try:
-        return GroupContext(args.group, args.surface, args.n)
-    except DomainError as exc:
-        parser.error(str(exc))
+    return GroupContext(args.group, args.surface, args.n)  # the choices leave it nothing to refuse
 
 
 def _witness_json(witness):
     if witness is None:
         return None
-    if isinstance(witness, tuple):
-        return [rational_to_json(v) if isinstance(v, Fraction) else v for v in witness]
-    key = witness.key()
-    if key[0] == "WholeSphere":
-        return "whole-sphere"
-    return list(key)
+    key = witness if isinstance(witness, tuple) else witness.key()  # sphere-point ints or a piece
+    return "whole-sphere" if key == ("WholeSphere",) else list(key)
 
 
 def _add_group_args(sub):
@@ -124,10 +114,9 @@ def _cmd_enumerate(args, parser) -> dict:
     group = _group(args, parser)
     from . import sigma
     enum = sigma.enumerate_complement(group)
-    descriptors = sorted(d.key() for d in enum.descriptors)
     return {"group": group.family, "surface": group.surface, "n": group.n,
             "count": enum.count, "whole_sphere": enum.whole_sphere,
-            "descriptors": [list(k) for k in descriptors]}
+            "descriptors": [list(d.key()) for d in enum.descriptors]}  # already sorted by key
 
 
 def _cmd_act(args, parser) -> dict:

@@ -19,7 +19,7 @@ checks are kept per process, and each chi pays for its margins alone:
   ``CERTIFICATE_BUDGET``; ``generate_lemma_certificates`` keeps one per
   case, six in all.  Both validate their arguments on every call.  The
   trivial-path entries of a letter are one pair, shared by every
-  certificate that has them.
+  certificate that has them and emptied with the braid store.
 - A certificate checks its entries and endpoint equations itself, once
   (:attr:`PathCertificate.endpoints_checked`), and keeps the result when
   they hold; a failing certificate keeps nothing, so it is checked again
@@ -134,12 +134,6 @@ class PathCertificate:
     context: ModelId | GroupContext
     t: GeneratorSymbol
     entries: tuple[CertificateEntry, ...]
-
-    def entry(self, z: GeneratorSymbol) -> CertificateEntry:
-        for e in self.entries:
-            if e.z == z:
-                return e
-        raise KeyError(str(z))
 
     @cached_property
     def endpoints_checked(self) -> bool:
@@ -345,10 +339,11 @@ def _pair(z: GeneratorSymbol, w: Word, note: str) -> list[CertificateEntry]:
             CertificateEntry(z.inverse(), w.inverse(), note + " (inverted)")]
 
 
-# the most path letters the kept braid certificates may hold together: at
-# n = 96 a certificate's own entries and words take 10-17 bytes per path
-# letter (its trivial-path entries are shared, ``_triv``), so at most
-# about 4.5 MB
+# the most path letters the kept braid certificates may hold together.  A
+# certificate's own entries and words take 9-13 bytes per path letter, and
+# the trivial-path pairs it shares (``_triv``, two letters each) about 540
+# bytes a pair, emptied with the store: one P_200(T) certificate, 199,800
+# letters, holds 1.9 + 10.7 MB
 CERTIFICATE_BUDGET = 2 ** 18
 
 
@@ -368,6 +363,7 @@ class _Kept(dict):
 
     def clear(self) -> None:
         super().clear()
+        _triv.cache_clear()  # lemma certificates keep the pairs they hold
         self.letters = 0
 
 

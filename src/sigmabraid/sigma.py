@@ -119,13 +119,11 @@ def sphere_is_empty(group: GroupContext) -> bool:
 # ---------------------------------------------------------------------------
 # Pattern matchers
 
-def _match_torus(a: Sequence[int], b: Sequence[int]):
+def _match_torus(a: Sequence[int], b: Sequence[int]):  # both block sums are 0 here
     support = [i for i in range(len(a)) if a[i] != 0 or b[i] != 0]
     if len(support) != 2:
         return None
     i, j = support
-    if a[i] + a[j] != 0 or b[i] + b[j] != 0:
-        return None
     return (i + 1, j + 1, a[i], b[i])
 
 
@@ -150,12 +148,8 @@ def _match_p3(pt: SpherePoint, n: int, i: int, j: int, k: int):
             return None
     p = _sphere_coord(pt, i, k)
     q = _sphere_coord(pt, j, k)
-    if (i, j) == (1, 2):
-        if (p, q) == (0, 0):
-            return None
-    else:
-        if (p, q) == (0, 0) or _sphere_coord(pt, i, j) != -(p + q):
-            return None
+    if (i, j) != (1, 2) and _sphere_coord(pt, i, j) != -(p + q):
+        return None
     return (p, q)
 
 
@@ -166,8 +160,6 @@ def _match_p4(pt: SpherePoint, n: int, i: int, j: int, k: int, l: int):
             return None
     p = _sphere_coord(pt, i, k)
     q = _sphere_coord(pt, i, l)
-    if (p, q) == (0, 0):
-        return None
     if _sphere_coord(pt, j, l) != p or _sphere_coord(pt, j, k) != q:
         return None
     if _sphere_coord(pt, k, l) != -(p + q):
@@ -197,7 +189,8 @@ def _decide_sphere_case(pt: SpherePoint, n: int) -> SigmaVerdict:
 
 
 def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVerdict:
-    """Exact membership decision; pt must be canonical (see sphere_point).
+    """Exact membership decision for a sphere point, canonical by
+    construction (see SpherePoint).
 
     Groups with a torsion-only abelianization take no point and return
     EmptySphere.  For the sphere family, group.n is the coordinate index
@@ -248,7 +241,7 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
 
 
 def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
-    """All complement pieces, sorted; exact counts per family."""
+    """All complement pieces, sorted by key; exact counts per family."""
     _require_supported(group)
     fam, surf, n = group.family, group.surface, group.n
     if fam == "B" or sphere_is_empty(group):
@@ -259,13 +252,12 @@ def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
     if surf == "K":
         descs = tuple(KleinPoint(i, j) for i, j in permutations(range(1, n + 1), 2))
         return ComplementEnumeration(group, descs)
-    if surf == "S2":
-        if n == 3:
-            return ComplementEnumeration(group, (), whole_sphere=True)
-        p3 = tuple(P3Circle(*t) for t in combinations(range(1, n + 1), 3))
-        p4 = tuple(P4Circle(*t) for t in combinations(range(1, n + 1), 4))
-        return ComplementEnumeration(group, p3 + p4)
-    raise UnsupportedGroupError(f"{group}: nothing to enumerate")
+    # surf == "S2", nonempty sphere means n >= 3
+    if n == 3:
+        return ComplementEnumeration(group, (), whole_sphere=True)
+    p3 = tuple(P3Circle(*t) for t in combinations(range(1, n + 1), 3))
+    p4 = tuple(P4Circle(*t) for t in combinations(range(1, n + 1), 4))
+    return ComplementEnumeration(group, p3 + p4)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,10 @@ def test_verify_cert_malformed_certificate(capsys, cert, message):
     (["classify", "--group", "P", "--surface", "T", "--n", "2",
       "--char", '{"group":"P","surface":"T","n":2,"a":[0,0],"b":[0,0]}'],
      "the zero character has no sphere point"),
+    # an integer field reads ASCII digits only
+    *[(["classify", "--group", "P", "--surface", "T", "--n", "2",
+        "--char", f'{{"surface":"T","n":{json.dumps(n)},"a":[1,0],"b":[0,1]}}'],
+       f"character JSON field 'n' must be an integer, got {n!r}") for n in ("+2", " 2", "2_0", "\u0662")],
 ])
 def test_malformed_json_input_names_the_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -274,6 +278,12 @@ def test_malformed_json_input_names_the_field(capsys, argv, message):
       "--char", '{"surface":"K","n":2,"b":["1/x",-1]}'], "'1/x'"),
     (["gen-cert", "--case", "g3t-a", "--p", "1/0", "--q", "1"], "'1/0'"),
     (["gen-cert", "--case", "g3t-a", "--p", "1", "--q", "one"], "'one'"),
+    # Fraction reads these, but the grammar is -?[0-9]+(/[0-9]+)?; the
+    # exponent once printed a million digits
+    *[(["gen-cert", "--case", "g3t-a", "--p", p, "--q", "1"], repr(p))
+      for p in ("1e1000000", "1.5", "1_000", " 7", "\u0663")],
+    (["classify", "--group", "P", "--surface", "K", "--n", "2",
+      "--char", '{"surface":"K","n":2,"b":["1e3",-1]}'], "'1e3'"),
 ])
 def test_rational_json_faults_name_the_value(capsys, argv, value):
     code, out, err = run(capsys, *argv)

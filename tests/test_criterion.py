@@ -441,6 +441,17 @@ def test_generation_rejects_a_character_on_another_group():
             generate_braid_certificate(group, chi)
 
 
+@pytest.mark.parametrize("group, message", [
+    (GroupContext("B", "T", 2), "B_2(T): braid certificates cover P_n(T) and P_n(K)"),
+    (GroupContext("P", "T", 1), "need n >= 2"),
+])
+def test_generation_rejects_other_groups(group, message):
+    chi = character(group, {"b": 1} if group.family == "B" else {"b1": 1})
+    with pytest.raises(DomainError) as err:
+        generate_braid_certificate(group, chi)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Certificates and their checks are kept per process
 
@@ -546,6 +557,24 @@ def test_kept_braid_certificates_stay_within_the_budget(monkeypatch):
     again = {n: generate_braid_certificate(group(n), chi(n)) for n in range(2, 13)}
     assert any(again[n] is not first[n] for n in first)
     assert again == first
+
+
+def test_trivial_entries_go_with_the_store(monkeypatch):
+    # the trivial-path pairs are cached per letter; a store emptied by its
+    # budget left them all (44,554 pairs, 25 MB, after P_100..P_300 of T)
+    from sigmabraid import criterion
+
+    lemma = generate_lemma_certificates(CertificateCase.G3T_A, 1, 1)
+    entries = lemma.entries
+    monkeypatch.setattr(criterion, "_BRAID_CERTS", criterion._Kept())
+    monkeypatch.setattr(criterion, "CERTIFICATE_BUDGET", 100)
+    chi = torus_character(6, [0] * 6, [0] * 5 + [1])
+    generate_braid_certificate(GroupContext("P", "T", 6), chi)  # past the budget
+    assert len(criterion._BRAID_CERTS) == 0
+    assert criterion._triv.cache_info().currsize == 0
+    # a lemma certificate keeps the pairs it holds
+    assert generate_lemma_certificates(CertificateCase.G3T_A, 1, 1).entries is entries
+    assert verify_certificate(lemma, case_character(CertificateCase.G3T_A, 1, 1)[0]).passed
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from itertools import permutations
 import pytest
 
 from sigmabraid.characters import (
+    SpherePoint,
+    abelianization,
     klein_character,
     sphere_character,
     sphere_point,
@@ -54,6 +56,46 @@ def test_decide_examples():
 
     v = decide_sigma(S2(4), sphere_point(sphere_character(4, {(1, 3): 1})))
     assert v.membership == IN_COMPLEMENT and v.witness == P3Circle(1, 2, 3)
+
+
+@pytest.mark.parametrize("group, coords", [
+    (K(2), (2, -2)),  # once read as lying in the invariant, though it is b_1 - b_2
+    (K(2), (0, 0)),
+    (K(2), (1, -1, 0)),
+    (K(2), (True, -1)),
+    (K(2), (1.0, -1)),
+    (T(2), (1, -1, 1)),
+    (GroupContext("B", "S2", 3), ()),
+], ids=["not-primitive", "zero", "too-long", "bool", "float", "too-short", "empty-sphere"])
+def test_sphere_points_are_canonical_by_construction(group, coords):
+    spec = abelianization(group)
+    with pytest.raises(DomainError) as err:
+        SpherePoint(spec, coords)
+    assert str(err.value) == (f"{coords!r} is not a sphere point of {group}: "
+                              f"need {spec.free_rank} ints with gcd 1")
+    assert SpherePoint(abelianization(K(2)), (1, -1)) == sphere_point(klein_character(2, [2, -2]))
+
+
+def test_decide_needs_a_point_of_its_group():
+    with pytest.raises(DomainError) as err:
+        decide_sigma(T(2))
+    assert str(err.value) == "P_2(T) has a nonempty sphere; a point is required"
+    with pytest.raises(DomainError) as err:
+        decide_sigma(T(2), _klein_point(2, 1, 2))
+    assert str(err.value) == "point lives on P_2(K), not on P_2(T)"
+
+
+@pytest.mark.parametrize("n, desc", [(4, P4Circle(1, 2, 3, 4)), (5, P4Circle(2, 3, 4, 5))])
+def test_a_p4_point_off_its_pattern_lies_in_the_invariant(n, desc):
+    # each coordinate moved off the circle fails one equality of the P4 match
+    i, j, k, l = desc.i, desc.j, desc.k, desc.l
+    values = {(i, k): 1, (j, l): 1, (i, l): 2, (j, k): 2, (k, l): -3}
+    if (i, j) != (1, 2):
+        values[(i, j)] = -3
+    assert decide_sigma(S2(n), sphere_point(sphere_character(n, values))).witness == desc
+    for key in values:
+        off = sphere_point(sphere_character(n, {**values, key: values[key] + 1}))
+        assert decide_sigma(S2(n), off).membership == IN_SIGMA1, key
 
 
 def test_decide_more_patterns():
@@ -130,6 +172,16 @@ def test_enumeration_is_sorted_and_typed():
     assert enumerate_complement(T(4)).descriptors[0] == TorusCircle(1, 2)
 
 
+def test_enumeration_yields_pieces_in_key_order():
+    # the CLI prints the pieces in the order they come
+    from sigmabraid.sigma import _SUPPORTED
+
+    for family, surface in sorted(_SUPPORTED):
+        for n in range(1, 8):
+            keys = [d.key() for d in enumerate_complement(GroupContext(family, surface, n)).descriptors]
+            assert keys == sorted(keys), (family, surface, n)
+
+
 def test_piece_keys_reprs_and_hashes():
     # the keys sort the pieces and name them in the CLI output; demo 03
     # prints the reprs
@@ -179,6 +231,16 @@ def test_act_permutation_refuses_entries_that_are_not_ints(tau):
     with pytest.raises(DomainError) as err:
         act_permutation(K(2), tau, _klein_point(2, 1, 2))
     assert str(err.value) == f"{tau!r} is not a permutation of 1..2"
+
+
+def test_act_permutation_needs_a_strand_block_point_of_its_group():
+    with pytest.raises(UnsupportedGroupError) as err:
+        act_permutation(S2(4), (1, 2, 3, 4), sphere_point(sphere_character(4, {(1, 3): 1})))
+    assert str(err.value) == ("P_4(S2): permutation action implemented for torus and "
+                              "Klein-bottle pure groups only")
+    with pytest.raises(DomainError) as err:
+        act_permutation(K(2), (2, 1), _torus_point(2, 1, 2, 1, 0))
+    assert str(err.value) == "point lives on P_2(T), not on P_2(K)"
 
 
 def test_act_permutation_is_a_group_action():
@@ -308,6 +370,19 @@ def test_r_infinity_certificates():
         r_infinity_certificate(2, matrix=[[2, 0], [0, 1]])
     with pytest.raises(DomainError, match="preserve"):
         r_infinity_certificate(2, matrix=[[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # the column difference (1, 1) is no opposite unit pair
+    ([[1, 0], [0, -1]],
+     "matrix does not preserve the complement: point (1, 2) maps to coordinates [1, 1]"),
+    ([[0, 0], [0, 1]], "matrix is not invertible over the integers (det=0)"),
+    ([[1, 0], [0]], "matrix must be 2x2"),
+])
+def test_r_infinity_refuses_bad_matrices(matrix, message):
+    with pytest.raises(DomainError) as err:
+        r_infinity_certificate(2, matrix=matrix)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("matrix, message", [
