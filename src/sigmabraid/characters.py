@@ -29,10 +29,11 @@ letter once, when it enters its table of letter slots, which both
 letter of a pure group or a model is its own coordinate, named as it
 prints, or it dies (C[i,j]; w, w2, w3); a full braid group forgets strand
 indices, sends C[i,j] to 2 s and the full twist D to n(n-1) s.  The torus
-and Klein-bottle pure groups lay their free coordinates out in the strand
-blocks of ``_STRAND_BLOCKS``, which the abelianization, both JSON forms
-and :func:`strand_blocks` read.  No floating point is used anywhere:
-coordinates are ints or fractions.Fraction.
+and Klein-bottle pure groups lay their coordinates out in the strand blocks
+of ``_STRAND_BLOCKS``, P_n(S2) in the pairs of :func:`sphere_pairs`: one
+statement of each layout, read by the abelianization, both JSON forms,
+:func:`strand_blocks` and the sphere decision.  No floating point is used
+anywhere: coordinates are ints or fractions.Fraction.
 
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
@@ -51,7 +52,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .models import IsoDictionary, ModelId, _check_letters
 from .words import (
@@ -121,9 +122,10 @@ class AbelianizationSpec:
 _STRAND_BLOCKS = {"T": ("a", "b"), "K": ("b",)}
 
 
-def _sphere_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"A[{i},{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 if {i, j} != {1, 2})
+def sphere_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The free coordinates A[i,j] of P_n(S2) as strand pairs in coordinate order, the
+    sphere's one layout; a generator, so no copy of size n^2 is kept per n."""
+    return ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) != (1, 2))
 
 
 @cache
@@ -142,7 +144,7 @@ def abelianization(group: GroupLike) -> AbelianizationSpec:
             return AbelianizationSpec(group, tuple(f"{x}{i}" for x in blocks for i in strands),
                                       () if "a" in blocks else torsion_a)
         if surf == "S2":
-            return AbelianizationSpec(group, _sphere_labels(n))
+            return AbelianizationSpec(group, tuple([f"A[{i},{j}]" for i, j in sphere_pairs(n)]))
         if surf == "RP2":
             return AbelianizationSpec(group, (), torsion_a)
     else:
@@ -287,10 +289,10 @@ class LetterTable:
 
 
 def _exact(v: Rational) -> Fraction:
-    """An exact rational; a float or a boolean is a DomainError naming it."""
+    """An exact rational, a string read as written; a float or a boolean is a DomainError."""
     if isinstance(v, (float, bool)):
         raise DomainError(f"values must be exact rationals (int or Fraction), got {v!r}")
-    return Fraction(v)
+    return _num_from_json(v) if isinstance(v, str) else Fraction(v)
 
 
 def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Rational]) -> Character:
@@ -325,8 +327,7 @@ def klein_character(n: int, b: Iterable[Rational]) -> Character:
 
 
 def sphere_character(n: int, values: Mapping[tuple[int, int], Rational]) -> Character:
-    mapping = {f"A[{i},{j}]": v for (i, j), v in values.items()}
-    return character(GroupContext("P", "S2", n), mapping)
+    return character(GroupContext("P", "S2", n), {f"A[{i},{j}]": v for (i, j), v in values.items()})
 
 
 def evaluate(chi: Character, w: Word) -> Fraction:
@@ -445,8 +446,10 @@ def json_field(obj, key: str | int, kinds: tuple[type, ...], what: str):
     return value
 
 
-# the strings read as numbers: ASCII digits, with no blank, '+', '_', point or exponent
+# the strings read as numbers, and the sphere's 'A' keys: ASCII digits, with no
+# blank, '+', '_', point or exponent
 _INTEGER, _RATIONAL = re.compile("-?[0-9]+"), re.compile("-?[0-9]+(/[0-9]+)?")
+_PAIR = re.compile("[0-9]+,[0-9]+")
 
 
 def json_int_field(obj, key: str | int, what: str) -> int:
@@ -483,7 +486,8 @@ def character_to_json(chi: Character) -> dict:
         for k, name in enumerate(_STRAND_BLOCKS[group.surface]):
             out[name] = [rational_to_json(v) for v in chi.coords[k * n:(k + 1) * n]]
     elif group.family == "P" and group.surface == "S2":
-        out["A"] = {label[2:-1]: v for label, v in labelled if v != 0}
+        out["A"] = {f"{i},{j}": rational_to_json(v)
+                    for (i, j), v in zip(sphere_pairs(group.n), chi.coords) if v != 0}
     else:
         out.update(labelled)
     return out
@@ -522,12 +526,12 @@ def character_from_json(obj: Mapping) -> Character:
     if fam == "P" and surf == "S2":
         values = {}
         for key, v in (json_field(obj, "A", (dict,), _WHAT) if "A" in obj else {}).items():
-            try:
-                i, j = (int(t) for t in key.split(","))
-            except ValueError:
+            try:  # TypeError: no match, None[0]; ValueError: past the int -> str digit limit
+                i, j = map(int, _PAIR.fullmatch(key)[0].split(","))
+            except (TypeError, ValueError):
                 raise DomainError(f"keys of 'A' must read 'i,j', got {key!r}") from None
-            values[f"A[{i},{j}]"] = _num_from_json(v)
-        return character(ctx, values)
+            values[i, j] = _num_from_json(v)
+        return sphere_character(ctx.n, values)
     coords = {label: _num_from_json(obj[label]) for label in abelianization(ctx).free_labels
               if label in obj}
     return character(ctx, coords)

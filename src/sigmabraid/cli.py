@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import characters, models
 from .characters import (
+    _INTEGER,
     _num_from_json,
     character_from_json,
     character_to_json,
@@ -121,9 +122,9 @@ def _cmd_enumerate(args, parser) -> dict:
 
 def _cmd_act(args, parser) -> dict:
     group = _group(args, parser)
-    try:
-        tau = tuple(int(t) for t in args.tau.split())
-    except ValueError:
+    try:  # TypeError: a token that does not read -?[0-9]+, None[0]; ValueError: the digit limit
+        tau = tuple(int(_INTEGER.fullmatch(t)[0]) for t in args.tau.split())
+    except (TypeError, ValueError):
         parser.error(f"--tau must list integers, got {args.tau!r}")
     chi = character_from_json(_read_json_arg(args.char))
     from . import sigma

@@ -9,9 +9,9 @@ family handled here, a finite union of explicitly described pieces:
             b_i = -b_j = q, (p,q) != 0, all other coordinates zero;
   P_n(K)    two antipodal points per strand pair: b_i = 1, b_j = -1,
             all other coordinates zero;
-  P_{n+1}(S2)  (coordinates A[i,j], 1 <= i < j <= n, {i,j} != {1,2};
-            the group has n+1 strands)
-            the three- and four-index circle systems enumerated below for
+  P_{n+1}(S2)  (coordinates addressed by strand pair (i,j), 1 <= i < j <= n,
+            (i,j) != (1,2); the group has n+1 strands)
+            the three- and four-strand circle systems of ``_CIRCLES`` for
             n >= 4; for n = 3 the complement fills the whole sphere;
   B-groups  empty complement whenever the sphere is nonempty (a character
             never vanishes on the center);
@@ -19,10 +19,11 @@ family handled here, a finite union of explicitly described pieces:
             have empty character spheres.
 
 ``decide_sigma`` matches a canonical sphere point against these patterns
-exactly (integer arithmetic, no tolerances).  The strand-permutation
-action on the sphere, the fixed-complement certificate for twisted
-conjugacy, and the finite-generation flag for commutator subgroups are
-the application layer over the same data.
+exactly (integer arithmetic, no tolerances); one table, ``_CIRCLES``,
+holds the sphere's circle systems for it and ``enumerate_complement``.
+The strand-permutation action on the sphere, the fixed-complement
+certificate for twisted conjugacy, and the finite-generation flag for
+commutator subgroups are the application layer over the same data.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .characters import SpherePoint, abelianization, strand_blocks
+from .characters import _STRAND_BLOCKS, SpherePoint, abelianization, sphere_pairs, strand_blocks
 from .words import DomainError, GroupContext
 
 IN_SIGMA1 = "InSigma1"
@@ -113,6 +114,8 @@ def _require_supported(group: GroupContext) -> None:
 
 
 def sphere_is_empty(group: GroupContext) -> bool:
+    if group.family == "P" and group.surface in (*_STRAND_BLOCKS, "S2"):  # read off the layout
+        return group.surface == "S2" and next(sphere_pairs(group.n), None) is None
     return abelianization(group).free_rank == 0
 
 
@@ -137,54 +140,47 @@ def _match_klein(b: Sequence[int]):
     return (i + 1, j + 1) if b[i] == 1 else (j + 1, i + 1)
 
 
-def _sphere_coord(pt: SpherePoint, i: int, j: int) -> int:
-    return pt.coords[pt.spec.positions[f"A[{i},{j}]"]]
+# The circle systems of P_{n+1}(S2), n >= 4 (Koban-McCammond-Meinert, Groups
+# Geom. Dyn. 9, 2015): a piece class, the size of its strand subset s, and the
+# subset's coordinates as (positions in s, coefficient of p, of q), the first
+# two defining p and q.  P3 on i<j<k: (i,k) = p, (j,k) = q, (i,j) = -(p+q);
+# P4 on i<j<k<l: (i,k) = (j,l) = p, (i,l) = (j,k) = q, (k,l) = (i,j) = -(p+q).
+_CIRCLES = (
+    (P3Circle, 3, (((0, 2), 1, 0), ((1, 2), 0, 1), ((0, 1), -1, -1))),
+    (P4Circle, 4, (((0, 2), 1, 0), ((0, 3), 0, 1), ((1, 3), 1, 0), ((1, 2), 0, 1),
+                   ((2, 3), -1, -1), ((0, 1), -1, -1))),
+)
 
 
-def _match_p3(pt: SpherePoint, n: int, i: int, j: int, k: int):
-    inside = {(i, j), (i, k), (j, k)}
-    for r, s in combinations(range(1, n + 1), 2):
-        if {r, s} != {1, 2} and (r, s) not in inside and _sphere_coord(pt, r, s) != 0:
+def _match_circle(coords: dict[tuple[int, int], int], strands: tuple[int, ...], cells):
+    """(p, q) when the point is zero off ``cells`` on ``strands`` and each
+    cell reads its p, q combination; the pair (1, 2) has no coordinate."""
+    placed = [((strands[a], strands[b]), cp, cq) for (a, b), cp, cq in cells]
+    inside = {pair for pair, _, _ in placed}
+    for pair, v in coords.items():
+        if v != 0 and pair not in inside:
             return None
-    p = _sphere_coord(pt, i, k)
-    q = _sphere_coord(pt, j, k)
-    if (i, j) != (1, 2) and _sphere_coord(pt, i, j) != -(p + q):
-        return None
-    return (p, q)
-
-
-def _match_p4(pt: SpherePoint, n: int, i: int, j: int, k: int, l: int):
-    inside = {(i, j), (i, k), (i, l), (j, k), (j, l), (k, l)}
-    for r, s in combinations(range(1, n + 1), 2):
-        if {r, s} != {1, 2} and (r, s) not in inside and _sphere_coord(pt, r, s) != 0:
-            return None
-    p = _sphere_coord(pt, i, k)
-    q = _sphere_coord(pt, i, l)
-    if _sphere_coord(pt, j, l) != p or _sphere_coord(pt, j, k) != q:
-        return None
-    if _sphere_coord(pt, k, l) != -(p + q):
-        return None
-    if (i, j) != (1, 2) and _sphere_coord(pt, i, j) != -(p + q):
+    p, q = coords[placed[0][0]], coords[placed[1][0]]
+    if any(pair in coords and coords[pair] != cp * p + cq * q for pair, cp, cq in placed):
         return None
     return (p, q)
 
 
 def _decide_sphere_case(pt: SpherePoint, n: int) -> SigmaVerdict:
+    """Match the point on every circle of ``_CIRCLES``, the table that
+    enumerate_complement lists: each 3-subset of strands, then each 4-subset,
+    each scanning every coordinate, read by strand pair."""
+    coords = dict(zip(sphere_pairs(n), pt.coords))
     matches: list[tuple[object, tuple]] = []
-    for i, j, k in combinations(range(1, n + 1), 3):
-        pq = _match_p3(pt, n, i, j, k)
-        if pq is not None:
-            matches.append((P3Circle(i, j, k), pq))
-    for i, j, k, l in combinations(range(1, n + 1), 4):
-        pq = _match_p4(pt, n, i, j, k, l)
-        if pq is not None:
-            matches.append((P4Circle(i, j, k, l), pq))
+    for piece, size, cells in _CIRCLES:
+        for strands in combinations(range(1, n + 1), size):
+            pq = _match_circle(coords, strands, cells)
+            if pq is not None:
+                matches.append((piece(*strands), pq))
     if len(matches) > 1:
         raise AssertionError(f"circle systems are not disjoint at {pt.coords}: {matches}")
     if matches:
-        desc, _ = matches[0]
-        return SigmaVerdict(IN_COMPLEMENT, desc,
-                            "matched one circle system exactly")
+        return SigmaVerdict(IN_COMPLEMENT, matches[0][0], "matched one circle system exactly")
     return SigmaVerdict(IN_SIGMA1, None, "no circle system matches")
 
 
@@ -246,18 +242,16 @@ def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
     fam, surf, n = group.family, group.surface, group.n
     if fam == "B" or sphere_is_empty(group):
         return ComplementEnumeration(group, ())
-    if surf == "T":
-        descs = tuple(TorusCircle(i, j) for i, j in combinations(range(1, n + 1), 2))
-        return ComplementEnumeration(group, descs)
-    if surf == "K":
-        descs = tuple(KleinPoint(i, j) for i, j in permutations(range(1, n + 1), 2))
-        return ComplementEnumeration(group, descs)
-    # surf == "S2", nonempty sphere means n >= 3
-    if n == 3:
+    if surf == "S2" and n == 3:  # a nonempty sphere means n >= 3
         return ComplementEnumeration(group, (), whole_sphere=True)
-    p3 = tuple(P3Circle(*t) for t in combinations(range(1, n + 1), 3))
-    p4 = tuple(P4Circle(*t) for t in combinations(range(1, n + 1), 4))
-    return ComplementEnumeration(group, p3 + p4)
+    strands = range(1, n + 1)
+    if surf == "T":
+        descs = tuple(TorusCircle(i, j) for i, j in combinations(strands, 2))
+    elif surf == "K":
+        descs = tuple(KleinPoint(i, j) for i, j in permutations(strands, 2))
+    else:
+        descs = tuple(piece(*s) for piece, size, _ in _CIRCLES for s in combinations(strands, size))
+    return ComplementEnumeration(group, descs)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,21 @@ def test_characters_keep_exact_values():
     assert chi.scale(Fraction(10)).coords == (1, 30, 0, 0)
 
 
+@pytest.mark.parametrize("build, value", [
+    (lambda v: character(ModelId.G2T, {"x": v}), " 7 "),
+    (lambda v: character(ModelId.G2T, [v, 0, 0, 0]), "1e3"),
+    (lambda v: torus_character(1, [v], [0]), "1_0"),
+    (lambda v: klein_character(1, [v]), "\u0663"),
+    (lambda v: character(ModelId.G2T, {"x": 1}).scale(v), "+2"),
+], ids=["mapping", "sequence", "torus", "klein", "scale"])
+def test_characters_read_strings_as_written(build, value):
+    # Fraction reads each of these strings; a number is read as it is written
+    with pytest.raises(DomainError) as err:
+        build(value)
+    assert str(err.value) == f"numbers must be integers or exact 'p/q' strings, got {value!r}"
+    assert character(ModelId.G2T, {"x": "-7", "y": "2/3"}).coords == (-7, Fraction(2, 3), 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # The scaled integer letter table against the abelianization definition
 
@@ -380,6 +395,17 @@ def test_character_json_errors_name_the_field():
         character_from_json([1, 2])
     with pytest.raises(DomainError, match="'1;3'"):
         character_from_json({"surface": "S2", "n": 4, "A": {"1;3": 1}})
+
+
+@pytest.mark.parametrize("key", ["\u0661,\u0663", "+1,3", " 1,3", "1,3 ", "1_0,11"])
+def test_sphere_json_keys_read_ascii_digits(key):
+    # int() reads each of these keys as a strand pair, '1_0' as 10
+    with pytest.raises(DomainError) as err:
+        character_from_json({"surface": "S2", "n": 11, "A": {key: 1}})
+    assert str(err.value) == f"keys of 'A' must read 'i,j', got {key!r}"
+    chi = character_from_json({"surface": "S2", "n": 11, "A": {"10,11": 1, "01,3": "2/3"}})
+    assert chi == sphere_character(11, {(10, 11): 1, (1, 3): Fraction(2, 3)})
+    assert character_to_json(chi)["A"] == {"1,3": "2/3", "10,11": 1}
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -112,6 +112,23 @@ def test_act_malformed_tau_is_usage_error(capsys):
     assert "--tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["\u0662 \u0661", "+2 1", "2 1_0", "2 x"])
+def test_act_tau_reads_ascii_integers(capsys, tau):
+    # int() reads the first three; '\u0662 \u0661' was taken as the swap
+    with pytest.raises(SystemExit) as exc:
+        main(["act", "--group", "P", "--surface", "T", "--n", "2", "--tau", tau,
+              "--char", '{"group":"P","surface":"T","n":2,"a":[0,1],"b":[0,1]}'])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: --tau must list integers, got {tau!r}\n")
+
+
+def test_classify_refuses_a_sphere_key_not_in_ascii(capsys):
+    code, out, err = run(capsys, "classify", "--group", "P", "--surface", "S2", "--n", "4",
+                         "--char", '{"surface":"S2","n":4,"A":{"\u0661,\u0663":1}}')
+    assert code == 1 and out == ""
+    assert err == "error: keys of 'A' must read 'i,j', got '\u0661,\u0663'\n"
+
+
 def test_enumerate_counts_and_determinism(capsys):
     first = run(capsys, "enumerate", "--group", "P", "--surface", "T", "--n", "3")
     second = run(capsys, "enumerate", "--group", "P", "--surface", "T", "--n", "3")

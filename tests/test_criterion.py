@@ -100,6 +100,17 @@ def test_case_parameters_must_be_exact(value):
     assert case_character(CertificateCase.G3T_A, "1/10", 1)[0].coords
 
 
+@pytest.mark.parametrize("value", ["1e100000", " 7 ", "1_0", "\u0663"])
+def test_case_parameters_read_strings_as_written(value):
+    # Fraction reads each of these strings, the first as a 100,001-digit integer
+    message = f"numbers must be integers or exact 'p/q' strings, got {value!r}"
+    for p, q in ((value, 1), (1, value)):
+        for build in (case_character, generate_lemma_certificates):
+            with pytest.raises(DomainError) as err:
+                build(CertificateCase.G3T_A, p, q)
+            assert str(err.value) == message
+
+
 def test_g4t_certificate_covers_both_layers():
     cert = generate_lemma_certificates(CertificateCase.G4T_B, 1, 5)
     assert str(cert.t) == "v^-1"

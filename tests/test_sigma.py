@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -458,3 +458,139 @@ def test_commutator_fg_flags():
             assert flag == expected.get((surface, n), False)
     with pytest.raises(UnsupportedGroupError):
         commutator_fg_flag(GroupContext("B", "T", 2))
+
+
+def test_sphere_is_empty_reads_the_layout():
+    # the answer for P_n(T), P_n(K) and P_n(S2) comes from their layouts
+    # without building the abelianization; it must agree with its free rank
+    from sigmabraid.sigma import _SUPPORTED, sphere_is_empty
+
+    for family, surface in sorted(_SUPPORTED):
+        for n in range(1, 10):
+            group = GroupContext(family, surface, n)
+            assert sphere_is_empty(group) == (abelianization(group).free_rank == 0), group
+
+
+def test_a_point_is_required_without_building_the_abelianization(monkeypatch):
+    # P_1000000(T) has two million free coordinates; refusing to decide
+    # without a point must not lay them out
+    import sigmabraid.sigma as sigma
+
+    def refuse(group):
+        raise AssertionError(f"built the abelianization of {group}")
+
+    monkeypatch.setattr(sigma, "abelianization", refuse)
+    for group in (T(1000000), K(1000000), S2(1000000)):
+        with pytest.raises(DomainError) as err:
+            decide_sigma(group)
+        assert str(err.value) == f"{group} has a nonempty sphere; a point is required"
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the label-keyed sphere decision
+#
+# The reference below is the sphere decision as it stood before the circle
+# systems became one table: it reads each coordinate through its "A[i,j]"
+# label and states both circle systems by hand.  Any later decision, such
+# as one that draws its candidates from the point's support, must agree
+# with it on membership, witness and cite.
+
+def _reference_coord(pt, i, j):
+    return pt.coords[pt.spec.positions[f"A[{i},{j}]"]]
+
+
+def _reference_p3(pt, n, i, j, k):
+    inside = {(i, j), (i, k), (j, k)}
+    for r, s in combinations(range(1, n + 1), 2):
+        if {r, s} != {1, 2} and (r, s) not in inside and _reference_coord(pt, r, s) != 0:
+            return None
+    p = _reference_coord(pt, i, k)
+    q = _reference_coord(pt, j, k)
+    if (i, j) != (1, 2) and _reference_coord(pt, i, j) != -(p + q):
+        return None
+    return (p, q)
+
+
+def _reference_p4(pt, n, i, j, k, l):
+    inside = {(i, j), (i, k), (i, l), (j, k), (j, l), (k, l)}
+    for r, s in combinations(range(1, n + 1), 2):
+        if {r, s} != {1, 2} and (r, s) not in inside and _reference_coord(pt, r, s) != 0:
+            return None
+    p = _reference_coord(pt, i, k)
+    q = _reference_coord(pt, i, l)
+    if _reference_coord(pt, j, l) != p or _reference_coord(pt, j, k) != q:
+        return None
+    if _reference_coord(pt, k, l) != -(p + q):
+        return None
+    if (i, j) != (1, 2) and _reference_coord(pt, i, j) != -(p + q):
+        return None
+    return (p, q)
+
+
+def _reference_decision(pt, n):
+    """(membership, witness key, cite) of the label-keyed subset scan."""
+    matches = []
+    for i, j, k in combinations(range(1, n + 1), 3):
+        pq = _reference_p3(pt, n, i, j, k)
+        if pq is not None:
+            matches.append((P3Circle(i, j, k), pq))
+    for i, j, k, l in combinations(range(1, n + 1), 4):
+        pq = _reference_p4(pt, n, i, j, k, l)
+        if pq is not None:
+            matches.append((P4Circle(i, j, k, l), pq))
+    assert len(matches) <= 1, matches
+    if matches:
+        return (IN_COMPLEMENT, matches[0][0].key(), "matched one circle system exactly")
+    return (IN_SIGMA1, None, "no circle system matches")
+
+
+def _circle_values(rng, n, size):
+    """A point on a random P3 (size 3) or P4 circle, a third of them on
+    strands through 1 and 2, whose pair has no coordinate."""
+    if rng.random() < 1 / 3:
+        strands = (1, 2, *sorted(rng.sample(range(3, n + 1), size - 2)))
+    else:
+        strands = tuple(sorted(rng.sample(range(1, n + 1), size)))
+    p, q = rng.choice([(p, q) for p in range(-3, 4) for q in range(-3, 4) if (p, q) != (0, 0)])
+    if size == 3:
+        i, j, k = strands
+        values = {(i, k): p, (j, k): q, (i, j): -(p + q)}
+    else:
+        i, j, k, l = strands
+        values = {(i, k): p, (j, l): p, (i, l): q, (j, k): q, (k, l): -(p + q), (i, j): -(p + q)}
+    values.pop((1, 2), None)
+    return values
+
+
+def _random_sphere_values(rng, n, kind):
+    pairs = [(i, j) for i, j in combinations(range(1, n + 1), 2) if (i, j) != (1, 2)]
+    if kind in ("p3", "p4"):
+        return _circle_values(rng, n, int(kind[1]))
+    if kind in ("p3-moved", "p4-moved"):
+        values = _circle_values(rng, n, int(kind[1]))
+        pair = rng.choice(pairs)
+        values[pair] = values.get(pair, 0) + rng.choice((-1, 1))
+        return values
+    if kind == "sparse":
+        return {pair: rng.choice((-2, -1, 1, 2, 3)) for pair in rng.sample(pairs, rng.randint(1, 5))}
+    return {pair: rng.randint(-3, 3) for pair in pairs}  # dense
+
+
+def test_sphere_decision_matches_the_label_keyed_reference():
+    rng = random.Random(20251)
+    kinds = ("p3", "p4", "p3-moved", "p4-moved", "sparse", "dense")
+    seen = {IN_COMPLEMENT: 0, IN_SIGMA1: 0}
+    points = 0
+    for n in range(4, 12):
+        for t in range(264):
+            values = _random_sphere_values(rng, n, kinds[t % len(kinds)])
+            if not any(values.values()):
+                continue
+            pt = sphere_point(sphere_character(n, values))
+            v = decide_sigma(S2(n), pt)
+            got = (v.membership, v.witness.key() if v.witness else None, v.justification)
+            assert got == _reference_decision(pt, n), (n, values)
+            seen[v.membership] += 1
+            points += 1
+    assert points >= 2000
+    assert min(seen.values()) >= 600, seen
