@@ -37,7 +37,8 @@ anywhere: coordinates are ints or fractions.Fraction.
 
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
-the lcm L of their denominators, and the exact integer value L*chi(g) of
+the lcm L of their denominators in integer arithmetic alone (as
+:func:`sphere_point` scales them), and the exact integer value L*chi(g) of
 every signed letter g met so far, keyed by the letter's code.
 :func:`evaluate` and :func:`nu`
 sum and minimise these integers and divide by L once at the end, so they
@@ -237,13 +238,22 @@ class Character:
         return LetterTable(self)
 
 
+def _scale_to_ints(coords: tuple[Rational, ...]) -> tuple[int, list[int]]:
+    """The lcm L of the denominators and L times each coordinate, in
+    integer arithmetic alone: L * (p/q) is p * (L // q), exact since q
+    divides L, so no Fraction is built, multiplied or truncated."""
+    scale = math.lcm(*[c.denominator for c in coords])
+    return scale, [c.numerator * (scale // c.denominator) for c in coords]
+
+
 class LetterTable:
     """A character on letters as exact integers.
 
     ``denominator`` is the lcm L of the coordinate denominators; ``values``
     maps the signed code (:attr:`GeneratorSymbol.code`) of each letter met
     so far to L times the character's value on that signed letter;
-    ``_scaled`` holds L times each coordinate by position, 0 on torsion.  A
+    ``_scaled`` holds L times each coordinate by position, 0 on torsion,
+    each computed as numerator * (L // denominator) with ints only.  A
     letter enters on first lookup, both signs at once, placed by the spec's
     validated table (:meth:`AbelianizationSpec.slots`); a letter that fails
     validation raises AlphabetError and never enters.
@@ -253,8 +263,8 @@ class LetterTable:
 
     def __init__(self, chi: Character):
         self.spec = chi.spec
-        self.denominator = math.lcm(*(Fraction(c).denominator for c in chi.coords))
-        self._scaled = [int(c * self.denominator) for c in chi.coords] + [0] * len(chi.spec.torsion)
+        self.denominator, self._scaled = _scale_to_ints(chi.coords)
+        self._scaled += [0] * len(chi.spec.torsion)
         self.values: dict[int, int] = {}
 
     def _enter(self, s: GeneratorSymbol) -> int:
@@ -274,13 +284,14 @@ class LetterTable:
         """L times the character on a word."""
         return sum(map(self.value, w.letters))
 
-    def lowest(self, value: int, w: Word) -> int:
-        """The least of the scaled values met walking ``w`` from a vertex of
-        scaled value ``value``, that vertex included: L times the
-        chi-minimum of the path."""
+    def lowest(self, value: int, letters: Iterable[GeneratorSymbol]) -> int:
+        """The least of the scaled values met walking ``letters`` (a Word or
+        any sequence of letters) from a vertex of scaled value ``value``,
+        that vertex included: L times the chi-minimum of the path.  Letters
+        are valued in order, so the first foreign one raises AlphabetError."""
         get = self.values.get
         lowest = value
-        for s in w.letters:
+        for s in letters:
             v = get(s.code)
             value += self._enter(s) if v is None else v
             if value < lowest:
@@ -391,14 +402,16 @@ class SpherePoint:
 
 
 def sphere_point(chi: Character) -> SpherePoint:
+    """The canonical point of a nonzero character: its coordinates scaled
+    to ints by the lcm L of their denominators, each numerator * (L //
+    denominator) with no Fraction arithmetic, then divided by their gcd."""
     if chi.is_zero():  # every character of a group with an empty sphere is zero
         raise DomainError(f"{chi.spec.group} has an empty character sphere; no points exist"
                           if not chi.spec.free_rank else "the zero character has no sphere point")
     # Lists, not generators, feed the tuples: CPython sizes a tuple built from
     # a generator by a guess and resizes it, and the freed tuples fill the
     # interpreter's per-size free lists, which keep their memory.
-    scale = math.lcm(*[c.denominator for c in chi.coords])
-    ints = [int(c * scale) for c in chi.coords]
+    ints = _scale_to_ints(chi.coords)[1]
     g = math.gcd(*ints)
     return SpherePoint(chi.spec, tuple([c // g for c in ints]))
 

@@ -74,6 +74,19 @@ def _emit_table(doc, prefix: str = "") -> None:
                 sys.stdout.write(f"{prefix}- {value}\n")
 
 
+def _integer(text: str) -> int:
+    """The ``type`` of every integer option: read as written, ASCII
+    -?[0-9]+ as the JSON fields are, so no non-ASCII digit, '_', blank or
+    '+' passes; a bad value is a usage error (exit 2).  Range checks stay
+    with each command."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the int -> str digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"must be an integer in ASCII digits, got {text!r}")
+
+
 def _group(args, parser) -> GroupContext:
     if args.n < 1:
         parser.error("--n must be >= 1")
@@ -90,7 +103,7 @@ def _witness_json(witness):
 def _add_group_args(sub):
     sub.add_argument("--group", required=True, choices=("P", "B"))
     sub.add_argument("--surface", required=True, choices=("T", "K", "S2", "RP2", "D"))
-    sub.add_argument("--n", required=True, type=int)
+    sub.add_argument("--n", required=True, type=_integer)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ball", help="bounded Cayley-ball connectivity sweep")
     p.add_argument("--model", required=True, choices=[m.value for m in ModelId])
     p.add_argument("--char", required=True)
-    p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--radius", type=_integer, default=6)
+    p.add_argument("--budget", type=_integer, default=None,
                    help="vertex cap (default 10^6)")
     p.add_argument("--target", action="append", help="word to test; may repeat")
 
     p = subs.add_parser("verify-relations", help="run the relation and equation suites")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--random-words", type=int, default=2000)
+    p.add_argument("--max-n", type=_integer, default=6)
+    p.add_argument("--random-words", type=_integer, default=2000)
 
     p = subs.add_parser("r-infinity", help="twisted-conjugacy certificate for P_n(K)")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_integer)
     p.add_argument("--matrix", help="integer matrix JSON acting on the b coordinates")
     p.add_argument("--perm", help="JSON list of [[i,j],[i',j']] complement point pairs")
 

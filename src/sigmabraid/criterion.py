@@ -23,11 +23,14 @@ checks are kept per process, and each chi pays for its margins alone:
 - A certificate checks its entries and endpoint equations itself, once
   (:attr:`PathCertificate.endpoints_checked`), and keeps the result when
   they hold; a failing certificate keeps nothing, so it is checked again
-  on every call and fails the same way.  ``verify_certificate`` reads
-  that check and computes the margins on every call, in the scaled
-  integers of the character's letter table, and builds one Fraction per
-  distinct scaled margin in a call, dividing by the table's denominator
-  L once for each.
+  on every call and fails the same way.  It also keeps its margin plan
+  (:attr:`PathCertificate.plan`): each entry's printed letter and path
+  letters, with the paths that are the letter z alone marked, since
+  their margin is chi(t) under every chi.  ``verify_certificate`` reads
+  that check and the plan and computes the margins on every call, in the
+  scaled integers of the character's letter table, and builds one
+  Fraction per distinct scaled margin in a call, dividing by the table's
+  denominator L once for each.
 
 Verification decides each inverse pair's endpoint equation once:
 t W = z t holds exactly when t W^-1 = z^-1 t, so an entry whose path word
@@ -129,7 +132,12 @@ class CertificateEntry(NamedTuple):
 @dataclass(frozen=True)
 class PathCertificate:
     """A base letter t plus, for every signed generator z, a word W_z with
-    t W_z = z t; context is a model or a pure braid group."""
+    t W_z = z t; context is a model or a pure braid group.
+
+    Two character-free reads are kept on the certificate once made:
+    :attr:`endpoints_checked`, the entries and endpoint equations, and
+    :attr:`plan`, each entry's printed z, z and path letters, None where
+    the path is z alone, whose margin is chi(t) for every chi."""
 
     context: ModelId | GroupContext
     t: GeneratorSymbol
@@ -185,6 +193,22 @@ class PathCertificate:
             pending[z.code] = letters
         return True
 
+    @cached_property
+    def plan(self) -> tuple[tuple[str, GeneratorSymbol, tuple[GeneratorSymbol, ...] | None], ...]:
+        """The character-free half of every margin, read by
+        :func:`verify_certificate`: one (printed z, z, path letters) triple
+        per entry, in entry order.  The letters are None when the path is
+        the letter z alone, since that margin is chi(t) under every
+        character: min(chi(t), chi(t) + chi(z)) - min(0, chi(z)) = chi(t).
+        The mark is read off each entry, so a certificate of any kind, built
+        or parsed from JSON, has it.  Not a field, so it stays out of eq,
+        hash and repr; built on the first read and kept."""
+        plan = []
+        for z, path_word, _ in self.entries:
+            letters = path_word.letters
+            plan.append((str(z), z, None if letters == (z,) else letters))
+        return tuple(plan)
+
 
 class MarginLine(NamedTuple):
     z: str
@@ -208,10 +232,14 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     The context must be a model, P_n(T) or P_n(K), and chi must live on it;
     otherwise a DomainError names the context or the character's group.
     Margins are computed on every call, in the scaled integers of
-    ``chi.letter_table``: with L its denominator, L m_z is the least scaled
-    value on the path t, t W_z (:meth:`LetterTable.lowest`) less
-    min(0, L chi(z)), and each distinct scaled margin is divided by L once
-    per call, its Fraction shared by the lines that have it.
+    ``chi.letter_table``, from the certificate's kept
+    :attr:`PathCertificate.plan`: with L the table's denominator, L m_z is
+    the least scaled value on the path t, t W_z (:meth:`LetterTable.lowest`,
+    the one walk) less min(0, L chi(z)), and for an entry whose path is z
+    alone it is L chi(t), the identity the plan records, though z is still
+    valued, so a letter foreign to chi raises as it would on the walk.
+    Each distinct scaled margin is divided by L once per call, its Fraction
+    shared by the lines that have it.
 
     The entries and the endpoint equations do not depend on chi: they
     are checked by the certificate's :attr:`PathCertificate.endpoints_checked`,
@@ -235,14 +263,19 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
                                f"got {Fraction(chi_t, table.denominator)}")
 
     checked = cert.endpoints_checked
+    value, lowest = table.value, table.lowest
     margins = {}  # one Fraction per distinct scaled margin
     lines = []
-    for z, path_word, _ in cert.entries:
-        margin = table.lowest(chi_t, path_word) - min(0, table.value(z))
-        value = margins.get(margin)
-        if value is None:
-            value = margins[margin] = Fraction(margin, table.denominator)
-        lines.append(MarginLine(str(z), value, checked, margin > 0))
+    for text, z, letters in cert.plan:
+        if letters is None:  # the path z alone
+            value(z)  # valued all the same, so a foreign z raises here
+            margin = chi_t
+        else:
+            margin = lowest(chi_t, letters) - min(0, value(z))
+        fraction = margins.get(margin)
+        if fraction is None:
+            fraction = margins[margin] = Fraction(margin, table.denominator)
+        lines.append(MarginLine(text, fraction, checked, margin > 0))
     passed = all(line.positive for line in lines)
     return CertificateReport(str(context), str(cert.t),
                              tuple(lines), passed, checked)
@@ -340,10 +373,11 @@ def _pair(z: GeneratorSymbol, w: Word, note: str) -> list[CertificateEntry]:
 
 
 # the most path letters the kept braid certificates may hold together.  A
-# certificate's own entries and words take 9-13 bytes per path letter, and
-# the trivial-path pairs it shares (``_triv``, two letters each) about 540
-# bytes a pair, emptied with the store: one P_200(T) certificate, 199,800
-# letters, holds 1.9 + 10.7 MB
+# certificate's own entries and words take 9-13 bytes per path letter, the
+# trivial-path pairs it shares (``_triv``, two letters each) about 540
+# bytes a pair, emptied with the store, and its margin plan, once verified,
+# 72 bytes an entry: one P_200(T) certificate, 199,800 letters in 40,600
+# entries, holds 1.9 + 10.7 + 2.9 MB
 CERTIFICATE_BUDGET = 2 ** 18
 
 

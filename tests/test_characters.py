@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -523,3 +524,50 @@ def test_abelianize_and_evaluate_match_the_label_reference(group):
             image = abelianize(group, w)
             assert (image.free, image.torsion) == (free, tor)
             assert evaluate(chi, w) == sum((c * e for c, e in zip(chi.coords, free)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Integer scaling against the Fraction formulas it replaced
+#
+# The letter table and sphere_point once scaled each coordinate by Fraction
+# multiplication and truncation; the formulas below are those, and the
+# integer scaling must give the same denominator and the same integers.
+
+def _fraction_scaled(coords, torsion):
+    denominator = math.lcm(*(Fraction(c).denominator for c in coords))
+    return denominator, [int(c * denominator) for c in coords] + [0] * torsion
+
+
+def _fraction_sphere_coords(coords):
+    scale = math.lcm(*[c.denominator for c in coords])
+    ints = [int(c * scale) for c in coords]
+    g = math.gcd(*ints)
+    return tuple([c // g for c in ints])
+
+
+def _wide_fraction(rng):
+    """Zero a fifth of the time; else numerators up to 10^40 of either sign
+    over denominators up to 10^12."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    numerator = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.choice((1, 3, 12, 40)))
+    return Fraction(numerator, rng.randint(1, 10 ** rng.choice((0, 1, 6, 12))))
+
+
+@pytest.mark.parametrize("group", _EVERY_FAMILY, ids=_label)
+def test_integer_scaling_matches_the_fraction_formulas(group):
+    rng = random.Random(f"scaling {_label(group)}")
+    spec = abelianization(group)
+    for _ in range(40):
+        chi = character(group, [_wide_fraction(rng) for _ in spec.free_labels])
+        table = chi.letter_table
+        denominator, scaled = _fraction_scaled(chi.coords, len(spec.torsion))
+        assert table.denominator == denominator
+        assert table._scaled == scaled and all(type(v) is int for v in table._scaled)
+        if chi.is_zero():
+            with pytest.raises(DomainError):
+                sphere_point(chi)
+            continue
+        pt = sphere_point(chi)
+        assert pt.coords == _fraction_sphere_coords(chi.coords)
+        assert type(chi.coords) is tuple and all(type(c) is Fraction for c in chi.coords)

@@ -420,3 +420,38 @@ def test_table_format(capsys):
                          "--group", "P", "--surface", "K", "--n", "2")
     assert code == 0
     assert "count: 2" in out
+
+
+_CHAR_T3 = '{"group":"P","surface":"T","n":3,"a":[0,0,0],"b":[0,-1,2]}'
+_INTEGER_OPTIONS = {
+    "classify --n": ["classify", "--group", "P", "--surface", "T", "--n", "{}", "--char", _CHAR_T3],
+    "enumerate --n": ["enumerate", "--group", "P", "--surface", "K", "--n", "{}"],
+    "act --n": ["act", "--group", "P", "--surface", "T", "--n", "{}", "--tau", "2 1 3",
+                "--char", _CHAR_T3],
+    "abelianize --n": ["abelianize", "--group", "P", "--surface", "T", "--n", "{}", "--word", "a1 b3"],
+    "r-infinity --n": ["r-infinity", "--n", "{}", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"],
+    "--max-n": ["verify-relations", "--max-n", "{}", "--random-words", "0"],
+    "--random-words": ["verify-relations", "--max-n", "1", "--random-words", "{}"],
+    "--radius": ["ball", "--model", "G2T", "--char", '{"model":"G2T","coords":{"x":1}}',
+                 "--radius", "{}"],
+    "--budget": [*_BALL, "--budget", "{}"],
+}
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", " 3", "+3"])
+@pytest.mark.parametrize("option", sorted(_INTEGER_OPTIONS))
+def test_integer_options_are_read_as_written(capsys, option, value):
+    # int() reads each of these values, so argparse's type=int took '٣'
+    # as 3 and '1_0' as 10
+    argv = [value if arg == "{}" else arg for arg in _INTEGER_OPTIONS[option]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": must be an integer in ASCII digits, got {value!r}\n")
+
+
+@pytest.mark.parametrize("option", sorted(_INTEGER_OPTIONS))
+def test_integer_options_accept_ascii_digits(capsys, option):
+    argv = ["3" if arg == "{}" else arg for arg in _INTEGER_OPTIONS[option]]
+    run_json(capsys, *argv)

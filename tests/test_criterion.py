@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from sigmabraid.characters import (
+    abelianization,
+    abelianize,
     character,
     evaluate,
     klein_character,
@@ -28,7 +30,8 @@ from sigmabraid.criterion import (
 )
 from sigmabraid.models import ModelId, parse_model_word
 from sigmabraid.sigma import IN_SIGMA1, decide_sigma
-from sigmabraid.words import IDENTITY, DomainError, GroupContext, Word, model_sym
+from sigmabraid.cli import _certificate_from_json, _certificate_to_json
+from sigmabraid.words import IDENTITY, AlphabetError, DomainError, GroupContext, Word, model_sym, sym_a
 
 
 def mword(text, model=ModelId.G3T):
@@ -1236,3 +1239,163 @@ def test_rows_list_the_neighbours_of_every_vertex(model, monkeypatch):
                 assert sorted(row) == sorted(w for w in nbrs[v] if w is not None), (model, v)
                 for w in row:
                     assert ball.rows[w].count(v) == row.count(w), (model, v, w)
+
+
+# ---------------------------------------------------------------------------
+# Margins from the kept plan, against an independent reference
+#
+# The reference values every prefix of each path by its abelianization,
+# dotted with the character's coordinates in Fractions, and knows nothing of
+# letter tables, scaling or the plan.
+
+def _prefix_images(cert):
+    """Per entry: the free abelian image of t and of every prefix of t W_z, and of z."""
+    def image(letters):
+        return abelianize(cert.context, Word(tuple(letters))).free
+
+    t = image((cert.t,))
+    return [([t] + [tuple(x + y for x, y in zip(t, image(e.path_word.letters[:k])))
+                    for k in range(1, len(e.path_word) + 1)], image((e.z,)))
+            for e in cert.entries]
+
+
+def _reference_report(cert, chi, images):
+    dot = lambda image: sum((c * e for c, e in zip(chi.coords, image) if e), Fraction(0))
+    lines = []
+    checked = cert.endpoints_checked
+    for e, (prefixes, z) in zip(cert.entries, images):
+        margin = min(map(dot, prefixes)) - min(0, dot(z))
+        lines.append(MarginLine(str(e.z), margin, checked, margin > 0))
+    return lines, all(line.positive for line in lines)
+
+
+def _mixed_character(rng, group, t):
+    """Seeded coordinates with mixed denominators and both signs, chi(t) > 0."""
+    spec = abelianization(group)
+    coords = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+              for _ in range(spec.free_rank)]
+    t_image = abelianize(group, Word((t,))).free  # one letter: one nonzero exponent
+    k = next(k for k, e in enumerate(t_image) if e)
+    coords[k] = t_image[k] * Fraction(rng.randint(1, 9), rng.choice((1, 4, 9)))
+    return character(group, coords)
+
+
+def _sweep_certificates():
+    rng = random.Random(2026)
+    for surface in ("T", "K"):
+        for n in range(2, 13):
+            group = GroupContext("P", surface, n)
+            for end in ("top", "low"):
+                chi = _dominant_character(rng, surface, n, end)
+                cert = generate_braid_certificate(group, chi)
+                yield cert, [chi, _broken_dominance(chi, end)] + \
+                    [_mixed_character(rng, group, cert.t) for _ in range(3)]
+    for case in CertificateCase:
+        p, q = Fraction(rng.randint(1, 9), 2), Fraction(rng.randint(1, 9), 3)
+        cert = generate_lemma_certificates(case, p, q)
+        yield cert, [case_character(case, p, q)[0]] + \
+            [_mixed_character(rng, cert.context, cert.t) for _ in range(3)]
+    # paths of one letter other than z, which no oracle checks past n = 4:
+    # only a path that is z itself has the margin chi(t)
+    for surface, n in (("T", 6), ("K", 7)):
+        group = GroupContext("P", surface, n)
+        chi = _dominant_character(rng, surface, n, "top")
+        cert = generate_braid_certificate(group, chi)
+        letters = sorted({e.z for e in cert.entries}, key=str)
+        entries = tuple(CertificateEntry(e.z, Word((rng.choice(letters),)), e.cite)
+                        if k % 3 == 0 else e for k, e in enumerate(cert.entries))
+        yield PathCertificate(group, cert.t, entries), \
+            [chi] + [_mixed_character(rng, group, cert.t) for _ in range(3)]
+
+
+def test_margins_match_the_prefix_abelianization_reference():
+    signs = Counter()
+    certificates = 0
+    for cert, chis in _sweep_certificates():
+        parsed = _certificate_from_json(_certificate_to_json(cert))
+        assert parsed == cert and parsed is not cert
+        assert parsed.plan == cert.plan  # the None marks are read off each entry
+        images = _prefix_images(cert)
+        for chi in chis:
+            lines, passed = _reference_report(cert, chi, images)
+            for c in (cert, parsed):
+                report = verify_certificate(c, chi)
+                assert list(report.lines) == lines and report.passed == passed
+                assert all(type(line.margin) is Fraction for line in report.lines)
+            signs.update((evaluate(chi, Word((e.z,))) > 0) - (evaluate(chi, Word((e.z,))) < 0)
+                         for e in cert.entries)
+            signs["failed"] += not passed
+        certificates += 1
+    assert certificates == 2 * 11 * 2 + 6 + 2
+    assert min(signs[1], signs[-1], signs[0], signs["failed"]) > 0, signs
+
+
+def test_the_plan_marks_the_paths_that_are_z_alone():
+    chi = torus_character(12, [0] * 12, [0] * 11 + [1])
+    cert = generate_braid_certificate(GroupContext("P", "T", 12), chi)
+    alone = 0
+    for (text, z, letters), e in zip(cert.plan, cert.entries):
+        assert text == str(e.z) and z is e.z
+        if e.path_word.letters == (e.z,):
+            assert letters is None
+            alone += 1
+        else:
+            assert letters == e.path_word.letters
+    assert 0 < alone < len(cert.entries)
+    # the margin of a path z alone is chi(t), whatever the sign of chi(z)
+    mixed = _mixed_character(random.Random(5), cert.context, cert.t)
+    report = verify_certificate(cert, mixed)
+    assert {line.margin for line, (_, _, letters) in zip(report.lines, cert.plan)
+            if letters is None} == {evaluate(mixed, Word((cert.t,)))}
+
+
+def test_a_second_character_reuses_the_plan(monkeypatch):
+    builds = []
+    built = PathCertificate.__dict__["plan"]
+    build = built.func
+
+    def counting(cert):
+        builds.append(cert)
+        return build(cert)
+
+    monkeypatch.setattr(built, "func", counting)
+    for cert, chis in (next(_sweep_certificates()),
+                       (generate_lemma_certificates(CertificateCase.G4T_B, 1, 1),
+                        [case_character(CertificateCase.G4T_B, 1, 1)[0],
+                         case_character(CertificateCase.G4T_B, 3, 2)[0]])):
+        cert = _fresh(cert)
+        del builds[:]
+        reports = [verify_certificate(cert, chi) for chi in chis]
+        assert len(builds) == 1 and "plan" in vars(cert)
+        assert reports[0] != reports[1]
+        assert "plan" not in repr(cert) and cert == _fresh(cert) and hash(cert) == hash(_fresh(cert))
+
+
+def _with_a7(cert):
+    a7 = sym_a(7)
+    return PathCertificate(cert.context, cert.t, cert.entries + (CertificateEntry(a7, Word((a7,)), ""),))
+
+
+def test_a_path_of_a_foreign_letter_alone_still_values_it():
+    chi = torus_character(6, [0] * 6, [0, 0, 0, 0, 0, 1])
+    cert = _with_a7(generate_braid_certificate(GroupContext("P", "T", 6), chi))
+    assert cert.plan[-1][2] is None
+    for _ in range(2):
+        with pytest.raises(AlphabetError) as info:
+            verify_certificate(cert, chi)
+        assert str(info.value) == "a7: index out of range for P_6(T) (need 1..6)"
+
+
+def test_checks_run_base_then_entries_then_letters():
+    group = GroupContext("P", "T", 6)
+    chi = torus_character(6, [0] * 6, [0, 0, 0, 0, 0, 1])
+    cert = generate_braid_certificate(group, chi)
+    short = PathCertificate(group, cert.t, cert.entries[1:])
+    # chi(t) <= 0 is reported before a missing entry
+    with pytest.raises(CertificateError) as info:
+        verify_certificate(short, torus_character(6, [0] * 6, [0, 0, 0, 0, 0, -1]))
+    assert str(info.value) == "base letter b6 needs chi(t) > 0, got -1"
+    # a missing entry is reported before a foreign letter
+    with pytest.raises(CertificateError) as info:
+        verify_certificate(_with_a7(short), chi)
+    assert str(info.value) == "certificate misses entries for: ['a1']"

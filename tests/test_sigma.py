@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -594,3 +595,101 @@ def test_sphere_decision_matches_the_label_keyed_reference():
             points += 1
     assert points >= 2000
     assert min(seen.values()) >= 600, seen
+
+
+# ---------------------------------------------------------------------------
+# Strand permutations of P_{n+1}(S2)
+#
+# The paper's permutation-invariance argument on the sphere: the pure braid
+# group's complement is a union of pieces that the n+1 strands permute.  The
+# free coordinates leave out A[1,2] and every A[k,n+1], so a point is lifted
+# to every strand pair before its strands are permuted; a P3 circle on
+# i < j < k is then the lifted four-strand circle on {i, j, k, n+1}.
+
+def _lift(n, values):
+    """A point of P_{n+1}(S2) given on its free coordinates, on every strand
+    pair: A[1,2] = -(sum of the free coordinates), and A[k,n+1] = -(sum of
+    A[k,j] over j <= n, j != k), the relation at strand k."""
+    full = {pair: values.get(pair, 0) for pair in combinations(range(1, n + 1), 2) if pair != (1, 2)}
+    full[1, 2] = -sum(full.values())
+    for k in range(1, n + 1):
+        full[k, n + 1] = -sum(full[min(j, k), max(j, k)] for j in range(1, n + 1) if j != k)
+    return full
+
+
+def _lifted_strands(piece, n):
+    if isinstance(piece, P3Circle):
+        return {piece.i, piece.j, piece.k, n + 1}
+    assert isinstance(piece, P4Circle), piece
+    return {piece.i, piece.j, piece.k, piece.l}
+
+
+def _check_sphere_decision_under_strand_permutations():
+    rng = random.Random(2608)
+    kinds = ("p3", "p4", "p3-moved", "p4-moved", "dense")
+    seen = {IN_COMPLEMENT: 0, IN_SIGMA1: 0}
+    for n in range(4, 10):
+        spec = abelianization(S2(n))
+        for t in range(40):
+            kind = kinds[t % len(kinds)]
+            values = _random_sphere_values(rng, n, kind)
+            if not any(values.values()):
+                continue
+            full = _lift(n, values)
+            for k in range(1, n + 2):  # every strand's relation holds on the lift
+                assert sum(v for pair, v in full.items() if k in pair) == 0
+            images = rng.sample(range(1, n + 2), n + 1)
+            sigma = dict(zip(range(1, n + 2), images))
+            moved = {tuple(sorted((sigma[i], sigma[j]))): v for (i, j), v in full.items()}
+            free = [moved[pair] for pair in combinations(range(1, n + 1), 2) if pair != (1, 2)]
+            g = math.gcd(*free)
+            before = decide_sigma(S2(n), sphere_point(sphere_character(n, values)))
+            after = decide_sigma(S2(n), SpherePoint(spec, tuple(v // g for v in free)))
+            assert before.membership == after.membership, (n, values, images)
+            seen[before.membership] += 1
+            if kind in ("p3", "p4"):
+                assert before.membership == IN_COMPLEMENT, (n, values)
+            if before.membership == IN_COMPLEMENT:
+                strands = _lifted_strands(before.witness, n)
+                assert {s for pair, v in full.items() if v for s in pair} == strands
+                assert _lifted_strands(after.witness, n) == {sigma[s] for s in strands}, \
+                    (n, values, images)
+    assert min(seen.values()) >= 60, seen
+
+
+def test_sphere_decision_commutes_with_strand_permutations():
+    _check_sphere_decision_under_strand_permutations()
+
+
+def _moved_coefficient(rows, r, c, f, d):
+    """The table with coefficient f (1: of p, 2: of q) of cell c in row r moved by d."""
+    piece, size, cells = rows[r]
+    cells = tuple((pair, cp + d * (f == 1), cq + d * (f == 2)) if k == c else (pair, cp, cq)
+                  for k, (pair, cp, cq) in enumerate(cells))
+    return tuple((piece, size, cells) if k == r else row for k, row in enumerate(rows))
+
+
+_TABLE_MUTANTS = {
+    "drop-p3": lambda rows: rows[1:],
+    "drop-p4": lambda rows: rows[:1],
+    **{f"p{r + 3}-cell{c}-{'pq'[f - 1]}{d:+d}": partial(_moved_coefficient, r=r, c=c, f=f, d=d)
+       for r, cells in ((0, 3), (1, 6)) for c in range(cells) for f in (1, 2) for d in (-1, 1)},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_TABLE_MUTANTS))
+def test_the_permutation_check_catches_a_broken_circle_table(monkeypatch, mutant):
+    # each mutant fails by a membership or witness mismatch, or by the
+    # decision's disjointness AssertionError
+    from sigmabraid import sigma
+
+    monkeypatch.setattr(sigma, "_CIRCLES", _TABLE_MUTANTS[mutant](sigma._CIRCLES))
+    with pytest.raises(AssertionError):
+        _check_sphere_decision_under_strand_permutations()
+
+
+def test_the_sphere_complement_counts_four_strand_subsets():
+    # one circle per four of the n+1 strands: C(n,3) P3 circles through
+    # strand n+1 and C(n,4) P4 circles
+    for n in range(4, 13):
+        assert enumerate_complement(S2(n)).count == math.comb(n + 1, 4)
