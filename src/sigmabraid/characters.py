@@ -300,10 +300,10 @@ class LetterTable:
 
 
 def _exact(v: Rational) -> Fraction:
-    """An exact rational, a string read as written; a float or a boolean is a DomainError."""
+    """An exact rational: a Fraction as it is, a string as written; a float or bool is a DomainError."""
     if isinstance(v, (float, bool)):
         raise DomainError(f"values must be exact rationals (int or Fraction), got {v!r}")
-    return _num_from_json(v) if isinstance(v, str) else Fraction(v)
+    return v if type(v) is Fraction else _num_from_json(v) if isinstance(v, str) else Fraction(v)
 
 
 def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Rational]) -> Character:

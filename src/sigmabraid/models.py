@@ -61,11 +61,13 @@ grow exponentially with its length, fails fast instead of exhausting
 memory.
 
 The tables ``_*_INTO`` store the defining actions g^-1 z g.  The inverse
-automorphisms ``_*_OUT`` (g z g^-1) are solved from them by hand and locked
-in by the composition tests: applying one table after the other must fix
-every letter.  At import each table is expanded once into the images of
-all signed letters of its fiber, fixed letters included, so conjugating a
-fiber word maps it in a single reducing pass with one lookup per letter.
+automorphisms z -> g z g^-1, a record's ``out``, are solved from them by
+:func:`_solve`, which solves the dictionaries too: the inverse sends each
+row's word g^-1 z g to z and fixes the letters outside the row.  The
+composition tests check each pair: applying one table after the other must
+fix every letter.  At import each table is expanded once into the images
+of all signed letters of its fiber, fixed letters included, so conjugating
+a fiber word maps it in a single reducing pass with one lookup per letter.
 
 Free words over a fiber are encoded as tuples of signed small ints
 (letter code k, inverse -k), always freely reduced.
@@ -105,8 +107,6 @@ from .words import (
     parse_symbols,
     product,
     reduce,
-    sym_a,
-    sym_b,
     sym_C,
 )
 
@@ -238,19 +238,11 @@ _G2K_INTO = {
     "a": {2: (-1, -1, 2)},
     "b": {1: (-1,), 2: (1, 2, 1)},
 }
-_G2K_OUT = {
-    "a": {2: (1, 1, 2)},
-    "b": {1: (-1,), 2: (1, 2, 1)},  # the b action is an involution
-}
 
 # G3T base letters acting on F(u,v,w); fiber codes u=1, v=2, w=3.
 _G3T_INTO = {
     "x": {2: (-1, 2, 1, -3)},
     "y": {1: (-2, 1, 2, 3)},
-}
-_G3T_OUT = {
-    "x": {2: (1, 2, 3, -1)},
-    "y": {1: (2, 1, -3, -2)},
 }
 
 # G4T base letters acting on F(ub,vb,w2,w3); fiber codes ub=1, vb=2, w2=3, w3=4.
@@ -265,13 +257,35 @@ _G4T_INTO = {
     "v": {1: (-2, 1, 2, 4), 3: (-2, -4, 3, 2, 4)},
     "w": {1: (4, -3, 1, 3, -4), 2: (4, -3, 2, 3, -4), 3: (4, 3, -4)},
 }
-_G4T_OUT = {
-    "x": {2: (1, 2, 3, -1)},
-    "y": {1: (2, 1, -3, -2)},
-    "u": {2: (1, 2, 4, -1), 3: (1, -4, 3, -1, 4)},
-    "v": {1: (2, 1, -4, -2), 3: (4, 2, 3, -4, -2)},
-    "w": {1: (-4, 3, 1, -3, 4), 2: (-4, 3, 2, -3, 4), 3: (-4, 3, 4)},
-}
+
+
+def _solve(images: dict, equations: Iterable[tuple], mul: Callable, inv: Callable,
+           neg: Callable) -> dict:
+    """Extend ``images``, which maps each known letter and its inverse
+    letter ``neg(c)`` to their images, by the equations image(w) = t.  Each
+    w must hold exactly one letter c without an image, once: with w = p c q,
+    image(c) = image(p)^-1 t image(q)^-1, where ``mul`` multiplies images
+    and ``inv`` inverts one.  Equations are solved in the order they become
+    solvable; a pass that solves nothing raises ValueError naming them."""
+    pending = list(equations)
+    while pending:
+        waiting = []
+        for w, t in pending:
+            letters = tuple(w)
+            free = [i for i, c in enumerate(letters) if c not in images]
+            if len(free) != 1:
+                waiting.append((w, t))
+                continue
+            i = free[0]
+            for c in letters[:i]:
+                t = mul(images[neg(c)], t)
+            for c in reversed(letters[i + 1:]):
+                t = mul(t, images[neg(c)])
+            images[letters[i]], images[neg(letters[i])] = t, inv(t)
+        if len(waiting) == len(pending):
+            raise ValueError("cannot solve " + ", ".join(f"image({w}) = {t}" for w, t in waiting))
+        pending = waiting
+    return images
 
 
 def _actions(letters: tuple[str, ...], into: dict, out: dict,
@@ -422,11 +436,18 @@ def _surface(surface: str) -> _Model:
                   (), {}, {}, {"a": 2 if surface == "K" else 0, "b": 0}, True)
 
 
-def _extend(base: _Model, letters: tuple[str, ...], into: dict, out: dict) -> _Model:
+def _extend(base: _Model, letters: tuple[str, ...], into: dict) -> _Model:
     """The model F(letters) |x base, one level up the Fadell-Neuwirth tower;
-    ``into`` and ``out`` give the action of every lower letter on the new
+    ``into`` gives the action g^-1 z g of every lower letter g on the new
     fiber (a letter without an entry acts trivially)."""
     k, rank = len(base.layers) + 2, len(letters)
+    # z -> g z g^-1, the inverse of g's row: it sends each row word g^-1 z g
+    # to z and fixes the letters outside the row
+    out = {}
+    for g, row in into.items():
+        fixed = {c: (c,) for j in range(1, rank + 1) if j not in row for c in (j, -j)}
+        images = _solve(fixed, [(img, (z,)) for z, img in row.items()], _fmul, _finv, int.__neg__)
+        out[g] = {z: images[z] for z in row}
     lower = tuple(_actions(layer, into, out, rank) for layer in reversed(base.layers))
     orders, odd = _relator_facts(letters, into)
     orders |= base.orders
@@ -457,10 +478,10 @@ def _push(level: tuple, below: Iterable, n: int, m: int, c: int):
     return z
 
 
-_G2T = _extend(_surface("T"), ("x", "y"), {}, {})
-_G2K = _extend(_surface("K"), ("x", "y"), _G2K_INTO, _G2K_OUT)
-_G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO, _G3T_OUT)
-_G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO, _G4T_OUT)
+_G2T = _extend(_surface("T"), ("x", "y"), {})
+_G2K = _extend(_surface("K"), ("x", "y"), _G2K_INTO)
+_G3T = _extend(_G2T, ("u", "v", "w"), _G3T_INTO)
+_G4T = _extend(_G3T, ("ub", "vb", "w2", "w3"), _G4T_INTO)
 
 _MODELS = {ModelId.G2T: _G2T, ModelId.G2K: _G2K, ModelId.G3T: _G3T, ModelId.G4T: _G4T}
 
@@ -603,7 +624,7 @@ def parse_model_word(text: str, model: ModelId) -> Word:
 # one of the equation-bank checks.
 
 # z -> c z c^-1 for the signed base codes a = 1, b = 2, built once
-_G2K_ACTS = _actions(("a", "b"), _G2K_INTO, _G2K_OUT, 2)
+_G2K_ACTS = _actions(("a", "b"), _G2K.into, _G2K.out, 2)
 
 
 def bruteforce_normalize_g2k(w: Word) -> NormalForm:
@@ -636,10 +657,9 @@ class IsoDictionary:
     """Letter dictionaries of one model isomorphism.
 
     ``to_braid`` sends each model letter to a pure braid word;
-    ``from_braid`` sends each braid generator (a_i, b_i and every C[i,j])
-    to a model word.  The two directions compose to the identity up to the
-    word-problem oracle; the C[1,i] entries are derived from the surface
-    relation rows and frozen after that oracle check (see tests).
+    ``from_braid``, solved from it by :func:`dictionary`, sends each braid
+    generator (a_i, b_i and every C[i,j]) to a model word.  The two
+    directions compose to the identity up to the word-problem oracle.
     """
 
     model: ModelId
@@ -687,65 +707,41 @@ def _substitute(images: dict[int, Word], w: Word) -> Word:
     return product(*parts)
 
 
-def _derive_c1(i: int, n: int, surface: str, from_braid: dict[GeneratorSymbol, Word]) -> Word:
-    """Solve the surface relation row i for C[1,i] in model letters.
+def _wall_row(surface: str, n: int, i: int) -> Word:
+    """Wall-crossing row i of the pure presentation, lhs = rhs, as the
+    relator lhs rhs^-1 (C[i+1,i+1] is trivial):
 
-    Torus row:  prod_{j>i} C[i,j]^-1 C[i+1,j]  = a_i b_i C[1,i] a_i^-1 b_i^-1
-    Klein row:  prod_{j>i} C[i,j]   C[i+1,j]^-1 = b_i C[1,i] a_i^-1 b_i^-1 a_i^-1
+    torus  prod_{j>i} C[i,j]^-1 C[i+1,j]  = a_i b_i C[1,i] a_i^-1 b_i^-1
+    Klein  prod_{j>i} C[i,j] C[i+1,j]^-1 = b_i C[1,i] a_i^-1 b_i^-1 a_i^-1
     """
     sign = -1 if surface == "T" else 1
-    raw: list[GeneratorSymbol] = []
-    for j in range(i + 1, n + 1):
-        raw.append(sym_C(i, j, sign))
-        if i + 1 < j:
-            raw.append(sym_C(i + 1, j, -sign))
-    prod_m = _substitute(_signed_images(from_braid.items()), reduce(raw))
-    a_i = from_braid[sym_a(i)]
-    b_i = from_braid[sym_b(i)]
-    if surface == "T":
-        parts = (b_i.inverse(), a_i.inverse(), prod_m, b_i, a_i)
-    else:
-        parts = (b_i.inverse(), prod_m, a_i, b_i, a_i)
-    return product(*parts)
+    lhs = reduce(sym_C(k, j, e) for j in range(i + 1, n + 1)
+                 for k, e in ((i, sign), (i + 1, -sign)) if k < j)
+    rhs = (f"a{i} b{i} C[1,{i}] a{i}^-1 b{i}^-1" if surface == "T"
+           else f"b{i} C[1,{i}] a{i}^-1 b{i}^-1 a{i}^-1")
+    return lhs * _mw(rhs).inverse()
+
+
+# the braid word of each model letter, by the strands of the model
+_TO_BRAID = {
+    2: {"x": "a2", "y": "b2", "a": "a1 a2", "b": "b2 b1"},
+    3: {"u": "a3", "v": "b3", "w": "C[2,3]", "x": "a2 a3", "y": "b2 b3",
+        "a": "a1 a2 a3", "b": "b1 b2 b3"},
+    4: {"ub": "a4", "vb": "b4", "w2": "C[2,4]", "w3": "C[3,4]",
+        "u": "a3 a4", "v": "b3 b4", "w": "C[2,3] C[2,4] C[3,4]^-1",
+        "x": "a2 a3 a4", "y": "b2 b3 b4", "a": "a1 a2 a3 a4", "b": "b1 b2 b3 b4"},
+}
 
 
 @cache
 def dictionary(model: ModelId) -> IsoDictionary:
     n, surface = _MODELS[model].n, _MODELS[model].surface
-    if n == 2:
-        to_braid = {"x": _mw("a2"), "y": _mw("b2"), "a": _mw("a1 a2"), "b": _mw("b2 b1")}
-        from_braid = {
-            sym_a(2): _mw("x"), sym_b(2): _mw("y"),
-            sym_a(1): _mw("a x^-1"), sym_b(1): _mw("y^-1 b"),
-        }
-    elif n == 3:
-        to_braid = {
-            "u": _mw("a3"), "v": _mw("b3"), "w": _mw("C[2,3]"),
-            "x": _mw("a2 a3"), "y": _mw("b2 b3"),
-            "a": _mw("a1 a2 a3"), "b": _mw("b1 b2 b3"),
-        }
-        from_braid = {
-            sym_a(3): _mw("u"), sym_b(3): _mw("v"), sym_C(2, 3): _mw("w"),
-            sym_a(2): _mw("x u^-1"), sym_b(2): _mw("y v^-1"),
-            sym_a(1): _mw("a x^-1"), sym_b(1): _mw("b y^-1"),
-        }
-    else:
-        to_braid = {
-            "ub": _mw("a4"), "vb": _mw("b4"), "w2": _mw("C[2,4]"), "w3": _mw("C[3,4]"),
-            "u": _mw("a3 a4"), "v": _mw("b3 b4"), "w": _mw("C[2,3] C[2,4] C[3,4]^-1"),
-            "x": _mw("a2 a3 a4"), "y": _mw("b2 b3 b4"),
-            "a": _mw("a1 a2 a3 a4"), "b": _mw("b1 b2 b3 b4"),
-        }
-        from_braid = {
-            sym_a(4): _mw("ub"), sym_b(4): _mw("vb"),
-            sym_C(2, 4): _mw("w2"), sym_C(3, 4): _mw("w3"),
-            sym_C(2, 3): _mw("w w3 w2^-1"),
-            sym_a(3): _mw("u ub^-1"), sym_b(3): _mw("v vb^-1"),
-            sym_a(2): _mw("x u^-1"), sym_b(2): _mw("y v^-1"),
-            sym_a(1): _mw("a x^-1"), sym_b(1): _mw("b y^-1"),
-        }
-    for i in range(n, 1, -1):
-        from_braid[sym_C(1, i)] = _derive_c1(i, n, surface, from_braid)
+    to_braid = {name: _mw(text) for name, text in _TO_BRAID[n].items()}
+    # each model letter is the image of its braid word; row i's relator maps to 1 (C[1,i])
+    equations = [(w, _mw(name)) for name, w in to_braid.items()]
+    equations += [(_wall_row(surface, n, i), Word()) for i in range(n, 1, -1)]
+    images = _solve({}, equations, product, Word.inverse, GeneratorSymbol.inverse)
+    from_braid = {s: img for s, img in images.items() if s.sign > 0}
     return IsoDictionary(model, surface, n, to_braid, from_braid)
 
 

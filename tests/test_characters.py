@@ -21,6 +21,7 @@ from sigmabraid.characters import (
     strand_blocks,
     torus_character,
 )
+from sigmabraid.characters import _exact  # internal under test
 from sigmabraid.criterion import explore_ball
 from sigmabraid.models import ModelId, dictionary, equation_bank, parse_model_word, random_model_word
 from sigmabraid.words import (
@@ -211,6 +212,13 @@ def test_characters_keep_exact_values():
     chi = character(ModelId.G2T, {"x": Fraction(1, 10), "y": 3})
     assert chi["x"] == Fraction(1, 10) and chi["y"] == 3
     assert chi.scale(Fraction(10)).coords == (1, 30, 0, 0)
+
+
+def test_exact_keeps_a_fraction_as_it_is():
+    # Fractions are immutable, so an exact one is not copied
+    f = Fraction(2, 3)
+    assert _exact(f) is f
+    assert _exact(3) == 3 and type(_exact(3)) is Fraction
 
 
 @pytest.mark.parametrize("build, value", [

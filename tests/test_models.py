@@ -23,6 +23,7 @@ from sigmabraid.models import (
 from sigmabraid.models import (  # internals under test
     _G2K_ACTS, _MODELS, _actions, _finv, _fmul, _map_signed, _relator_facts, _signed_table,
 )
+from sigmabraid.presentations import instantiate_presentation
 from sigmabraid.words import AlphabetError, DomainError, Word, model_sym, reduce, sym_a, sym_b, sym_C
 
 
@@ -381,6 +382,23 @@ def test_normal_forms_match_the_recorded_digest():
     assert digest.hexdigest() == "b3adf5391a3d89ff1c56a86168e547d7685d67b9e8010c4464745c166f6e1477"
 
 
+def test_derived_tables_match_the_recorded_digest():
+    # SHA-256 of every level's outward rows z -> g z g^-1 and every
+    # dictionary's from_braid images, sorted by printed letter, recorded
+    # from the hand-solved tables that the solver replaced.  It also pins
+    # the dictionaries where another isomorphism would pass G2T's
+    # relations (x -> a2^-1 or y -> b2^-1)
+    lines = []
+    for model in ModelId:
+        out = _MODELS[model].out
+        lines += [f"{model} {g} {z} {out[g][z]}" for g in sorted(out) for z in sorted(out[g])]
+        images = dictionary(model).from_braid
+        lines += [f"{model} {s} {images[s]}" for s in sorted(images, key=str)]
+    assert len(lines) == 47
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e2ab85b644f7319a3606cf8a583df0dc3ecaa38cdb321a0a9203514d287a3d14"
+
+
 def test_normalize_is_the_fold_of_step():
     rng = random.Random(29)
     lengths = {ModelId.G2T: (0, 1, 40, 400), ModelId.G2K: (0, 1, 40, 400),
@@ -478,6 +496,60 @@ def test_action_tables_map_every_signed_fiber_code():
                 assert table[-k] == _finv(table[k])
 
 
+@pytest.mark.parametrize("row, equations", [
+    # each row word needs the other's letter
+    ({1: (2, 1), 2: (1, 2)}, "image((2, 1)) = (1,), image((1, 2)) = (2,)"),
+    # the one unknown letter y occurs twice
+    ({2: (2, 1, 2)}, "image((2, 1, 2)) = (2,)"),
+])
+def test_extend_refuses_rows_it_cannot_solve(row, equations):
+    # the first pass solves nothing, so the build stops there and names
+    # every equation left
+    with pytest.raises(ValueError) as err:
+        models._extend(models._surface("K"), ("x", "y"), {"a": row})
+    assert str(err.value) == f"cannot solve {equations}"
+
+
+def _sign_flips(into):
+    """Every table that differs from ``into`` in the sign of one letter of
+    one row word."""
+    for g, row in into.items():
+        for z, img in row.items():
+            for i in range(len(img)):
+                yield {**into, g: {**row, z: img[:i] + (-img[i],) + img[i + 1:]}}
+
+
+def test_into_mistakes_are_caught_without_hand_solved_outward_tables(monkeypatch):
+    # the outward tables are solved from the INTO rows, so a wrong row no
+    # longer meets a hand-written inverse that disagrees with it; each
+    # sign flip must still fail to build or break a pure relation
+    built = 0
+    for model, base, into in ((ModelId.G2K, models._surface("K"), models._G2K_INTO),
+                              (ModelId.G3T, models._G2T, models._G3T_INTO),
+                              (ModelId.G4T, models._G3T, models._G4T_INTO)):
+        rec, dic = _MODELS[model], dictionary(model)
+        relations = instantiate_presentation("P", rec.surface, rec.n).relations
+
+        def holds(r):
+            try:
+                return words_equal(model, translate(dic, r.lhs, "to_model"),
+                                   translate(dic, r.rhs, "to_model"))
+            except FiberBudgetError:
+                return False
+
+        assert all(map(holds, relations))
+        for mutant in _sign_flips(into):
+            try:
+                fresh = models._extend(base, rec.layers[0], mutant)
+            except ValueError:
+                continue
+            built += 1
+            monkeypatch.setitem(_MODELS, model, fresh)
+            assert not all(map(holds, relations)), (model, mutant)
+            monkeypatch.setitem(_MODELS, model, rec)
+    assert built == 34  # the other 20 of the 54 flips fail to build
+
+
 def test_fiber_budget_bounds_components_and_appended_words(monkeypatch):
     monkeypatch.setattr(models, "FIBER_BUDGET", 5)
     # a component of exactly the budget is fine, one letter more is not
@@ -564,7 +636,7 @@ def test_g2k_states_do_not_depend_on_the_table_cache(monkeypatch):
     words = [random_model_word(ModelId.G2K, rng, 16) for _ in range(400)]
     words += [w("a", ModelId.G2K) ** k * word for k in (7, -9, 13) for word in words[:40]]
     expected = [normalize(ModelId.G2K, word).state for word in words]
-    fresh = models._extend(models._surface("K"), ("x", "y"), models._G2K_INTO, models._G2K_OUT)
+    fresh = models._extend(models._surface("K"), ("x", "y"), models._G2K_INTO)
     monkeypatch.setitem(_MODELS, ModelId.G2K, fresh)
     monkeypatch.setattr(models, "FIBER_BUDGET", 120)
     assert [normalize(ModelId.G2K, word).state for word in words] == expected
@@ -589,7 +661,7 @@ def _letters_held(table, seen):
 def test_a_lone_letter_after_a_huge_power_builds_only_its_own_images(monkeypatch):
     # x is fixed by a, so each power of a is read at x alone: about one
     # letter per power, not the 2^20 letters of y's image under a^(2^19)
-    fresh = models._extend(models._surface("K"), ("x", "y"), models._G2K_INTO, models._G2K_OUT)
+    fresh = models._extend(models._surface("K"), ("x", "y"), models._G2K_INTO)
     monkeypatch.setitem(_MODELS, ModelId.G2K, fresh)
     word = Word((model_sym("a"),) * 2 ** 19 + (model_sym("x"),))
     assert normalize(ModelId.G2K, word).state == ((1,), 2 ** 19, 0)
