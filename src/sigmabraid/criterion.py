@@ -61,10 +61,18 @@ ball per model is kept, the largest swept so far and never larger than
 the budget it was swept under; because vertices are numbered in
 breadth-first order, a sweep to a smaller radius, or one cut by a vertex
 budget, is a prefix of it.  Each query sums chi down the tree of the
-prefix's classes, marks the nonnegative vertices by class, and searches
-the prefix; it finds its unreached sample and its targets through the
-sample order.  A bounded sweep can certify reachability but never
-disconnection; the report says so explicitly.
+prefix's classes and marks the nonnegative part by class.  On a prefix
+of the kept ball that ends at a whole distance it searches pieces: a
+piece is a connected set of prefix vertices of one class, joined by the
+edges that keep the class (those along letters of finite abelian order),
+so chi is constant on it and the nonnegative part is a union of pieces.
+The kept ball stores the piece graph of such a prefix once the first
+query reads it.  A query that sweeps its own ball, one on a prefix the
+budget cuts, and one on a model whose letters are all free, where every
+piece is a single vertex, search the vertices.  A query finds its
+unreached sample and its targets through the sample order.  A bounded
+sweep can certify reachability but never disconnection; the report says
+so explicitly.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import chain, islice, pairwise
+from itertools import chain, compress, islice, pairwise
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -556,6 +564,22 @@ def _ball_budget(budget: int | None) -> int:
     return budget
 
 
+class _Pieces(NamedTuple):
+    """The pieces of a whole-distance prefix of a kept ball, the vertices
+    0 .. n - 1: the connected sets of prefix vertices of one abelian class,
+    joined by prefix edges that keep the class, which are the edges along
+    letters of finite abelian order.  Every character is constant on a
+    piece, so the chi-nonnegative part of the prefix is a union of pieces,
+    and it is connected inside the prefix exactly as its pieces are in the
+    piece graph."""
+
+    piece: array  # vertex v -> the number of its piece
+    cls: array  # piece p -> its abelian class
+    size: array  # piece p -> its vertex count
+    adj: list[tuple[int, ...]]  # piece p -> the other pieces joined to it by an edge, once each
+    leaf: list[bool]  # piece p has exactly one neighbouring piece
+
+
 @dataclass(frozen=True, eq=False)
 class _Ball:
     """The character-free part of a breadth-first sweep of a model's Cayley
@@ -575,7 +599,9 @@ class _Ball:
     radius-r shell of a whole sweep holds its neighbours inside the ball
     only.  ``order`` lists the vertices in the sample order of
     :func:`_order`, and ``texts`` holds the spelled word of each vertex
-    sampled so far."""
+    sampled so far.  ``pieces[d]`` is the :class:`_Pieces` table of the
+    prefix of the vertices at distance <= d, built by :func:`_pieces` for
+    the first query that searches that prefix by pieces."""
 
     radius: int
     sizes: array
@@ -588,6 +614,7 @@ class _Ball:
     rows: list[tuple[int, ...]]
     order: array
     texts: dict[int, str]
+    pieces: dict[int, _Pieces]
 
 
 # the whole ball of the largest radius swept so far, one per model
@@ -729,8 +756,53 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     else:
         rows += map(tuple, _shell_rows(model, rows, states, index))
     ball = _Ball(radius, sizes, parent, letter, cls, csizes, classes.parent, classes.letter,
-                 rows, _order(sizes, states), {})
+                 rows, _order(sizes, states), {}, {})
     return ball, truncated
+
+
+def _pieces(ball: _Ball, n: int) -> _Pieces:
+    """The pieces of the prefix 0 .. n - 1 of a whole ball, numbered in the
+    order of their least vertices.  An edge keeps the class exactly when
+    its ends share ``cls``, so each piece is searched out of the rows by
+    that test; ``members`` then lists the vertices piece by piece, and a
+    mark per piece, the last piece that listed it, lists each neighbouring
+    piece once."""
+    rows, cls = ball.rows, ball.cls
+    piece = array("i", [-1]) * n
+    members = array("i")
+    start = [0]  # piece p has the members start[p] .. start[p + 1] - 1
+    pcls = array("i")
+    for v in range(n):
+        if piece[v] < 0:
+            p, c = len(pcls), cls[v]
+            pcls.append(c)
+            piece[v] = p
+            members.append(v)
+            i = start[-1]
+            while i < len(members):
+                for w in rows[members[i]]:
+                    if w < n and piece[w] < 0 and cls[w] == c:
+                        piece[w] = p
+                        members.append(w)
+                i += 1
+            start.append(len(members))
+    count = len(pcls)
+    ids = list(range(count))  # one int per piece, shared by every tuple that lists it
+    mark = array("i", [-1]) * count
+    adj = []
+    for p, (lo, hi) in enumerate(pairwise(start)):
+        mark[p] = p  # a piece is not its own neighbour
+        nbrs = []
+        for u in members[lo:hi]:
+            for w in rows[u]:
+                if w < n:
+                    q = piece[w]
+                    if mark[q] != p:
+                        mark[q] = p
+                        nbrs.append(ids[q])
+        adj.append(tuple(nbrs))
+    return _Pieces(piece, pcls, array("i", [hi - lo for lo, hi in pairwise(start)]), adj,
+                   [len(nbrs) == 1 for nbrs in adj])
 
 
 def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
@@ -807,13 +879,31 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     keeps every sign); the base is the first letter of positive value,
     or the identity when chi is zero.  It sums these values down the
     tree of the prefix's abelian classes, which are far fewer than its
-    vertices, and marks the nonnegative vertices by their class.  The
-    search reads one row per reached vertex and keeps only the
-    neighbours inside the prefix: every number from n on stands for a
-    state outside it.  The unreached sample is the first ten unreached
-    vertices in the ball's ``order``; each is spelled once per ball and
-    its text reused.  Each target is normalised and looked up in
-    ``order`` by :func:`_vertex_of`.
+    vertices, and marks the nonnegative classes.
+
+    A query on the kept ball whose prefix ends at a whole distance d,
+    on a model with a letter of finite abelian order, searches pieces
+    (:class:`_Pieces`): the connected sets of prefix vertices of one
+    class, joined by the prefix edges that keep the class.  The table of
+    the distance-d prefix is built by the first such query and kept in
+    ``ball.pieces``.  A piece is nonnegative when its class is, the
+    nonnegative count is the sum of those pieces' sizes, and the search
+    runs on the piece graph from the base vertex's piece; a piece with
+    one neighbouring piece is reached from it and not expanded.  Only
+    when a nonnegative piece is left unreached are the flags mapped back
+    to the vertices, for the unreached sample and the targets.  Every
+    other query searches the vertices: one that sweeps its own ball, one
+    on a prefix the budget cuts, and one on a model whose letters are
+    all free, where every piece is a single vertex.  The vertex search
+    marks the nonnegative vertices by class, reads one row per reached
+    vertex and keeps only the neighbours inside the prefix: every number
+    from n on stands for a state outside it.  Both searches give the
+    same report.
+
+    The unreached sample is the first ten unreached vertices in the
+    ball's ``order``; each is spelled once per ball and its text reused.
+    Each target is normalised and looked up in ``order`` by
+    :func:`_vertex_of`.
 
     The budget caps the number of vertices; it defaults to 10^6 and must
     be at least 1."""
@@ -833,9 +923,17 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     base_k = min((k for k, v in enumerate(moves) if v > 0), key=lambda k: k & 1, default=None)
 
     ball = _BALLS.get(model)
+    pieces = None
     if ball is not None and (radius <= ball.radius or budget < ball.sizes[-1]):
-        whole = ball.sizes[min(radius, ball.radius)]
+        d = min(radius, ball.radius)
+        whole = ball.sizes[d]
         n, truncated = min(whole, budget), whole > budget
+        # a whole-distance prefix is searched by pieces, unless every letter
+        # is free, so that every piece is a single vertex
+        if not truncated and any(order for _, order in model.letter_orders):
+            pieces = ball.pieces.get(d)
+            if pieces is None:
+                pieces = ball.pieces[d] = _pieces(ball, n)
     else:
         ball, truncated = _sweep(model, radius, budget)
         n = ball.sizes[-1]
@@ -843,6 +941,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
             _BALLS[model] = ball
 
     value = _class_values(ball, n, moves)
+    nonneg_class = [val >= 0 for val in value]
 
     if base_k is None:
         base_word = IDENTITY
@@ -851,31 +950,56 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         base_word = Word((signed[base_k],))
         base = ball.rows[0][base_k]
 
-    # open_[v]: v is nonnegative and not yet reached; every id from n on
-    # stands for a state outside the prefix
-    open_ = list(map([val >= 0 for val in value].__getitem__, ball.cls[:n]))
-    nonnegative = sum(open_)
-    open_ += [False] * (len(ball.parent) + 1 - n)
-    reached = 0
-    if open_[base]:
-        open_[base] = False
-        reached = 1
-        todo = [base]
-        rows = ball.rows
-        while todo:
-            for w in rows[todo.pop()]:
-                if open_[w]:
-                    open_[w] = False
-                    reached += 1
-                    todo.append(w)
+    if pieces is None:
+        # open_[v]: v is nonnegative and not yet reached; every id from n on
+        # stands for a state outside the prefix
+        open_ = list(map(nonneg_class.__getitem__, ball.cls[:n]))
+        nonnegative = sum(open_)
+        open_ += [False] * (len(ball.parent) + 1 - n)
+        reached = 0
+        if open_[base]:
+            open_[base] = False
+            reached = 1
+            todo = [base]
+            rows = ball.rows
+            while todo:
+                for w in rows[todo.pop()]:
+                    if open_[w]:
+                        open_[w] = False
+                        reached += 1
+                        todo.append(w)
+    else:
+        # the same search on the piece graph; a piece with one neighbour is
+        # reached from it and has nothing more to open
+        popen = list(map(nonneg_class.__getitem__, pieces.cls))
+        nonnegative = sum(compress(pieces.size, popen))
+        p = pieces.piece[base]
+        if popen[p]:
+            popen[p] = False
+            todo = [p]
+            adj, leaf = pieces.adj, pieces.leaf
+            while todo:
+                for q in adj[todo.pop()]:
+                    if popen[q]:
+                        popen[q] = False
+                        if not leaf[q]:
+                            todo.append(q)
+        reached = nonnegative - sum(compress(pieces.size, popen))
+        # the vertices of the pieces left open, wanted only when there are any
+        open_ = None
+        if nonnegative > reached:
+            open_ = list(map(popen.__getitem__, pieces.piece))
+            open_ += [False] * (len(ball.parent) + 1 - n)
 
-    unreached = islice(filter(open_.__getitem__, ball.order), min(nonnegative - reached, 10))
+    unreached = ()
+    if nonnegative > reached:
+        unreached = islice(filter(open_.__getitem__, ball.order), min(nonnegative - reached, 10))
     sample = tuple(_spelled(model, ball, v) for v in unreached)
     target_reports = []
     for tw in targets:
         w = _vertex_of(model, ball, n, normalize(model, tw).state)
-        nonneg = w is not None and value[ball.cls[w]] >= 0
-        target_reports.append(TargetReport(
-            serialize_word(tw), w is not None, nonneg, nonneg and not open_[w]))
+        nonneg = w is not None and nonneg_class[ball.cls[w]]
+        reachable = nonneg and (nonnegative == reached or not open_[w])
+        target_reports.append(TargetReport(serialize_word(tw), w is not None, nonneg, reachable))
     return BallReport(model, radius, serialize_word(base_word) or "1",
                       n, nonnegative, reached, truncated, sample, tuple(target_reports))

@@ -957,6 +957,22 @@ def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
                     same(model, chi, r, given, budget)
             same(model, chi, r, targets)
     _assert_coverage(counts)
+    # the benchmark's largest kept balls, read at every whole distance: by
+    # pieces on G2K, G3T and G4T, by vertices on G2T, whose letters are all
+    # free; the piece search leaves nonnegative pieces unreached or not
+    searches = Counter()
+    cases = [*_random_ball_cases(seed=29, per_model=3),
+             *((model, character(model, {}), None, [mword("a b", model)]) for model in ModelId)]
+    for model, radius in _BENCH_RADII.items():
+        balls.clear()
+        explore_ball(model, character(model, {}), radius)  # keeps the ball
+        for _, chi, _, targets in (case for case in cases if case[0] is model):
+            for d in range(1, radius + 1):
+                same(model, chi, d, targets)
+            report = explore_ball(model, chi, radius, targets)
+            searches[model, report.reachable_count < report.nonnegative_count] += 1
+        assert sorted(balls[model].pieces) == ([] if model is ModelId.G2T else list(range(1, radius + 1)))
+    assert set(searches) == {(model, unreached) for model in ModelId for unreached in (False, True)}, searches
 
 
 # ---------------------------------------------------------------------------
@@ -1104,6 +1120,82 @@ def test_cached_sample_texts_equal_fresh_spellings(monkeypatch):
         again = [explore_ball(model, chi, r, budget=b) for chi, r, b in queries]
         assert not calls
         assert again == first
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_only_whole_prefixes_of_a_kept_ball_are_searched_by_pieces(model, monkeypatch):
+    balls = _cold_balls(monkeypatch)
+    chi = next(_seeded_characters(model, random.Random(f"pieces:{model.value}"), 2))
+    by_pieces = any(order for _, order in model.letter_orders)  # G2T: every letter free
+    explore_ball(model, chi, _CLASS_RADII[model])  # sweeps its own ball
+    ball = balls[model]
+    assert ball.pieces == {}
+    # a prefix the budget cuts keeps the vertex search, and the first query
+    # on a whole-distance prefix builds its table
+    tabled = set()
+    for r, budget, _ in _prefixes(ball, model):
+        report = explore_ball(model, chi, r, budget=budget)
+        if by_pieces and not report.truncated:
+            tabled.add(r)
+        assert set(ball.pieces) == tabled, (r, budget)
+    assert bool(tabled) == by_pieces
+    for d, pieces in ball.pieces.items():
+        n = ball.sizes[d]
+        assert len(pieces.piece) == n
+        members = [[] for _ in pieces.cls]
+        for v in range(n):
+            members[pieces.piece[v]].append(v)
+        # each piece lies inside one class, and the sizes sum to n
+        assert list(pieces.size) == list(map(len, members)) and sum(pieces.size) == n
+        for p, vs in enumerate(members):
+            assert {ball.cls[v] for v in vs} == {pieces.cls[p]}
+        # no edge that keeps the class joins two pieces, and such edges join
+        # each piece into one
+        for p, vs in enumerate(members):
+            seen, todo = {vs[0]}, [vs[0]]
+            while todo:
+                for w in ball.rows[todo.pop()]:
+                    if w < n and ball.cls[w] == pieces.cls[p]:
+                        assert pieces.piece[w] == p, (d, p, w)
+                        if w not in seen:
+                            seen.add(w)
+                            todo.append(w)
+            assert seen == set(vs), (d, p)
+            # the neighbouring pieces, once each
+            nbrs = {pieces.piece[w] for v in vs for w in ball.rows[v] if w < n} - {p}
+            assert sorted(pieces.adj[p]) == sorted(nbrs), (d, p)
+            assert pieces.leaf[p] == (len(nbrs) == 1)
+
+
+def test_piece_tables_take_less_memory_than_the_rows(monkeypatch):
+    import tracemalloc
+
+    from sigmabraid.criterion import _pieces
+
+    balls = _cold_balls(monkeypatch)
+    model = ModelId.G4T
+    chi = character(model, {"vb": 1, "a": -1})
+    explore_ball(model, chi, 3)
+    ball = balls[model]
+    for d in (1, 2, 3):
+        explore_ball(model, chi, d)
+    assert sorted(ball.pieces) == [1, 2, 3]
+    tracemalloc.start()
+    try:
+        # a copy of the rows with objects of its own: the list, a tuple per
+        # row and one int per vertex number, at most what the kept rows hold
+        before = tracemalloc.get_traced_memory()[0]
+        ints = [int(str(v)) for v in range(len(ball.rows) + 1)]
+        rows = [tuple(map(ints.__getitem__, row)) for row in ball.rows]
+        del ints
+        rows_bytes = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        tables = [_pieces(ball, ball.sizes[d]) for d in (1, 2, 3)]
+        pieces_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rows == ball.rows and tables == [ball.pieces[d] for d in (1, 2, 3)]
+    assert pieces_bytes < rows_bytes, (pieces_bytes, rows_bytes)
 
 
 # ---------------------------------------------------------------------------
