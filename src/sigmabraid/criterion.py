@@ -62,28 +62,30 @@ the budget it was swept under; because vertices are numbered in
 breadth-first order, a sweep to a smaller radius, or one cut by a vertex
 budget, is a prefix of it.  Each query sums chi down the tree of the
 prefix's classes and marks the nonnegative part by class.  On a prefix
-of the kept ball that ends at a whole distance it searches pieces: a
-piece is a connected set of prefix vertices of one class, joined by the
-edges that keep the class (those along letters of finite abelian order),
-so chi is constant on it and the nonnegative part is a union of pieces.
-The kept ball stores the piece graph of such a prefix once the first
-query reads it.  A query that sweeps its own ball, one on a prefix the
-budget cuts, and one on a model whose letters are all free, where every
-piece is a single vertex, search the vertices.  A query finds its
-unreached sample and its targets through the sample order.  A bounded
-sweep can certify reachability but never disconnection; the report says
-so explicitly.
+of the kept ball that ends at a whole distance it searches pieces, on
+every model: a piece is a connected set of prefix vertices of one class,
+joined by the edges that keep the class (those along letters of finite
+abelian order), so chi is constant on it and the nonnegative part is a
+union of pieces.  Where every letter is free (G2T) each piece is a
+single vertex and the piece graph is the prefix's own graph.  The kept
+ball stores the piece graph of such a prefix once the first query reads
+it, and a query on it makes no pass over the vertices: it reads its
+unreached sample off the pieces of the vertices in the sample order,
+stopping at the tenth, and each target's flag off its piece.  Only a
+query that sweeps its own ball and one on a prefix the budget cuts
+search the vertices.  A bounded sweep can certify reachability but never
+disconnection; the report says so explicitly.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, compress, islice, pairwise
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 from .characters import (
@@ -564,20 +566,32 @@ def _ball_budget(budget: int | None) -> int:
     return budget
 
 
-class _Pieces(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _Pieces:
     """The pieces of a whole-distance prefix of a kept ball, the vertices
     0 .. n - 1: the connected sets of prefix vertices of one abelian class,
     joined by prefix edges that keep the class, which are the edges along
     letters of finite abelian order.  Every character is constant on a
     piece, so the chi-nonnegative part of the prefix is a union of pieces,
     and it is connected inside the prefix exactly as its pieces are in the
-    piece graph."""
+    piece graph.  On a model whose letters are all free every piece is a
+    single vertex, numbered as the vertex, and the piece graph is the
+    prefix's own graph.
+
+    Two reads serve every query without a pass over the vertices:
+    ``flags`` maps the list of class flags to the tuple of piece flags in
+    one call, and ``ordered`` gives the piece of each prefix vertex in the
+    sample order, whose first n entries are the prefix.  ``flags`` is
+    built from ``cls`` and stays out of eq and repr, so a table built
+    again compares equal to the kept one."""
 
     piece: array  # vertex v -> the number of its piece
-    cls: array  # piece p -> its abelian class
+    cls: tuple[int, ...]  # piece p -> its abelian class
     size: array  # piece p -> its vertex count
     adj: list[tuple[int, ...]]  # piece p -> the other pieces joined to it by an edge, once each
-    leaf: list[bool]  # piece p has exactly one neighbouring piece
+    leaf: bytes  # piece p has exactly one neighbouring piece
+    ordered: array  # i -> the piece of the prefix vertex ball.order[i]
+    flags: itemgetter = field(compare=False, repr=False)  # class flags -> the flags of the pieces
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,7 +615,9 @@ class _Ball:
     :func:`_order`, and ``texts`` holds the spelled word of each vertex
     sampled so far.  ``pieces[d]`` is the :class:`_Pieces` table of the
     prefix of the vertices at distance <= d, built by :func:`_pieces` for
-    the first query that searches that prefix by pieces."""
+    the first warm query on that prefix; on every model, so on G2T too,
+    where each piece is one vertex and the table shares the rows that lie
+    inside the prefix."""
 
     radius: int
     sizes: array
@@ -766,7 +782,9 @@ def _pieces(ball: _Ball, n: int) -> _Pieces:
     its ends share ``cls``, so each piece is searched out of the rows by
     that test; ``members`` then lists the vertices piece by piece, and a
     mark per piece, the last piece that listed it, lists each neighbouring
-    piece once."""
+    piece once.  A piece whose neighbours, in order, are its first vertex's
+    row shares that row instead of a copy: on a model whose letters are
+    all free, every vertex whose row lies inside the prefix."""
     rows, cls = ball.rows, ball.cls
     piece = array("i", [-1]) * n
     members = array("i")
@@ -787,7 +805,9 @@ def _pieces(ball: _Ball, n: int) -> _Pieces:
                 i += 1
             start.append(len(members))
     count = len(pcls)
-    ids = list(range(count))  # one int per piece, shared by every tuple that lists it
+    # one int per piece, shared by every tuple that lists it; a class has a
+    # piece, so the class numbers are among them
+    ids = list(range(count))
     mark = array("i", [-1]) * count
     adj = []
     for p, (lo, hi) in enumerate(pairwise(start)):
@@ -800,9 +820,14 @@ def _pieces(ball: _Ball, n: int) -> _Pieces:
                     if mark[q] != p:
                         mark[q] = p
                         nbrs.append(ids[q])
-        adj.append(tuple(nbrs))
+        nbrs, row = tuple(nbrs), rows[members[lo]]
+        adj.append(row if row == nbrs else nbrs)
+    # a whole-distance prefix has vertices of at least two classes, so at
+    # least two pieces, and the getter returns a tuple
+    pcls = tuple(map(ids.__getitem__, pcls))
     return _Pieces(piece, pcls, array("i", [hi - lo for lo, hi in pairwise(start)]), adj,
-                   [len(nbrs) == 1 for nbrs in adj])
+                   bytes(len(nbrs) == 1 for nbrs in adj),
+                   array("i", map(piece.__getitem__, ball.order[:n])), itemgetter(*pcls))
 
 
 def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
@@ -881,24 +906,24 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     tree of the prefix's abelian classes, which are far fewer than its
     vertices, and marks the nonnegative classes.
 
-    A query on the kept ball whose prefix ends at a whole distance d,
-    on a model with a letter of finite abelian order, searches pieces
-    (:class:`_Pieces`): the connected sets of prefix vertices of one
-    class, joined by the prefix edges that keep the class.  The table of
-    the distance-d prefix is built by the first such query and kept in
-    ``ball.pieces``.  A piece is nonnegative when its class is, the
-    nonnegative count is the sum of those pieces' sizes, and the search
-    runs on the piece graph from the base vertex's piece; a piece with
-    one neighbouring piece is reached from it and not expanded.  Only
-    when a nonnegative piece is left unreached are the flags mapped back
-    to the vertices, for the unreached sample and the targets.  Every
-    other query searches the vertices: one that sweeps its own ball, one
-    on a prefix the budget cuts, and one on a model whose letters are
-    all free, where every piece is a single vertex.  The vertex search
-    marks the nonnegative vertices by class, reads one row per reached
-    vertex and keeps only the neighbours inside the prefix: every number
-    from n on stands for a state outside it.  Both searches give the
-    same report.
+    A query on the kept ball whose prefix ends at a whole distance d
+    searches pieces (:class:`_Pieces`), on every model: the connected sets
+    of prefix vertices of one class, joined by the prefix edges that keep
+    the class; on G2T, whose letters are all free, each piece is one
+    vertex.  The table of the distance-d prefix is built by the first
+    such query and kept in ``ball.pieces``.  A piece is nonnegative when
+    its class is, read for every piece in one call of the table's
+    ``flags``; the nonnegative count is the sum of those pieces' sizes,
+    and the search runs on the piece graph from the base vertex's piece,
+    a piece with one neighbouring piece reached from it and not expanded.
+    The unreached sample reads the flags of the pieces of the vertices in
+    the sample order (the table's ``ordered``) and stops at its last
+    vertex, and a target's flag is its piece's, so no list over the
+    vertices is made.  Only a query that sweeps its own ball and one on a
+    prefix the budget cuts search the vertices: marked nonnegative by
+    class, one row read per reached vertex, and every number from n on
+    standing for a state outside the prefix.  Both searches give the same
+    report.
 
     The unreached sample is the first ten unreached vertices in the
     ball's ``order``; each is spelled once per ball and its text reused.
@@ -928,9 +953,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         d = min(radius, ball.radius)
         whole = ball.sizes[d]
         n, truncated = min(whole, budget), whole > budget
-        # a whole-distance prefix is searched by pieces, unless every letter
-        # is free, so that every piece is a single vertex
-        if not truncated and any(order for _, order in model.letter_orders):
+        if not truncated:  # a whole-distance prefix is searched by pieces
             pieces = ball.pieces.get(d)
             if pieces is None:
                 pieces = ball.pieces[d] = _pieces(ball, n)
@@ -968,10 +991,12 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
                         open_[w] = False
                         reached += 1
                         todo.append(w)
+        unreached = filter(open_.__getitem__, ball.order)
+        is_open = open_.__getitem__
     else:
         # the same search on the piece graph; a piece with one neighbour is
         # reached from it and has nothing more to open
-        popen = list(map(nonneg_class.__getitem__, pieces.cls))
+        popen = list(pieces.flags(nonneg_class))
         nonnegative = sum(compress(pieces.size, popen))
         p = pieces.piece[base]
         if popen[p]:
@@ -985,21 +1010,21 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
                         if not leaf[q]:
                             todo.append(q)
         reached = nonnegative - sum(compress(pieces.size, popen))
-        # the vertices of the pieces left open, wanted only when there are any
-        open_ = None
-        if nonnegative > reached:
-            open_ = list(map(popen.__getitem__, pieces.piece))
-            open_ += [False] * (len(ball.parent) + 1 - n)
+        # the vertices of the pieces left open, read in the sample order
+        # only as far as the sample needs
+        unreached = compress(ball.order, map(popen.__getitem__, pieces.ordered))
+        piece = pieces.piece
+        is_open = lambda w: popen[piece[w]]
 
-    unreached = ()
+    sample = ()
     if nonnegative > reached:
-        unreached = islice(filter(open_.__getitem__, ball.order), min(nonnegative - reached, 10))
-    sample = tuple(_spelled(model, ball, v) for v in unreached)
+        sample = tuple(_spelled(model, ball, v)
+                       for v in islice(unreached, min(nonnegative - reached, 10)))
     target_reports = []
     for tw in targets:
         w = _vertex_of(model, ball, n, normalize(model, tw).state)
         nonneg = w is not None and nonneg_class[ball.cls[w]]
-        reachable = nonneg and (nonnegative == reached or not open_[w])
+        reachable = nonneg and not is_open(w)
         target_reports.append(TargetReport(serialize_word(tw), w is not None, nonneg, reachable))
     return BallReport(model, radius, serialize_word(base_word) or "1",
                       n, nonnegative, reached, truncated, sample, tuple(target_reports))

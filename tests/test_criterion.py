@@ -957,9 +957,9 @@ def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
                     same(model, chi, r, given, budget)
             same(model, chi, r, targets)
     _assert_coverage(counts)
-    # the benchmark's largest kept balls, read at every whole distance: by
-    # pieces on G2K, G3T and G4T, by vertices on G2T, whose letters are all
-    # free; the piece search leaves nonnegative pieces unreached or not
+    # the benchmark's largest kept balls, read at every whole distance by
+    # pieces, one vertex per piece on G2T, whose letters are all free; the
+    # piece search leaves nonnegative pieces unreached or not
     searches = Counter()
     cases = [*_random_ball_cases(seed=29, per_model=3),
              *((model, character(model, {}), None, [mword("a b", model)]) for model in ModelId)]
@@ -971,7 +971,7 @@ def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
                 same(model, chi, d, targets)
             report = explore_ball(model, chi, radius, targets)
             searches[model, report.reachable_count < report.nonnegative_count] += 1
-        assert sorted(balls[model].pieces) == ([] if model is ModelId.G2T else list(range(1, radius + 1)))
+        assert sorted(balls[model].pieces) == list(range(1, radius + 1))
     assert set(searches) == {(model, unreached) for model in ModelId for unreached in (False, True)}, searches
 
 
@@ -1126,7 +1126,6 @@ def test_cached_sample_texts_equal_fresh_spellings(monkeypatch):
 def test_only_whole_prefixes_of_a_kept_ball_are_searched_by_pieces(model, monkeypatch):
     balls = _cold_balls(monkeypatch)
     chi = next(_seeded_characters(model, random.Random(f"pieces:{model.value}"), 2))
-    by_pieces = any(order for _, order in model.letter_orders)  # G2T: every letter free
     explore_ball(model, chi, _CLASS_RADII[model])  # sweeps its own ball
     ball = balls[model]
     assert ball.pieces == {}
@@ -1135,13 +1134,20 @@ def test_only_whole_prefixes_of_a_kept_ball_are_searched_by_pieces(model, monkey
     tabled = set()
     for r, budget, _ in _prefixes(ball, model):
         report = explore_ball(model, chi, r, budget=budget)
-        if by_pieces and not report.truncated:
+        if not report.truncated:
             tabled.add(r)
         assert set(ball.pieces) == tabled, (r, budget)
-    assert bool(tabled) == by_pieces
+    assert tabled
     for d, pieces in ball.pieces.items():
         n = ball.sizes[d]
         assert len(pieces.piece) == n
+        if not any(order for _, order in model.letter_orders):
+            # every letter free (G2T): each piece is one vertex, numbered as it
+            assert list(pieces.piece) == list(range(n))
+        # the piece of each prefix vertex in the sample order, whose first n
+        # entries are the prefix
+        assert sorted(ball.order[:n]) == list(range(n))
+        assert list(pieces.ordered) == [pieces.piece[v] for v in ball.order[:n]]
         members = [[] for _ in pieces.cls]
         for v in range(n):
             members[pieces.piece[v]].append(v)
@@ -1196,6 +1202,90 @@ def test_piece_tables_take_less_memory_than_the_rows(monkeypatch):
         tracemalloc.stop()
     assert rows == ball.rows and tables == [ball.pieces[d] for d in (1, 2, 3)]
     assert pieces_bytes < rows_bytes, (pieces_bytes, rows_bytes)
+
+
+def test_g2t_piece_tables_take_less_memory_than_the_rows(monkeypatch):
+    # every letter of G2T is free, so each piece is one vertex; a table
+    # shares each row that lies inside its prefix instead of copying it
+    import tracemalloc
+
+    from sigmabraid.criterion import _pieces
+
+    balls = _cold_balls(monkeypatch)
+    model = ModelId.G2T
+    chi = character(model, {"x": -1, "y": 1, "a": Fraction(1, 2)})
+    explore_ball(model, chi, 5)
+    ball = balls[model]
+    for d in range(1, 6):
+        explore_ball(model, chi, d)
+    assert sorted(ball.pieces) == [1, 2, 3, 4, 5]
+    assert all(adj is row for adj, row in zip(ball.pieces[5].adj, ball.rows, strict=True))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ints = [int(str(v)) for v in range(len(ball.rows) + 1)]
+        rows = [tuple(map(ints.__getitem__, row)) for row in ball.rows]
+        del ints
+        rows_bytes = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        tables = [_pieces(ball, ball.sizes[d]) for d in range(1, 6)]
+        pieces_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rows == ball.rows and tables == [ball.pieces[d] for d in range(1, 6)]
+    assert pieces_bytes < rows_bytes, (pieces_bytes, rows_bytes)
+
+
+def test_a_warm_query_makes_no_list_over_the_vertices(monkeypatch):
+    # a warm G2K radius-5 query that leaves pieces unreached reads its
+    # sample and its target through the table: its allocations peak below
+    # one list with an entry per vertex
+    import tracemalloc
+
+    balls = _cold_balls(monkeypatch)
+    model = ModelId.G2K
+    chi = character(model, {"y": -1, "b": Fraction(1, 2)})
+    targets = [mword("y x y^-1", model)]
+    explore_ball(model, chi, 5)
+    first = explore_ball(model, chi, 5, targets)  # builds the table, spells the sample
+    ball = balls[model]
+    assert first.vertex_count == len(ball.parent) == 4799
+    assert first.reachable_count < first.nonnegative_count and first.unreached_sample
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        one_list = [False] * len(ball.parent)
+        list_bytes = tracemalloc.get_traced_memory()[0] - before
+        del one_list
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        again = explore_ball(model, chi, 5, targets)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < list_bytes, (peak, list_bytes)
+
+
+@pytest.mark.parametrize("model, radius, coords", [
+    (ModelId.G2T, 5, {"x": -1, "y": 1, "a": Fraction(1, 2)}),
+    (ModelId.G2K, 4, {"y": -1, "b": Fraction(1, 2)}),
+    (ModelId.G3T, 3, {"x": -1, "u": -2}),
+    (ModelId.G4T, 3, {"x": -1, "v": 1}),
+])
+def test_a_cut_sample_and_an_open_target_match_a_fresh_sweep(model, radius, coords, monkeypatch):
+    # more than ten nonnegative vertices are left unreached, so the sample
+    # stops at its tenth; the first target lies in a piece left open
+    balls = _cold_balls(monkeypatch)
+    chi = character(model, coords)
+    explore_ball(model, character(model, {}), radius)  # keeps the ball
+    reference = _two_pass_ball(model, chi, radius)[0]
+    assert reference.nonnegative_count - reference.reachable_count > 10
+    targets = [mword(reference.unreached_sample[-1], model), mword(reference.base, model)]
+    expected = _two_pass_ball(model, chi, radius, targets)[0]
+    assert [(t.nonnegative, t.reachable) for t in expected.targets] == [(True, False), (True, True)]
+    assert explore_ball(model, chi, radius, targets).to_json() == expected.to_json()
+    assert sorted(balls[model].pieces) == [radius]
 
 
 # ---------------------------------------------------------------------------
