@@ -440,8 +440,7 @@ def model_character(dic, chi: Character) -> Character:
 # JSON forms
 
 def rational_to_json(v: Fraction | int):
-    v = Fraction(v)
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def json_field(obj, key: str | int, kinds: tuple[type, ...], what: str):

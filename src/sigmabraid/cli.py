@@ -8,6 +8,13 @@ output ordering is deterministic.
 
 Inline JSON arguments also accept @path to read the value from a file.
 
+Each JSON document is written by one pass of :func:`_json_text`, a small
+recursive writer whose text is ``json.dumps(doc, indent=2)``'s, byte for
+byte, strings escaped by ``json``'s own ASCII encoder.  ``json.dumps``
+itself is not used: CPython takes its C encoder only when ``indent`` is
+None, so the indented layout would be written by the pure-Python encoder
+at about twice the cost.
+
 Importing this module loads ``characters``, ``models`` and ``words``, which
 every command needs to read its arguments.  A command loads the rest of
 what it uses when it runs: ``classify``, ``enumerate``, ``act`` and
@@ -23,6 +30,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import characters, models
@@ -43,16 +51,49 @@ if TYPE_CHECKING:
     from .criterion import PathCertificate
 
 
-def _read_json_arg(value: str):
-    if value.startswith("@"):
-        with open(value[1:], "r") as fh:
-            return json.load(fh)
-    return json.loads(value)
+def _read_json_arg(value: str, option: str):
+    try:
+        if value.startswith("@"):
+            with open(value[1:], "r") as fh:
+                return json.load(fh)
+        return json.loads(value)
+    except RecursionError:
+        raise DomainError(f"{option}: JSON nested too deeply to read") from None
+
+
+# the text of each JSON scalar, by exact type, as json.dumps writes it
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, each line after the
+    first starting with ``indent`` (a newline and spaces).  Scalars and
+    nonempty lists, tuples and str-keyed dicts are written here; anything
+    else (an empty container, a float, a dict with a key that is not a
+    str) is written by ``json.dumps`` itself and re-indented."""
+    scalar = _SCALARS.get(value.__class__)
+    if scalar is not None:
+        return scalar(value)
+    kind, inner, text = value.__class__, indent + "  ", _SCALARS.get
+    if (kind is list or kind is tuple) and value:
+        items = [s(v) if (s := text(v.__class__)) else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict and value:
+        try:  # encode_basestring_ascii refuses a key that is not a str
+            items = [encode_basestring_ascii(k) + ": "
+                     + (s(v) if (s := text(v.__class__)) else _json_text(v, inner))
+                     for k, v in value.items()]
+        except TypeError:
+            pass
+        else:
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 def _emit(doc, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc) + "\n")
     else:
         _emit_table(doc)
 
@@ -113,7 +154,7 @@ def _cmd_classify(args, parser) -> dict:
     group = _group(args, parser)
     pt = None
     if args.char is not None:
-        chi = character_from_json(_read_json_arg(args.char))
+        chi = character_from_json(_read_json_arg(args.char, "--char"))
         if chi.spec.group != group:
             raise DomainError(f"character lives on {chi.spec.group}, not {group}")
         pt = sphere_point(chi)
@@ -139,7 +180,7 @@ def _cmd_act(args, parser) -> dict:
         tau = tuple(int(_INTEGER.fullmatch(t)[0]) for t in args.tau.split())
     except (TypeError, ValueError):
         parser.error(f"--tau must list integers, got {args.tau!r}")
-    chi = character_from_json(_read_json_arg(args.char))
+    chi = character_from_json(_read_json_arg(args.char, "--char"))
     from . import sigma
     pt = sigma.act_permutation(group, tau, sphere_point(chi))
     return character_to_json(pt.character())
@@ -167,6 +208,7 @@ def _certificate_from_json(doc) -> PathCertificate:
                                json_field(ctx, "surface", (str,), "certificate context"),
                                json_int_field(ctx, "n", "certificate context"))
         parse = lambda text: parse_word(text, context)
+    parse = functools.cache(parse)  # each distinct word text is parsed once
 
     def letter(obj, key: str, owner: str):
         text = json_field(obj, key, (str,), owner)
@@ -176,8 +218,19 @@ def _certificate_from_json(doc) -> PathCertificate:
         return letters.letters[0]
 
     t = letter(doc, "t", what)
+    raw = json_field(doc, "entries", (list,), what)
     entries = []
-    for e in json_field(doc, "entries", (list,), what):
+    for e in raw:  # well-formed entries, up to the first that is not
+        if e.__class__ is not dict:
+            break
+        z, word, cite = e.get("z"), e.get("word"), e.get("cite", "")
+        if not (z.__class__ is word.__class__ is cite.__class__ is str):
+            break
+        letters = parse(z).letters
+        if len(letters) != 1:
+            break
+        entries.append(CertificateEntry(letters[0], parse(word), cite))
+    for e in raw[len(entries):]:  # the checks that name what is wrong, in the same order
         z = letter(e, "z", "certificate entry")
         path = parse(json_field(e, "word", (str,), "certificate entry"))
         cite = json_field(e, "cite", (str,), "certificate entry") if "cite" in e else ""
@@ -194,8 +247,8 @@ def _report_to_json(report) -> dict:
 
 
 def _cmd_verify_cert(args, parser) -> dict:
-    cert = _certificate_from_json(_read_json_arg(args.cert))
-    chi = character_from_json(_read_json_arg(args.char))
+    cert = _certificate_from_json(_read_json_arg(args.cert, "--cert"))
+    chi = character_from_json(_read_json_arg(args.char, "--char"))
     from . import criterion
     report = criterion.verify_certificate(cert, chi)
     return _report_to_json(report)
@@ -214,7 +267,7 @@ def _cmd_gen_cert(args, parser) -> dict:
 
 def _cmd_ball(args, parser) -> dict:
     model = ModelId(args.model)
-    chi = character_from_json(_read_json_arg(args.char))
+    chi = character_from_json(_read_json_arg(args.char, "--char"))
     targets = [models.parse_model_word(t, model) for t in args.target or []]
     from . import criterion
     report = criterion.explore_ball(model, chi, radius=args.radius,
@@ -243,9 +296,9 @@ def _cmd_r_infinity(args, parser) -> dict:
         parser.error("pass exactly one of --matrix / --perm")
     from . import sigma
     if args.matrix is not None:
-        cert = sigma.r_infinity_certificate(args.n, matrix=_read_json_arg(args.matrix))
+        cert = sigma.r_infinity_certificate(args.n, matrix=_read_json_arg(args.matrix, "--matrix"))
     else:
-        mapping = _perm_from_json(_read_json_arg(args.perm))
+        mapping = _perm_from_json(_read_json_arg(args.perm, "--perm"))
         cert = sigma.r_infinity_certificate(args.n, point_permutation=mapping)
     return {"n": cert.n, "certified": cert.certified, "index_bound": cert.index_bound,
             "moved_points": [[list(s), list(d)] for s, d in cert.moved_points()]}

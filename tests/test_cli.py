@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+from sigmabraid import cli
 from sigmabraid.cli import main
 
 
@@ -455,3 +458,115 @@ def test_integer_options_are_read_as_written(capsys, option, value):
 def test_integer_options_accept_ascii_digits(capsys, option):
     argv = ["3" if arg == "{}" else arg for arg in _INTEGER_OPTIONS[option]]
     run_json(capsys, *argv)
+
+
+# --- JSON arguments nested past the recursion limit --------------------------
+
+_DEEP = "[" * 100000
+_DEEP_ARGS = {
+    "--char": ["classify", "--group", "P", "--surface", "T", "--n", "2", "--char", "{}"],
+    "--cert": ["verify-cert", "--cert", "{}", "--char", G2T_CHAR],
+    "--matrix": ["r-infinity", "--n", "3", "--matrix", "{}"],
+    "--perm": ["r-infinity", "--n", "3", "--perm", "{}"],
+}
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+@pytest.mark.parametrize("option", sorted(_DEEP_ARGS))
+def test_deeply_nested_json_argument_is_a_domain_error(capsys, tmp_path, option, from_file):
+    # json.loads raises RecursionError here, which printed a traceback
+    value = _DEEP
+    if from_file:
+        path = tmp_path / "deep.json"
+        path.write_text(_DEEP)
+        value = f"@{path}"
+    argv = [value if arg == "{}" else arg for arg in _DEEP_ARGS[option]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {option}: JSON nested too deeply to read\n"
+
+
+# --- the JSON writer against json.dumps(indent=2) ----------------------------
+
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),  # lone surrogates too
+                          st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t \xe9')))
+_LONG_INT = st.builds(lambda digits, sign, low: sign * (10 ** digits + low),
+                      st.integers(4999, 5100), st.sampled_from((1, -1)), st.integers(0, 10 ** 9))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _LONG_INT, _TEXT,
+                    st.floats(allow_nan=True, allow_infinity=True))
+_DOCUMENT = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(), _TEXT), inner,
+                        max_size=3)),
+    max_leaves=25)
+
+
+@given(_DOCUMENT)
+def test_json_writer_matches_json_dumps_indent_2(doc):
+    # with the int -> str digit limit lifted, as cli.main lifts it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("doc", [{}, [], {"a": {}, "b": [], "c": [[], {}]}, [[[]]], "", 0,
+                                 {"x": [1, "two", None, True, False, -3]}, ("t", ("u",))])
+def test_json_writer_on_empty_and_nested_containers(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+# --- malformed certificate entries after well-formed ones --------------------
+
+def _long_p2t_certificate() -> tuple[dict, str]:
+    """A P_2(T) certificate with its 10 entries repeated to 60, and its
+    character: entries 1..60 read as well formed up to a malformed one."""
+    from sigmabraid.characters import character_to_json, torus_character
+    from sigmabraid.criterion import generate_braid_certificate
+    from sigmabraid.words import GroupContext
+
+    chi = torus_character(2, [1, -1], [1, 3])
+    doc = cli._certificate_to_json(generate_braid_certificate(GroupContext("P", "T", 2), chi))
+    doc["entries"] = doc["entries"] * 6
+    return doc, json.dumps(character_to_json(chi))
+
+
+_MALFORMED = {
+    "missing-z": (lambda e: {"word": e["word"], "cite": e["cite"]},
+                  lambda e: "certificate entry misses the field 'z'"),
+    "int-word": (lambda e: {"z": e["z"], "word": 5},
+                 lambda e: "certificate entry field 'word' has the wrong type int"),
+    "foreign-a3": (lambda e: {"z": e["z"], "word": e["word"] + " a3"},
+                   lambda e: "a3: index out of range for P_2(T) (need 1..2)"),
+    "bad-token": (lambda e: {"z": e["z"], "word": e["word"] + " $$"},
+                  lambda e: f"token {len(e['word'].split())}: cannot parse '$$'"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 39, 59], ids=["first", "40th", "last"])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_malformed_entry_after_well_formed_ones(capsys, kind, index):
+    doc, char = _long_p2t_certificate()
+    assert run_json(capsys, "verify-cert", "--cert", json.dumps(doc), "--char", char)["passed"]
+    entry = doc["entries"][index]
+    corrupt, message = _MALFORMED[kind]
+    doc["entries"][index] = corrupt(entry)
+    code, out, err = run(capsys, "verify-cert", "--cert", json.dumps(doc), "--char", char)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message(entry)}\n"
+
+
+def test_refused_letter_is_refused_again_in_one_process(capsys):
+    doc, char = _long_p2t_certificate()
+    doc["entries"][39] = {"z": "a3", "word": "a3"}
+    results = [run(capsys, "verify-cert", "--cert", json.dumps(doc), "--char", char)
+               for _ in range(2)]
+    assert results == [(1, "", "error: a3: index out of range for P_2(T) (need 1..2)\n")] * 2

@@ -265,6 +265,20 @@ def test_parse_errors():
         parse_word("A[1,2]", GroupContext("P", "S2", 4))
 
 
+def test_parse_word_refuses_a_letter_again_with_the_same_message():
+    ctx = GroupContext("P", "T", 2)
+    parse_word("a1 b2", ctx)
+    for _ in range(2):
+        with pytest.raises(AlphabetError) as err:
+            parse_word("a1 a3", ctx)
+        assert str(err.value) == "a3: index out of range for P_2(T) (need 1..2)"
+    # every token is parsed before any is validated: a syntax error after a
+    # foreign letter is the error reported, in any context
+    for context in (ctx, GroupContext("P", "T", 2)):
+        with pytest.raises(WordSyntaxError, match="token 1"):
+            parse_word("a3 ??", context)
+
+
 def test_word_algebra():
     w = parse_word("a1 b2", GroupContext("P", "T", 2))
     assert (w * w.inverse()) == IDENTITY
