@@ -299,11 +299,20 @@ class LetterTable:
         return lowest
 
 
+_ZERO = Fraction(0)
+
+
 def _exact(v: Rational) -> Fraction:
-    """An exact rational: a Fraction as it is, a string as written; a float or bool is a DomainError."""
+    """An exact rational: a Fraction as it is, a string as written, the int 0
+    as one shared zero (each absent coordinate of a character is one); a
+    float or bool is a DomainError."""
     if isinstance(v, (float, bool)):
         raise DomainError(f"values must be exact rationals (int or Fraction), got {v!r}")
-    return v if type(v) is Fraction else _num_from_json(v) if isinstance(v, str) else Fraction(v)
+    if type(v) is Fraction:
+        return v
+    if type(v) is int and v == 0:
+        return _ZERO
+    return _num_from_json(v) if isinstance(v, str) else Fraction(v)
 
 
 def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Rational]) -> Character:

@@ -21,6 +21,10 @@ family handled here, a finite union of explicitly described pieces:
 ``decide_sigma`` matches a canonical sphere point against these patterns
 exactly (integer arithmetic, no tolerances); one table, ``_CIRCLES``,
 holds the sphere's circle systems for it and ``enumerate_complement``.
+Every circle system lies on the pairs of at most four strands, so a sphere
+point whose nonzero coordinates touch five or more strands is in the
+invariant; the decision returns that verdict in its one read of the
+coordinates and scans the circles only for a point on at most four strands.
 The strand-permutation action on the sphere, the fixed-complement
 certificate for twisted conjugacy, and the finite-generation flag for
 commutator subgroups are the application layer over the same data.
@@ -167,10 +171,21 @@ def _match_circle(coords: dict[tuple[int, int], int], strands: tuple[int, ...], 
 
 
 def _decide_sphere_case(pt: SpherePoint, n: int) -> SigmaVerdict:
-    """Match the point on every circle of ``_CIRCLES``, the table that
-    enumerate_complement lists: each 3-subset of strands, then each 4-subset,
-    each scanning every coordinate, read by strand pair."""
-    coords = dict(zip(sphere_pairs(n), pt.coords))
+    """Read the point's coordinates in one pass, by strand pair: as soon as its
+    nonzero coordinates touch a fifth strand, the point is in Sigma^1.  That
+    test is exact, because a circle of ``_CIRCLES`` matches only a point that
+    is zero off the pairs of one subset of at most four strands.  A point on
+    at most four strands is matched on every circle of ``_CIRCLES``, the
+    table that enumerate_complement lists: each 3-subset of strands, then
+    each 4-subset, each scanning every coordinate."""
+    coords: dict[tuple[int, int], int] = {}
+    touched: set[int] = set()
+    for pair, v in zip(sphere_pairs(n), pt.coords):
+        coords[pair] = v
+        if v:
+            touched.update(pair)
+            if len(touched) > 4:
+                return SigmaVerdict(IN_SIGMA1, None, "no circle system matches")
     matches: list[tuple[object, tuple]] = []
     for piece, size, cells in _CIRCLES:
         for strands in combinations(range(1, n + 1), size):

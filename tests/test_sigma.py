@@ -597,6 +597,41 @@ def test_sphere_decision_matches_the_label_keyed_reference():
     assert min(seen.values()) >= 600, seen
 
 
+class _ScanReached(Exception):
+    pass
+
+
+def test_a_point_on_five_strands_is_decided_before_the_circle_scan(monkeypatch):
+    # every circle lies on at most four strands, so a point whose nonzero
+    # coordinates touch a fifth is decided in the one read of its coordinates,
+    # with no call of _match_circle.  A point on four strands still reaches
+    # the scan, which the counting wrapper stops at its first call: at n = 64
+    # the whole scan matches 677,040 strand subsets
+    from sigmabraid import sigma
+
+    calls = []
+
+    def counting(coords, strands, cells):
+        calls.append(strands)
+        raise _ScanReached
+
+    monkeypatch.setattr(sigma, "_match_circle", counting)
+    n = 64
+    rng = random.Random(3164)
+    pairs = [(i, j) for i, j in combinations(range(1, n + 1), 2) if (i, j) != (1, 2)]
+    dense = {pair: rng.choice((-3, -2, -1, 1, 2, 3)) for pair in pairs}
+    five = {(10, 20): 1, (20, 30): -2, (30, 40): 1, (40, 64): 3}  # the fifth strand comes last
+    for values in (dense, five):
+        v = decide_sigma(S2(n), sphere_point(sphere_character(n, values)))
+        assert (v.membership, v.witness, v.justification) == (IN_SIGMA1, None, "no circle system matches")
+    assert calls == []
+    i, j, k, l, p, q = 5, 17, 40, 64, 2, -1
+    p4 = {(i, k): p, (j, l): p, (i, l): q, (j, k): q, (k, l): -(p + q), (i, j): -(p + q)}
+    with pytest.raises(_ScanReached):
+        decide_sigma(S2(n), sphere_point(sphere_character(n, p4)))
+    assert calls == [(1, 2, 3)]
+
+
 # ---------------------------------------------------------------------------
 # Strand permutations of P_{n+1}(S2)
 #
