@@ -33,7 +33,11 @@ and Klein-bottle pure groups lay their coordinates out in the strand blocks
 of ``_STRAND_BLOCKS``, P_n(S2) in the pairs of :func:`sphere_pairs`: one
 statement of each layout, read by the abelianization, both JSON forms,
 :func:`strand_blocks` and the sphere decision.  No floating point is used
-anywhere: coordinates are ints or fractions.Fraction.
+anywhere.  Each coordinate of a character is held in one canonical exact
+form: an int when it is integral, else a Fraction with denominator > 1.
+So an integer character builds no Fraction on its way to a sphere point:
+its lcm of denominators is 1 and its coordinates are already the scaled
+integers.
 
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
@@ -213,12 +217,15 @@ def abelianize(group: GroupLike, w: Word) -> AbelianImage:
 
 @dataclass(frozen=True)
 class Character:
-    """Rational coordinates on the free basis; torsion carries nothing."""
+    """Rational coordinates on the free basis; torsion carries nothing.
+
+    Each coordinate is in the canonical form of :func:`_exact`: an int when
+    it is integral, else a Fraction with denominator > 1."""
 
     spec: AbelianizationSpec
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
-    def __getitem__(self, label: str) -> Fraction:
+    def __getitem__(self, label: str) -> Rational:
         return self.coords[self.spec.free_index(label)]
 
     def is_zero(self) -> bool:
@@ -226,7 +233,7 @@ class Character:
 
     def scale(self, r: Rational) -> "Character":
         r = _exact(r)
-        return Character(self.spec, tuple(c * r for c in self.coords))
+        return Character(self.spec, tuple([_exact(c * r) for c in self.coords]))
 
     def __neg__(self) -> "Character":
         return self.scale(-1)
@@ -238,12 +245,16 @@ class Character:
         return LetterTable(self)
 
 
-def _scale_to_ints(coords: tuple[Rational, ...]) -> tuple[int, list[int]]:
+def _scale_to_ints(coords: tuple[Rational, ...]) -> tuple[int, tuple[int, ...]]:
     """The lcm L of the denominators and L times each coordinate, in
     integer arithmetic alone: L * (p/q) is p * (L // q), exact since q
-    divides L, so no Fraction is built, multiplied or truncated."""
+    divides L, so no Fraction is built, multiplied or truncated.  In the
+    canonical form L is 1 exactly when every coordinate is an int; then
+    the coordinates are returned as they are, read by type alone."""
+    if set(map(type, coords)) <= {int}:
+        return 1, coords
     scale = math.lcm(*[c.denominator for c in coords])
-    return scale, [c.numerator * (scale // c.denominator) for c in coords]
+    return scale, tuple([c.numerator * (scale // c.denominator) for c in coords])
 
 
 class LetterTable:
@@ -263,8 +274,8 @@ class LetterTable:
 
     def __init__(self, chi: Character):
         self.spec = chi.spec
-        self.denominator, self._scaled = _scale_to_ints(chi.coords)
-        self._scaled += [0] * len(chi.spec.torsion)
+        self.denominator, scaled = _scale_to_ints(chi.coords)
+        self._scaled = [*scaled, *[0] * len(chi.spec.torsion)]
         self.values: dict[int, int] = {}
 
     def _enter(self, s: GeneratorSymbol) -> int:
@@ -299,20 +310,20 @@ class LetterTable:
         return lowest
 
 
-_ZERO = Fraction(0)
-
-
-def _exact(v: Rational) -> Fraction:
-    """An exact rational: a Fraction as it is, a string as written, the int 0
-    as one shared zero (each absent coordinate of a character is one); a
-    float or bool is a DomainError."""
-    if isinstance(v, (float, bool)):
-        raise DomainError(f"values must be exact rationals (int or Fraction), got {v!r}")
-    if type(v) is Fraction:
+def _exact(v: Rational) -> Rational:
+    """An exact rational in canonical form, an int when it is integral and
+    else a Fraction with denominator > 1: an int as it is, a Fraction of
+    denominator 1 as its numerator, any other Fraction as it is, a string
+    as written (:func:`_num_from_json`); a float or bool is a DomainError."""
+    if type(v) is int:
         return v
-    if type(v) is int and v == 0:
-        return _ZERO
-    return _num_from_json(v) if isinstance(v, str) else Fraction(v)
+    if type(v) is not Fraction:
+        if isinstance(v, (float, bool)):
+            raise DomainError(f"values must be exact rationals (int or Fraction), got {v!r}")
+        if isinstance(v, str):
+            return _num_from_json(v)
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Rational]) -> Character:
@@ -321,10 +332,16 @@ def character(group: GroupLike, coords: Mapping[str, Rational] | Iterable[Ration
     spec = abelianization(group)
     # tuples from lists, not generators: see sphere_point
     if isinstance(coords, Mapping):
-        unknown = set(coords) - set(spec.free_labels)
+        # each given label is placed by position, the rest stay the int 0, so
+        # a sparse mapping costs the coordinates it gives
+        positions, rank = spec.positions, spec.free_rank
+        unknown = [label for label in coords if positions.get(label, rank) >= rank]
         if unknown:
             raise AlphabetError(f"not free coordinates of {group}: {sorted(unknown)}")
-        vec = tuple([_exact(coords.get(label, 0)) for label in spec.free_labels])
+        placed = [0] * rank
+        for label, v in coords.items():
+            placed[positions[label]] = _exact(v)
+        vec = tuple(placed)
     else:
         vec = tuple([_exact(c) for c in coords])
         if len(vec) != spec.free_rank:
@@ -399,7 +416,7 @@ class SpherePoint:
 
     def __post_init__(self):
         c = self.coords  # math.gcd of no ints, or of zeros only, is 0
-        if len(c) != self.spec.free_rank or not all(type(v) is int for v in c) or math.gcd(*c) != 1:
+        if len(c) != self.spec.free_rank or not set(map(type, c)) <= {int} or math.gcd(*c) != 1:
             raise DomainError(f"{c!r} is not a sphere point of {self.spec.group}: need "
                               f"{self.spec.free_rank} ints with gcd 1")
 
@@ -407,13 +424,16 @@ class SpherePoint:
         return SpherePoint(self.spec, tuple(-c for c in self.coords))
 
     def character(self) -> Character:
-        return Character(self.spec, tuple(Fraction(c) for c in self.coords))
+        """The point as a character: its ints are already canonical."""
+        return Character(self.spec, self.coords)
 
 
 def sphere_point(chi: Character) -> SpherePoint:
     """The canonical point of a nonzero character: its coordinates scaled
     to ints by the lcm L of their denominators, each numerator * (L //
-    denominator) with no Fraction arithmetic, then divided by their gcd."""
+    denominator) with no Fraction arithmetic, then divided by their gcd.
+    An integer character (L = 1) is read as it is, and a primitive one
+    (gcd 1) is not divided, so neither builds a Fraction or a new int."""
     if chi.is_zero():  # every character of a group with an empty sphere is zero
         raise DomainError(f"{chi.spec.group} has an empty character sphere; no points exist"
                           if not chi.spec.free_rank else "the zero character has no sphere point")
@@ -422,7 +442,7 @@ def sphere_point(chi: Character) -> SpherePoint:
     # interpreter's per-size free lists, which keep their memory.
     ints = _scale_to_ints(chi.coords)[1]
     g = math.gcd(*ints)
-    return SpherePoint(chi.spec, tuple([c // g for c in ints]))
+    return SpherePoint(chi.spec, ints if g == 1 else tuple([c // g for c in ints]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +504,21 @@ def json_int_field(obj, key: str | int, what: str) -> int:
     raise DomainError(f"{what} field {key!r} must be an integer, got {value!r}")
 
 
-def _num_from_json(v) -> Fraction:
-    """The one reader of exact rationals: an int that is not a bool, or a
-    string reading -?[0-9]+(/[0-9]+)?.  A DomainError names anything else,
-    a zero denominator, or digits past the int -> str digit limit."""
-    if type(v) is int or isinstance(v, str) and _RATIONAL.fullmatch(v):
+def _num_from_json(v) -> Rational:
+    """The one reader of exact rationals, in the canonical form of
+    :func:`_exact`: an int that is not a bool, returned as it is with no
+    Fraction built, or a string reading -?[0-9]+(/[0-9]+)?.  A DomainError
+    names anything else, a zero denominator, or digits past the int -> str
+    digit limit."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
         try:
-            return Fraction(v)
+            f = Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            return f.numerator if f.denominator == 1 else f
     raise DomainError(f"numbers must be integers or exact 'p/q' strings, got {v!r}")
 
 
@@ -517,7 +543,7 @@ def character_to_json(chi: Character) -> dict:
 _WHAT = "character JSON"
 
 
-def _num_list_from_json(obj: Mapping, key: str) -> list[Fraction]:
+def _num_list_from_json(obj: Mapping, key: str) -> list[Rational]:
     return [_num_from_json(v) for v in json_field(obj, key, (list,), _WHAT)]
 
 
@@ -525,7 +551,10 @@ def character_from_json(obj: Mapping) -> Character:
     if not isinstance(obj, Mapping):
         raise DomainError(f"{_WHAT} must be an object, got {type(obj).__name__}")
     if "model" in obj:
-        ctx, read = ModelId(obj["model"]), ("model", "coords")
+        name = json_field(obj, "model", (str,), _WHAT)
+        if name not in ModelId.__members__:
+            raise DomainError(f"{_WHAT} model {name!r} is not a model")
+        ctx, read = ModelId(name), ("model", "coords")
     else:
         fam = json_field(obj, "group", (str,), _WHAT) if "group" in obj else "P"
         surf = json_field(obj, "surface", (str,), _WHAT)

@@ -17,13 +17,16 @@ from sigmabraid.characters import (
     model_character,
     nu,
     sphere_character,
+    sphere_pairs,
     sphere_point,
     strand_blocks,
     torus_character,
 )
+from sigmabraid import characters
 from sigmabraid.characters import _exact  # internal under test
 from sigmabraid.criterion import explore_ball
 from sigmabraid.models import ModelId, dictionary, equation_bank, parse_model_word, random_model_word
+from sigmabraid.sigma import decide_sigma
 from sigmabraid.words import (
     AlphabetError,
     DomainError,
@@ -214,11 +217,45 @@ def test_characters_keep_exact_values():
     assert chi.scale(Fraction(10)).coords == (1, 30, 0, 0)
 
 
+def _is_canonical(v):
+    """The one exact form of a coordinate: an int when it is integral, else
+    a Fraction with denominator > 1."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
 def test_exact_keeps_a_fraction_as_it_is():
-    # Fractions are immutable, so an exact one is not copied
+    # Fractions are immutable, so an exact one is not copied; an integral
+    # value is held as an int
     f = Fraction(2, 3)
     assert _exact(f) is f
-    assert _exact(3) == 3 and type(_exact(3)) is Fraction
+    assert _exact(3) == 3 and type(_exact(3)) is int
+    for v, value in [(Fraction(6, 2), 3), ("-4/2", -2), ("7", 7), (Fraction(0), 0), ("2/6", Fraction(1, 3))]:
+        assert _exact(v) == value and _is_canonical(_exact(v))
+
+
+_HALF, _TWO = Fraction(1, 2), Fraction(4, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: character(ModelId.G2T, [_HALF, _TWO, "6/3", "-1/3"]),
+    lambda: character(ModelId.G2T, {"x": _TWO, "y": "5/5", "b": _HALF}),
+    lambda: torus_character(2, [_TWO, "1/2"], [3, "-8/4"]),
+    lambda: klein_character(3, ["-9/3", _HALF, Fraction(0)]),
+    lambda: sphere_character(4, {(1, 3): _TWO, (2, 4): "2/3", (3, 4): 5}),
+    lambda: character_from_json({"surface": "T", "n": 2, "a": ["4/2", "1/3"], "b": [7, "-6/3"]}),
+    lambda: character_from_json({"surface": "S2", "n": 4, "A": {"1,3": "8/4", "2,3": "-1/2"}}),
+    lambda: character_from_json({"model": "G2K", "coords": {"y": "3/3", "b": "1/2"}}),
+    lambda: character(ModelId.G2T, [_HALF, 3, "1/3", 0]).scale(6),
+    lambda: character(ModelId.G2T, [_HALF, 3, "1/3", 0]).scale(Fraction(2, 3)),
+    lambda: -character(ModelId.G2T, [_HALF, _TWO, "1/3", 0]),
+    lambda: sphere_point(character(ModelId.G2T, [_HALF, 3, "1/3", 0])).character(),
+    lambda: model_character(dictionary(ModelId.G3T), torus_character(3, [_HALF, 0, _TWO], ["1/3", 3, 0])),
+], ids=["sequence", "mapping", "torus", "klein", "sphere", "json-torus", "json-sphere", "json-model",
+        "scale-int", "scale-fraction", "negation", "sphere-point", "model-character"])
+def test_every_constructor_keeps_the_canonical_form(build):
+    chi = build()
+    assert type(chi.coords) is tuple and all(_is_canonical(c) for c in chi.coords), chi.coords
+    assert any(type(c) is int and c for c in chi.coords)
 
 
 @pytest.mark.parametrize("build, value", [
@@ -578,4 +615,49 @@ def test_integer_scaling_matches_the_fraction_formulas(group):
             continue
         pt = sphere_point(chi)
         assert pt.coords == _fraction_sphere_coords(chi.coords)
-        assert type(chi.coords) is tuple and all(type(c) is Fraction for c in chi.coords)
+        assert type(chi.coords) is tuple and all(_is_canonical(c) for c in chi.coords)
+
+
+# ---------------------------------------------------------------------------
+# The integer path: an integer character builds no Fraction
+
+def test_an_integer_sphere_point_builds_no_fraction(monkeypatch):
+    n = 14
+    rng = random.Random("integer path")
+    doc = {"surface": "S2", "n": n,
+           "A": {f"{i},{j}": rng.choice((-3, -2, -1, 1, 2, 3)) for i, j in sphere_pairs(n)}}
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(characters, "Fraction", counting)
+    pt = sphere_point(character_from_json(doc))
+    verdict = decide_sigma(GroupContext("P", "S2", n), pt)
+    assert built == [] and verdict.membership == "InSigma1"
+    monkeypatch.undo()
+    # one 'p/q' coordinate takes the Fraction path, to the same point as
+    # the Fraction formulas
+    doc["A"]["3,7"] = "5/6"
+    chi = character_from_json(doc)
+    assert sphere_point(chi).coords == _fraction_sphere_coords(chi.coords)
+
+
+def test_a_mapping_built_character_costs_the_coordinates_it_gives(monkeypatch):
+    n = 300
+    calls = []
+    exact = characters._exact
+    monkeypatch.setattr(characters, "_exact", lambda v: calls.append(v) or exact(v))
+    chi = character_from_json({"surface": "S2", "n": n, "A": {"1,3": 1, "299,300": "-2/3"}})
+    assert calls == [1, Fraction(-2, 3)]
+    spec = chi.spec
+    assert chi["A[1,3]"] == 1 and chi["A[299,300]"] == Fraction(-2, 3)
+    assert chi.coords.count(0) == spec.free_rank - 2 and all(type(c) is int for c in chi.coords[1:-1])
+    calls.clear()
+    assert sphere_character(n, {(2, 5): 4}) == character(spec.group, {"A[2,5]": 4})
+    assert calls == [4, 4]
+    # unknown and torsion labels are named, sorted, before any value is read
+    with pytest.raises(AlphabetError) as err:
+        character(GroupContext("P", "K", 2), {"b1": 0.5, "zz": 1, "a2": 1})
+    assert str(err.value) == "not free coordinates of P_2(K): ['a2', 'zz']"

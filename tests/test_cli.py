@@ -282,6 +282,11 @@ def test_verify_cert_malformed_certificate(capsys, cert, message):
     *[(["classify", "--group", "P", "--surface", "T", "--n", "2",
         "--char", f'{{"surface":"T","n":{json.dumps(n)},"a":[1,0],"b":[0,1]}}'],
        f"character JSON field 'n' must be an integer, got {n!r}") for n in ("+2", " 2", "2_0", "\u0662")],
+    # the model field is a string naming a model
+    (["classify", "--group", "P", "--surface", "T", "--n", "2", "--char", '{"model": 7}'],
+     "character JSON field 'model' has the wrong type int"),
+    (["classify", "--group", "P", "--surface", "T", "--n", "2", "--char", '{"model": "G9T"}'],
+     "character JSON model 'G9T' is not a model"),
 ])
 def test_malformed_json_input_names_the_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
