@@ -46,6 +46,11 @@ def _cases() -> list[tuple[str, list[str]]]:
                                    '{"surface":"T","n":3,"a":[1,0,0],"b":[0,0,0]}']),
         ("classify-K-pair", ["classify", *K3, "--char", '{"surface":"K","n":3,"b":[0,-3,3]}']),
         ("classify-K-dense", ["classify", *K3, "--char", '{"surface":"K","n":3,"b":[1,1,-2]}']),
+        ("classify-K-off-center", ["classify", *K3, "--char", '{"surface":"K","n":3,"b":[1,1,1]}']),
+        ("classify-T-one-strand", ["classify", "--group", "P", "--surface", "T", "--n", "1",
+                                   "--char", '{"surface":"T","n":1,"a":[1],"b":[-2]}']),
+        ("classify-K-one-strand", ["classify", "--group", "P", "--surface", "K", "--n", "1",
+                                   "--char", '{"surface":"K","n":1,"b":[-1]}']),
         ("classify-S2-p3-circle", ["classify", *S5, "--char",
                                    '{"surface":"S2","n":5,"A":{"1,3":1,"2,3":2}}']),
         ("classify-S2-p4-circle", ["classify", *S5, "--char",
@@ -90,6 +95,11 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("abelianize-B-RP2", ["abelianize", "--group", "B", "--surface", "RP2", "--n", "3",
                               "--word", "s1 a2 a2 a3"]),
         ("r-infinity-matrix", ["r-infinity", "--n", "3", "--matrix", "[[0,1,0],[1,0,0],[0,0,1]]"]),
+        ("r-infinity-matrix-swap-23", ["r-infinity", "--n", "3", "--matrix",
+                                       "[[1,0,0],[0,0,1],[0,1,0]]"]),
+        ("r-infinity-matrix-negated", ["r-infinity", "--n", "3", "--matrix",
+                                       "[[-1,0,0],[0,-1,0],[0,0,-1]]"]),
+        ("r-infinity-matrix-refused", ["r-infinity", "--n", "2", "--matrix", "[[1,0],[0,-1]]"]),
         ("r-infinity-perm", ["r-infinity", "--n", "2", "--perm", "[[[1,2],[1,2]],[[2,1],[2,1]]]"]),
         ("verify-relations", ["verify-relations", "--max-n", "6"]),
         ("usage-error", ["classify", "--group", "P", "--surface", "T", "--n", "0"]),
