@@ -5,10 +5,11 @@ braid groups of the disc, sphere, projective plane, torus and Klein bottle.
 The complement of the invariant inside the character sphere is, for every
 family handled here, a finite union of explicitly described pieces:
 
-  P_n(T)    one circle per strand pair {i,j}: points with a_i = -a_j = p,
-            b_i = -b_j = q, (p,q) != 0, all other coordinates zero;
-  P_n(K)    two antipodal points per strand pair: b_i = 1, b_j = -1,
-            all other coordinates zero;
+  P_n(T), P_n(K)  the points that vanish on the centre (each strand block
+            sums to 0) and touch exactly two strands i, j, each piece pulled
+            back from P_2 along the map forgetting the other strands: one
+            circle a_i = -a_j = p, b_i = -b_j = q per pair on T, two antipodal
+            points b_i = -b_j = +-1 per pair on K (sphere points are primitive);
   P_{n+1}(S2)  (coordinates addressed by strand pair (i,j), 1 <= i < j <= n,
             (i,j) != (1,2); the group has n+1 strands)
             the three- and four-strand circle systems of ``_CIRCLES`` for
@@ -18,9 +19,9 @@ family handled here, a finite union of explicitly described pieces:
   torsion-only abelianizations (sphere and projective-plane families)
             have empty character spheres.
 
-``decide_sigma`` matches a canonical sphere point against these patterns
-exactly (integer arithmetic, no tolerances); one table, ``_CIRCLES``,
-holds the sphere's circle systems for it and ``enumerate_complement``.
+``decide_sigma`` decides a canonical sphere point exactly (integer arithmetic,
+no tolerances): by that support rule on T and K, and on the sphere by one
+table, ``_CIRCLES``, of circle systems, shared with ``enumerate_complement``.
 Every circle system lies on the pairs of at most four strands, so a sphere
 point whose nonzero coordinates touch five or more strands is in the
 invariant; the decision returns that verdict in its one read of the
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations, compress, islice, permutations
 from typing import Sequence
 
 from .characters import _STRAND_BLOCKS, SpherePoint, abelianization, sphere_pairs, strand_blocks
@@ -124,24 +126,40 @@ def sphere_is_empty(group: GroupContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pattern matchers
+# The support rule, per surface: the piece class, the pair order that
+# enumerate_complement lists, and the cites for n = 1, off the rule and on it.
+_PAIRS = {
+    "T": (TorusCircle, combinations, "abelian group, full invariant",
+          "no paired-strand pattern matches",
+          "paired strands i,j with opposite (p,q) weights, zero elsewhere"),
+    "K": (KleinPoint, permutations, "virtually abelian group, full invariant",
+          "no opposite-unit-pair pattern matches",
+          "opposite unit weights on strands i,j, zero elsewhere"),
+}
 
-def _match_torus(a: Sequence[int], b: Sequence[int]):  # both block sums are 0 here
-    support = [i for i in range(len(a)) if a[i] != 0 or b[i] != 0]
-    if len(support) != 2:
-        return None
-    i, j = support
-    return (i + 1, j + 1, a[i], b[i])
+
+@cache  # compress over kept ints builds none per strand; count() builds one past 256
+def _strands(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
 
 
-def _match_klein(b: Sequence[int]):
-    support = [i for i in range(len(b)) if b[i] != 0]
-    if len(support) != 2:
-        return None
-    i, j = support
-    if sorted((b[i], b[j])) != [-1, 1]:
-        return None
-    return (i + 1, j + 1) if b[i] == 1 else (j + 1, i + 1)
+def _decide_pair_case(surf: str, a: Sequence[int], b: Sequence[int]) -> SigmaVerdict:
+    """The support rule on the blocks of P_n(T) or P_n(K), the a block empty on
+    K.  Each coordinate is read at most once, each block up to its third
+    nonzero one; the witness is (i, j, a_i, b_i) on T, the +1 strand first on K."""
+    _, _, one_strand, no_match, matched = _PAIRS[surf]
+    if len(b) == 1:
+        return SigmaVerdict(IN_SIGMA1, None, one_strand)
+    if sum(a) or sum(b):
+        return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
+    strands = _strands(len(b))
+    touched = {*islice(compress(strands, a), 3), *islice(compress(strands, b), 3)}
+    if len(touched) != 2:
+        return SigmaVerdict(IN_SIGMA1, None, no_match)
+    i, j = sorted(touched)
+    if a:
+        return SigmaVerdict(IN_COMPLEMENT, (i + 1, j + 1, a[i], b[i]), matched)
+    return SigmaVerdict(IN_COMPLEMENT, (i + 1, j + 1) if b[i] == 1 else (j + 1, i + 1), matched)
 
 
 # The circle systems of P_{n+1}(S2), n >= 4 (Koban-McCammond-Meinert, Groups
@@ -221,28 +239,8 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
     if fam == "B":
         return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
 
-    if surf == "T":
-        if n == 1:
-            return SigmaVerdict(IN_SIGMA1, None, "abelian group, full invariant")
-        a, b = strand_blocks(pt)
-        if sum(a) != 0 or sum(b) != 0:
-            return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
-        witness = _match_torus(a, b)
-        if witness is None:
-            return SigmaVerdict(IN_SIGMA1, None, "no paired-strand pattern matches")
-        return SigmaVerdict(IN_COMPLEMENT, witness,
-                            "paired strands i,j with opposite (p,q) weights, zero elsewhere")
-    if surf == "K":
-        if n == 1:
-            return SigmaVerdict(IN_SIGMA1, None, "virtually abelian group, full invariant")
-        _, b = strand_blocks(pt)
-        if sum(b) != 0:
-            return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
-        witness = _match_klein(b)
-        if witness is None:
-            return SigmaVerdict(IN_SIGMA1, None, "no opposite-unit-pair pattern matches")
-        return SigmaVerdict(IN_COMPLEMENT, witness,
-                            "opposite unit weights on strands i,j, zero elsewhere")
+    if surf in _PAIRS:
+        return _decide_pair_case(surf, *strand_blocks(pt))
     # surf == "S2", nonempty sphere means n >= 3
     if n == 3:
         return SigmaVerdict(IN_COMPLEMENT, WholeSphere(),
@@ -260,10 +258,9 @@ def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
     if surf == "S2" and n == 3:  # a nonempty sphere means n >= 3
         return ComplementEnumeration(group, (), whole_sphere=True)
     strands = range(1, n + 1)
-    if surf == "T":
-        descs = tuple(TorusCircle(i, j) for i, j in combinations(strands, 2))
-    elif surf == "K":
-        descs = tuple(KleinPoint(i, j) for i, j in permutations(strands, 2))
+    if surf in _PAIRS:
+        piece, order = _PAIRS[surf][:2]
+        descs = tuple(piece(i, j) for i, j in order(strands, 2))
     else:
         descs = tuple(piece(*s) for piece, size, _ in _CIRCLES for s in combinations(strands, size))
     return ComplementEnumeration(group, descs)
@@ -378,14 +375,16 @@ def r_infinity_certificate(n: int,
         det = _int_det(rows)
         if det not in (1, -1):
             raise DomainError(f"matrix is not invertible over the integers (det={det})")
+        # det = +-1 makes each column difference c_i - c_j primitive (c_i - c_j,
+        # c_j and the other columns are a Z-basis): the support rule is exact on it
         mapping: dict[tuple[int, int], tuple[int, int]] = {}
         for i, j in permutations(range(1, n + 1), 2):
             vec = [row[i - 1] - row[j - 1] for row in rows]
-            image = _match_klein(vec)
-            if image is None:
+            verdict = _decide_pair_case("K", (), vec)
+            if verdict.membership != IN_COMPLEMENT:
                 raise DomainError(f"matrix does not preserve the complement: point {(i, j)} "
                                   f"maps to coordinates {vec}")
-            mapping[(i, j)] = image
+            mapping[(i, j)] = verdict.witness
     else:
         if not isinstance(point_permutation, dict):
             raise DomainError("point_permutation must be a dict, "

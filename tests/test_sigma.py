@@ -289,13 +289,27 @@ def test_antipodal_symmetry():
 
 
 def test_torus_witnesses_are_unique():
-    for n in (3, 4, 5, 6):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for (p, q) in ((1, 0), (0, 1), (1, -1), (2, 3)):
-                    v = decide_sigma(T(n), _torus_point(n, i, j, p, q))
-                    assert v.membership == IN_COMPLEMENT
-                    assert v.witness == (i, j, p, q)
+    # every enumerated torus circle, sampled at several parameters, decides
+    # InComplement with its own strands and (p, q) as witness
+    for n in range(2, 9):
+        circles = enumerate_complement(T(n)).descriptors
+        assert [(c.i, c.j) for c in circles] == list(combinations(range(1, n + 1), 2))
+        for c in circles:
+            for (p, q) in ((1, 0), (0, 1), (1, -1), (2, 3), (2, -3)):
+                v = decide_sigma(T(n), _torus_point(n, c.i, c.j, p, q))
+                assert v.membership == IN_COMPLEMENT
+                assert v.witness == (c.i, c.j, p, q)
+
+
+def test_klein_witnesses_are_unique():
+    # every enumerated Klein point decides InComplement with its own ordered
+    # pair, the strand of +1 first, as witness
+    for n in range(2, 9):
+        points = enumerate_complement(K(n)).descriptors
+        assert sorted((d.i, d.j) for d in points) == sorted(permutations(range(1, n + 1), 2))
+        for d in points:
+            v = decide_sigma(K(n), _klein_point(n, d.i, d.j))
+            assert (v.membership, v.witness) == (IN_COMPLEMENT, (d.i, d.j))
 
 
 def test_sphere_circles_are_disjoint():
@@ -728,3 +742,146 @@ def test_the_sphere_complement_counts_four_strand_subsets():
     # strand n+1 and C(n,4) P4 circles
     for n in range(4, 13):
         assert enumerate_complement(S2(n)).count == math.comb(n + 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the hand-written torus and Klein-bottle matchers
+#
+# The reference below is the P_n(T) and P_n(K) decision as it stood before
+# the support rule: one matcher per surface, with the Klein matcher's test
+# for an opposite unit pair, and one branch per surface.  The support rule
+# must agree with it on membership, witness and cite, and the r-infinity
+# check, which ran the Klein matcher on every column difference, on the
+# mapping or on the refusal.
+
+def _reference_match_torus(a, b):  # both block sums are 0 here
+    support = [i for i in range(len(a)) if a[i] != 0 or b[i] != 0]
+    if len(support) != 2:
+        return None
+    i, j = support
+    return (i + 1, j + 1, a[i], b[i])
+
+
+def _reference_match_klein(b):
+    support = [i for i in range(len(b)) if b[i] != 0]
+    if len(support) != 2:
+        return None
+    i, j = support
+    if sorted((b[i], b[j])) != [-1, 1]:
+        return None
+    return (i + 1, j + 1) if b[i] == 1 else (j + 1, i + 1)
+
+
+def _reference_pair_decision(surf, n, pt):
+    """(membership, witness, cite) of the matcher branches."""
+    if surf == "T":
+        if n == 1:
+            return (IN_SIGMA1, None, "abelian group, full invariant")
+        a, b = strand_blocks(pt)
+        if sum(a) != 0 or sum(b) != 0:
+            return (IN_SIGMA1, None, "character does not vanish on the center")
+        witness = _reference_match_torus(a, b)
+        if witness is None:
+            return (IN_SIGMA1, None, "no paired-strand pattern matches")
+        return (IN_COMPLEMENT, witness,
+                "paired strands i,j with opposite (p,q) weights, zero elsewhere")
+    if n == 1:
+        return (IN_SIGMA1, None, "virtually abelian group, full invariant")
+    _, b = strand_blocks(pt)
+    if sum(b) != 0:
+        return (IN_SIGMA1, None, "character does not vanish on the center")
+    witness = _reference_match_klein(b)
+    if witness is None:
+        return (IN_SIGMA1, None, "no opposite-unit-pair pattern matches")
+    return (IN_COMPLEMENT, witness, "opposite unit weights on strands i,j, zero elsewhere")
+
+
+_PAIR_CHARACTERS = {"T": torus_character, "K": klein_character}
+
+
+def _random_pair_blocks(rng, n, surf, strands, centre_free):
+    """The blocks of a P_n(T) or P_n(K) character whose coordinates are
+    drawn on ``strands`` strands (every strand when it is None); a
+    centre-free one has each block summing to 0."""
+    chosen = range(n) if strands is None else rng.sample(range(n), min(n, strands))
+    blocks = []
+    for _ in range(2 if surf == "T" else 1):  # the a and b blocks, or b alone
+        block = [0] * n
+        for s in chosen:
+            block[s] = rng.randint(-3, 3)
+        if centre_free:
+            block[chosen[-1]] -= sum(block)
+        blocks.append(block)
+    return blocks
+
+
+def test_pair_decision_matches_the_matcher_reference():
+    rng = random.Random(33)
+    cites = {"T": set(), "K": set()}
+    members = {"T": 0, "K": 0}
+    points = 0
+    for surf, group in (("T", T), ("K", K)):
+        for n in range(1, 13):
+            for t in range(60):
+                strands = (1, 2, 3, 4, None)[t % 5]
+                blocks = _random_pair_blocks(rng, n, surf, strands, centre_free=t % 10 < 5)
+                if not any(map(any, blocks)):
+                    continue
+                pt = sphere_point(_PAIR_CHARACTERS[surf](n, *blocks))
+                for point in (pt, -pt):
+                    v = decide_sigma(group(n), point)
+                    got = (v.membership, v.witness, v.justification)
+                    assert got == _reference_pair_decision(surf, n, point), (surf, n, point.coords)
+                    cites[surf].add(v.justification)
+                    members[surf] += v.membership == IN_COMPLEMENT
+                    points += 1
+    assert points >= 2000
+    assert all(len(seen) == 4 for seen in cites.values()), cites
+    assert min(members.values()) >= 150, members
+
+
+def _reference_r_infinity(n, rows):
+    """(induced, certified) of the matcher-based r-infinity check, or the
+    DomainError text of its refusal."""
+    mapping = {}
+    for i, j in permutations(range(1, n + 1), 2):
+        vec = [row[i - 1] - row[j - 1] for row in rows]
+        image = _reference_match_klein(vec)
+        if image is None:
+            return (f"matrix does not preserve the complement: point {(i, j)} "
+                    f"maps to coordinates {vec}")
+        mapping[(i, j)] = image
+    return tuple(sorted(mapping.items())), all(src == dst for src, dst in mapping.items())
+
+
+def _random_unimodular(rng, n):
+    """A signed permutation matrix times up to three elementary matrices
+    E_ij(+-1), so its determinant is +-1."""
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1))] * n if rng.random() < 0.5 else [rng.choice((-1, 1)) for _ in range(n)]
+    m = [[signs[c] if perm[c] == r else 0 for c in range(n)] for r in range(n)]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        i, j = rng.sample(range(n), 2)
+        e = rng.choice((-1, 1))
+        for row in m:  # right multiplication by E_ij(e): column j += e * column i
+            row[j] += e * row[i]
+    return m
+
+
+def test_r_infinity_matches_the_matcher_reference():
+    rng = random.Random(3301)
+    outcomes = {"certified": 0, "moved": 0, "refused": 0}
+    for n in range(2, 7):
+        for _ in range(120):
+            rows = _random_unimodular(rng, n)
+            expected = _reference_r_infinity(n, rows)
+            try:
+                cert = r_infinity_certificate(n, matrix=rows)
+            except DomainError as err:
+                assert str(err) == expected, rows
+                outcomes["refused"] += 1
+                continue
+            assert (cert.induced, cert.certified) == expected, rows
+            outcomes["certified" if cert.certified else "moved"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
