@@ -76,6 +76,14 @@ def _cases() -> list[tuple[str, list[str]]]:
                                '{"surface":"T","n":3,"a":[1,2,-1],"b":[0,1,1]}']),
         ("ball-json", ["ball", "--model", "G2K", "--char", '{"model":"G2K","coords":{"y":-1,"b":"1/2"}}',
                        "--radius", "4", "--target", "y x y^-1", "--target", "y^-1 y^-1"]),
+        # the budget cuts inside distance 4 (259 < 500 < 1,145 vertices)
+        ("ball-json-budget-cut", ["ball", "--model", "G2K", "--char",
+                                  '{"model":"G2K","coords":{"y":-1,"b":"1/2"}}', "--radius", "4",
+                                  "--budget", "500", "--target", "y x y^-1"]),
+        # a one-vertex prefix: the base vertex b lies outside it
+        ("ball-json-budget-one", ["ball", "--model", "G2K", "--char",
+                                  '{"model":"G2K","coords":{"y":-1,"b":"1/2"}}', "--radius", "4",
+                                  "--budget", "1", "--target", "y x y^-1"]),
         ("ball-table", ["--format", "table", "ball", "--model", "G3T", "--char",
                         '{"model":"G3T","coords":{"x":1,"u":1,"y":-1}}', "--radius", "3",
                         "--target", "v"]),
