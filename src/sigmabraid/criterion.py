@@ -61,20 +61,20 @@ ball per model is kept, the largest swept so far and never larger than
 the budget it was swept under; because vertices are numbered in
 breadth-first order, a sweep to a smaller radius, or one cut by a vertex
 budget, is a prefix of it.  Each query sums chi down the tree of the
-prefix's classes and marks the nonnegative part by class.  On a prefix
-of the kept ball that ends at a whole distance it searches pieces, on
-every model: a piece is a connected set of prefix vertices of one class,
-joined by the edges that keep the class (those along letters of finite
-abelian order), so chi is constant on it and the nonnegative part is a
-union of pieces.  Where every letter is free (G2T) each piece is a
-single vertex and the piece graph is the prefix's own graph.  The kept
-ball stores the piece graph of such a prefix once the first query reads
-it, and a query on it makes no pass over the vertices: it reads its
+prefix's classes and marks the nonnegative part by class.  It then
+searches pieces, with one search for every prefix on every model: a
+piece is a connected set of prefix vertices of one class, joined by the
+edges that keep the class (those along letters of finite abelian order),
+so chi is constant on it and the nonnegative part is a union of pieces.
+Where every letter is free (G2T) each piece is a single vertex and the
+piece graph is the prefix's own graph.  The kept ball stores the piece
+graph of each whole-distance prefix once a query reads it, and that of
+one prefix the budget cuts, replaced when another cut is asked; a query
+on a stored graph makes no pass over the vertices: it reads its
 unreached sample off the pieces of the vertices in the sample order,
-stopping at the tenth, and each target's flag off its piece.  Only a
-query that sweeps its own ball and one on a prefix the budget cuts
-search the vertices.  A bounded sweep can certify reachability but never
-disconnection; the report says so explicitly.
+stopping at the tenth, and each target's flag off its piece.  A bounded
+sweep can certify reachability but never disconnection; the report says
+so explicitly.
 """
 
 from __future__ import annotations
@@ -568,20 +568,20 @@ def _ball_budget(budget: int | None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class _Pieces:
-    """The pieces of a whole-distance prefix of a kept ball, the vertices
-    0 .. n - 1: the connected sets of prefix vertices of one abelian class,
-    joined by prefix edges that keep the class, which are the edges along
-    letters of finite abelian order.  Every character is constant on a
-    piece, so the chi-nonnegative part of the prefix is a union of pieces,
-    and it is connected inside the prefix exactly as its pieces are in the
-    piece graph.  On a model whose letters are all free every piece is a
-    single vertex, numbered as the vertex, and the piece graph is the
-    prefix's own graph.
+    """The pieces of a prefix of a ball, the vertices 0 .. n - 1, whole
+    distances or cut by the budget: the connected sets of prefix vertices
+    of one abelian class, joined by prefix edges that keep the class, which
+    are the edges along letters of finite abelian order.  Every character
+    is constant on a piece, so the chi-nonnegative part of the prefix is a
+    union of pieces, and it is connected inside the prefix exactly as its
+    pieces are in the piece graph.  On a model whose letters are all free
+    every piece is a single vertex, numbered as the vertex, and the piece
+    graph is the prefix's own graph.
 
     Two reads serve every query without a pass over the vertices:
-    ``flags`` maps the list of class flags to the tuple of piece flags in
+    ``flags`` maps the list of class flags to the piece flags in
     one call, and ``ordered`` gives the piece of each prefix vertex in the
-    sample order, whose first n entries are the prefix.  ``flags`` is
+    sample order, that is of each v < n in ``ball.order``.  ``flags`` is
     built from ``cls`` and stays out of eq and repr, so a table built
     again compares equal to the kept one."""
 
@@ -590,7 +590,7 @@ class _Pieces:
     size: array  # piece p -> its vertex count
     adj: list[tuple[int, ...]]  # piece p -> the other pieces joined to it by an edge, once each
     leaf: bytes  # piece p has exactly one neighbouring piece
-    ordered: array  # i -> the piece of the prefix vertex ball.order[i]
+    ordered: array  # i -> the piece of the i-th prefix vertex in ball.order
     flags: itemgetter = field(compare=False, repr=False)  # class flags -> the flags of the pieces
 
 
@@ -615,9 +615,12 @@ class _Ball:
     :func:`_order`, and ``texts`` holds the spelled word of each vertex
     sampled so far.  ``pieces[d]`` is the :class:`_Pieces` table of the
     prefix of the vertices at distance <= d, built by :func:`_pieces` for
-    the first warm query on that prefix; on every model, so on G2T too,
-    where each piece is one vertex and the table shares the rows that lie
-    inside the prefix."""
+    the first query on that prefix, the query that sweeps the ball
+    included; on every model, so on G2T too, where each piece is one
+    vertex and the table shares the rows that lie inside the prefix.
+    ``cut`` holds at most one table, keyed by n, of a prefix 0 .. n - 1
+    that the budget cuts inside a distance; the next query on another cut
+    replaces it, so a ball keeps at most radius + 1 tables."""
 
     radius: int
     sizes: array
@@ -631,6 +634,7 @@ class _Ball:
     order: array
     texts: dict[int, str]
     pieces: dict[int, _Pieces]
+    cut: dict[int, _Pieces]
 
 
 # the whole ball of the largest radius swept so far, one per model
@@ -772,62 +776,58 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     else:
         rows += map(tuple, _shell_rows(model, rows, states, index))
     ball = _Ball(radius, sizes, parent, letter, cls, csizes, classes.parent, classes.letter,
-                 rows, _order(sizes, states), {}, {})
+                 rows, _order(sizes, states), {}, {}, {})
     return ball, truncated
 
 
 def _pieces(ball: _Ball, n: int) -> _Pieces:
-    """The pieces of the prefix 0 .. n - 1 of a whole ball, numbered in the
-    order of their least vertices.  An edge keeps the class exactly when
-    its ends share ``cls``, so each piece is searched out of the rows by
-    that test; ``members`` then lists the vertices piece by piece, and a
-    mark per piece, the last piece that listed it, lists each neighbouring
-    piece once.  A piece whose neighbours, in order, are its first vertex's
-    row shares that row instead of a copy: on a model whose letters are
-    all free, every vertex whose row lies inside the prefix."""
+    """The pieces of the prefix 0 .. n - 1 of a ball, numbered in the order
+    of their least vertices.  An edge keeps the class exactly when its ends
+    share ``cls``, so each piece's vertices are searched out of the rows by
+    that test, and a mark per piece, the last piece that listed it, lists
+    each neighbouring piece once.  A piece whose neighbours, in order, are
+    its first vertex's row shares that row instead of a copy: on a model
+    whose letters are all free, every vertex whose row lies inside the
+    prefix."""
     rows, cls = ball.rows, ball.cls
-    piece = array("i", [-1]) * n
-    members = array("i")
-    start = [0]  # piece p has the members start[p] .. start[p + 1] - 1
-    pcls = array("i")
+    piece = [-1] * n
+    groups = []  # piece p -> its vertices
     for v in range(n):
         if piece[v] < 0:
-            p, c = len(pcls), cls[v]
-            pcls.append(c)
+            p, c = len(groups), cls[v]
             piece[v] = p
-            members.append(v)
-            i = start[-1]
-            while i < len(members):
-                for w in rows[members[i]]:
+            group = [v]
+            for u in group:
+                for w in rows[u]:
                     if w < n and piece[w] < 0 and cls[w] == c:
                         piece[w] = p
-                        members.append(w)
-                i += 1
-            start.append(len(members))
-    count = len(pcls)
+                        group.append(w)
+            groups.append(group)
+    count = len(groups)
     # one int per piece, shared by every tuple that lists it; a class has a
     # piece, so the class numbers are among them
     ids = list(range(count))
-    mark = array("i", [-1]) * count
+    mark = [-1] * count
     adj = []
-    for p, (lo, hi) in enumerate(pairwise(start)):
+    for p, group in enumerate(groups):
         mark[p] = p  # a piece is not its own neighbour
         nbrs = []
-        for u in members[lo:hi]:
+        for u in group:
             for w in rows[u]:
                 if w < n:
                     q = piece[w]
                     if mark[q] != p:
                         mark[q] = p
                         nbrs.append(ids[q])
-        nbrs, row = tuple(nbrs), rows[members[lo]]
+        nbrs, row = tuple(nbrs), rows[group[0]]
         adj.append(row if row == nbrs else nbrs)
-    # a whole-distance prefix has vertices of at least two classes, so at
-    # least two pieces, and the getter returns a tuple
-    pcls = tuple(map(ids.__getitem__, pcls))
-    return _Pieces(piece, pcls, array("i", [hi - lo for lo, hi in pairwise(start)]), adj,
+    pcls = tuple(ids[cls[group[0]]] for group in groups)
+    # itemgetter of one item returns that item, not a tuple: a prefix of one
+    # piece, whose class is 0, reads its flag as a slice
+    flags = itemgetter(*pcls) if count > 1 else itemgetter(slice(0, 1))
+    return _Pieces(array("i", piece), pcls, array("i", map(len, groups)), adj,
                    bytes(len(nbrs) == 1 for nbrs in adj),
-                   array("i", map(piece.__getitem__, ball.order[:n])), itemgetter(*pcls))
+                   array("i", [piece[v] for v in ball.order if v < n]), flags)
 
 
 def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
@@ -897,7 +897,8 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     breadth-first order, and these are a prefix of every larger ball.
     So a query reads that prefix of the kept ball when the ball's radius
     is at least r or B cuts inside it, and otherwise sweeps anew; a
-    sweep the budget cut is used once, not kept.
+    sweep the budget cut is used once, not kept, and its piece table goes
+    with it.
 
     A query reads the scaled integer value of each signed letter from
     ``chi.letter_table`` (scaling by the table's positive denominator
@@ -906,24 +907,23 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     tree of the prefix's abelian classes, which are far fewer than its
     vertices, and marks the nonnegative classes.
 
-    A query on the kept ball whose prefix ends at a whole distance d
-    searches pieces (:class:`_Pieces`), on every model: the connected sets
-    of prefix vertices of one class, joined by the prefix edges that keep
-    the class; on G2T, whose letters are all free, each piece is one
-    vertex.  The table of the distance-d prefix is built by the first
-    such query and kept in ``ball.pieces``.  A piece is nonnegative when
-    its class is, read for every piece in one call of the table's
-    ``flags``; the nonnegative count is the sum of those pieces' sizes,
-    and the search runs on the piece graph from the base vertex's piece,
-    a piece with one neighbouring piece reached from it and not expanded.
-    The unreached sample reads the flags of the pieces of the vertices in
-    the sample order (the table's ``ordered``) and stops at its last
+    Every query then runs one search, on pieces (:class:`_Pieces`), on
+    every model: the connected sets of prefix vertices of one class,
+    joined by the prefix edges that keep the class; on G2T, whose letters
+    are all free, each piece is one vertex.  The table of a prefix that
+    ends at a whole distance d is built by the first query on it, the
+    query that sweeps the ball included, and kept in ``ball.pieces``;
+    that of a prefix the budget cuts is kept in ``ball.cut``, which holds
+    one table and is replaced when another cut is asked.  A piece is
+    nonnegative when its class is, read for every piece in one call of
+    the table's ``flags``; the nonnegative count is the sum of those
+    pieces' sizes, and the search runs on the piece graph from the base
+    vertex's piece, unless the base lies outside a cut prefix, a piece
+    with one neighbouring piece reached from it and not expanded.  The
+    unreached sample reads the flags of the pieces of the prefix vertices
+    in the sample order (the table's ``ordered``) and stops at its last
     vertex, and a target's flag is its piece's, so no list over the
-    vertices is made.  Only a query that sweeps its own ball and one on a
-    prefix the budget cuts search the vertices: marked nonnegative by
-    class, one row read per reached vertex, and every number from n on
-    standing for a state outside the prefix.  Both searches give the same
-    report.
+    vertices is made.
 
     The unreached sample is the first ten unreached vertices in the
     ball's ``order``; each is spelled once per ball and its text reused.
@@ -948,20 +948,22 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     base_k = min((k for k, v in enumerate(moves) if v > 0), key=lambda k: k & 1, default=None)
 
     ball = _BALLS.get(model)
-    pieces = None
     if ball is not None and (radius <= ball.radius or budget < ball.sizes[-1]):
         d = min(radius, ball.radius)
         whole = ball.sizes[d]
         n, truncated = min(whole, budget), whole > budget
-        if not truncated:  # a whole-distance prefix is searched by pieces
-            pieces = ball.pieces.get(d)
-            if pieces is None:
-                pieces = ball.pieces[d] = _pieces(ball, n)
     else:
         ball, truncated = _sweep(model, radius, budget)
-        n = ball.sizes[-1]
+        d, n = radius, ball.sizes[-1]
         if not truncated:
             _BALLS[model] = ball
+    # whole-distance tables by d, and one cut table, replaced by the next cut
+    store, key = (ball.cut, n) if truncated else (ball.pieces, d)
+    pieces = store.get(key)
+    if pieces is None:
+        if truncated:
+            store.clear()
+        pieces = store[key] = _pieces(ball, n)
 
     value = _class_values(ball, n, moves)
     nonneg_class = [val >= 0 for val in value]
@@ -973,48 +975,26 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
         base_word = Word((signed[base_k],))
         base = ball.rows[0][base_k]
 
-    if pieces is None:
-        # open_[v]: v is nonnegative and not yet reached; every id from n on
-        # stands for a state outside the prefix
-        open_ = list(map(nonneg_class.__getitem__, ball.cls[:n]))
-        nonnegative = sum(open_)
-        open_ += [False] * (len(ball.parent) + 1 - n)
-        reached = 0
-        if open_[base]:
-            open_[base] = False
-            reached = 1
-            todo = [base]
-            rows = ball.rows
-            while todo:
-                for w in rows[todo.pop()]:
-                    if open_[w]:
-                        open_[w] = False
-                        reached += 1
-                        todo.append(w)
-        unreached = filter(open_.__getitem__, ball.order)
-        is_open = open_.__getitem__
-    else:
-        # the same search on the piece graph; a piece with one neighbour is
-        # reached from it and has nothing more to open
-        popen = list(pieces.flags(nonneg_class))
-        nonnegative = sum(compress(pieces.size, popen))
-        p = pieces.piece[base]
-        if popen[p]:
-            popen[p] = False
-            todo = [p]
-            adj, leaf = pieces.adj, pieces.leaf
-            while todo:
-                for q in adj[todo.pop()]:
-                    if popen[q]:
-                        popen[q] = False
-                        if not leaf[q]:
-                            todo.append(q)
-        reached = nonnegative - sum(compress(pieces.size, popen))
-        # the vertices of the pieces left open, read in the sample order
-        # only as far as the sample needs
-        unreached = compress(ball.order, map(popen.__getitem__, pieces.ordered))
-        piece = pieces.piece
-        is_open = lambda w: popen[piece[w]]
+    # a piece with one neighbouring piece is reached from it and has
+    # nothing more to open
+    popen = list(pieces.flags(nonneg_class))
+    nonnegative = sum(compress(pieces.size, popen))
+    if base < n and popen[p := pieces.piece[base]]:
+        popen[p] = False
+        todo = [p]
+        adj, leaf = pieces.adj, pieces.leaf
+        while todo:
+            for q in adj[todo.pop()]:
+                if popen[q]:
+                    popen[q] = False
+                    if not leaf[q]:
+                        todo.append(q)
+    reached = nonnegative - sum(compress(pieces.size, popen))
+    # the vertices of the pieces left open, read in the sample order only
+    # as far as the sample needs; a whole prefix is the first n vertices of
+    # the order, while a cut one skips the vertices from n on
+    order = filter(n.__gt__, ball.order) if truncated else ball.order
+    unreached = compress(order, map(popen.__getitem__, pieces.ordered))
 
     sample = ()
     if nonnegative > reached:
@@ -1024,7 +1004,7 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     for tw in targets:
         w = _vertex_of(model, ball, n, normalize(model, tw).state)
         nonneg = w is not None and nonneg_class[ball.cls[w]]
-        reachable = nonneg and not is_open(w)
+        reachable = nonneg and not popen[pieces.piece[w]]
         target_reports.append(TargetReport(serialize_word(tw), w is not None, nonneg, reachable))
     return BallReport(model, radius, serialize_word(base_word) or "1",
                       n, nonnegative, reached, truncated, sample, tuple(target_reports))

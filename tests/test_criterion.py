@@ -1122,55 +1122,92 @@ def test_cached_sample_texts_equal_fresh_spellings(monkeypatch):
         assert again == first
 
 
+def _assert_piece_table(model, ball, n, pieces):
+    """The structure of the piece table of the prefix 0 .. n - 1."""
+    assert len(pieces.piece) == n
+    if not any(order for _, order in model.letter_orders):
+        # every letter free (G2T): each piece is one vertex, numbered as it
+        assert list(pieces.piece) == list(range(n))
+    # the piece of each prefix vertex in the sample order
+    assert list(pieces.ordered) == [pieces.piece[v] for v in ball.order if v < n]
+    members = [[] for _ in pieces.cls]
+    for v in range(n):
+        members[pieces.piece[v]].append(v)
+    # each piece lies inside one class, and the sizes sum to n
+    assert list(pieces.size) == list(map(len, members)) and sum(pieces.size) == n
+    for p, vs in enumerate(members):
+        assert {ball.cls[v] for v in vs} == {pieces.cls[p]}
+    # the flags of the pieces are those of their classes, a sequence even
+    # for a single piece
+    flags = [c % 3 == 0 for c in range(max(pieces.cls) + 1)]
+    assert list(pieces.flags(flags)) == [flags[c] for c in pieces.cls]
+    # no edge that keeps the class joins two pieces, and such edges join
+    # each piece into one
+    for p, vs in enumerate(members):
+        seen, todo = {vs[0]}, [vs[0]]
+        while todo:
+            for w in ball.rows[todo.pop()]:
+                if w < n and ball.cls[w] == pieces.cls[p]:
+                    assert pieces.piece[w] == p, (n, p, w)
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+        assert seen == set(vs), (n, p)
+        # the neighbouring pieces, once each
+        nbrs = {pieces.piece[w] for v in vs for w in ball.rows[v] if w < n} - {p}
+        assert sorted(pieces.adj[p]) == sorted(nbrs), (n, p)
+        assert pieces.leaf[p] == (len(nbrs) == 1)
+
+
 @pytest.mark.parametrize("model", list(ModelId))
-def test_only_whole_prefixes_of_a_kept_ball_are_searched_by_pieces(model, monkeypatch):
+def test_every_prefix_gets_a_piece_table(model, monkeypatch):
+    from sigmabraid.criterion import _pieces, _sweep
+
     balls = _cold_balls(monkeypatch)
     chi = next(_seeded_characters(model, random.Random(f"pieces:{model.value}"), 2))
-    explore_ball(model, chi, _CLASS_RADII[model])  # sweeps its own ball
+    radius = _CLASS_RADII[model]
+    explore_ball(model, chi, radius)  # sweeps its own ball and builds its table
     ball = balls[model]
-    assert ball.pieces == {}
-    # a prefix the budget cuts keeps the vertex search, and the first query
-    # on a whole-distance prefix builds its table
-    tabled = set()
-    for r, budget, _ in _prefixes(ball, model):
+    assert sorted(ball.pieces) == [radius] and ball.cut == {}
+    _assert_piece_table(model, ball, ball.sizes[radius], ball.pieces[radius])
+    # every whole distance keeps its table; a prefix the budget cuts, budget
+    # 1 among them, keeps the one cut table, in place of the one before
+    cuts = 0
+    for r, budget, n in _prefixes(ball, model):
         report = explore_ball(model, chi, r, budget=budget)
-        if not report.truncated:
-            tabled.add(r)
-        assert set(ball.pieces) == tabled, (r, budget)
-    assert tabled
-    for d, pieces in ball.pieces.items():
-        n = ball.sizes[d]
-        assert len(pieces.piece) == n
-        if not any(order for _, order in model.letter_orders):
-            # every letter free (G2T): each piece is one vertex, numbered as it
-            assert list(pieces.piece) == list(range(n))
-        # the piece of each prefix vertex in the sample order, whose first n
-        # entries are the prefix
-        assert sorted(ball.order[:n]) == list(range(n))
-        assert list(pieces.ordered) == [pieces.piece[v] for v in ball.order[:n]]
-        members = [[] for _ in pieces.cls]
-        for v in range(n):
-            members[pieces.piece[v]].append(v)
-        # each piece lies inside one class, and the sizes sum to n
-        assert list(pieces.size) == list(map(len, members)) and sum(pieces.size) == n
-        for p, vs in enumerate(members):
-            assert {ball.cls[v] for v in vs} == {pieces.cls[p]}
-        # no edge that keeps the class joins two pieces, and such edges join
-        # each piece into one
-        for p, vs in enumerate(members):
-            seen, todo = {vs[0]}, [vs[0]]
-            while todo:
-                for w in ball.rows[todo.pop()]:
-                    if w < n and ball.cls[w] == pieces.cls[p]:
-                        assert pieces.piece[w] == p, (d, p, w)
-                        if w not in seen:
-                            seen.add(w)
-                            todo.append(w)
-            assert seen == set(vs), (d, p)
-            # the neighbouring pieces, once each
-            nbrs = {pieces.piece[w] for v in vs for w in ball.rows[v] if w < n} - {p}
-            assert sorted(pieces.adj[p]) == sorted(nbrs), (d, p)
-            assert pieces.leaf[p] == (len(nbrs) == 1)
+        assert balls[model] is ball and report.vertex_count == n
+        if report.truncated:
+            assert list(ball.cut) == [n], (r, budget)
+            _assert_piece_table(model, ball, n, ball.cut[n])
+            cuts += 1
+        else:
+            _assert_piece_table(model, ball, n, ball.pieces[r])
+    assert sorted(ball.pieces) == list(range(1, radius + 1)) and cuts > 0
+    # a sweep the budget cuts is not kept; its table is that of its prefix
+    cut, truncated = _sweep(model, radius, ball.sizes[-1] // 2)
+    assert truncated
+    _assert_piece_table(model, cut, cut.sizes[-1], _pieces(cut, cut.sizes[-1]))
+
+
+def test_a_kept_ball_keeps_one_table_per_distance_and_one_cut_table(monkeypatch):
+    balls = _cold_balls(monkeypatch)
+    model = ModelId.G2T
+    chis = [character(model, {"x": -1, "y": 1, "a": Fraction(1, 2)}),
+            character(model, {"x": 2, "b": -1})]
+    explore_ball(model, chis[0], 4)  # keeps the radius-4 ball
+    ball = balls[model]
+    size = ball.sizes[-1]
+    assert size == 585
+    # every budget on every radius of the kept ball, a whole prefix or one
+    # the budget cuts, with two characters
+    for budget in range(1, size + 1):
+        r = 1 + budget % 4
+        for chi in chis:
+            got = explore_ball(model, chi, r, budget=budget)
+            assert got == _two_pass_ball(model, chi, r, budget=budget)[0], (r, budget)
+            assert balls[model] is ball
+            assert len(ball.pieces) <= 4 and len(ball.cut) <= 1, (r, budget)
+    assert sorted(ball.pieces) == [1, 2, 3, 4]
 
 
 def test_piece_tables_take_less_memory_than_the_rows(monkeypatch):
