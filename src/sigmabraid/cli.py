@@ -220,17 +220,15 @@ def _certificate_from_json(doc) -> PathCertificate:
     t = letter(doc, "t", what)
     raw = json_field(doc, "entries", (list,), what)
     entries = []
-    for e in raw:  # well-formed entries, up to the first that is not
-        if e.__class__ is not dict:
-            break
-        z, word, cite = e.get("z"), e.get("word"), e.get("cite", "")
-        if not (z.__class__ is word.__class__ is cite.__class__ is str):
-            break
-        letters = parse(z).letters
-        if len(letters) != 1:
-            break
-        entries.append(CertificateEntry(letters[0], parse(word), cite))
-    for e in raw[len(entries):]:  # the checks that name what is wrong, in the same order
+    for e in raw:
+        if e.__class__ is dict:  # the quick read of a well-formed entry
+            z, word, cite = e.get("z"), e.get("word"), e.get("cite", "")
+            if z.__class__ is word.__class__ is cite.__class__ is str:
+                letters = parse(z).letters
+                if len(letters) == 1:
+                    entries.append(CertificateEntry(letters[0], parse(word), cite))
+                    continue
+        # an entry the quick read refuses: the checks that name what is wrong
         z = letter(e, "z", "certificate entry")
         path = parse(json_field(e, "word", (str,), "certificate entry"))
         cite = json_field(e, "cite", (str,), "certificate entry") if "cite" in e else ""

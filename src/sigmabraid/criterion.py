@@ -56,25 +56,27 @@ not depend on chi: a breadth-first sweep, canonicalising vertices by
 normal form, numbers each vertex once and keeps its parent, its arrival
 letter, its abelian class (the exponent vector of the free letters, on
 which every character is constant), its row of neighbours and the sample
-order.  A ball cut by a vertex budget has the same shape.  One whole
-ball per model is kept, the largest swept so far and never larger than
-the budget it was swept under; because vertices are numbered in
-breadth-first order, a sweep to a smaller radius, or one cut by a vertex
-budget, is a prefix of it.  Each query sums chi down the tree of the
-prefix's classes and marks the nonnegative part by class.  It then
+order.  Rows follow one rule, whether a vertex budget cut the sweep or
+not: a vertex the sweep stepped has one number per letter, and one of
+the outer layer, numbered but not stepped, lists its in-ball neighbours.
+One whole ball per model is kept, the largest swept so far and never
+larger than the budget it was swept under; because vertices are numbered
+in breadth-first order, a sweep to a smaller radius, or one cut by a
+vertex budget, is a prefix of it.  Each query sums chi down the tree of
+the prefix's classes and marks the nonnegative part by class.  It then
 searches pieces, with one search for every prefix on every model: a
 piece is a connected set of prefix vertices of one class, joined by the
 edges that keep the class (those along letters of finite abelian order),
 so chi is constant on it and the nonnegative part is a union of pieces.
-Where every letter is free (G2T) each piece is a single vertex and the
-piece graph is the prefix's own graph.  The kept ball stores the piece
-graph of each whole-distance prefix once a query reads it, and that of
-one prefix the budget cuts, replaced when another cut is asked; a query
-on a stored graph makes no pass over the vertices: it reads its
-unreached sample off the pieces of the vertices in the sample order,
-stopping at the tenth, and each target's flag off its piece.  A bounded
-sweep can certify reachability but never disconnection; the report says
-so explicitly.
+Where every letter is free (G2T) each piece is a single vertex.  The kept
+ball stores the piece graph of each whole-distance prefix once a query
+reads it, and that of one prefix the budget cuts, replaced when another
+cut is asked; a table reads the sample order only to the end of its
+prefix's last distance.  A query on a stored graph makes no pass over
+the vertices: it reads its unreached sample off the pieces of the
+vertices in the sample order, stopping at the tenth, and each target's
+flag off its piece.  A bounded sweep can certify reachability but never
+disconnection; the report says so explicitly.
 """
 
 from __future__ import annotations
@@ -607,20 +609,18 @@ class _Ball:
     Classes are numbered in discovery order, ``csizes[d]`` counts those met
     at distance <= d, and class c > 0 was met from class ``cparent[c]`` by
     the letter ``cletter[c]``, which is free.  Every vertex v has its row
-    of neighbours in ``rows[v]``.  The row of a vertex below distance r,
-    and every row of a cut sweep, holds one number per letter, where the
-    ball's size stands for a state outside it; the row of a vertex of the
-    radius-r shell of a whole sweep holds its neighbours inside the ball
-    only.  ``order`` lists the vertices in the sample order of
+    of neighbours in ``rows[v]``.  The sweep stepped the vertices below
+    ``sizes[-2]``, and each of their rows holds one number per letter,
+    where the ball's size stands for a state outside it; the row of a
+    vertex of the outer layer, the rest, holds its neighbours inside the
+    ball only.  ``order`` lists the vertices in the sample order of
     :func:`_order`, and ``texts`` holds the spelled word of each vertex
     sampled so far.  ``pieces[d]`` is the :class:`_Pieces` table of the
     prefix of the vertices at distance <= d, built by :func:`_pieces` for
     the first query on that prefix, the query that sweeps the ball
-    included; on every model, so on G2T too, where each piece is one
-    vertex and the table shares the rows that lie inside the prefix.
-    ``cut`` holds at most one table, keyed by n, of a prefix 0 .. n - 1
-    that the budget cuts inside a distance; the next query on another cut
-    replaces it, so a ball keeps at most radius + 1 tables."""
+    included.  ``cut`` holds at most one table, keyed by n, of a prefix
+    0 .. n - 1 that the budget cuts inside a distance; the next query on
+    another cut replaces it, so a ball keeps at most radius + 1 tables."""
 
     radius: int
     sizes: array
@@ -643,26 +643,29 @@ _BALLS: dict[ModelId, _Ball] = {}
 
 def _shell_rows(model: ModelId, rows: list[tuple[int, ...]], states: list[tuple],
                 index: dict[tuple, int]) -> list[list[int]]:
-    """The in-ball neighbours of each vertex of the radius-r shell, the
-    vertices len(rows) .. len(states) - 1, after a whole sweep.
+    """The in-ball neighbours of each vertex of the outer layer, the
+    vertices len(rows) .. len(states) - 1 that a sweep numbered but did not
+    step: the radius-r shell of a whole sweep, or the part of the next
+    distance that a cut sweep numbered.  The layer is one distance D, and
+    every vertex at distance D - 1 was stepped by every letter.
 
-    A shell vertex has neighbours inside the ball at distance r - 1 or r
-    only.  The graph is undirected (u = s g iff s = u g^-1, and
+    The graph is undirected (u = s g iff s = u g^-1, and
     ``ModelId.signed_letters`` lists each letter next to its inverse), so
-    every edge to distance r - 1 already sits in a row at distance r - 1:
-    these reverse edges are read off the rows.  An edge between two shell vertices closes a cycle of
-    2r + 1 edges, which needs a defining relator of odd length.  So on a
-    bipartite model (``ModelId.bipartite``) the reverse edges are all.  On
-    the others each shell vertex is stepped by the positive letters that
-    have no reverse edge: an edge s g = s' inside the shell is also
-    s' g^-1 = s, so it is found from the end where its letter is positive
-    and entered at both ends."""
+    every edge to distance D - 1 already sits in a stepped row: these
+    reverse edges are read off the rows, skipping the number len(states)
+    that a cut sweep's rows hold for a state outside the ball.  An edge
+    inside the layer closes a cycle of 2D + 1 edges, which needs a defining
+    relator of odd length.  So on a bipartite model (``ModelId.bipartite``)
+    the reverse edges are all.  On the others each outer vertex is stepped
+    by the positive letters that have no reverse edge: an edge s g = s'
+    inside the layer is also s' g^-1 = s, so it is found from the end where
+    its letter is positive and entered at both ends."""
     first, n = len(rows), len(states)
     shell: list[list[int]] = [[] for _ in range(first, n)]
-    known = [0] * (n - first)  # bit k: letter k leads back to distance r - 1
+    known = [0] * (n - first)  # bit k: letter k leads back to distance D - 1
     for u, row in enumerate(rows):
         for k, w in enumerate(row):
-            if w >= first:
+            if first <= w < n:  # n: a state outside a cut ball
                 # u g = w, so w g^-1 = u: g^-1 is letter k ^ 1
                 shell[w - first].append(u)
                 known[w - first] |= 1 << (k ^ 1)
@@ -722,16 +725,15 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
     """Sweep the radius-r ball breadth first, numbering at most ``budget``
     vertices (normal-form states) once each, in discovery order.
 
-    Each vertex below distance r gets its row of neighbour numbers, one
-    per letter, and each new vertex its abelian class from
-    :class:`_Classes`; after a whole sweep each shell vertex gets the row
-    of its in-ball neighbours from :func:`_shell_rows`, so ``rows`` holds
-    one row per vertex.  Once a new vertex would exceed the budget the
-    sweep is cut: a state not yet numbered then gets the number
-    ``budget``, the ball's size, which stands for every state outside it.
-    A cut sweep finishes its distance and steps the vertices one further
-    out by every letter, so each of its vertices has a full row.  Returns
-    (ball, truncated)."""
+    It steps each vertex below distance r by every letter, one distance at
+    a time, and gives it its row of neighbour numbers, one per letter, and
+    each new vertex its abelian class from :class:`_Classes`.  Once a new
+    vertex would exceed the budget the sweep is cut: a state not yet numbered then gets the
+    number ``budget``, the ball's size, which stands for every state
+    outside it, and the sweep stops at the end of that distance.  The
+    vertices numbered but not stepped, the outer layer, get the rows of
+    their in-ball neighbours from :func:`_shell_rows`, whole sweep or cut,
+    so ``rows`` holds one row per vertex.  Returns (ball, truncated)."""
     signed = model.signed_letters
     ident = identity_state(model)
     index = {ident: 0}
@@ -770,11 +772,7 @@ def _sweep(model: ModelId, radius: int, budget: int) -> tuple[_Ball, bool]:
             break
     sizes.append(len(states))
     csizes.append(len(classes.parent))
-    if truncated:  # the vertices one distance further out have no row yet
-        rows += [tuple(index.get(step(model, state, s), budget) for s in signed)
-                 for state in states[len(rows):]]
-    else:
-        rows += map(tuple, _shell_rows(model, rows, states, index))
+    rows += map(tuple, _shell_rows(model, rows, states, index))
     ball = _Ball(radius, sizes, parent, letter, cls, csizes, classes.parent, classes.letter,
                  rows, _order(sizes, states), {}, {}, {})
     return ball, truncated
@@ -788,7 +786,8 @@ def _pieces(ball: _Ball, n: int) -> _Pieces:
     each neighbouring piece once.  A piece whose neighbours, in order, are
     its first vertex's row shares that row instead of a copy: on a model
     whose letters are all free, every vertex whose row lies inside the
-    prefix."""
+    prefix.  ``ordered`` reads ``ball.order`` up to ``sizes[d]`` only, d
+    the distance of vertex n - 1, since no prefix vertex lies past it."""
     rows, cls = ball.rows, ball.cls
     piece = [-1] * n
     groups = []  # piece p -> its vertices
@@ -822,12 +821,13 @@ def _pieces(ball: _Ball, n: int) -> _Pieces:
         nbrs, row = tuple(nbrs), rows[group[0]]
         adj.append(row if row == nbrs else nbrs)
     pcls = tuple(ids[cls[group[0]]] for group in groups)
+    end = ball.sizes[bisect_left(ball.sizes, n)]  # no v < n lies past n's distance
     # itemgetter of one item returns that item, not a tuple: a prefix of one
     # piece, whose class is 0, reads its flag as a slice
     flags = itemgetter(*pcls) if count > 1 else itemgetter(slice(0, 1))
     return _Pieces(array("i", piece), pcls, array("i", map(len, groups)), adj,
                    bytes(len(nbrs) == 1 for nbrs in adj),
-                   array("i", [piece[v] for v in ball.order if v < n]), flags)
+                   array("i", [piece[v] for v in islice(ball.order, end) if v < n]), flags)
 
 
 def _vertex_state(model: ModelId, ball: _Ball, v: int) -> tuple:
@@ -888,11 +888,12 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
 
     The ball does not depend on chi.  :func:`_sweep` numbers its
     vertices in breadth-first order and keeps, for each, its parent, its
-    arrival letter, its abelian class and its row of neighbours, and
-    sorts the vertices into the sample order.  A whole ball is kept per
-    model (``_BALLS``) and replaced only by a whole ball of larger
-    radius, so at most one ball per model is kept, and none larger than
-    the budget it was swept under.  A sweep to radius r cut by the
+    arrival letter, its abelian class and its row of neighbours (one
+    number per letter if it stepped the vertex, else the in-ball
+    neighbours), and sorts the vertices into the sample order.  A whole
+    ball is kept per model (``_BALLS``) and replaced only by a whole ball
+    of larger radius, so at most one ball per model is kept, and none
+    larger than the budget it was swept under.  A sweep to radius r cut by the
     budget B keeps the first min(|B(r)|, B) vertices of the
     breadth-first order, and these are a prefix of every larger ball.
     So a query reads that prefix of the kept ball when the ball's radius
@@ -914,21 +915,18 @@ def explore_ball(model: ModelId, chi: Character, radius: int = 6,
     ends at a whole distance d is built by the first query on it, the
     query that sweeps the ball included, and kept in ``ball.pieces``;
     that of a prefix the budget cuts is kept in ``ball.cut``, which holds
-    one table and is replaced when another cut is asked.  A piece is
-    nonnegative when its class is, read for every piece in one call of
+    one table and is replaced when another cut is asked; building a table
+    reads the sample order only to the end of its last distance.  A piece
+    is nonnegative when its class is, read for every piece in one call of
     the table's ``flags``; the nonnegative count is the sum of those
     pieces' sizes, and the search runs on the piece graph from the base
     vertex's piece, unless the base lies outside a cut prefix, a piece
     with one neighbouring piece reached from it and not expanded.  The
     unreached sample reads the flags of the pieces of the prefix vertices
-    in the sample order (the table's ``ordered``) and stops at its last
-    vertex, and a target's flag is its piece's, so no list over the
-    vertices is made.
-
-    The unreached sample is the first ten unreached vertices in the
-    ball's ``order``; each is spelled once per ball and its text reused.
-    Each target is normalised and looked up in ``order`` by
-    :func:`_vertex_of`.
+    in the sample order (the table's ``ordered``) and stops at the tenth
+    unreached one, each spelled once per ball, and a target's flag is its
+    piece's, so no list over the vertices is made.  Each target is
+    normalised and looked up in ``order`` by :func:`_vertex_of`.
 
     The budget caps the number of vertices; it defaults to 10^6 and must
     be at least 1."""

@@ -860,41 +860,52 @@ def _recording_step(monkeypatch):
 
 
 def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
+    from sigmabraid.models import step
+
     balls = _cold_balls(monkeypatch)
     calls = _recording_step(monkeypatch)
     # b^-1 is the last signed letter of G2T: with budget 2k the identity's
     # last step meets the budget, and the base vertex lies outside the ball
     cases = [*_random_ball_cases(seed=11, per_model=4),
              (ModelId.G2T, character(ModelId.G2T, {"b": -1}), 2, [])]
-    checked = cut = warm = 0
+    checked = cut = outer_cut = warm = 0
     for model, chi, radius, targets in cases:
         k = len(model.letter_names)
+        dist = _ball_distances(model, radius)
+        numbered = list(dist)  # breadth-first, in the order the sweep numbers
+        sizes = [sum(d <= r for d in dist.values()) for r in range(radius + 1)]
         for budget in (None, 1, 2 * k, 2 * k + 1, 40):
             try:
-                report, swept, _, _ = _two_pass_ball(model, chi, radius, budget=budget)
+                report = _two_pass_ball(model, chi, radius, budget=budget)[0]
             except DomainError:
                 continue
+            n = report.vertex_count
+            # one rule, whole sweep or cut: the outer layer is the numbered
+            # vertices at the first distance D whose ball the n vertices do
+            # not cover (r for a whole sweep), and the sweep steps every
+            # vertex below D by every letter; on a non-bipartite model it
+            # then steps each outer vertex by each positive letter that does
+            # not lead back to distance D - 1, and a bipartite model never
+            # steps its outer layer
+            D = next((r for r, size in enumerate(sizes) if size > n), radius)
+            outer = numbered[sizes[D - 1]:n]
+            expected = Counter((model, state, letter) for state, d in dist.items() if d < D
+                               for letter in model.signed_letters)
+            if not model.bipartite:
+                expected.update((model, state, letter) for state in outer
+                                for letter in model.signed_letters[::2]
+                                if dist.get(step(model, state, letter)) != D - 1)
             balls.clear()
             calls.clear()
             explore_ball(model, chi, radius, budget=budget)
-            n = report.vertex_count
-            if report.truncated:
-                # a cut sweep steps each of its n vertices by every letter,
-                # once: 2k n distinct (state, letter) calls on n states
-                low = high = 2 * k * n
-                assert len(set(calls[:low])) == low
-                assert len({call[1] for call in calls[:low]}) == n
-                cut += 1
-            else:
-                # a whole sweep steps every vertex below distance r by every
-                # letter and, on a non-bipartite model, the shell by at most
-                # every positive letter (both counted exactly further down)
-                low = 2 * k * len(swept)
-                high = low + (0 if model.bipartite else k * (n - len(swept)))
-            # the sweep steps first; spelling the unreached sample steps at
-            # most 10 vertices along parent paths of at most r letters
-            assert low <= len(calls) <= high + 10 * radius, (model, chi.coords, radius, budget)
+            # the sweep steps first; spelling the unreached sample then steps
+            # at most 10 vertices along parent paths of at most r letters
+            sweep = sum(expected.values())
+            assert Counter(calls[:sweep]) == expected, (model, chi.coords, radius, budget)
+            assert len(calls) - sweep <= 10 * radius
             checked += 1
+            cut += report.truncated
+            outer_cut += report.truncated and bool(outer) and not model.bipartite
         # the kept ball answers any other character at any radius up to its
         # own and under any budget: it steps only to spell the unreached
         # sample, and to probe one bisection per distance d <= r for each
@@ -911,7 +922,7 @@ def test_ball_steps_each_vertex_once_per_letter(monkeypatch):
                     probes = len(given) * r * (r + 1) // 2 * (size.bit_length() + 1)
                     assert len(calls) <= 10 * r + probes
                     warm += 1
-    assert checked > 0 and cut > 0 and warm > 0
+    assert checked > 0 and cut > 0 and outer_cut > 0 and warm > 0
 
 
 def test_kept_ball_answers_like_a_fresh_sweep(monkeypatch):
@@ -1210,6 +1221,42 @@ def test_a_kept_ball_keeps_one_table_per_distance_and_one_cut_table(monkeypatch)
     assert sorted(ball.pieces) == [1, 2, 3, 4]
 
 
+class _OrderSpy:
+    """A ball's sample order that records how far into it a pass goes."""
+
+    def __init__(self, order):
+        self.order, self.read = order, 0
+
+    def __iter__(self):
+        for i, v in enumerate(self.order):
+            self.read = max(self.read, i + 1)
+            yield v
+
+
+def test_a_cut_table_reads_the_order_only_to_the_end_of_its_distance(monkeypatch):
+    # every prefix vertex lies in the order before sizes[d], d the distance
+    # of the prefix's last vertex, so a cut table on a kept ball, and the
+    # query that builds it, read nothing past it
+    from dataclasses import replace
+
+    balls = _cold_balls(monkeypatch)
+    model = ModelId.G2K
+    chi = character(model, {"y": -1, "b": Fraction(1, 2)})
+    explore_ball(model, chi, 6)  # keeps the radius-6 ball
+    kept = balls[model]
+    sizes = kept.sizes
+    assert sizes[-1] == 19583
+    # budget 1, then a budget inside each distance d
+    for d, budget in [(0, 1), *((d, (sizes[d - 1] + sizes[d]) // 2) for d in range(1, 7))]:
+        expected = explore_ball(model, chi, 6, budget=budget)
+        assert expected.truncated and list(kept.cut) == [budget]
+        spied = balls[model] = replace(kept, order=_OrderSpy(kept.order), cut={})
+        assert explore_ball(model, chi, 6, budget=budget) == expected
+        assert list(spied.cut) == [budget] and spied.cut[budget] == kept.cut[budget]
+        assert 0 < spied.order.read <= sizes[d], (budget, spied.order.read, sizes[d])
+        balls[model] = kept
+
+
 def test_piece_tables_take_less_memory_than_the_rows(monkeypatch):
     import tracemalloc
 
@@ -1449,12 +1496,14 @@ def test_rows_list_the_neighbours_of_every_vertex(model, monkeypatch):
         nbrs = [[index.get(step(model, state, letter)) for letter in model.signed_letters]
                 for state in states]
         for v, row in enumerate(ball.rows):
-            if ball is cut or v < shell:
-                # inner and cut rows: one neighbour number per letter, the
-                # ball's size for a state outside it
+            if v < shell:
+                # the rows of the stepped vertices: one neighbour number per
+                # letter, the ball's size for a state outside it
                 assert row == tuple(size if w is None else w for w in nbrs[v]), (model, v)
             else:
-                # shell rows: the neighbours inside the ball, in any order
+                # outer-layer rows, of the whole ball's shell or of the part
+                # of it the cut sweep numbered: the neighbours inside the
+                # ball, in any order
                 assert sorted(row) == sorted(w for w in nbrs[v] if w is not None), (model, v)
                 for w in row:
                     assert ball.rows[w].count(v) == row.count(w), (model, v, w)
