@@ -63,12 +63,26 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("classify-B-T", ["classify", "--group", "B", "--surface", "T", "--n", "4", "--char",
                           '{"group":"B","surface":"T","n":4,"a":1,"b":"1/2"}']),
         ("classify-empty-sphere", ["classify", "--group", "B", "--surface", "S2", "--n", "3"]),
+        ("classify-P-RP2", ["classify", "--group", "P", "--surface", "RP2", "--n", "3"]),
+        ("classify-B-K", ["classify", "--group", "B", "--surface", "K", "--n", "3", "--char",
+                          '{"group":"B","surface":"K","n":3,"b":-2}']),
+        ("classify-B-D", ["classify", "--group", "B", "--surface", "D", "--n", "3", "--char",
+                          '{"group":"B","surface":"D","n":3,"s":"1/2"}']),
+        ("classify-B-RP2", ["classify", "--group", "B", "--surface", "RP2", "--n", "3"]),
+        ("classify-P-D-refused", ["classify", "--group", "P", "--surface", "D", "--n", "3"]),
         ("enumerate-T", ["enumerate", "--group", "P", "--surface", "T", "--n", "4"]),
         ("enumerate-K", ["enumerate", *K3]),
         ("enumerate-S2", ["enumerate", *S5]),
+        ("enumerate-B-T", ["enumerate", "--group", "B", "--surface", "T", "--n", "3"]),
+        ("enumerate-P-RP2", ["enumerate", "--group", "P", "--surface", "RP2", "--n", "3"]),
+        # the coordinate bound 2 has no free coordinate, and 3 fills the whole sphere
+        ("enumerate-S2-empty", ["enumerate", "--group", "P", "--surface", "S2", "--n", "2"]),
+        ("enumerate-S2-whole", ["enumerate", "--group", "P", "--surface", "S2", "--n", "3"]),
         ("act-T", ["act", *T3, "--tau", "3 1 2", "--char",
                    '{"surface":"T","n":3,"a":[1,"2/3",-1],"b":[0,4,-2]}']),
         ("act-K", ["act", *K3, "--tau", "2 3 1", "--char", '{"surface":"K","n":3,"b":[1,-1,0]}']),
+        ("act-S2-refused", ["act", "--group", "P", "--surface", "S2", "--n", "3", "--tau", "2 1 3",
+                            "--char", '{"surface":"S2","n":3,"A":{"1,3":1}}']),
         *((f"gen-cert-{case.value}", ["gen-cert", "--case", case.value, "--p", "2", "--q", "1/3"])
           for case in criterion.CertificateCase),
         ("verify-cert-model", ["verify-cert", "--cert", model_cert, "--char", model_char]),
@@ -102,6 +116,8 @@ def _cases() -> list[tuple[str, list[str]]]:
                              "--word", "s1 s2 s3^-1 s1"]),
         ("abelianize-B-RP2", ["abelianize", "--group", "B", "--surface", "RP2", "--n", "3",
                               "--word", "s1 a2 a2 a3"]),
+        ("abelianize-P-D-refused", ["abelianize", "--group", "P", "--surface", "D", "--n", "3",
+                                    "--word", "s1"]),
         ("r-infinity-matrix", ["r-infinity", "--n", "3", "--matrix", "[[0,1,0],[1,0,0],[0,0,1]]"]),
         ("r-infinity-matrix-swap-23", ["r-infinity", "--n", "3", "--matrix",
                                        "[[1,0,0],[0,0,1],[0,1,0]]"]),
