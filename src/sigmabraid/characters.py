@@ -3,21 +3,10 @@ Abelianizations, characters and sphere points.
 
 A character is a homomorphism to the reals, stored as an exact rational
 coordinate vector on the free basis of the relevant abelianization.  The
-free and torsion bases implemented here:
-
-  P_n(T)   free a1..an, b1..bn
-  P_n(K)   free b1..bn, torsion a1..an (order 2)
-  P_n(S2)  free A[i,j] for 1 <= i < j <= n, {i,j} != {1,2}
-           (the parameter n is the coordinate index bound; the group has
-           n+1 strands); plus one order-2 class not visible to characters
-  B_n(T)   free a, b, torsion s (order 2); all a_i collapse to a, etc.
-  B_n(K)   free b, torsion s and a (order 2)
-  B_n(D)   free s (the disc braid group)
-  B_n(S2)  torsion s of order 2(n-1); empty character sphere
-  B_n(RP2), P_n(RP2)  torsion only; empty character spheres
-  models   read off the model records (see sigmabraid.models): G2T free
-           x,y,a,b; G2K free y,b and torsion x,a (order 2); G3T free
-           x,y,a,b,u,v (w dies); G4T free x,y,a,b,u,v,ub,vb
+free and torsion bases, the rule that places a letter and the JSON layout
+of each group family are read off its record in ``words._FAMILIES``, the
+one statement of each family's facts; those of a model are read off its
+record in :mod:`sigmabraid.models`.
 
 Each :class:`AbelianizationSpec` owns its coordinate layout: one map from
 label to position, free coordinates first, then torsion.  Everything else
@@ -25,19 +14,13 @@ addresses coordinates by position; labels are only read and written at
 the edges (JSON, the CLI, ``chi["a1"]``).  There is one spec per group
 (:func:`abelianization` is cached), and each spec validates a distinct
 letter once, when it enters its table of letter slots, which both
-:func:`abelianize` and the letter tables read.  One rule places a letter: a
-letter of a pure group or a model is its own coordinate, named as it
-prints, or it dies (C[i,j]; w, w2, w3); a full braid group forgets strand
-indices, sends C[i,j] to 2 s and the full twist D to n(n-1) s.  The torus
-and Klein-bottle pure groups lay their coordinates out in the strand blocks
-of ``_STRAND_BLOCKS``, P_n(S2) in the pairs of :func:`sphere_pairs`: one
-statement of each layout, read by the abelianization, both JSON forms,
-:func:`strand_blocks` and the sphere decision.  No floating point is used
-anywhere.  Each coordinate of a character is held in one canonical exact
-form: an int when it is integral, else a Fraction with denominator > 1.
-So an integer character builds no Fraction on its way to a sphere point:
-its lcm of denominators is 1 and its coordinates are already the scaled
-integers.
+:func:`abelianize` and the letter tables read.  A letter of a pure group
+or a model is its own coordinate, named as it prints, or it dies (C[i,j];
+w, w2, w3).  No floating point is used anywhere.  Each coordinate of a
+character is held in one canonical exact form: an int when it is
+integral, else a Fraction with denominator > 1.  So an integer character
+builds no Fraction on its way to a sphere point: its lcm of denominators
+is 1 and its coordinates are already the scaled integers.
 
 Evaluation runs on integers.  Each character carries one
 :class:`LetterTable`, built lazily on first use: its coordinates scaled by
@@ -57,7 +40,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .models import IsoDictionary, ModelId, _check_letters
 from .words import (
@@ -66,6 +49,7 @@ from .words import (
     GeneratorSymbol,
     GroupContext,
     Word,
+    sphere_pairs,
     validate_symbol,
 )
 
@@ -123,16 +107,6 @@ class AbelianizationSpec:
         return slots
 
 
-# The free strand blocks of P_n(T) and P_n(K), each strands 1..n, in order
-_STRAND_BLOCKS = {"T": ("a", "b"), "K": ("b",)}
-
-
-def sphere_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """The free coordinates A[i,j] of P_n(S2) as strand pairs in coordinate order, the
-    sphere's one layout; a generator, so no copy of size n^2 is kept per n."""
-    return ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) != (1, 2))
-
-
 @cache
 def abelianization(group: GroupLike) -> AbelianizationSpec:
     """The abelianization of a group or model, one shared spec per group."""
@@ -140,30 +114,10 @@ def abelianization(group: GroupLike) -> AbelianizationSpec:
         orders = group.letter_orders  # 0 free, 1 trivial, k torsion of order k
         return AbelianizationSpec(group, tuple(name for name, k in orders if k == 0),
                                   tuple((name, k) for name, k in orders if k > 1))
-    fam, surf, n = group.family, group.surface, group.n
-    if fam == "P":
-        strands = range(1, n + 1)
-        torsion_a = tuple((f"a{i}", 2) for i in strands)
-        if surf in _STRAND_BLOCKS:
-            blocks = _STRAND_BLOCKS[surf]
-            return AbelianizationSpec(group, tuple(f"{x}{i}" for x in blocks for i in strands),
-                                      () if "a" in blocks else torsion_a)
-        if surf == "S2":
-            return AbelianizationSpec(group, tuple([f"A[{i},{j}]" for i, j in sphere_pairs(n)]))
-        if surf == "RP2":
-            return AbelianizationSpec(group, (), torsion_a)
-    else:
-        if surf == "T":
-            return AbelianizationSpec(group, ("a", "b"), (("s", 2),))
-        if surf == "K":
-            return AbelianizationSpec(group, ("b",), (("s", 2), ("a", 2)))
-        if surf == "D":
-            return AbelianizationSpec(group, ("s",) if n >= 2 else ())
-        if surf == "S2":
-            return AbelianizationSpec(group, (), (("s", 2 * (n - 1)),) if n >= 2 else ())
-        if surf == "RP2":
-            return AbelianizationSpec(group, (), (("s", 2), ("a", 2)))
-    raise DomainError(f"no abelianization table for {group}")
+    record = group._record
+    if record is None:
+        raise DomainError(f"no abelianization table for {group}")
+    return AbelianizationSpec(group, record.free(group.n), record.torsion(group.n))
 
 
 @dataclass(frozen=True)
@@ -185,9 +139,9 @@ def _check_letter(group: GroupLike, s: GeneratorSymbol) -> None:
 
 def _letter_slots(spec: AbelianizationSpec, s: GeneratorSymbol) -> list[tuple[int, int]]:
     """Where one letter, read as positive, lands: (position, coefficient)
-    pairs (the module docstring states the rule)."""
+    pairs, by the rule of the group's record (``full``) or as its own label."""
     group = spec.group
-    if isinstance(group, ModelId) or group.family == "P":
+    if isinstance(group, ModelId) or not group._record.full:
         label, coeff = s.label, 1
     elif s.kind == "C":
         label, coeff = "s", 2
@@ -393,7 +347,7 @@ def strand_blocks(x: "Character | SpherePoint") -> tuple[tuple, tuple]:
     """The a and b blocks of a P_n(T) or P_n(K) character or point, strand
     i at index i-1; the a block is empty on the Klein bottle."""
     group = x.spec.group
-    if not isinstance(group, GroupContext) or group.family != "P" or group.surface not in _STRAND_BLOCKS:
+    if isinstance(group, ModelId) or not group._record.blocks:
         raise DomainError("strand blocks are defined for torus and Klein-bottle pure groups")
     r = len(x.coords) - group.n
     return x.coords[:r], x.coords[r:]
@@ -528,13 +482,13 @@ def character_to_json(chi: Character) -> dict:
     if isinstance(group, ModelId):
         return {"model": group.value, "coords": dict(labelled)}
     out: dict = {"group": group.family, "surface": group.surface, "n": group.n}
-    if group.family == "P" and group.surface in _STRAND_BLOCKS:
-        n = group.n
-        for k, name in enumerate(_STRAND_BLOCKS[group.surface]):
-            out[name] = [rational_to_json(v) for v in chi.coords[k * n:(k + 1) * n]]
-    elif group.family == "P" and group.surface == "S2":
+    record, n = group._record, group.n
+    if record.pair_map:
         out["A"] = {f"{i},{j}": rational_to_json(v)
-                    for (i, j), v in zip(sphere_pairs(group.n), chi.coords) if v != 0}
+                    for (i, j), v in zip(sphere_pairs(n), chi.coords) if v != 0}
+    elif record.blocks:
+        for k, name in enumerate(record.blocks):
+            out[name] = [rational_to_json(v) for v in chi.coords[k * n:(k + 1) * n]]
     else:
         out.update(labelled)
     return out
@@ -559,7 +513,8 @@ def character_from_json(obj: Mapping) -> Character:
         fam = json_field(obj, "group", (str,), _WHAT) if "group" in obj else "P"
         surf = json_field(obj, "surface", (str,), _WHAT)
         ctx = GroupContext(fam, surf, json_int_field(obj, "n", _WHAT))
-        read = {**_STRAND_BLOCKS, "S2": ("A",)}.get(surf) if fam == "P" else None
+        record = ctx._record  # None for P_n(D), which abelianization refuses
+        read = record and (("A",) if record.pair_map else record.blocks)
         read = ("group", "surface", "n", *(read or abelianization(ctx).free_labels))
     unread = sorted(set(obj).difference(read))
     if unread:
@@ -567,13 +522,13 @@ def character_from_json(obj: Mapping) -> Character:
     if isinstance(ctx, ModelId):
         coords = json_field(obj, "coords", (dict,), _WHAT) if "coords" in obj else {}
         return character(ctx, {k: _num_from_json(v) for k, v in coords.items()})
-    if fam == "P" and surf in _STRAND_BLOCKS:
-        names = _STRAND_BLOCKS[surf]
+    if record.blocks:
+        names = record.blocks
         blocks = [_num_list_from_json(obj, name) for name in names]
         if any(len(block) != ctx.n for block in blocks):
             raise DomainError(f"need {ctx.n} entries in {' and '.join(map(repr, names))}")
         return character(ctx, [v for block in blocks for v in block])
-    if fam == "P" and surf == "S2":
+    if record.pair_map:
         values = {}
         for key, v in (json_field(obj, "A", (dict,), _WHAT) if "A" in obj else {}).items():
             try:  # TypeError: no match, None[0]; ValueError: past the int -> str digit limit

@@ -45,7 +45,7 @@ from .characters import (
     sphere_point,
 )
 from .models import CertificateCase, ModelId
-from .words import DomainError, GroupContext, parse_word, serialize_word
+from .words import _GROUPS, _SURFACES, DomainError, GroupContext, parse_word, serialize_word
 
 if TYPE_CHECKING:
     from .criterion import PathCertificate
@@ -142,8 +142,8 @@ def _witness_json(witness):
 
 
 def _add_group_args(sub):
-    sub.add_argument("--group", required=True, choices=("P", "B"))
-    sub.add_argument("--surface", required=True, choices=("T", "K", "S2", "RP2", "D"))
+    sub.add_argument("--group", required=True, choices=_GROUPS)
+    sub.add_argument("--surface", required=True, choices=_SURFACES)
     sub.add_argument("--n", required=True, type=_integer)
 
 

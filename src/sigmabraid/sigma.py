@@ -2,25 +2,24 @@
 Exact membership decisions for the first BNS invariant of braid and pure
 braid groups of the disc, sphere, projective plane, torus and Klein bottle.
 
-The complement of the invariant inside the character sphere is, for every
-family handled here, a finite union of explicitly described pieces:
+Which groups are decided, whether a character sphere is empty and which
+rule gives the complement of the invariant are read off the group's record
+in ``words._FAMILIES``, the one statement of each family's facts.  The
+complement is a finite union of explicit pieces, and each rule picks its
+piece data here:
 
-  P_n(T), P_n(K)  the points that vanish on the centre (each strand block
-            sums to 0) and touch exactly two strands i, j, each piece pulled
-            back from P_2 along the map forgetting the other strands: one
-            circle a_i = -a_j = p, b_i = -b_j = q per pair on T, two antipodal
-            points b_i = -b_j = +-1 per pair on K (sphere points are primitive);
-  P_{n+1}(S2)  (coordinates addressed by strand pair (i,j), 1 <= i < j <= n,
-            (i,j) != (1,2); the group has n+1 strands)
-            the three- and four-strand circle systems of ``_CIRCLES`` for
-            n >= 4; for n = 3 the complement fills the whole sphere;
-  B-groups  empty complement whenever the sphere is nonempty (a character
-            never vanishes on the center);
-  torsion-only abelianizations (sphere and projective-plane families)
-            have empty character spheres.
+  "pairs"   on P_n(T) and P_n(K), by the surface's entry of ``_PAIRS``: the
+            points that vanish on the centre (each strand block sums to 0)
+            and touch exactly two strands i, j, each piece pulled back from
+            P_2 along the map forgetting the other strands: one circle
+            a_i = -a_j = p, b_i = -b_j = q per pair on T, two antipodal points
+            b_i = -b_j = +-1 per pair on K (sphere points are primitive);
+  "sphere"  on P_{n+1}(S2), coordinates A[i,j] addressed by strand pair: the
+            whole sphere for n = 3, the circle systems of ``_CIRCLES`` for n >= 4;
+  None      none: a character of a full braid group never vanishes on the centre.
 
 ``decide_sigma`` decides a canonical sphere point exactly (integer arithmetic,
-no tolerances): by that support rule on T and K, and on the sphere by one
+no tolerances): by the support rule on T and K, and on the sphere by one
 table, ``_CIRCLES``, of circle systems, shared with ``enumerate_complement``.
 Every circle system lies on the pairs of at most four strands, so a sphere
 point whose nonzero coordinates touch five or more strands is in the
@@ -39,8 +38,8 @@ from functools import cache
 from itertools import combinations, compress, islice, permutations
 from typing import Sequence
 
-from .characters import _STRAND_BLOCKS, SpherePoint, abelianization, sphere_pairs, strand_blocks
-from .words import DomainError, GroupContext
+from .characters import SpherePoint, abelianization, sphere_pairs, strand_blocks
+from .words import DomainError, GroupContext, _Family
 
 IN_SIGMA1 = "InSigma1"
 IN_COMPLEMENT = "InComplement"
@@ -108,21 +107,17 @@ class ComplementEnumeration:
         return len(self.descriptors)
 
 
-_SUPPORTED = {
-    ("P", "T"), ("P", "K"), ("P", "S2"), ("P", "RP2"),
-    ("B", "T"), ("B", "K"), ("B", "D"), ("B", "S2"), ("B", "RP2"),
-}
-
-
-def _require_supported(group: GroupContext) -> None:
-    if (group.family, group.surface) not in _SUPPORTED:
+def _require_supported(group: GroupContext) -> _Family:
+    """The group's record; a group without one is outside the computed families."""
+    record = group._record
+    if record is None:
         raise UnsupportedGroupError(f"{group}: outside the computed families")
+    return record
 
 
 def sphere_is_empty(group: GroupContext) -> bool:
-    if group.family == "P" and group.surface in (*_STRAND_BLOCKS, "S2"):  # read off the layout
-        return group.surface == "S2" and next(sphere_pairs(group.n), None) is None
-    return abelianization(group).free_rank == 0
+    """Whether the character sphere is empty, by the record's free rank formula."""
+    return _require_supported(group).rank(group.n) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +214,10 @@ def _decide_sphere_case(pt: SpherePoint, n: int) -> SigmaVerdict:
 
 def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVerdict:
     """Exact membership decision for a sphere point, canonical by
-    construction (see SpherePoint).
-
-    Groups with a torsion-only abelianization take no point and return
-    EmptySphere.  For the sphere family, group.n is the coordinate index
-    bound (the group has n+1 strands).
-    """
-    _require_supported(group)
-    fam, surf, n = group.family, group.surface, group.n
-    if sphere_is_empty(group):
+    construction (see SpherePoint).  A group with an empty character sphere
+    takes no point and returns EmptySphere."""
+    record, n = _require_supported(group), group.n
+    if record.rank(n) == 0:
         if pt is not None:
             raise DomainError(f"{group} has an empty character sphere; no points exist")
         return SigmaVerdict(EMPTY_SPHERE, None, "torsion abelianization, no characters")
@@ -235,13 +225,11 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
         raise DomainError(f"{group} has a nonempty sphere; a point is required")
     if pt.spec != abelianization(group):
         raise DomainError(f"point lives on {pt.spec.group}, not on {group}")
-
-    if fam == "B":
+    if record.complement is None:
         return SigmaVerdict(IN_SIGMA1, None, "character does not vanish on the center")
-
-    if surf in _PAIRS:
-        return _decide_pair_case(surf, *strand_blocks(pt))
-    # surf == "S2", nonempty sphere means n >= 3
+    if record.complement == "pairs":
+        return _decide_pair_case(group.surface, *strand_blocks(pt))
+    # the sphere rule: a nonempty sphere means n >= 3
     if n == 3:
         return SigmaVerdict(IN_COMPLEMENT, WholeSphere(),
                             "free-group factor: the invariant is empty, the complement "
@@ -251,16 +239,15 @@ def decide_sigma(group: GroupContext, pt: SpherePoint | None = None) -> SigmaVer
 
 def enumerate_complement(group: GroupContext) -> ComplementEnumeration:
     """All complement pieces, sorted by key; exact counts per family."""
-    _require_supported(group)
-    fam, surf, n = group.family, group.surface, group.n
-    if fam == "B" or sphere_is_empty(group):
+    record, n = _require_supported(group), group.n
+    if record.complement is None or record.rank(n) == 0:
         return ComplementEnumeration(group, ())
-    if surf == "S2" and n == 3:  # a nonempty sphere means n >= 3
-        return ComplementEnumeration(group, (), whole_sphere=True)
     strands = range(1, n + 1)
-    if surf in _PAIRS:
-        piece, order = _PAIRS[surf][:2]
+    if record.complement == "pairs":
+        piece, order = _PAIRS[group.surface][:2]
         descs = tuple(piece(i, j) for i, j in order(strands, 2))
+    elif n == 3:  # the sphere rule: a nonempty sphere means n >= 3
+        return ComplementEnumeration(group, (), whole_sphere=True)
     else:
         descs = tuple(piece(*s) for piece, size, _ in _CIRCLES for s in combinations(strands, size))
     return ComplementEnumeration(group, descs)
@@ -282,7 +269,7 @@ def _check_permutation(tau: Sequence[int], n: int) -> None:
 def act_permutation(group: GroupContext, tau: Sequence[int], pt: SpherePoint) -> SpherePoint:
     """Permute strand coordinates: new[i] = old[tau(i)], acting on both the
     a and b blocks for the torus and on the b block for the Klein bottle."""
-    if (group.family, group.surface) not in (("P", "T"), ("P", "K")):
+    if group._record is None or not group._record.permutes:
         raise UnsupportedGroupError(f"{group}: permutation action implemented for "
                                     "torus and Klein-bottle pure groups only")
     n = group.n
@@ -401,16 +388,16 @@ def r_infinity_certificate(n: int,
     return RInfinityCertificate(n, certified, bound, tuple(sorted(mapping.items())))
 
 
-_FG_EXCEPTIONS = {("T", 1), ("K", 1), ("S2", 1), ("S2", 2), ("S2", 3)}
-
-
 def commutator_fg_flag(group: GroupContext) -> bool:
-    """Whether the commutator subgroup of P_n(M) is finitely generated.
-
-    Here n counts strands for every surface, including the sphere
-    (P_1, P_2, P_3 of the sphere are finite groups).
-    """
-    if group.family != "P" or group.surface not in ("T", "K", "S2"):
+    """Whether the commutator subgroup of P_n(M) is finitely generated: exactly
+    when Sigma^1 is the whole sphere (Bieri-Neumann-Strebel, Invent. Math. 90,
+    1987, Theorem B1), that is when the complement is empty, or the sphere is.
+    Here n counts strands on every surface, the sphere's too (P_1, P_2, P_3 of
+    the sphere are finite groups), so no context is built at the sphere's bound."""
+    record = group._record
+    if record is None or record.complement is None:
         raise UnsupportedGroupError(f"{group}: flag defined for pure groups of "
                                     "the torus, Klein bottle and sphere")
-    return (group.surface, group.n) in _FG_EXCEPTIONS
+    n = group.n - record.extra_strands
+    # two-strand pieces need two strands; the sphere rule has a piece on any nonempty sphere
+    return record.rank(n) == 0 or record.complement == "pairs" and n < 2

@@ -51,6 +51,10 @@ cancel only at the seams of their reduced factors.
 Text syntax: whitespace-separated tokens ``a1 b3 s2 C[1,3] A[2,4] D x ub w2``
 with inverses written ``^-1`` (for example ``C[1,3]^-1``).  Indices are
 1-based everywhere.
+
+Each supported group family's facts (its letter kinds, abelianization,
+JSON layout, complement rule and strand count) are stated once, in the
+record table ``_FAMILIES``, which ``characters``, ``sigma`` and the CLI read.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from __future__ import annotations
 import re
 from _thread import allocate_lock
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class DomainError(ValueError):
@@ -305,50 +309,98 @@ _TOKEN_RE = re.compile(
 )
 
 
+def sphere_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The free coordinates A[i,j] of P_n(S2) as strand pairs in coordinate order, the
+    sphere's one layout; a generator, so no copy of size n^2 is kept per n."""
+    return ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) != (1, 2))
+
+
+def _strands(kinds: str, n: int) -> tuple[str, ...]:
+    """The labels of one strand block per letter kind, strands 1..n each."""
+    return tuple([f"{x}{i}" for x in kinds for i in range(1, n + 1)])
+
+
+class _Family(NamedTuple):
+    """The facts of one supported (family, surface), as data; a function of n
+    answers for the group at n.  A NamedTuple, not a dataclass: the class is
+    built at every import, and a ten-field dataclass takes several times longer."""
+
+    kinds: tuple[str, ...]                  # the letter kinds of its words
+    free: Callable[[int], tuple[str, ...]]  # the free labels of the abelianization
+    rank: Callable[[int], int]              # their number, in closed form: none laid out
+    # the (label, order) torsion coordinates that letters hit
+    torsion: Callable[[int], tuple[tuple[str, int], ...]] = lambda n: ()
+    full: bool = False  # letters forget strands: C[i,j] on 2 s, D on n(n-1) s, others on their kind
+    blocks: tuple[str, ...] = ()  # strand blocks of the free coordinates: one JSON list each
+    pair_map: bool = False  # A[i,j] over sphere_pairs(n): one JSON map "A" from "i,j"
+    # the complement of Sigma^1 on a nonempty sphere: None (empty), "pairs" (support
+    # on exactly two strands) or "sphere" (the whole sphere, then circle systems)
+    complement: str | None = None
+    permutes: bool = False  # the strand-permutation action is defined
+    extra_strands: int = 0  # strands beyond n: the sphere's n bounds A[i,j] on n+1 strands
+
+
+# The one statement of each family's facts, for every supported (family,
+# surface); P_n(D) has none.  The order gives the CLI its choices.
+_FAMILIES = {
+    ("P", "T"): _Family(("a", "b", "C"), lambda n: _strands("ab", n), lambda n: 2 * n,
+                        blocks=("a", "b"), complement="pairs", permutes=True),
+    ("P", "K"): _Family(("a", "b", "C"), lambda n: _strands("b", n), lambda n: n,
+                        lambda n: tuple([(x, 2) for x in _strands("a", n)]),
+                        blocks=("b",), complement="pairs", permutes=True),
+    ("P", "S2"): _Family(("A",), lambda n: tuple([f"A[{i},{j}]" for i, j in sphere_pairs(n)]),
+                         lambda n: max(n * (n - 1) // 2 - 1, 0), pair_map=True,
+                         complement="sphere", extra_strands=1),
+    ("P", "RP2"): _Family(("a",), lambda n: (), lambda n: 0,
+                          lambda n: tuple([(x, 2) for x in _strands("a", n)])),
+    ("B", "T"): _Family(("a", "b", "C", "s"), lambda n: ("a", "b"), lambda n: 2,
+                        lambda n: (("s", 2),), full=True),
+    ("B", "K"): _Family(("a", "b", "C", "s"), lambda n: ("b",), lambda n: 1,
+                        lambda n: (("s", 2), ("a", 2)), full=True),
+    ("B", "D"): _Family(("s", "D"), lambda n: ("s",) if n >= 2 else (), lambda n: min(n - 1, 1),
+                        full=True),
+    ("B", "S2"): _Family(("s",), lambda n: (), lambda n: 0,
+                         lambda n: (("s", 2 * (n - 1)),) if n >= 2 else (), full=True),
+    ("B", "RP2"): _Family(("s", "a"), lambda n: (), lambda n: 0,
+                          lambda n: (("s", 2), ("a", 2)), full=True),
+}
+_GROUPS, _SURFACES = (tuple(dict.fromkeys(keys)) for keys in zip(*_FAMILIES))
+
+
 @dataclass(frozen=True)
 class GroupContext:
     """Ambient group for parsing and validation: family P or B, a surface
-    tag in {"T","K","S2","RP2","D"} and the strand parameter n.
-
-    For the sphere family the parameter n bounds the A[i,j] indices; the
-    underlying pure braid group has n+1 strands (see :mod:`sigmabraid.sigma`).
-    """
+    tag in {"T","K","S2","RP2","D"} and the strand parameter n, which on the
+    sphere bounds the A[i,j] indices of n+1 strands (its record's
+    ``extra_strands``)."""
 
     family: str
     surface: str
     n: int
 
     def __post_init__(self):
-        if self.family not in ("P", "B"):
+        if self.family not in _GROUPS:
             raise DomainError(f"family must be P or B, got {self.family!r}")
-        if self.surface not in ("T", "K", "S2", "RP2", "D"):
+        if self.surface not in _SURFACES:
             raise DomainError(f"unknown surface tag {self.surface!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise DomainError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        # its record (None for P_n(D)), looked up once; not a field, so it
+        # stays out of eq, hash and repr
+        self.__dict__["_record"] = _FAMILIES.get((self.family, self.surface))
 
     def __str__(self) -> str:
         return f"{self.family}_{self.n}({self.surface})"
 
 
-def _context_kinds(ctx: GroupContext) -> tuple[str, ...]:
-    if ctx.surface in ("T", "K"):
-        return ("a", "b", "C") if ctx.family == "P" else ("a", "b", "C", "s")
-    if ctx.surface == "D":
-        if ctx.family == "P":
-            raise DomainError("pure disc braid words are not supported")
-        return ("s", "D")
-    if ctx.surface == "S2":
-        return ("A",) if ctx.family == "P" else ("s",)
-    # RP2
-    return ("a",) if ctx.family == "P" else ("s", "a")
-
-
 def validate_symbol(sym: GeneratorSymbol, ctx: GroupContext) -> None:
     """Check one symbol against the ambient alphabet; raise AlphabetError."""
-    kinds = _context_kinds(ctx)
-    if sym.kind not in kinds:
+    record = ctx._record
+    if record is None:
+        raise DomainError("pure disc braid words are not supported")
+    if sym.kind not in record.kinds:
         raise AlphabetError(f"{sym}: not a generator of {ctx}")
     n = ctx.n
     if sym.kind == "s":

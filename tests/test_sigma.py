@@ -30,7 +30,7 @@ from sigmabraid.sigma import (
     enumerate_complement,
     r_infinity_certificate,
 )
-from sigmabraid.words import DomainError, GroupContext
+from sigmabraid.words import _FAMILIES, DomainError, GeneratorSymbol, GroupContext, parse_word
 
 
 def K(n):
@@ -175,9 +175,7 @@ def test_enumeration_is_sorted_and_typed():
 
 def test_enumeration_yields_pieces_in_key_order():
     # the CLI prints the pieces in the order they come
-    from sigmabraid.sigma import _SUPPORTED
-
-    for family, surface in sorted(_SUPPORTED):
+    for family, surface in _FAMILIES:
         for n in range(1, 8):
             keys = [d.key() for d in enumerate_complement(GroupContext(family, surface, n)).descriptors]
             assert keys == sorted(keys), (family, surface, n)
@@ -476,11 +474,11 @@ def test_commutator_fg_flags():
 
 
 def test_sphere_is_empty_reads_the_layout():
-    # the answer for P_n(T), P_n(K) and P_n(S2) comes from their layouts
-    # without building the abelianization; it must agree with its free rank
-    from sigmabraid.sigma import _SUPPORTED, sphere_is_empty
+    # the answer comes from the record's free rank formula without building
+    # the abelianization; it must agree with its free rank
+    from sigmabraid.sigma import sphere_is_empty
 
-    for family, surface in sorted(_SUPPORTED):
+    for family, surface in _FAMILIES:
         for n in range(1, 10):
             group = GroupContext(family, surface, n)
             assert sphere_is_empty(group) == (abelianization(group).free_rank == 0), group
@@ -885,3 +883,111 @@ def test_r_infinity_matches_the_matcher_reference():
             outcomes["certified" if cert.certified else "moved"] += 1
     assert min(outcomes.values()) >= 10, outcomes
 
+
+# ---------------------------------------------------------------------------
+# Differential check against the per-family dispatch
+#
+# The references below are the dispatch chains that stated each family's
+# facts before the family records: the abelianization's branch per
+# (family, surface), the letter kinds of a context, the rule that places a
+# letter, and the hand table of finite-generation flags.  The records must
+# agree with them at every n.
+
+def _reference_abelianization(fam, surf, n):
+    strands = range(1, n + 1)
+    torsion_a = tuple((f"a{i}", 2) for i in strands)
+    if fam == "P":
+        if surf == "T":
+            return tuple(f"{x}{i}" for x in "ab" for i in strands), ()
+        if surf == "K":
+            return tuple(f"b{i}" for i in strands), torsion_a
+        if surf == "S2":
+            return tuple(f"A[{i},{j}]" for i in strands for j in strands
+                         if i < j and (i, j) != (1, 2)), ()
+        if surf == "RP2":
+            return (), torsion_a
+    else:
+        if surf == "T":
+            return ("a", "b"), (("s", 2),)
+        if surf == "K":
+            return ("b",), (("s", 2), ("a", 2))
+        if surf == "D":
+            return ("s",) if n >= 2 else (), ()
+        if surf == "S2":
+            return (), (("s", 2 * (n - 1)),) if n >= 2 else ()
+        if surf == "RP2":
+            return (), (("s", 2), ("a", 2))
+    raise DomainError(f"no abelianization table for {GroupContext(fam, surf, n)}")
+
+
+def _reference_kinds(fam, surf):
+    if surf in ("T", "K"):
+        return ("a", "b", "C") if fam == "P" else ("a", "b", "C", "s")
+    if surf == "D":
+        if fam == "P":
+            raise DomainError("pure disc braid words are not supported")
+        return ("s", "D")
+    if surf == "S2":
+        return ("A",) if fam == "P" else ("s",)
+    return ("a",) if fam == "P" else ("s", "a")
+
+
+def _reference_slots(labels, fam, n, s):
+    if fam == "P":
+        label, coeff = s.label, 1
+    elif s.kind == "C":
+        label, coeff = "s", 2
+    elif s.kind == "D":
+        label, coeff = "s", n * (n - 1)
+    else:
+        label, coeff = s.kind, 1
+    return [(labels.index(label), coeff)] if label in labels else []
+
+
+_REFERENCE_FG_EXCEPTIONS = {("T", 1), ("K", 1), ("S2", 1), ("S2", 2), ("S2", 3)}
+
+
+def _generators(kinds, n):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for kind in kinds:
+        if kind == "s":
+            yield from (GeneratorSymbol("s", (i,)) for i in range(1, n))
+        elif kind in ("a", "b"):
+            yield from (GeneratorSymbol(kind, (i,)) for i in range(1, n + 1))
+        elif kind == "C":
+            yield from (GeneratorSymbol("C", p) for p in pairs)
+        elif kind == "A":
+            yield from (GeneratorSymbol("A", p) for p in pairs if p != (1, 2))
+        else:
+            yield GeneratorSymbol(kind)
+
+
+def test_family_records_match_the_dispatch_they_replace():
+    assert list(_FAMILIES) == [("P", "T"), ("P", "K"), ("P", "S2"), ("P", "RP2"), ("B", "T"),
+                               ("B", "K"), ("B", "D"), ("B", "S2"), ("B", "RP2")]
+    for (family, surface), record in _FAMILIES.items():
+        kinds = _reference_kinds(family, surface)
+        assert record.kinds == kinds, (family, surface)
+        for n in range(1, 13):
+            group = GroupContext(family, surface, n)
+            free, torsion = _reference_abelianization(family, surface, n)
+            spec = abelianization(group)
+            assert (spec.free_labels, spec.torsion) == (free, torsion), group
+            assert spec.free_rank == record.rank(n) == len(free), group
+            labels = free + tuple(label for label, _ in torsion)
+            for s in _generators(kinds, n):
+                assert spec.slots(s) == _reference_slots(labels, family, n, s), (group, s)
+    disc = GroupContext("P", "D", 3)
+    with pytest.raises(DomainError, match=r"^pure disc braid words are not supported$"):
+        parse_word("s1", disc)
+    with pytest.raises(DomainError, match=r"^no abelianization table for P_3\(D\)$"):
+        abelianization(disc)
+
+
+def test_commutator_fg_flag_matches_the_hand_table():
+    # read off the complement at 1..12 strands; P_1(S2) has no coordinate
+    # bound, and a context built at bound 0 would raise
+    for surface in ("T", "K", "S2"):
+        for n in range(1, 13):
+            flag = commutator_fg_flag(GroupContext("P", surface, n))
+            assert flag == ((surface, n) in _REFERENCE_FG_EXCEPTIONS), (surface, n)
