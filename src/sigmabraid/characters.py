@@ -535,6 +535,8 @@ def character_from_json(obj: Mapping) -> Character:
                 i, j = map(int, _PAIR.fullmatch(key)[0].split(","))
             except (TypeError, ValueError):
                 raise DomainError(f"keys of 'A' must read 'i,j', got {key!r}") from None
+            if (i, j) in values:  # '1,3' and '01,3' are one pair
+                raise DomainError(f"key {key!r} of 'A' names the pair {i},{j} again")
             values[i, j] = _num_from_json(v)
         return sphere_character(ctx.n, values)
     coords = {label: _num_from_json(obj[label]) for label in abelianization(ctx).free_labels

@@ -79,7 +79,7 @@ def relation_checks(max_n: int = 6, random_words: int = 2000) -> list[RelationCh
         checks.extend(RelationCheck(kind, group, r.name, holds(table.group, r), family)
                       for r in table.relations)
 
-    for surface in ("T", "K"):
+    for surface in presentations._TABLE_SURFACES:
         for family in ("P", "B"):
             for n in range(1, max_n + 1):
                 run("abelianization", table(family, surface, n), _abelian)

@@ -45,7 +45,11 @@ certificates directly over the braid generators for characters whose
 extreme b-weight sits on strand n (t = b_n) or strand 1 (t = b_1^-1).
 It builds each path word with one seam product of cached one-letter
 words, so the products read no more letters than the certificate keeps,
-Theta(n^2), instead of copying every partial product, Theta(n^3).
+Theta(n^2), instead of copying every partial product, Theta(n^3).  The
+entries that cite a derived relation read its right-hand side from the row
+function of ``presentations``, one row at a time and never a whole family:
+at the top end a_i from P1:i, at the low end b_j, a_j and C[1,j] from
+S5:1,j, S2:1,j and S4:1;1,j.
 Endpoints are oracle-checked where a model covers the group (torus
 n <= 4, Klein bottle n = 2) and are otherwise delegated to the relation
 tables, which the report records entry by entry.
@@ -111,7 +115,7 @@ from .models import (
     translate,
     words_equal,
 )
-from .presentations import _C, _a, _b, signed_generators
+from .presentations import _C, _TABLE_SURFACES, _a, _b, _p1, _s2, _s4, _s5, signed_generators
 from .words import (
     DomainError,
     GeneratorSymbol,
@@ -264,7 +268,7 @@ def verify_certificate(cert: PathCertificate, chi: Character) -> CertificateRepo
     """
     context = cert.context
     if not isinstance(context, ModelId) and \
-            (context.family, context.surface) not in (("P", "T"), ("P", "K")):
+            (context.family != "P" or context.surface not in _TABLE_SURFACES):
         raise DomainError(f"{context}: certificates cover the models, P_n(T) and P_n(K)")
     if chi.spec.group != context:
         raise DomainError(f"character lives on {chi.spec.group}, not {context}")
@@ -431,7 +435,7 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
     them and kept for later ones, in a store that is emptied once the
     path letters of its certificates pass ``CERTIFICATE_BUDGET``.
     """
-    if (group.family, group.surface) not in (("P", "T"), ("P", "K")):
+    if group.family != "P" or group.surface not in _TABLE_SURFACES:
         raise DomainError(f"{group}: braid certificates cover P_n(T) and P_n(K)")
     n = group.n
     if n < 2:
@@ -461,19 +465,17 @@ def generate_braid_certificate(group: GroupContext, chi: Character) -> PathCerti
 def _braid_certificate(group: GroupContext, use_top: bool) -> PathCertificate:
     """The certificate with base b_n (``use_top``) or b_1^-1."""
     n = group.n
-    K = group.surface == "K"
+    T = group.surface == "T"
     # every path word is one product of cached one-letter words (C[j,j] is
-    # the empty word)
+    # the empty word), or the rhs of one table row, itself such a product
     entries: list[CertificateEntry] = []
     if use_top:
         t = sym_b(n)
+        for i in range(1, n + 1):
+            entries += _pair(sym_a(i), _p1(T, n, i).rhs,
+                             "strand conjugation rule P1" + (", top row" if i == n else ""))
         for i in range(1, n):
-            entries += _pair(sym_a(i), product(_C(i, n), _C(i + 1, n, -1), _a(i)),
-                             "strand conjugation rule P1")
-        w_an = product(_C(1, n), _a(n, -1)) if K else product(_a(n), _C(1, n, -1))
-        entries += _pair(sym_a(n), w_an, "strand conjugation rule P1, top row")
-        for i in range(1, n):
-            w = product(_b(i), _C(i + 1, n), _C(i, n, -1)) if K else _b(i)
+            w = _b(i) if T else product(_b(i), _C(i + 1, n), _C(i, n, -1))
             entries += _pair(sym_b(i), w, "b-commutation rule")
         entries += _triv(sym_b(n))
         for i in range(1, n):
@@ -484,7 +486,7 @@ def _braid_certificate(group: GroupContext, use_top: bool) -> PathCertificate:
         # word for C[i,n] is the bands down to k = i
         bands: list[Word] = []
         for k in range(n - 1, 0, -1):
-            band = (_C(k + 1, n), _C(k, n, -1)) if K else (_C(k, n), _C(k + 1, n, -1))
+            band = (_C(k, n), _C(k + 1, n, -1)) if T else (_C(k + 1, n), _C(k, n, -1))
             bands += (_b(k), *band, _b(k, -1))
         for i in range(1, n):
             entries += _pair(sym_C(i, n), product(*bands[:4 * (n - i)]),
@@ -493,19 +495,16 @@ def _braid_certificate(group: GroupContext, use_top: bool) -> PathCertificate:
         t = sym_b(1, -1)
         entries += _triv(sym_b(1))
         for j in range(2, n + 1):
-            w = product(_C(2, j, -1), _C(1, j), _b(j)) if K else _b(j)
-            entries += _pair(sym_b(j), w, "outward conjugation S5")
+            entries += _pair(sym_b(j), _s5(T, n, 1, j).rhs, "outward conjugation S5")
         for j in range(2, n + 1):
-            entries += _pair(sym_a(j), product(_a(j), _C(1, j, -1), _C(2, j)),
-                             "outward conjugation S2")
+            entries += _pair(sym_a(j), _s2(T, n, 1, j).rhs, "outward conjugation S2")
         bands = []
         for j in range(2, n + 1):
-            bands += (_C(1, j), _C(2, j, -1)) if K else (_C(1, j, -1), _C(2, j))
-        w_a1_inv = product(*bands, _a(1)) if K else product(_a(1, -1), *bands)
+            bands += (_C(1, j, -1), _C(2, j)) if T else (_C(1, j), _C(2, j, -1))
+        w_a1_inv = product(_a(1, -1), *bands) if T else product(*bands, _a(1))
         entries += _pair(sym_a(1, -1), w_a1_inv, "wall-crossing relation, first strand")
         for j in range(2, n + 1):
-            middle = (_C(1, j, -1), _C(2, j)) if K else (_C(2, j, -1), _C(1, j))
-            entries += _pair(sym_C(1, j), product(_b(j, -1), *middle, _b(j), _C(2, j)),
+            entries += _pair(sym_C(1, j), _s4(T, n, 1, 1, j).rhs,
                              "outward conjugation S4, first strand")
         for j in range(2, n + 1):
             for k in range(j + 1, n + 1):

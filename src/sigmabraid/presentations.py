@@ -1,6 +1,7 @@
 """
 Machine-readable relation tables for the surface braid and pure braid
-groups of the torus (T) and the Klein bottle (K).
+groups of the torus (T) and the Klein bottle (K), the two surfaces of
+``_TABLE_SURFACES``, which ``criterion`` and ``checks`` read too.
 
 ``instantiate_presentation`` emits the defining relations of P_n(M)
 (eight numbered families) or, for the full braid group B_n(M), the Artin
@@ -17,9 +18,16 @@ connectivity certificates:
 
   S1..S5   single-generator conjugation rules (valid in P_n(M));
   R1..R7   commutation rules between descending a/b products, half twists
-           and encircling braids (valid in B_n(M));
+           and encircling braids (valid in B_n(M), n >= 2);
   P1..P4   conjugation of strand-n letters by b_n or a_n (valid in
            P_n(M), n >= 3; P3 and P4 only on the torus).
+
+Each family is one entry of the table ``_DERIVED``, keyed by its name: its
+group, its least n, whether it holds on the torus only, its index tuples at
+n and its row function, which builds the relation at one index tuple.
+``instantiate_family`` and ``all_family_names`` read the table, and the
+braid certificates of ``criterion`` call the row functions of P1, S2, S4
+and S5 for the single rows they cite, so each derived row is written once.
 
 Every relation is stored as an explicit (lhs, rhs) pair of words, one
 entry per admissible index tuple; displayed products over j always expand
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, Iterator, NamedTuple
 
 from .words import (
     DomainError,
@@ -47,6 +56,9 @@ from .words import (
     sym_C,
     sym_s,
 )
+
+# The surfaces with relation tables, named once; criterion and checks read it.
+_TABLE_SURFACES = ("T", "K")
 
 
 @dataclass(frozen=True)
@@ -245,7 +257,7 @@ def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable
     """Every relation instance of the P_n or B_n table for the given n; each
     holds in the group, but the B_n table does not present it (see above)."""
     ctx = GroupContext(family, surface, n)
-    if surface not in ("T", "K"):
+    if surface not in _TABLE_SURFACES:
         raise DomainError(f"no presentation table for surface {surface!r}")
     if family == "P":
         return RelationTable(ctx, tuple(_pure_relations(surface, n)))
@@ -255,7 +267,7 @@ def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable
 def signed_generators(surface: str, n: int) -> tuple[GeneratorSymbol, ...]:
     """The generators of P_n(T) or P_n(K) in table order, a_1..a_n, b_1..b_n,
     then C[i,j] row by row, each followed by its inverse."""
-    if surface not in ("T", "K"):
+    if surface not in _TABLE_SURFACES:
         raise DomainError(f"no presentation table for surface {surface!r}")
     gens = [*map(sym_a, range(1, n + 1)), *map(sym_b, range(1, n + 1)),
             *(sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))]
@@ -277,219 +289,194 @@ def _beta(j: int, i: int) -> Word:
     return _reduced([sym_b(k) for k in range(j, i - 1, -1)])
 
 
-def _family_S(name: str, surface: str, n: int) -> list[Relation]:
-    T = surface == "T"
-    out = []
-    if name == "S1":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                out.append(Relation(
-                    f"S1:{i},{j}",
-                    _cat(_a(i), _b(j), _a(i, -1)),
+# One row function per family: (T, n, *indices) -> the relation at one
+# index tuple, T true on the torus.  Only the special rows P1:n, P2:1, P3:n
+# and P4:1 branch on their index.
+
+def _s1(T: bool, n: int, i: int, j: int) -> Relation:
+    return Relation(f"S1:{i},{j}", _cat(_a(i), _b(j), _a(i, -1)),
                     _cat(_b(j), _C(i, j), _C(i + 1, j, -1)),
-                    "outward conjugation of b_j by a_i"))
-    elif name == "S2":
-        # The two encircling factors do not commute; their order is fixed
-        # by the oracle check at n = 3 (swapping them breaks the identity).
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                out.append(Relation(
-                    f"S2:{i},{j}",
-                    _cat(_b(i), _a(j), _b(i, -1)),
+                    "outward conjugation of b_j by a_i")
+
+
+def _s2(T: bool, n: int, i: int, j: int) -> Relation:
+    # The two encircling factors do not commute; their order is fixed by
+    # the oracle check at n = 3 (swapping them breaks the identity).
+    return Relation(f"S2:{i},{j}", _cat(_b(i), _a(j), _b(i, -1)),
                     _cat(_a(j), _C(i, j, -1), _C(i + 1, j)),
-                    "outward conjugation of a_j by b_i"))
-    elif name == "S3":
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                for k in range(i + 1, n + 1):
-                    out.append(Relation(
-                        f"S3:{i};{j},{k}",
-                        _cat(_a(i), _C(j, k), _a(i, -1)),
-                        _cat(_C(i + 1, k), _C(i, k, -1), _C(j, k), _a(k, -1),
-                             _C(i, k), _C(i + 1, k, -1), _a(k)),
-                        "outward conjugation of C[j,k] by a_i"))
-    elif name == "S4":
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                for k in range(i + 1, n + 1):
-                    if T:
-                        rhs = _cat(_b(k, -1), _C(i + 1, k, -1), _C(i, k), _b(k),
-                                   _C(j, k), _C(i, k, -1), _C(i + 1, k))
-                    else:
-                        rhs = _cat(_b(k, -1), _C(i, k, -1), _C(i + 1, k), _b(k),
-                                   _C(j, k), _C(i, k, -1), _C(i + 1, k))
-                    out.append(Relation(
-                        f"S4:{i};{j},{k}",
-                        _cat(_b(i), _C(j, k), _b(i, -1)), rhs,
-                        "outward conjugation of C[j,k] by b_i"))
-    elif name == "S5":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                rhs = _b(j) if T else _cat(_C(i + 1, j, -1), _C(i, j), _b(j))
-                out.append(Relation(
-                    f"S5:{i},{j}", _cat(_b(i), _b(j), _b(i, -1)), rhs,
-                    "outward conjugation of b_j by b_i"))
-    return out
+                    "outward conjugation of a_j by b_i")
 
 
-def _family_R(name: str, surface: str, n: int) -> list[Relation]:
-    T = surface == "T"
-    out = []
-    if name == "R1":
-        for i in range(1, n):
-            out.append(Relation(
-                f"R1:{i}",
-                _cat(_a(i + 1), _a(i), _s(i)), _cat(_s(i), _a(i + 1), _a(i)),
-                "adjacent a pair commutes with the half twist"))
-    elif name == "R2":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(i, j):
-                    out.append(Relation(
-                        f"R2:{j},{i};s{k}",
-                        _cat(_alpha(j, i), _s(k)), _cat(_s(k), _alpha(j, i)),
-                        "descending a product commutes with inner half twists"))
-    elif name == "R3":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(i, j):
-                    for t in range(k + 1, j + 1):
-                        out.append(Relation(
-                            f"R3:{j},{i};C{k},{t}",
-                            _cat(_alpha(j, i), _C(k, t)),
-                            _cat(_C(k, t), _alpha(j, i)),
-                            "descending a product commutes with inner C braids"))
-    elif name == "R4":
-        for i in range(1, n):
-            rhs = _cat(_s(i, 1 if T else -1), _b(i + 1), _b(i))
-            out.append(Relation(
-                f"R4:{i}", _cat(_b(i + 1), _b(i), _s(i)), rhs,
-                "adjacent b pair versus the half twist"))
-    elif name == "R5":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(i, j):
-                    rhs = _cat(_s(k, 1 if T else -1), _beta(j, i))
-                    out.append(Relation(
-                        f"R5:{j},{i};s{k}", _cat(_beta(j, i), _s(k)), rhs,
-                        "descending b product versus inner half twists"))
-    elif name == "R6":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(i, j):
-                    for t in range(k + 1, j + 1):
-                        rhs = _cat(_C(k, t, 1 if T else -1), _beta(j, i))
-                        out.append(Relation(
-                            f"R6:{j},{i};C{k},{t}",
-                            _cat(_beta(j, i), _C(k, t)), rhs,
-                            "descending b product versus inner C braids"))
-    elif name == "R7":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if T:
-                    out.append(Relation(
-                        f"R7:{j},{i}",
-                        _cat(_beta(j, i), _b(j)), _cat(_b(j), _beta(j, i)),
-                        "b_j commutes with the descending b product"))
-                else:
-                    out.append(Relation(
-                        f"R7:{j},{i}",
-                        _cat(_beta(j, i), _b(j), _C(i, j)),
-                        _cat(_b(j), _beta(j, i)),
-                        "b_j versus the descending b product"))
-    return out
+def _s3(T: bool, n: int, i: int, j: int, k: int) -> Relation:
+    return Relation(f"S3:{i};{j},{k}", _cat(_a(i), _C(j, k), _a(i, -1)),
+                    _cat(_C(i + 1, k), _C(i, k, -1), _C(j, k), _a(k, -1),
+                         _C(i, k), _C(i + 1, k, -1), _a(k)),
+                    "outward conjugation of C[j,k] by a_i")
 
 
-def _family_P(name: str, surface: str, n: int) -> list[Relation]:
-    T = surface == "T"
-    out = []
+def _s4(T: bool, n: int, i: int, j: int, k: int) -> Relation:
+    inner = (_C(i + 1, k, -1), _C(i, k)) if T else (_C(i, k, -1), _C(i + 1, k))
+    return Relation(f"S4:{i};{j},{k}", _cat(_b(i), _C(j, k), _b(i, -1)),
+                    _cat(_b(k, -1), *inner, _b(k), _C(j, k), _C(i, k, -1), _C(i + 1, k)),
+                    "outward conjugation of C[j,k] by b_i")
+
+
+def _s5(T: bool, n: int, i: int, j: int) -> Relation:
+    return Relation(f"S5:{i},{j}", _cat(_b(i), _b(j), _b(i, -1)),
+                    _b(j) if T else _cat(_C(i + 1, j, -1), _C(i, j), _b(j)),
+                    "outward conjugation of b_j by b_i")
+
+
+def _r1(T: bool, n: int, i: int) -> Relation:
+    return Relation(f"R1:{i}", _cat(_a(i + 1), _a(i), _s(i)), _cat(_s(i), _a(i + 1), _a(i)),
+                    "adjacent a pair commutes with the half twist")
+
+
+def _r2(T: bool, n: int, i: int, j: int, k: int) -> Relation:
+    return Relation(f"R2:{j},{i};s{k}", _cat(_alpha(j, i), _s(k)), _cat(_s(k), _alpha(j, i)),
+                    "descending a product commutes with inner half twists")
+
+
+def _r3(T: bool, n: int, i: int, j: int, k: int, t: int) -> Relation:
+    return Relation(f"R3:{j},{i};C{k},{t}", _cat(_alpha(j, i), _C(k, t)),
+                    _cat(_C(k, t), _alpha(j, i)),
+                    "descending a product commutes with inner C braids")
+
+
+def _r4(T: bool, n: int, i: int) -> Relation:
+    return Relation(f"R4:{i}", _cat(_b(i + 1), _b(i), _s(i)),
+                    _cat(_s(i, 1 if T else -1), _b(i + 1), _b(i)),
+                    "adjacent b pair versus the half twist")
+
+
+def _r5(T: bool, n: int, i: int, j: int, k: int) -> Relation:
+    return Relation(f"R5:{j},{i};s{k}", _cat(_beta(j, i), _s(k)),
+                    _cat(_s(k, 1 if T else -1), _beta(j, i)),
+                    "descending b product versus inner half twists")
+
+
+def _r6(T: bool, n: int, i: int, j: int, k: int, t: int) -> Relation:
+    return Relation(f"R6:{j},{i};C{k},{t}", _cat(_beta(j, i), _C(k, t)),
+                    _cat(_C(k, t, 1 if T else -1), _beta(j, i)),
+                    "descending b product versus inner C braids")
+
+
+def _r7(T: bool, n: int, i: int, j: int) -> Relation:
+    if T:
+        return Relation(f"R7:{j},{i}", _cat(_beta(j, i), _b(j)), _cat(_b(j), _beta(j, i)),
+                        "b_j commutes with the descending b product")
+    return Relation(f"R7:{j},{i}", _cat(_beta(j, i), _b(j), _C(i, j)), _cat(_b(j), _beta(j, i)),
+                    "b_j versus the descending b product")
+
+
+def _p1(T: bool, n: int, i: int) -> Relation:
+    lhs = _cat(_b(n, -1), _a(i), _b(n))
+    if i < n:
+        return Relation(f"P1:{i}", lhs, _cat(_C(i, n), _C(i + 1, n, -1), _a(i)),
+                        "conjugation of a_i by b_n")
+    rhs = _cat(_a(n), _C(1, n, -1)) if T else _cat(_C(1, n), _a(n, -1))
+    return Relation(f"P1:{n}", lhs, rhs, "conjugation of a_n by b_n")
+
+
+def _p2(T: bool, n: int, i: int) -> Relation:
+    lhs = _cat(_b(n, -1), _C(i, n), _b(n))
+    if i > 1:
+        return Relation(f"P2:{i}", lhs,
+                        _cat(_beta(n - 1, i), _C(i, n, 1 if T else -1), _beta(n - 1, i).inverse()),
+                        "conjugation of C[i,n] by b_n")
     delta = _cat(_C(1, n), _C(2, n, -1), _C(3, n))
+    if T:
+        # The order of the two inner encircling factors is forced by the
+        # oracle: the transposed variant fails at n = 3 and 4 (the
+        # presentation tests check both orders).
+        rhs = _cat(_beta(n - 1, 3), _b(1), _beta(n - 1, 2),
+                   _C(3, n, -1), _C(2, n), _beta(n - 1, 2).inverse(),
+                   delta, _b(n), _b(1, -1), _beta(n, 3).inverse())
+    else:
+        rhs = _cat(_beta(n - 1, 3), _b(1), delta.inverse(),
+                   _beta(n - 1, 2), _C(3, n), _C(2, n, -1),
+                   _beta(n - 1, 2).inverse(), _b(n), delta,
+                   _b(1, -1), _beta(n, 3).inverse())
+    return Relation("P2:1", lhs, rhs, "conjugation of C[1,n] by b_n")
+
+
+def _p3(T: bool, n: int, i: int) -> Relation:
+    lhs = _cat(_a(n, -1), _b(i), _a(n))
+    if i < n:
+        return Relation(f"P3:{i}", lhs, _cat(_C(i, n, -1), _C(i + 1, n), _b(i)),
+                        "conjugation of b_i by a_n")
+    return Relation(f"P3:{n}", lhs, _cat(_b(n), _C(1, n)), "conjugation of b_n by a_n")
+
+
+def _p4(T: bool, n: int, i: int) -> Relation:
+    lhs = _cat(_a(n, -1), _C(i, n), _a(n))
+    if i > 1:
+        return Relation(f"P4:{i}", lhs,
+                        _cat(_alpha(n - 1, i), _C(i, n), _alpha(n - 1, i).inverse()),
+                        "conjugation of C[i,n] by a_n")
     delta_bar = _cat(_C(3, n), _C(2, n, -1), _C(1, n))
-    if name == "P1":
-        for i in range(1, n):
-            out.append(Relation(
-                f"P1:{i}",
-                _cat(_b(n, -1), _a(i), _b(n)),
-                _cat(_C(i, n), _C(i + 1, n, -1), _a(i)),
-                "conjugation of a_i by b_n"))
-        rhs = _cat(_a(n), _C(1, n, -1)) if T else _cat(_C(1, n), _a(n, -1))
-        out.append(Relation(f"P1:{n}", _cat(_b(n, -1), _a(n), _b(n)), rhs,
-                            "conjugation of a_n by b_n"))
-    elif name == "P2":
-        for i in range(2, n):
-            out.append(Relation(
-                f"P2:{i}",
-                _cat(_b(n, -1), _C(i, n), _b(n)),
-                _cat(_beta(n - 1, i), _C(i, n, 1 if T else -1),
-                     _beta(n - 1, i).inverse()),
-                "conjugation of C[i,n] by b_n"))
-        if T:
-            # The order of the two inner encircling factors is forced by
-            # the oracle: the transposed variant fails at n = 3 and 4
-            # (the presentation tests check both orders).
-            rhs = _cat(_beta(n - 1, 3), _b(1), _beta(n - 1, 2),
-                       _C(3, n, -1), _C(2, n), _beta(n - 1, 2).inverse(),
-                       delta, _b(n), _b(1, -1), _beta(n, 3).inverse())
-        else:
-            rhs = _cat(_beta(n - 1, 3), _b(1), delta.inverse(),
-                       _beta(n - 1, 2), _C(3, n), _C(2, n, -1),
-                       _beta(n - 1, 2).inverse(), _b(n), delta,
-                       _b(1, -1), _beta(n, 3).inverse())
-        out.append(Relation("P2:1", _cat(_b(n, -1), _C(1, n), _b(n)), rhs,
-                            "conjugation of C[1,n] by b_n"))
-    elif name == "P3":
-        for i in range(1, n):
-            out.append(Relation(
-                f"P3:{i}",
-                _cat(_a(n, -1), _b(i), _a(n)),
-                _cat(_C(i, n, -1), _C(i + 1, n), _b(i)),
-                "conjugation of b_i by a_n"))
-        out.append(Relation(f"P3:{n}", _cat(_a(n, -1), _b(n), _a(n)),
-                            _cat(_b(n), _C(1, n)),
-                            "conjugation of b_n by a_n"))
-    elif name == "P4":
-        for i in range(2, n):
-            out.append(Relation(
-                f"P4:{i}",
-                _cat(_a(n, -1), _C(i, n), _a(n)),
-                _cat(_alpha(n - 1, i), _C(i, n), _alpha(n - 1, i).inverse()),
-                "conjugation of C[i,n] by a_n"))
-        rhs = _cat(_alpha(n - 1, 3), _a(1), delta_bar, _alpha(n - 1, 2),
-                   _C(2, n), _C(3, n, -1), _alpha(n - 1, 2).inverse(),
-                   _a(n), _a(1, -1), _alpha(n, 3).inverse())
-        out.append(Relation("P4:1", _cat(_a(n, -1), _C(1, n), _a(n)), rhs,
-                            "conjugation of C[1,n] by a_n"))
-    return out
+    rhs = _cat(_alpha(n - 1, 3), _a(1), delta_bar, _alpha(n - 1, 2),
+               _C(2, n), _C(3, n, -1), _alpha(n - 1, 2).inverse(),
+               _a(n), _a(1, -1), _alpha(n, 3).inverse())
+    return Relation("P4:1", lhs, rhs, "conjugation of C[1,n] by a_n")
 
 
-_S_NAMES = ("S1", "S2", "S3", "S4", "S5")
-_R_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
-_P_NAMES = ("P1", "P2", "P3", "P4")
+# The index tuples of a family at n, in row order.
+_pairs = lambda n: ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))  # i < j
+_nested = lambda n: ((i, j, k) for i in range(1, n + 1) for j in range(1, i + 1)  # j <= i < k
+                     for k in range(i + 1, n + 1))
+_adjacent = lambda n: ((i,) for i in range(1, n))  # i < n
+_twists = lambda n: ((i, j, k) for i, j in _pairs(n) for k in range(i, j))  # i <= k < j
+_bands = lambda n: ((i, j, k, t) for i, j in _pairs(n)  # i <= k < t <= j
+                    for k in range(i, j) for t in range(k + 1, j + 1))
+_strands = lambda n: ((i,) for i in range(1, n + 1))  # i <= n
+_first_last = lambda n: ((i,) for i in (*range(2, n), 1))  # 1 < i < n, then the row i = 1
+
+
+class _Family(NamedTuple):
+    group: str  # "P" or "B", the group the rows hold in
+    least: int  # the least n
+    torus_only: bool
+    indices: Callable[[int], Iterator[tuple[int, ...]]]  # the index tuples at n
+    row: Callable[..., Relation]  # (T, n, *indices) -> the row
+
+
+# The one statement of each derived family, in the order all_family_names lists.
+_DERIVED = {
+    "S1": _Family("P", 1, False, _pairs, _s1),
+    "S2": _Family("P", 1, False, _pairs, _s2),
+    "S3": _Family("P", 1, False, _nested, _s3),
+    "S4": _Family("P", 1, False, _nested, _s4),
+    "S5": _Family("P", 1, False, _pairs, _s5),
+    "R1": _Family("B", 2, False, _adjacent, _r1),
+    "R2": _Family("B", 2, False, _twists, _r2),
+    "R3": _Family("B", 2, False, _bands, _r3),
+    "R4": _Family("B", 2, False, _adjacent, _r4),
+    "R5": _Family("B", 2, False, _twists, _r5),
+    "R6": _Family("B", 2, False, _bands, _r6),
+    "R7": _Family("B", 2, False, _pairs, _r7),
+    "P1": _Family("P", 3, False, _strands, _p1),
+    "P2": _Family("P", 3, False, _first_last, _p2),
+    "P3": _Family("P", 3, True, _strands, _p3),
+    "P4": _Family("P", 3, True, _first_last, _p4),
+}
 
 
 def instantiate_family(name: str, surface: str, n: int) -> RelationTable:
     """All index instances of one derived relation family."""
-    if surface not in ("T", "K"):
+    if surface not in _TABLE_SURFACES:
         raise DomainError(f"no relation families for surface {surface!r}")
-    if name in _S_NAMES:
-        ctx = GroupContext("P", surface, n)
-        rels = _family_S(name, surface, n)
-    elif name in _R_NAMES:
-        if n < 2:
-            raise DomainError(f"{name} needs n >= 2")
-        ctx = GroupContext("B", surface, n)
-        rels = _family_R(name, surface, n)
-    elif name in _P_NAMES:
-        if name in ("P3", "P4") and surface == "K":
-            raise DomainError(f"{name} is a torus-only family")
-        if n < 3:
-            raise DomainError(f"{name} needs n >= 3")
-        ctx = GroupContext("P", surface, n)
-        rels = _family_P(name, surface, n)
-    else:
+    family = _DERIVED.get(name) if isinstance(name, str) else None  # a list is unknown too
+    if family is None:
         raise DomainError(f"unknown relation family {name!r}")
-    return RelationTable(ctx, tuple(rels))
+    if family.torus_only and surface != "T":
+        raise DomainError(f"{name} is a torus-only family")
+    if family.least > 1 and n < family.least:  # n >= 1 is the group's bound, checked below
+        raise DomainError(f"{name} needs n >= {family.least}")
+    ctx = GroupContext(family.group, surface, n)
+    T = surface == "T"
+    return RelationTable(ctx, tuple(family.row(T, n, *idx) for idx in family.indices(n)))
 
 
 def all_family_names() -> tuple[str, ...]:
-    return _S_NAMES + _R_NAMES + _P_NAMES
+    return tuple(_DERIVED)

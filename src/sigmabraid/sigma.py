@@ -115,11 +115,6 @@ def _require_supported(group: GroupContext) -> _Family:
     return record
 
 
-def sphere_is_empty(group: GroupContext) -> bool:
-    """Whether the character sphere is empty, by the record's free rank formula."""
-    return _require_supported(group).rank(group.n) == 0
-
-
 # ---------------------------------------------------------------------------
 # The support rule, per surface: the piece class, the pair order that
 # enumerate_complement lists, and the cites for n = 1, off the rule and on it.

@@ -454,6 +454,14 @@ def test_sphere_json_keys_read_ascii_digits(key):
     assert character_to_json(chi)["A"] == {"1,3": "2/3", "10,11": 1}
 
 
+def test_sphere_json_refuses_a_pair_named_twice():
+    # '1,3' and '01,3' both read as the pair (1, 3), and neither value may
+    # silently win
+    with pytest.raises(DomainError) as err:
+        character_from_json({"surface": "S2", "n": 5, "A": {"1,3": 1, "01,3": -1, "2,3": 1}})
+    assert str(err.value) == "key '01,3' of 'A' names the pair 1,3 again"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"surface": "T", "n": 2, "a": [0, 1], "b": [1]}, "need 2 entries in 'a' and 'b'"),
     ({"surface": "T", "n": 2, "a": [0, 1, 2], "b": [1]}, "need 2 entries in 'a' and 'b'"),

@@ -132,6 +132,14 @@ def test_classify_refuses_a_sphere_key_not_in_ascii(capsys):
     assert err == "error: keys of 'A' must read 'i,j', got '\u0661,\u0663'\n"
 
 
+def test_classify_refuses_a_sphere_pair_named_twice(capsys):
+    # with the last value for A[1,3] taken, this point is a P3 circle
+    code, out, err = run(capsys, "classify", "--group", "P", "--surface", "S2", "--n", "5",
+                         "--char", '{"surface":"S2","n":5,"A":{"1,3":1,"01,3":-1,"2,3":1}}')
+    assert code == 1 and out == ""
+    assert err == "error: key '01,3' of 'A' names the pair 1,3 again\n"
+
+
 def test_enumerate_counts_and_determinism(capsys):
     first = run(capsys, "enumerate", "--group", "P", "--surface", "T", "--n", "3")
     second = run(capsys, "enumerate", "--group", "P", "--surface", "T", "--n", "3")

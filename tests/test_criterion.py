@@ -251,9 +251,11 @@ def test_braid_certificates_match_the_recorded_digest():
 @pytest.mark.parametrize("end", ["top", "low"])
 def test_generation_reads_no_more_letters_than_it_keeps(surface, end, monkeypatch):
     # counts the letters handed to the seam products, through criterion's
-    # name and through Word.__mul__; before each path word was one product,
-    # the torus top end at n = 48 handed them 215,683 letters for 11,472 kept
-    from sigmabraid import criterion, words
+    # name, through Word.__mul__ and through presentations' _cat, which the
+    # relation rows call, so a certificate that built a whole family table
+    # would fail; before each path word was one product, the torus top end
+    # at n = 48 handed them 215,683 letters for 11,472 kept
+    from sigmabraid import criterion, presentations, words
 
     handed = [0]
     product = words.product
@@ -264,6 +266,7 @@ def test_generation_reads_no_more_letters_than_it_keeps(surface, end, monkeypatc
 
     monkeypatch.setattr(criterion, "product", counting)
     monkeypatch.setattr(words, "product", counting)
+    monkeypatch.setattr(presentations, "_cat", counting)
     monkeypatch.setattr(criterion, "_BRAID_CERTS", criterion._Kept())  # build, do not look up
     n = 48
     b = [0] * n

@@ -75,12 +75,23 @@ def test_family_r4_klein():
 
 
 def test_unsupported_family_combinations():
-    with pytest.raises(DomainError):
-        instantiate_family("P3", "K", 3)
-    with pytest.raises(DomainError):
-        instantiate_family("P1", "T", 2)
-    with pytest.raises(DomainError):
-        instantiate_family("S9", "T", 3)
+    for name, surface, n, message in [
+        ("S1", "S2", 3, "no relation families for surface 'S2'"),
+        ("S9", "D", 3, "no relation families for surface 'D'"),  # the surface is read first
+        ("S9", "T", 3, "unknown relation family 'S9'"),
+        ("P3", "K", 3, "P3 is a torus-only family"),
+        ("P4", "K", 2, "P4 is a torus-only family"),  # before the least n
+        ("P1", "T", 2, "P1 needs n >= 3"),
+        ("P2", "K", 2, "P2 needs n >= 3"),
+        ("R1", "T", 1, "R1 needs n >= 2"),
+        ("R7", "K", 0, "R7 needs n >= 2"),
+        # a family that holds from n = 1 leaves n >= 1 to the group
+        ("S1", "T", 0, "n must be >= 1, got 0"),
+        ("S4", "K", -1, "n must be >= 1, got -1"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            instantiate_family(name, surface, n)
+        assert str(err.value) == message, (name, surface, n)
 
 
 def test_braid_table_contents():
