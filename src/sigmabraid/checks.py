@@ -109,6 +109,8 @@ def verify_equation_bank(model: ModelId, random_words: int = 2000) -> list[Relat
     """Check every banked equation for the model by normal form; for G2K
     also check normal forms against the letterwise conjugation reference on
     ``random_words`` seeded words of up to 12 letters (never negative)."""
+    if isinstance(random_words, bool) or not isinstance(random_words, int):
+        raise DomainError(f"random_words must be an integer, got {random_words!r}")
     if random_words < 0:
         raise DomainError(f"random_words must be >= 0, got {random_words}")
     word = partial(models.parse_model_word, model=model)

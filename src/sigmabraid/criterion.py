@@ -46,10 +46,11 @@ extreme b-weight sits on strand n (t = b_n) or strand 1 (t = b_1^-1).
 It builds each path word with one seam product of cached one-letter
 words, so the products read no more letters than the certificate keeps,
 Theta(n^2), instead of copying every partial product, Theta(n^3).  The
-entries that cite a derived relation read its right-hand side from the row
-function of ``presentations``, one row at a time and never a whole family:
-at the top end a_i from P1:i, at the low end b_j, a_j and C[1,j] from
-S5:1,j, S2:1,j and S4:1;1,j.
+entries that cite a table row read it from the row function of
+``presentations``, one row at a time and never a whole table: at the top
+end a_i from the rhs of P1:i, at the low end b_j, a_j and C[1,j] from the
+rhs of S5:1,j, S2:1,j and S4:1;1,j and a_1^-1 from the lhs of the
+wall-crossing row 5:1.
 Endpoints are oracle-checked where a model covers the group (torus
 n <= 4, Klein bottle n = 2) and are otherwise delegated to the relation
 tables, which the report records entry by entry.
@@ -115,7 +116,8 @@ from .models import (
     translate,
     words_equal,
 )
-from .presentations import _C, _TABLE_SURFACES, _a, _b, _p1, _s2, _s4, _s5, signed_generators
+from .presentations import (_C, _TABLE_SURFACES, _a, _b, _p1, _pure5, _s2, _s4, _s5,
+                            signed_generators)
 from .words import (
     DomainError,
     GeneratorSymbol,
@@ -467,7 +469,7 @@ def _braid_certificate(group: GroupContext, use_top: bool) -> PathCertificate:
     n = group.n
     T = group.surface == "T"
     # every path word is one product of cached one-letter words (C[j,j] is
-    # the empty word), or the rhs of one table row, itself such a product
+    # the empty word), or a side of one table row, itself such a product
     entries: list[CertificateEntry] = []
     if use_top:
         t = sym_b(n)
@@ -498,11 +500,9 @@ def _braid_certificate(group: GroupContext, use_top: bool) -> PathCertificate:
             entries += _pair(sym_b(j), _s5(T, n, 1, j).rhs, "outward conjugation S5")
         for j in range(2, n + 1):
             entries += _pair(sym_a(j), _s2(T, n, 1, j).rhs, "outward conjugation S2")
-        bands = []
-        for j in range(2, n + 1):
-            bands += (_C(1, j, -1), _C(2, j)) if T else (_C(1, j), _C(2, j, -1))
-        w_a1_inv = product(_a(1, -1), *bands) if T else product(*bands, _a(1))
-        entries += _pair(sym_a(1, -1), w_a1_inv, "wall-crossing relation, first strand")
+        wall = _pure5(T, n, 1).lhs
+        entries += _pair(sym_a(1, -1), product(_a(1, -1), wall) if T else product(wall, _a(1)),
+                         "wall-crossing relation, first strand")
         for j in range(2, n + 1):
             entries += _pair(sym_C(1, j), _s4(T, n, 1, 1, j).rhs,
                              "outward conjugation S4, first strand")

@@ -709,7 +709,9 @@ def _substitute(images: dict[int, Word], w: Word) -> Word:
 
 def _wall_row(surface: str, n: int, i: int) -> Word:
     """Wall-crossing row i of the pure presentation, lhs = rhs, as the
-    relator lhs rhs^-1 (C[i+1,i+1] is trivial):
+    relator lhs rhs^-1 (C[i+1,i+1] is trivial).  It restates row 5 of
+    ``presentations`` because ``models`` loads only ``words``; the oracle
+    suite of ``verify-relations`` checks the two statements agree:
 
     torus  prod_{j>i} C[i,j]^-1 C[i+1,j]  = a_i b_i C[1,i] a_i^-1 b_i^-1
     Klein  prod_{j>i} C[i,j] C[i+1,j]^-1 = b_i C[1,i] a_i^-1 b_i^-1 a_i^-1

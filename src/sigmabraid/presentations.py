@@ -22,12 +22,11 @@ connectivity certificates:
   P1..P4   conjugation of strand-n letters by b_n or a_n (valid in
            P_n(M), n >= 3; P3 and P4 only on the torus).
 
-Each family is one entry of the table ``_DERIVED``, keyed by its name: its
-group, its least n, whether it holds on the torus only, its index tuples at
-n and its row function, which builds the relation at one index tuple.
-``instantiate_family`` and ``all_family_names`` read the table, and the
-braid certificates of ``criterion`` call the row functions of P1, S2, S4
-and S5 for the single rows they cite, so each derived row is written once.
+Every table, P, B or derived, is one ``_Table`` record: its group, least
+n, torus-only flag and, in row order, blocks of (index tuples at n, row
+functions).  One routine, ``_build``, builds them all, and the braid
+certificates of ``criterion`` call the row functions of P1, S2, S4, S5 and
+of family 5 for the single rows they cite, so each row is written once.
 
 Every relation is stored as an explicit (lhs, rhs) pair of words, one
 entry per admissible index tuple; displayed products over j always expand
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .words import (
     DomainError,
@@ -120,150 +119,6 @@ def _s(i: int, sign: int = 1) -> Word:
 _cat = product
 
 
-# ---------------------------------------------------------------------------
-# The pure braid presentation
-
-def _pure_relations(surface: str, n: int) -> list[Relation]:
-    T = surface == "T"
-    rels: list[Relation] = []
-
-    def add(name, lhs, rhs, cite):
-        rels.append(Relation(name, lhs, rhs, cite))
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(f"1:a{i}-a{j}", _cat(_a(i), _a(j)), _cat(_a(j), _a(i)),
-                "a generators commute")
-            add(f"2:a{i}-b{j}",
-                _cat(_a(i, -1), _b(j), _a(i)),
-                _cat(_b(j), _a(j), _C(i, j, -1), _C(i + 1, j), _a(j, -1)),
-                "conjugation of b_j by a_i")
-    # (3) a_i vs C[j,k]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                lhs = _cat(_a(i, -1), _C(j, k), _a(i))
-                if i < j or k < i:
-                    add(f"3:a{i}-C{j},{k}", lhs, _C(j, k),
-                        "a_i commutes with disjoint C[j,k]")
-                elif j <= i < k:
-                    rhs = _cat(_a(k), _C(i + 1, k, -1), _C(i, k), _a(k, -1),
-                               _C(j, k), _C(i, k, -1), _C(i + 1, k))
-                    add(f"3:a{i}-C{j},{k}", lhs, rhs,
-                        "conjugation of nested C[j,k] by a_i")
-    # (4) C[i,l] vs C[j,k]
-    for i in range(1, n + 1):
-        for l in range(i + 1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(j + 1, n + 1):
-                    lhs = _cat(_C(i, l, -1), _C(j, k), _C(i, l))
-                    if (i < l < j < k) or (j <= i < l < k):
-                        add(f"4:C{i},{l}-C{j},{k}", lhs, _C(j, k),
-                            "disjoint or nested encircling braids commute")
-                    elif i < j <= l < k:
-                        rhs = _cat(_C(i, k), _C(l + 1, k, -1), _C(l, k),
-                                   _C(i, k, -1), _C(j, k), _C(l, k, -1), _C(l + 1, k))
-                        add(f"4:C{i},{l}-C{j},{k}", lhs, rhs,
-                            "conjugation rule for linked encircling braids")
-    # (5) surface relation, one row per strand
-    for i in range(1, n + 1):
-        row: list[Word] = []
-        for j in range(i + 1, n + 1):
-            row += [_C(i, j, -1), _C(i + 1, j)] if T else [_C(i, j), _C(i + 1, j, -1)]
-        prod = _cat(*row)
-        if T:
-            rhs = _cat(_a(i), _b(i), _C(1, i), _a(i, -1), _b(i, -1))
-        else:
-            rhs = _cat(_b(i), _C(1, i), _a(i, -1), _b(i, -1), _a(i, -1))
-        add(f"5:row{i}", prod, rhs, "wall-crossing relation of strand i")
-    # (6)(7)(8)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if T:
-                add(f"6:b{j}-b{i}", _cat(_b(j), _b(i)), _cat(_b(i), _b(j)),
-                    "b generators commute")
-                add(f"7:b{i}-a{j}",
-                    _cat(_b(i, -1), _a(j), _b(i)),
-                    _cat(_a(j), _b(j), _C(i, j), _C(i + 1, j, -1), _b(j, -1)),
-                    "conjugation of a_j by b_i")
-            else:
-                add(f"6:b{j}-b{i}", _cat(_b(j), _b(i)),
-                    _cat(_b(i), _b(j), _C(i, j), _C(i + 1, j, -1)),
-                    "b generators commute up to encircling braids")
-                add(f"7:b{i}-a{j}",
-                    _cat(_b(i, -1), _a(j), _b(i)),
-                    _cat(_a(j), _b(j), _C(i + 1, j), _C(i, j, -1), _b(j, -1)),
-                    "conjugation of a_j by b_i")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                lhs = _cat(_b(i, -1), _C(j, k), _b(i))
-                if i < j or k < i:
-                    add(f"8:b{i}-C{j},{k}", lhs, _C(j, k),
-                        "b_i commutes with disjoint C[j,k]")
-                elif j <= i < k:
-                    if T:
-                        rhs = _cat(_C(i + 1, k), _C(i, k, -1), _C(j, k), _b(k),
-                                   _C(i, k), _C(i + 1, k, -1), _b(k, -1))
-                    else:
-                        rhs = _cat(_C(i + 1, k), _C(i, k, -1), _C(j, k), _b(k),
-                                   _C(i + 1, k), _C(i, k, -1), _b(k, -1))
-                    add(f"8:b{i}-C{j},{k}", lhs, rhs,
-                        "conjugation of nested C[j,k] by b_i")
-    return rels
-
-
-# ---------------------------------------------------------------------------
-# The full braid group table: Artin relations, half-twist conjugation rules
-# and Artin-letter spellings of the C braids.
-
-def _braid_relations(n: int) -> list[Relation]:
-    rels: list[Relation] = []
-    for i in range(1, n - 1):
-        rels.append(Relation(
-            f"artin:s{i}-s{i+1}",
-            _cat(_s(i), _s(i + 1), _s(i)), _cat(_s(i + 1), _s(i), _s(i + 1)),
-            "braid relation"))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(Relation(
-                f"artin:s{i}-s{j}", _cat(_s(i), _s(j)), _cat(_s(j), _s(i)),
-                "far commutation"))
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            lhs_a = _cat(_s(i, -1), _a(j), _s(i))
-            lhs_b = _cat(_s(i, -1), _b(j), _s(i))
-            if j == i:
-                rhs_a = _cat(_s(i, -1), _s(i, -1), _a(i + 1))
-                rhs_b = _cat(_b(i + 1), _s(i), _s(i))
-            elif j == i + 1:
-                rhs_a = _cat(_a(i), _s(i), _s(i))
-                rhs_b = _cat(_s(i, -1), _s(i, -1), _b(i))
-            else:
-                rhs_a, rhs_b = _a(j), _b(j)
-            rels.append(Relation(f"twist:s{i}-a{j}", lhs_a, rhs_a,
-                                 "half twist moves wall crossings between strands"))
-            rels.append(Relation(f"twist:s{i}-b{j}", lhs_b, rhs_b,
-                                 "half twist moves wall crossings between strands"))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            rels.append(Relation(
-                f"band:C{j},{k}", _C(j, k), aij_word(j, k, n),
-                "encircling braid spelled in half twists"))
-    return rels
-
-
-def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable:
-    """Every relation instance of the P_n or B_n table for the given n; each
-    holds in the group, but the B_n table does not present it (see above)."""
-    ctx = GroupContext(family, surface, n)
-    if surface not in _TABLE_SURFACES:
-        raise DomainError(f"no presentation table for surface {surface!r}")
-    if family == "P":
-        return RelationTable(ctx, tuple(_pure_relations(surface, n)))
-    return RelationTable(ctx, tuple(_braid_relations(n)))
-
-
 def signed_generators(surface: str, n: int) -> tuple[GeneratorSymbol, ...]:
     """The generators of P_n(T) or P_n(K) in table order, a_1..a_n, b_1..b_n,
     then C[i,j] row by row, each followed by its inverse."""
@@ -272,6 +127,118 @@ def signed_generators(surface: str, n: int) -> tuple[GeneratorSymbol, ...]:
     gens = [*map(sym_a, range(1, n + 1)), *map(sym_b, range(1, n + 1)),
             *(sym_C(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))]
     return tuple(s for g in gens for s in (g, g.inverse()))
+
+
+# One row function per relation kind: (T, n, *indices) -> the relation at
+# one index tuple, T true on the torus.  Only families 3, 4 and 8, the twist
+# rows and the special rows P1:n, P2:1, P3:n and P4:1 branch on their index.
+
+# ---------------------------------------------------------------------------
+# The pure braid presentation, families 1-8
+
+def _pure1(T: bool, n: int, i: int, j: int) -> Relation:
+    return Relation(f"1:a{i}-a{j}", _cat(_a(i), _a(j)), _cat(_a(j), _a(i)),
+                    "a generators commute")
+
+
+def _pure2(T: bool, n: int, i: int, j: int) -> Relation:
+    return Relation(f"2:a{i}-b{j}", _cat(_a(i, -1), _b(j), _a(i)),
+                    _cat(_b(j), _a(j), _C(i, j, -1), _C(i + 1, j), _a(j, -1)),
+                    "conjugation of b_j by a_i")
+
+
+def _pure3(T: bool, n: int, i: int, j: int, k: int) -> Relation:
+    lhs = _cat(_a(i, -1), _C(j, k), _a(i))
+    if j <= i < k:
+        rhs = _cat(_a(k), _C(i + 1, k, -1), _C(i, k), _a(k, -1),
+                   _C(j, k), _C(i, k, -1), _C(i + 1, k))
+        return Relation(f"3:a{i}-C{j},{k}", lhs, rhs, "conjugation of nested C[j,k] by a_i")
+    return Relation(f"3:a{i}-C{j},{k}", lhs, _C(j, k), "a_i commutes with disjoint C[j,k]")
+
+
+def _pure4(T: bool, n: int, i: int, l: int, j: int, k: int) -> Relation:
+    lhs = _cat(_C(i, l, -1), _C(j, k), _C(i, l))
+    if i < j <= l:
+        rhs = _cat(_C(i, k), _C(l + 1, k, -1), _C(l, k),
+                   _C(i, k, -1), _C(j, k), _C(l, k, -1), _C(l + 1, k))
+        return Relation(f"4:C{i},{l}-C{j},{k}", lhs, rhs,
+                        "conjugation rule for linked encircling braids")
+    return Relation(f"4:C{i},{l}-C{j},{k}", lhs, _C(j, k),
+                    "disjoint or nested encircling braids commute")
+
+
+def _pure5(T: bool, n: int, i: int) -> Relation:
+    # the low-end braid certificates of ``criterion`` read the lhs at i = 1
+    sign = -1 if T else 1
+    lhs = _cat(*(w for j in range(i + 1, n + 1)
+                 for w in (_C(i, j, sign), _C(i + 1, j, -sign))))
+    if T:
+        rhs = _cat(_a(i), _b(i), _C(1, i), _a(i, -1), _b(i, -1))
+    else:
+        rhs = _cat(_b(i), _C(1, i), _a(i, -1), _b(i, -1), _a(i, -1))
+    return Relation(f"5:row{i}", lhs, rhs, "wall-crossing relation of strand i")
+
+
+def _pure6(T: bool, n: int, i: int, j: int) -> Relation:
+    tail = () if T else (_C(i, j), _C(i + 1, j, -1))
+    return Relation(f"6:b{j}-b{i}", _cat(_b(j), _b(i)), _cat(_b(i), _b(j), *tail),
+                    "b generators commute" + ("" if T else " up to encircling braids"))
+
+
+def _pure7(T: bool, n: int, i: int, j: int) -> Relation:
+    inner = (_C(i, j), _C(i + 1, j, -1)) if T else (_C(i + 1, j), _C(i, j, -1))
+    return Relation(f"7:b{i}-a{j}", _cat(_b(i, -1), _a(j), _b(i)),
+                    _cat(_a(j), _b(j), *inner, _b(j, -1)), "conjugation of a_j by b_i")
+
+
+def _pure8(T: bool, n: int, i: int, j: int, k: int) -> Relation:
+    lhs = _cat(_b(i, -1), _C(j, k), _b(i))
+    if j <= i < k:
+        inner = (_C(i, k), _C(i + 1, k, -1)) if T else (_C(i + 1, k), _C(i, k, -1))
+        rhs = _cat(_C(i + 1, k), _C(i, k, -1), _C(j, k), _b(k), *inner, _b(k, -1))
+        return Relation(f"8:b{i}-C{j},{k}", lhs, rhs, "conjugation of nested C[j,k] by b_i")
+    return Relation(f"8:b{i}-C{j},{k}", lhs, _C(j, k), "b_i commutes with disjoint C[j,k]")
+
+
+# ---------------------------------------------------------------------------
+# The full braid group table: Artin relations, half-twist conjugation rules
+# and Artin-letter spellings of the C braids.
+
+def _artin(T: bool, n: int, i: int) -> Relation:
+    return Relation(f"artin:s{i}-s{i+1}", _cat(_s(i), _s(i + 1), _s(i)),
+                    _cat(_s(i + 1), _s(i), _s(i + 1)), "braid relation")
+
+
+def _far(T: bool, n: int, i: int, j: int) -> Relation:
+    return Relation(f"artin:s{i}-s{j}", _cat(_s(i), _s(j)), _cat(_s(j), _s(i)),
+                    "far commutation")
+
+
+def _twist_a(T: bool, n: int, i: int, j: int) -> Relation:
+    if j == i:
+        rhs = _cat(_s(i, -1), _s(i, -1), _a(i + 1))
+    elif j == i + 1:
+        rhs = _cat(_a(i), _s(i), _s(i))
+    else:
+        rhs = _a(j)
+    return Relation(f"twist:s{i}-a{j}", _cat(_s(i, -1), _a(j), _s(i)), rhs,
+                    "half twist moves wall crossings between strands")
+
+
+def _twist_b(T: bool, n: int, i: int, j: int) -> Relation:
+    if j == i:
+        rhs = _cat(_b(i + 1), _s(i), _s(i))
+    elif j == i + 1:
+        rhs = _cat(_s(i, -1), _s(i, -1), _b(i))
+    else:
+        rhs = _b(j)
+    return Relation(f"twist:s{i}-b{j}", _cat(_s(i, -1), _b(j), _s(i)), rhs,
+                    "half twist moves wall crossings between strands")
+
+
+def _band(T: bool, n: int, j: int, k: int) -> Relation:
+    return Relation(f"band:C{j},{k}", _C(j, k), aij_word(j, k, n),
+                    "encircling braid spelled in half twists")
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +255,6 @@ def _alpha(j: int, i: int) -> Word:
 def _beta(j: int, i: int) -> Word:
     return _reduced([sym_b(k) for k in range(j, i - 1, -1)])
 
-
-# One row function per family: (T, n, *indices) -> the relation at one
-# index tuple, T true on the torus.  Only the special rows P1:n, P2:1, P3:n
-# and P4:1 branch on their index.
 
 def _s1(T: bool, n: int, i: int, j: int) -> Relation:
     return Relation(f"S1:{i},{j}", _cat(_a(i), _b(j), _a(i, -1)),
@@ -421,11 +384,17 @@ def _p4(T: bool, n: int, i: int) -> Relation:
     return Relation("P4:1", lhs, rhs, "conjugation of C[1,n] by a_n")
 
 
-# The index tuples of a family at n, in row order.
+# The index tuples of a relation kind at n, in row order.
 _pairs = lambda n: ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))  # i < j
 _nested = lambda n: ((i, j, k) for i in range(1, n + 1) for j in range(1, i + 1)  # j <= i < k
                      for k in range(i + 1, n + 1))
+_off = lambda n: ((i, j, k) for i in range(1, n + 1) for j, k in _pairs(n) if i != k)  # j < k, i != k
+_quads = lambda n: ((i, l, j, k) for i, l in _pairs(n)  # i < l < k, j < k
+                    for j, k in _pairs(n) if l < k)
 _adjacent = lambda n: ((i,) for i in range(1, n))  # i < n
+_inner = lambda n: ((i,) for i in range(1, n - 1))  # i + 1 < n
+_far_pairs = lambda n: ((i, j) for i, j in _pairs(n - 1) if i + 1 < j)  # i + 1 < j < n
+_moves = lambda n: ((i, j) for i in range(1, n) for j in range(1, n + 1))  # i < n, j <= n
 _twists = lambda n: ((i, j, k) for i, j in _pairs(n) for k in range(i, j))  # i <= k < j
 _bands = lambda n: ((i, j, k, t) for i, j in _pairs(n)  # i <= k < t <= j
                     for k in range(i, j) for t in range(k + 1, j + 1))
@@ -433,33 +402,57 @@ _strands = lambda n: ((i,) for i in range(1, n + 1))  # i <= n
 _first_last = lambda n: ((i,) for i in (*range(2, n), 1))  # 1 < i < n, then the row i = 1
 
 
-class _Family(NamedTuple):
+class _Table(NamedTuple):
     group: str  # "P" or "B", the group the rows hold in
     least: int  # the least n
     torus_only: bool
-    indices: Callable[[int], Iterator[tuple[int, ...]]]  # the index tuples at n
-    row: Callable[..., Relation]  # (T, n, *indices) -> the row
+    # in row order, blocks of (the index tuples at n, *row functions): a
+    # block calls its row functions in turn at each of its index tuples
+    blocks: tuple[tuple[Callable[..., object], ...], ...]
 
 
-# The one statement of each derived family, in the order all_family_names lists.
-_DERIVED = {
-    "S1": _Family("P", 1, False, _pairs, _s1),
-    "S2": _Family("P", 1, False, _pairs, _s2),
-    "S3": _Family("P", 1, False, _nested, _s3),
-    "S4": _Family("P", 1, False, _nested, _s4),
-    "S5": _Family("P", 1, False, _pairs, _s5),
-    "R1": _Family("B", 2, False, _adjacent, _r1),
-    "R2": _Family("B", 2, False, _twists, _r2),
-    "R3": _Family("B", 2, False, _bands, _r3),
-    "R4": _Family("B", 2, False, _adjacent, _r4),
-    "R5": _Family("B", 2, False, _twists, _r5),
-    "R6": _Family("B", 2, False, _bands, _r6),
-    "R7": _Family("B", 2, False, _pairs, _r7),
-    "P1": _Family("P", 3, False, _strands, _p1),
-    "P2": _Family("P", 3, False, _first_last, _p2),
-    "P3": _Family("P", 3, True, _strands, _p3),
-    "P4": _Family("P", 3, True, _first_last, _p4),
+_PRESENTATIONS = {
+    "P": _Table("P", 1, False, ((_pairs, _pure1, _pure2), (_off, _pure3), (_quads, _pure4),
+                                (_strands, _pure5), (_pairs, _pure6, _pure7), (_off, _pure8))),
+    "B": _Table("B", 1, False, ((_inner, _artin), (_far_pairs, _far),
+                                (_moves, _twist_a, _twist_b), (_pairs, _band))),
 }
+
+# The derived families, in the order all_family_names lists.
+_DERIVED = {
+    "S1": _Table("P", 1, False, ((_pairs, _s1),)),
+    "S2": _Table("P", 1, False, ((_pairs, _s2),)),
+    "S3": _Table("P", 1, False, ((_nested, _s3),)),
+    "S4": _Table("P", 1, False, ((_nested, _s4),)),
+    "S5": _Table("P", 1, False, ((_pairs, _s5),)),
+    "R1": _Table("B", 2, False, ((_adjacent, _r1),)),
+    "R2": _Table("B", 2, False, ((_twists, _r2),)),
+    "R3": _Table("B", 2, False, ((_bands, _r3),)),
+    "R4": _Table("B", 2, False, ((_adjacent, _r4),)),
+    "R5": _Table("B", 2, False, ((_twists, _r5),)),
+    "R6": _Table("B", 2, False, ((_bands, _r6),)),
+    "R7": _Table("B", 2, False, ((_pairs, _r7),)),
+    "P1": _Table("P", 3, False, ((_strands, _p1),)),
+    "P2": _Table("P", 3, False, ((_first_last, _p2),)),
+    "P3": _Table("P", 3, True, ((_strands, _p3),)),
+    "P4": _Table("P", 3, True, ((_first_last, _p4),)),
+}
+
+
+def _build(table: _Table, ctx: GroupContext) -> RelationTable:
+    """Every row of ``table`` in the group ``ctx``, block by block."""
+    T, n = ctx.surface == "T", ctx.n
+    return RelationTable(ctx, tuple(row(T, n, *idx) for indices, *rows in table.blocks
+                                    for idx in indices(n) for row in rows))
+
+
+def instantiate_presentation(family: str, surface: str, n: int) -> RelationTable:
+    """Every relation instance of the P_n or B_n table for the given n; each
+    holds in the group, but the B_n table does not present it (see above)."""
+    ctx = GroupContext(family, surface, n)
+    if surface not in _TABLE_SURFACES:
+        raise DomainError(f"no presentation table for surface {surface!r}")
+    return _build(_PRESENTATIONS[family], ctx)
 
 
 def instantiate_family(name: str, surface: str, n: int) -> RelationTable:
@@ -471,11 +464,11 @@ def instantiate_family(name: str, surface: str, n: int) -> RelationTable:
         raise DomainError(f"unknown relation family {name!r}")
     if family.torus_only and surface != "T":
         raise DomainError(f"{name} is a torus-only family")
-    if family.least > 1 and n < family.least:  # n >= 1 is the group's bound, checked below
+    # a non-integer n, and n < 1 where the family holds from n = 1, are the
+    # group's to refuse, below
+    if family.least > 1 and isinstance(n, int) and not isinstance(n, bool) and n < family.least:
         raise DomainError(f"{name} needs n >= {family.least}")
-    ctx = GroupContext(family.group, surface, n)
-    T = surface == "T"
-    return RelationTable(ctx, tuple(family.row(T, n, *idx) for idx in family.indices(n)))
+    return _build(family, GroupContext(family.group, surface, n))
 
 
 def all_family_names() -> tuple[str, ...]:

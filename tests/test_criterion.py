@@ -29,9 +29,11 @@ from sigmabraid.criterion import (
     verify_certificate,
 )
 from sigmabraid.models import ModelId, parse_model_word
+from sigmabraid.presentations import instantiate_family, instantiate_presentation
 from sigmabraid.sigma import IN_SIGMA1, decide_sigma
 from sigmabraid.cli import _certificate_from_json, _certificate_to_json
-from sigmabraid.words import IDENTITY, AlphabetError, DomainError, GroupContext, Word, model_sym, sym_a
+from sigmabraid.words import (IDENTITY, AlphabetError, DomainError, GroupContext, Word, model_sym,
+                              sym_a, sym_b, sym_C)
 
 
 def mword(text, model=ModelId.G3T):
@@ -276,6 +278,41 @@ def test_generation_reads_no_more_letters_than_it_keeps(surface, end, monkeypatc
     assert str(cert.t) == ("b48" if end == "top" else "b1^-1")
     kept = sum(len(e.path_word) for e in cert.entries)
     assert 0 < handed[0] <= kept, (handed[0], kept)
+
+
+# the cites of the entries whose path word is one table row, a derived row's
+# rhs or, for a_1^-1, the lhs of the wall-crossing row 5:1 times a_1^-1
+_ROW_CITES = {"strand conjugation rule P1", "strand conjugation rule P1, top row",
+              "outward conjugation S5", "outward conjugation S2",
+              "outward conjugation S4, first strand", "wall-crossing relation, first strand"}
+
+
+@pytest.mark.parametrize("surface", ["T", "K"])
+def test_certificate_entries_citing_a_row_equal_that_row_in_the_tables(surface):
+    # the rows are read through the public tables, not through the row
+    # functions the certificates call; n = 24 lies past the recorded digest
+    for n in (*range(3, 14), 24):
+        rows = {r.name: r for r in instantiate_presentation("P", surface, n).relations}
+        for name in ("P1", "S2", "S4", "S5"):
+            rows.update((r.name, r) for r in instantiate_family(name, surface, n).relations)
+        wall = rows["5:row1"].lhs
+        a1_inv = Word((sym_a(1, -1),))
+        expected = {
+            "top": {sym_a(i): rows[f"P1:{i}"].rhs for i in range(1, n + 1)},
+            "low": {sym_a(1, -1): a1_inv * wall if surface == "T" else wall * a1_inv.inverse(),
+                    **{sym_b(j): rows[f"S5:1,{j}"].rhs for j in range(2, n + 1)},
+                    **{sym_a(j): rows[f"S2:1,{j}"].rhs for j in range(2, n + 1)},
+                    **{sym_C(1, j): rows[f"S4:1;1,{j}"].rhs for j in range(2, n + 1)}},
+        }
+        for end, rhs in expected.items():
+            b = [0] * n
+            b[-1 if end == "top" else 0] = 1 if end == "top" else -1
+            chi = torus_character(n, [0] * n, b) if surface == "T" else klein_character(n, b)
+            cert = generate_braid_certificate(GroupContext("P", surface, n), chi)
+            rhs.update({z.inverse(): w.inverse() for z, w in list(rhs.items())})
+            citing = {e.z: e.path_word for e in cert.entries
+                      if e.cite.removesuffix(" (inverted)") in _ROW_CITES}
+            assert citing == rhs, (surface, n, end)
 
 
 def test_integer_margins_match_nu():

@@ -218,6 +218,14 @@ def test_equation_bank_rejects_a_negative_count():
         verify_equation_bank(ModelId.G2K, random_words=-5)
 
 
+@pytest.mark.parametrize("count, shown", [(True, "True"), (2.5, "2.5"), ("3", "'3'")])
+def test_equation_bank_rejects_a_count_that_is_not_an_integer(count, shown):
+    # True is not read as one word, nor 2.5 and "3" left to a TypeError
+    with pytest.raises(DomainError) as err:
+        verify_equation_bank(ModelId.G2K, random_words=count)
+    assert str(err.value) == f"random_words must be an integer, got {shown}"
+
+
 def test_dictionary_roundtrip_model_words():
     rng = random.Random(13)
     for model in ModelId:

@@ -88,6 +88,10 @@ def test_unsupported_family_combinations():
         # a family that holds from n = 1 leaves n >= 1 to the group
         ("S1", "T", 0, "n must be >= 1, got 0"),
         ("S4", "K", -1, "n must be >= 1, got -1"),
+        # a non-integer n is refused as the group refuses it, before the least n
+        ("R1", "T", "3", "n must be an integer, got '3'"),
+        ("P1", "T", 2.5, "n must be an integer, got 2.5"),
+        ("P1", "T", True, "n must be an integer, got True"),
     ]:
         with pytest.raises(DomainError) as err:
             instantiate_family(name, surface, n)
