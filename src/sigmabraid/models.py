@@ -780,9 +780,21 @@ def equation_bank(model: ModelId) -> list[dict]:
 
 def random_model_word(model: ModelId, rng: random.Random, max_len: int) -> Word:
     """A reduced random word of at most ``max_len`` letters.  Each raw letter
-    takes two ``rng.choice`` calls, the letter first, then the sign, so one
-    seed always gives the same words."""
-    letters, choice = model.signed_letters, rng.choice
-    positive = range(0, len(letters), 2)  # each letter, then its inverse
-    k = rng.randint(0, max_len)
-    return reduce([letters[choice(positive) + choice((0, 1))] for _ in range(k)])
+    is two draws, the letter first, then the sign, each made as
+    ``Random.choice`` makes it: one ``rng.getrandbits`` call of the bit
+    length of the choice count per attempt, redrawn while it lands past the
+    count.  So one seed always gives the same words, the stream that
+    ``tests/test_models.py::test_random_model_word_keeps_its_stream`` pins."""
+    letters, getrandbits = model.signed_letters, rng.getrandbits
+    count = len(letters) // 2  # each letter, then its inverse
+    bits = count.bit_length()
+    raw = []
+    for _ in range(rng.randint(0, max_len)):
+        i = getrandbits(bits)
+        while i >= count:
+            i = getrandbits(bits)
+        sign = getrandbits(2)  # a choice of two draws two bits
+        while sign >= 2:
+            sign = getrandbits(2)
+        raw.append(letters[2 * i + sign])
+    return reduce(raw)

@@ -60,8 +60,11 @@ from .words import (
 _TABLE_SURFACES = ("T", "K")
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
+    """One relation lhs = rhs, its row name and its cite.  A NamedTuple, not
+    a dataclass: every table builds one per row, and a NamedTuple costs
+    under half as much to build."""
+
     name: str
     lhs: Word
     rhs: Word

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from sigmabraid import models
-from sigmabraid.checks import verify_equation_bank
+from sigmabraid import models, presentations
+from sigmabraid.checks import relation_checks, verify_equation_bank
 from sigmabraid.models import (
     FiberBudgetError,
     ModelId,
@@ -224,6 +225,76 @@ def test_equation_bank_rejects_a_count_that_is_not_an_integer(count, shown):
     with pytest.raises(DomainError) as err:
         verify_equation_bank(ModelId.G2K, random_words=count)
     assert str(err.value) == f"random_words must be an integer, got {shown}"
+
+
+@pytest.mark.parametrize("max_n, count, message", [
+    (True, 0, "max_n must be an integer, got True"), (2.5, 0, "max_n must be an integer, got 2.5"),
+    ("3", 0, "max_n must be an integer, got '3'"), (0, 0, "max_n must be >= 1, got 0"),
+    (-1, 0, "max_n must be >= 1, got -1"), (1, -1, "random_words must be >= 0, got -1"),
+    (1, True, "random_words must be an integer, got True"),
+    (1, 2.5, "random_words must be an integer, got 2.5")])
+def test_relation_checks_reject_their_counts_before_any_work(monkeypatch, max_n, count, message):
+    # no table is built first: 0 and -1 are not read as an empty
+    # abelianization suite, nor True as 1, and a bad word count is refused
+    # before the tables and the oracle suite run, not after them
+    monkeypatch.setattr(presentations, "_build", lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(DomainError) as err:
+        relation_checks(max_n=max_n, random_words=count)
+    assert str(err.value) == message
+
+
+def _drawn_g2k_words(count):
+    rng = random.Random(0)
+    return [random_model_word(ModelId.G2K, rng, 12) for _ in range(count)]
+
+
+_REWRITE_CHECK = "rewrite-rules-vs-letterwise-action(2000 words)"
+
+
+@pytest.mark.parametrize("pick", ["once", "empty"])
+def test_the_reference_check_catches_one_wrong_word(monkeypatch, pick):
+    # the check reads each distinct word once; a reference that disagrees on
+    # one word, drawn once or (the empty word) many times, still fails it
+    counts = Counter(_drawn_g2k_words(2000))
+    if pick == "once":
+        wrong = next(w for w, k in counts.items() if k == 1)
+    else:
+        wrong = Word()
+        assert counts[wrong] > 100
+    reference = models.bruteforce_normalize_g2k
+
+    def doctored(word):
+        nf = reference(word)
+        return models.NormalForm(nf.model, nf.state[:-1] + (nf.state[-1] + 1,)) if word == wrong else nf
+
+    monkeypatch.setattr(models, "bruteforce_normalize_g2k", doctored)
+    checks = {c.relation: c.passed for c in verify_equation_bank(ModelId.G2K)}
+    assert checks.pop(_REWRITE_CHECK) is False
+    assert all(checks.values())
+
+
+def test_the_reference_check_normalises_each_distinct_word_once_per_side(monkeypatch):
+    once = Counter(set(_drawn_g2k_words(2000)))
+    assert len(once) == 1434
+
+    def calls(random_words):
+        seen = {"normalize": Counter(), "bruteforce_normalize_g2k": Counter()}
+        for name, counter in seen.items():
+            def spy(*args, _real=getattr(models, name), _counter=counter):
+                _counter[args[-1]] += 1
+                return _real(*args)
+            monkeypatch.setattr(models, name, spy)
+        checks = verify_equation_bank(ModelId.G2K, random_words=random_words)
+        monkeypatch.undo()
+        assert all(c.passed for c in checks)
+        return seen
+
+    bank, full = calls(0), calls(2000)
+    assert not bank["bruteforce_normalize_g2k"]
+    # the banked equations normalise their own words; every other call is
+    # one per distinct drawn word on each side
+    assert full["normalize"] - bank["normalize"] == once
+    assert full["bruteforce_normalize_g2k"] == once
 
 
 def test_dictionary_roundtrip_model_words():

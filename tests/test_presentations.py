@@ -269,7 +269,7 @@ def test_abelian_check_agrees_with_the_abelianized_quotient():
                 pairs += [(table.group, r) for r in rels]
                 pairs += [(table.group, Relation("mixed", r.lhs, q.rhs, ""))
                           for r, q in zip(rels, rels[1:])]
-    verdicts = [checks._abelian(group, r) for group, r in pairs]
+    verdicts = [checks._abelian(group)(r) for group, r in pairs]
     assert verdicts == [abelianize(group, r.lhs * r.rhs.inverse()).is_zero() for group, r in pairs]
     assert verdicts[:2] == [True, False] and verdicts.count(False) > 100
 
